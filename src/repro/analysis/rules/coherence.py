@@ -23,8 +23,9 @@ Two passes over the project symbol table / call graph:
 ``coherence-unguarded-dependency`` (severity: error)
     The transitive read closure of each cached accessor (the runqueue
     load memo, the balance-pass group-stats fold, the designated-
-    balancer election) must stay inside :data:`CONTRACT`: if an accessor
-    grows a dependency on a contract-class field no counter guards, the
+    balancer election, the overload count's from-scratch reference)
+    must stay inside :data:`CONTRACT`: if an accessor grows a
+    dependency on a contract-class field no counter guards, the
     contract itself has drifted.  Fields only ever written during
     ``__init__`` are immutable-in-practice and exempt; so are the
     ``_cached_*`` memo cells and the counters themselves.
@@ -81,6 +82,7 @@ ACCESSORS: Dict[str, Tuple[Optional[str], str]] = {
     "runqueue-load": ("RunQueue", "load"),
     "group-stats": (None, "_fold_group_stats"),
     "designated-balancer": (None, "_elect_designated"),
+    "overload-gate": (None, "overloaded_rqs"),
 }
 
 _CONTRACT_CLASSES = frozenset(cls for cls, _attr in CONTRACT)

@@ -63,6 +63,11 @@ class ProbeTracepointBridge(Probe):
         # subscriber -- the compiled-in-but-not-traced path must stay free.
         return self._tp_rq_load.enabled
 
+    def wants_balance(self) -> bool:
+        # Balance walks that cannot move a task are skipped unless their
+        # records reach a subscriber.
+        return self._tp_considered.enabled or self._tp_balance.enabled
+
     def on_considered(
         self, now: int, cpu: int, op: str, considered: Iterable[int]
     ) -> None:

@@ -47,7 +47,12 @@ from typing import (
     cast,
 )
 
-from repro.sched.sanitizer import verify_designated, verify_group_stats
+from repro.sched.runqueue import has_spare_task
+from repro.sched.sanitizer import (
+    verify_designated,
+    verify_group_stats,
+    verify_overload,
+)
 
 #: Gate sentinel above any reachable deadline: a CPU that currently wins
 #: no level parks its gate here and is only re-armed by a watched idle
@@ -382,13 +387,8 @@ def pick_busiest_cpu(
         if cpu_id in excluded:
             continue
         rq = sched.cpu(cpu_id).rq
-        if rq.nr_queued == 0:
-            continue  # nothing stealable: the running task cannot move
-        if rq.curr is None and rq.nr_queued < 2:
-            # A queue with work but no running task is mid-dispatch (the
-            # resched IPI window); stealing its only task would just move
-            # the imbalance around.
-            continue
+        if not has_spare_task(rq.nr_running):
+            continue  # a running or mid-dispatch task cannot be stolen
         key = (rq.load(now), rq.nr_running)
         if best_key is None or key > best_key:
             best = cpu_id
@@ -465,6 +465,37 @@ def move_tasks(
     return moved
 
 
+def overloaded_rqs(sched: "Scheduler") -> int:
+    """From-scratch count of the runqueues with a task to spare.
+
+    The reference value of ``Scheduler.overload``, which the runqueues
+    keep incrementally; the coherence sanitizer compares the two.
+    """
+    return sum(
+        1 for cpu in sched.cpus if has_spare_task(cpu.rq._nr_running)
+    )
+
+
+def nothing_to_pull(sched: "Scheduler") -> bool:
+    """True when no balancing attempt anywhere can move a task.
+
+    The kernel's ``!rd->overload`` early exit.  :func:`pick_busiest_cpu`
+    only accepts a CPU that passes ``has_spare_task``, so while the
+    overload count is zero every level ends "balanced" or "blocked" and
+    nothing moves: the walk's only observable output is its probe
+    records.  A probe that consumes them (``Probe.wants_balance``) keeps
+    every walk; otherwise the walk is skipped.
+    """
+    if sched.overload.value:
+        return False
+    probe = sched.probe
+    if probe.active and probe.wants_balance():
+        return False
+    if sched.features.sanitize_coherence:
+        verify_overload(sched.overload.value, overloaded_rqs(sched))
+    return True
+
+
 def balance_domain(
     sched: "Scheduler",
     domain: "SchedDomain",
@@ -473,6 +504,8 @@ def balance_domain(
     bpass: Optional[SamplingPass] = None,
 ) -> int:
     """One balancing attempt at one domain level (Lines 10-23)."""
+    if nothing_to_pull(sched):
+        return 0
     busiest, local = find_busiest_group(sched, domain, dst_cpu, now, bpass)
     probe = sched.probe
     active = probe.active
@@ -706,8 +739,11 @@ def newidle_balance(sched: "Scheduler", cpu_id: int, now: int) -> int:
 
     Walks the domains bottom-up and stops at the first level that yields
     work.  Uses the same ``find_busiest_group`` logic -- and therefore
-    inherits the same bugs.
+    inherits the same bugs.  Like the kernel it returns at once when no
+    runqueue has a task to spare, before even building the sampling pass.
     """
+    if nothing_to_pull(sched):
+        return 0
     bpass = sched.vec_pass(now)
     moved = 0
     for domain in sched.domain_builder.domains_of(cpu_id):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.sched.load import LoadEpoch
-from repro.sched.runqueue import RunQueue
+from repro.sched.runqueue import OverloadCount, RunQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.viz.events import Probe
@@ -29,12 +29,13 @@ class Cpu:
         idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
+        overload: Optional[OverloadCount] = None,
     ):
         self.cpu_id = cpu_id
         self.rq = RunQueue(
             cpu_id, probe, load_epoch=load_epoch, load_cache=load_cache,
             idle_epoch=idle_epoch, divisor_epoch=divisor_epoch,
-            sanitize=sanitize,
+            sanitize=sanitize, overload=overload,
         )
         #: Hotplug state; offline CPUs host no tasks and join no domain.
         self.online = True

@@ -17,6 +17,10 @@ One CPU's churn therefore never dirties its siblings' caches.  A cache hit
 returns the *same float object* the miss produced -- the cached value is the
 plain summation, never a closed-form shortcut -- so traces are byte-identical
 with the cache on or off.
+
+Every queue also keeps the machine-wide :class:`OverloadCount` (the kernel's
+``rd->overload``) exact: the four mutators that change ``nr_running`` move
+it whenever the queue crosses :func:`has_spare_task`.
 """
 
 from __future__ import annotations
@@ -32,6 +36,37 @@ from repro.sched.timebase import SCHED_LATENCY_US
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.viz.events import Probe
 
+#: Fewest runnable tasks at which a queue has one a balancer may pull.
+SPARE_NR_RUNNING = 2
+
+
+def has_spare_task(nr_running: int) -> bool:
+    """Whether a queue of ``nr_running`` tasks can give one to a balancer.
+
+    The running task cannot move, and a lone queued task on a CPU with
+    nothing running is mid-dispatch (stealing it just moves the imbalance
+    around), so only a queue holding two or more tasks has one to spare.
+    This is the kernel's per-queue overload condition (``nr_running > 1``).
+    """
+    return nr_running >= SPARE_NR_RUNNING
+
+
+class OverloadCount:
+    """How many runqueues currently have a task to spare.
+
+    The kernel keeps ``rd->overload`` as a flag; the simulator keeps the
+    exact count, shared by every runqueue of a scheduler, so a zero proves
+    that no balancing attempt anywhere can move a task.
+    """
+
+    __slots__ = ("value",)
+
+    def __init__(self) -> None:
+        self.value = 0
+
+    def __repr__(self) -> str:
+        return f"OverloadCount({self.value})"
+
 
 class RunQueue:
     """The CFS runqueue of one CPU."""
@@ -45,6 +80,7 @@ class RunQueue:
         idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
+        overload: Optional[OverloadCount] = None,
     ):
         self.cpu_id = cpu_id
         self.probe = probe
@@ -63,6 +99,12 @@ class RunQueue:
         #: or detach re-weights member loads without any runqueue event).
         self.divisor_epoch = (
             divisor_epoch if divisor_epoch is not None else LoadEpoch()
+        )
+        #: Shared count of queues with a task to spare; moved only when
+        #: this queue crosses ``has_spare_task`` (balancers skip their
+        #: walks while it is zero).
+        self.overload = (
+            overload if overload is not None else OverloadCount()
         )
         self._load_cache_enabled = load_cache
         #: Coherence sanitizer: cross-check every load-memo hit against a
@@ -159,6 +201,8 @@ class RunQueue:
             self.idle_epoch.bump()
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
+        elif self._nr_running == SPARE_NR_RUNNING:
+            self.overload.value += 1
         self.load_epoch.bump()
         self._notify(now)
 
@@ -176,6 +220,8 @@ class RunQueue:
             self.idle_epoch.bump()
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
+        elif self._nr_running == SPARE_NR_RUNNING - 1:
+            self.overload.value -= 1
         self.load_epoch.bump()
         self._notify(now)
 
@@ -205,6 +251,7 @@ class RunQueue:
         """Install (or clear) the task executing on this CPU."""
         prev = self.curr
         was_empty = self._nr_running == 0
+        had_spare = has_spare_task(self._nr_running)
         if prev is not None:
             self._nr_running -= 1
             self._total_weight -= prev.weight
@@ -222,6 +269,8 @@ class RunQueue:
             self.idle_epoch.bump()
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
+        if had_spare != has_spare_task(self._nr_running):
+            self.overload.value += -1 if had_spare else 1
         self.load_epoch.bump()
         self._notify(now)
 
@@ -282,6 +331,8 @@ class RunQueue:
             self.idle_epoch.bump()
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
+        elif self._nr_running == SPARE_NR_RUNNING - 1:
+            self.overload.value -= 1
         self.load_epoch.bump()
         self._notify(now)
         return task

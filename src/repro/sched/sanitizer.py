@@ -60,6 +60,7 @@ FACTS: Dict[str, FrozenSet[Tuple[str, str]]] = {
             ("RunQueue", "_nr_running"),
         }
     ),
+    "overload-gate": frozenset({("RunQueue", "_nr_running")}),
 }
 
 
@@ -140,3 +141,9 @@ def verify_designated(
     """Cross-check a designated-balancer memo hit against a re-election."""
     if cached != fresh:
         raise CoherenceError("designated-balancer", "winner", cached, fresh)
+
+
+def verify_overload(cached: int, fresh: int) -> None:
+    """Cross-check the overload count at a balance-gate skip."""
+    if cached != fresh:
+        raise CoherenceError("overload-gate", "overloaded_rqs", cached, fresh)

@@ -29,6 +29,7 @@ from repro.sched.domains import DomainBuilder
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadEpoch
 from repro.sched.pickindex import PickIndex
+from repro.sched.runqueue import OverloadCount
 from repro.sched.task import Task, TaskState
 from repro.sched.vecstate import VecState
 from repro.topology.machine import MachineTopology
@@ -63,6 +64,11 @@ class Scheduler:
         #: Bumped when a cgroup divisor changes (attach/detach), dirtying
         #: per-queue load caches without any runqueue event.
         self.divisor_epoch = LoadEpoch()
+        #: Runqueues with a task to spare (the kernel's ``rd->overload``,
+        #: kept as an exact count by every runqueue): while it is zero no
+        #: balancing attempt can move anything, so the balancers skip
+        #: their walks (see ``repro.sched.balance.nothing_to_pull``).
+        self.overload = OverloadCount()
         self.cgroups.bind_load_epoch(self.load_epoch, self.divisor_epoch)
         self.cpus: List[Cpu] = [
             Cpu(
@@ -73,6 +79,7 @@ class Scheduler:
                 idle_epoch=self.idle_epoch,
                 divisor_epoch=self.divisor_epoch,
                 sanitize=self.features.sanitize_coherence,
+                overload=self.overload,
             )
             for cpu_id in range(topology.num_cpus)
         ]

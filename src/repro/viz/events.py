@@ -163,6 +163,22 @@ class Probe:
     ) -> None:
         """A decision examined a set of cores."""
 
+    def wants_balance(self) -> bool:
+        """True when :meth:`on_considered` or :meth:`on_balance` consumes
+        its records.
+
+        While no runqueue has a task to spare, a balancing walk's only
+        output is its considered-cores and balance-outcome records; the
+        balancer asks first and skips the walk when nobody listens.  The
+        default detects an override of either hook, like
+        :meth:`wants_rq_load`.
+        """
+        cls = type(self)
+        return (
+            cls.on_considered is not Probe.on_considered
+            or cls.on_balance is not Probe.on_balance
+        )
+
     def on_migration(
         self, now: int, tid: int, src_cpu: int, dst_cpu: int, reason: str
     ) -> None:
@@ -286,6 +302,9 @@ class TraceProbe(Probe):
     def wants_rq_load(self) -> bool:
         return self.record_load
 
+    def wants_balance(self) -> bool:
+        return self.record_considered
+
     def on_considered(
         self, now: int, cpu: int, op: str, considered: Iterable[int]
     ) -> None:
@@ -383,6 +402,12 @@ class FanoutProbe(Probe):
         # notification and a generator allocation per call is measurable.
         for probe in self.probes:
             if probe.wants_rq_load():
+                return True
+        return False
+
+    def wants_balance(self) -> bool:
+        for probe in self.probes:
+            if probe.wants_balance():
                 return True
         return False
 

@@ -48,7 +48,8 @@ def test_with_sanitizer_flag():
 
 def test_facts_cover_every_accessor():
     assert set(FACTS) == {
-        "runqueue-load", "group-stats", "designated-balancer"
+        "runqueue-load", "group-stats", "designated-balancer",
+        "overload-gate",
     }
     for deps in FACTS.values():
         assert deps  # an accessor with no dependencies caches a constant
