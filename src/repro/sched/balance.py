@@ -146,8 +146,8 @@ class BalancePass:
         # SchedGroup hashes its frozensets on every lookup, which shows up
         # in profiles.  Storing the group in the value keeps it alive, so
         # an id can never be recycled while its entry exists.  Groups are
-        # interned per rebuild (DomainBuilder._make_group), so the same id
-        # recurs across every CPU's domain walk and the memos are shared
+        # interned per table build (DomainBuilder._make_group), so the same
+        # id recurs across every CPU's domain walk and the memos are shared
         # between perspectives.  Entries are [group, stats, signature,
         # epoch]: the signature is the members' mutation counts at fold
         # time, the epoch the global load epoch the entry was last

@@ -24,11 +24,13 @@ Two of the paper's bugs live here:
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.sched.features import SchedFeatures
+from repro.sched.sanitizer import verify_domain_table
 from repro.topology.interconnect import hop_levels
 from repro.topology.machine import MachineTopology
 
@@ -59,8 +61,9 @@ class SchedGroup:
     def _cpus_sorted(self) -> Tuple[int, ...]:
         # cached_property writes the instance __dict__ directly, which is
         # legal on a frozen dataclass and safe here: ``cpus`` is immutable,
-        # and hotplug regeneration builds entirely new group objects (see
-        # DomainBuilder.rebuild), so a cached tuple can never go stale.
+        # so the cached tuple is a pure function of the group and stays
+        # valid however many rebuilds and schedulers share the object
+        # (see the table memo in DomainBuilder.rebuild).
         return tuple(sorted(self.cpus))
 
     @cached_property
@@ -133,6 +136,21 @@ class SchedDomain:
         )
 
 
+#: One finished per-CPU domain table: bottom-up domain lists by CPU.
+DomainTable = Dict[int, List[SchedDomain]]
+
+#: Bound of the process-local table memo.  A full ``repro report`` needs
+#: five distinct tables; the bound only caps long hotplug sweeps.
+TABLE_MEMO_SIZE = 32
+
+#: Finished tables keyed by everything ``DomainBuilder._build_table``
+#: reads (see ``DomainBuilder._table_key``), least recently used first.
+#: A table is a pure function of its key and every object in it is
+#: immutable, so one table is shared by every builder -- across systems,
+#: schedulers and hotplug events -- that asks for the same key.
+_TABLES: "OrderedDict[Tuple[object, ...], DomainTable]" = OrderedDict()
+
+
 class DomainBuilder:
     """Builds per-CPU scheduling-domain lists from a machine topology.
 
@@ -148,13 +166,14 @@ class DomainBuilder:
         #: True once any core was disabled then re-enabled; the buggy
         #: regeneration path truncates domains from that point on.
         self.hotplug_happened = False
-        #: Per-CPU bottom-up domain lists.
-        self._domains: Dict[int, List[SchedDomain]] = {}
-        #: Rebuild-scoped intern pool of groups, keyed by membership.
+        #: Per-CPU bottom-up domain lists; possibly shared with other
+        #: builders through the table memo, so never mutated in place.
+        self._domains: DomainTable = {}
+        #: Build-scoped intern pool of groups, keyed by membership.
         self._group_pool: Dict[
             Tuple[FrozenSet[int], Optional[FrozenSet[int]]], SchedGroup
         ] = {}
-        #: Rebuild-scoped intern pool of domains: every CPU of a node sees
+        #: Build-scoped intern pool of domains: every CPU of a node sees
         #: identical (name, level, span, groups) at the shared levels, so
         #: one SchedDomain object serves them all and id-keyed caches (the
         #: vectorized mirror's per-domain gather plans) are shared across
@@ -174,23 +193,65 @@ class DomainBuilder:
         return cpu_id in self._online
 
     def set_cpu_online(self, cpu_id: int, online: bool) -> None:
-        """Hotplug a CPU and regenerate domains (the /proc interface path)."""
+        """Hotplug a CPU and regenerate domains (the /proc interface path).
+
+        A call that does not change the CPU's online state is a no-op: no
+        rebuild, no generation bump.
+        """
         if not 0 <= cpu_id < self.topology.num_cpus:
             raise ValueError(f"cpu {cpu_id} out of range")
-        if online and cpu_id not in self._online:
+        if online == (cpu_id in self._online):
+            return
+        if online:
             self._online.add(cpu_id)
-            self.hotplug_happened = True
-        elif not online and cpu_id in self._online:
+        else:
             if len(self._online) == 1:
                 raise ValueError("cannot offline the last CPU")
             self._online.discard(cpu_id)
-            self.hotplug_happened = True
+        self.hotplug_happened = True
         self.rebuild()
 
     # -- construction ------------------------------------------------------
 
+    def _table_key(self) -> Tuple[object, ...]:
+        """Everything :meth:`_build_table` reads, as a hashable key."""
+        topo = self.topology
+        return (
+            topo.num_nodes,
+            topo.cores_per_node,
+            topo.smt_width,
+            tuple(topo.interconnect.links()),
+            self.features.fix_group_construction,
+            self.features.balance_base_us,
+            self.features.balance_interval_growth,
+            frozenset(self._online),
+            self.hotplug_happened and not self.features.fix_missing_domains,
+        )
+
     def rebuild(self) -> None:
         """Regenerate every CPU's domain list.
+
+        The finished table is memoized process-wide on :meth:`_table_key`,
+        so :meth:`_build_table` runs once per distinct key; the coherence
+        sanitizer rebuilds on every memo hit and compares.  ``generation``
+        moves on every call, hit or miss.
+        """
+        self.generation += 1
+        key = self._table_key()
+        table = _TABLES.get(key)
+        if table is None:
+            table = self._build_table()
+            _TABLES[key] = table
+            if len(_TABLES) > TABLE_MEMO_SIZE:
+                _TABLES.popitem(last=False)
+        else:
+            _TABLES.move_to_end(key)
+            if self.features.sanitize_coherence:
+                verify_domain_table(table, self._build_table())
+        self._domains = table
+
+    def _build_table(self) -> DomainTable:
+        """Construct every online CPU's domain list from scratch.
 
         Mirrors the kernel's two-step regeneration: intra-node levels first,
         then the cross-node levels.  When the Missing Scheduling Domains bug
@@ -198,14 +259,13 @@ class DomainBuilder:
         the second step is skipped -- exactly the dropped function call the
         paper describes.
         """
-        self._domains = {}
-        self.generation += 1
-        # Equal groups are interned to one shared object per rebuild:
+        table: DomainTable = {}
+        # Equal groups are interned to one shared object per build:
         # every CPU of a node sees the *same* group instances, so
         # per-object caches (sorted tuples, balance-pass memos) are shared
-        # across perspectives instead of recomputed 64 times.  A rebuild
-        # starts from an empty pool, which is exactly the hotplug
-        # invalidation the cached tuples rely on.
+        # across perspectives instead of recomputed 64 times.  The objects
+        # are immutable, so the finished table may be shared across
+        # rebuilds and schedulers; the pools only live for one build.
         self._group_pool = {}
         self._domain_pool = {}
         drop_numa_levels = (
@@ -215,9 +275,10 @@ class DomainBuilder:
             domains = self._build_intra_node(cpu_id)
             if not drop_numa_levels:
                 domains.extend(self._build_cross_node(cpu_id, len(domains)))
-            self._domains[cpu_id] = domains
+            table[cpu_id] = domains
         self._group_pool = {}
         self._domain_pool = {}
+        return table
 
     def _make_group(
         self,
@@ -244,10 +305,10 @@ class DomainBuilder:
     ) -> SchedDomain:
         """Create-or-reuse a domain with these exact parameters.
 
-        Groups are already interned within the rebuild, so the tuple
-        compares by the shared objects; like the group pool, the domain
-        pool is cleared per rebuild, which is exactly the invalidation
-        the frozen instances' cached properties rely on.
+        Groups are already interned within the build, so the tuple
+        compares by the shared objects.  The instances are immutable and
+        their cached properties are pure functions of their fields, so
+        they stay valid in every table that shares them.
         """
         key = (name, level, span, groups, interval, numa, imbalance_ratio)
         domain = self._domain_pool.get(key)

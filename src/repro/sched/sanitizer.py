@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.balance import GroupStats
-    from repro.sched.domains import SchedGroup
+    from repro.sched.domains import DomainTable, SchedGroup
     from repro.sched.runqueue import RunQueue
 
 #: (class, field) dependency sets of each cached accessor, as derived by
@@ -147,3 +147,21 @@ def verify_overload(cached: int, fresh: int) -> None:
     """Cross-check the overload count at a balance-gate skip."""
     if cached != fresh:
         raise CoherenceError("overload-gate", "overloaded_rqs", cached, fresh)
+
+
+def verify_domain_table(cached: "DomainTable", fresh: "DomainTable") -> None:
+    """Cross-check a domain-table memo hit against a from-scratch build.
+
+    The memo is keyed by value, not by an epoch: a mismatch means the key
+    misses something the build reads.
+    """
+    if cached.keys() != fresh.keys():
+        raise CoherenceError(
+            "domain-table", "online cpus", sorted(cached), sorted(fresh)
+        )
+    for cpu_id in sorted(fresh):
+        if cached[cpu_id] != fresh[cpu_id]:
+            raise CoherenceError(
+                "domain-table", f"cpu {cpu_id} domains",
+                cached[cpu_id], fresh[cpu_id],
+            )

@@ -487,10 +487,13 @@ class Scheduler:
 
         The caller (simulator) is responsible for stopping a task that was
         *running* there before calling this, and for re-placing the returned
-        tasks via :meth:`wake_task`.
+        tasks via :meth:`wake_task`.  A call that does not change the
+        CPU's online state is a no-op.
         """
         cpu = self.cpu(cpu_id)
         evicted: List[Task] = []
+        if cpu.online == online:
+            return evicted
         if not online:
             if cpu.rq.curr is not None:
                 raise RuntimeError(
@@ -511,8 +514,9 @@ class Scheduler:
         # Online-state changes alter designated-balancer elections.
         self.idle_epoch.bump()
         if self.vec is not None:
-            # The rebuild dropped every interned group/domain object; the
-            # mirror's id-keyed gather plans must go with them.
+            # The rebuild swapped in another (possibly shared, previously
+            # seen) domain table; the mirror's id-keyed gather plans and
+            # memos were planned against the old one and must go.
             self.vec.on_topology_change()
         return evicted
 

@@ -199,10 +199,15 @@ class System:
     # -- hotplug --------------------------------------------------------------------
 
     def hotplug_cpu(self, cpu_id: int, online: bool) -> None:
-        """Disable or re-enable a core through the /proc interface analog."""
+        """Disable or re-enable a core through the /proc interface analog.
+
+        A call that does not change the core's online state is a no-op.
+        """
+        sched = self.scheduler
+        if sched.cpu(cpu_id).online == online:
+            return
         self.start()
         now = self.now
-        sched = self.scheduler
         displaced: List[Task] = []
         if not online:
             cpu = sched.cpu(cpu_id)

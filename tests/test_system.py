@@ -178,6 +178,33 @@ def test_hotplug_reenable(small_system):
     assert task.stats.total_runtime_us > 0
 
 
+def test_hotplug_without_state_change_is_noop():
+    """Onlining an online (busy) core, or offlining an offline one,
+    changes nothing: no tickless/idle stamp on a busy CPU, no rebuild."""
+    system = System(two_nodes(), SchedFeatures(), seed=1)
+    builder = system.scheduler.domain_builder
+    system.spawn(hog_spec(), on_cpu=1)
+    system.run_for(3 * MS)
+    cpu = system.cpu(1)
+    assert cpu.rq.curr is not None
+    idle_since, tickless = cpu.idle_since_us, cpu.tickless
+    generation = builder.generation
+    system.hotplug_cpu(1, True)
+    assert cpu.rq.curr is not None
+    assert (cpu.idle_since_us, cpu.tickless) == (idle_since, tickless)
+    assert not cpu.tickless
+    assert builder.generation == generation
+    assert not builder.hotplug_happened
+
+    system.hotplug_cpu(2, False)
+    generation = builder.generation
+    system.hotplug_cpu(2, False)
+    assert builder.generation == generation
+    assert system.scheduler.set_cpu_online(2, False, system.now) == []
+    builder.set_cpu_online(2, False)
+    assert builder.generation == generation
+
+
 def test_attach_detach_probe(small_system):
     from repro.viz.events import TraceProbe
 
