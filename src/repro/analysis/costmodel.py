@@ -24,9 +24,9 @@ on the PR 4 :class:`~repro.analysis.symbols.SymbolTable` /
   ``allocating`` lattice (mirroring PR 7's pure < bounded < escaping)
   against the declarations in :mod:`repro.sched.allocdecl`; and
 * ranks the **scalar residue** -- functions reachable from the
-  simulation drivers but *not* from the vectorized kernels -- by static
-  cost x bench-profile weight: the work-list for the next
-  vectorization PR.
+  simulation drivers but *not* from the ``vec-*`` hot roots -- by
+  static cost x bench-profile weight: the work-list for the next
+  vectorization change.
 
 Escape analysis, precisely
 --------------------------
@@ -59,7 +59,7 @@ are excluded entirely, like the coherence rule excludes
 definitionally not the production path.
 
 Everything here is a pure function of the analyzed source text: same
-trees in, same report out -- on any backend, with or without numpy.
+trees in, same report out.
 """
 
 from __future__ import annotations
@@ -141,8 +141,6 @@ _COST_AXIOMS: Dict[str, str] = {
     "RBTree.items": "tasks",
     "RBTree.keys": "tasks",
     "VecState._fold_entry": "cpus",
-    "_NumpyOps.fold_group": "cpus",
-    "_PythonOps.fold_group": "cpus",
 }
 
 #: C-level heap primitives (unresolvable through the callgraph).
@@ -1020,7 +1018,7 @@ class CostModel:
         self, profile_weights: Optional[Dict[str, float]] = None
     ) -> List[Dict[str, object]]:
         """The ranked scalar residue: functions reachable from the sim
-        drivers but not from the vectorized kernels, by static cost x
+        drivers but not from the ``vec-*`` hot roots, by static cost x
         bench-profile weight."""
         weights = profile_weights or {}
         sim_quals: List[str] = []
@@ -1100,7 +1098,7 @@ def cost_report(
     """The machine-readable ``repro lint --cost-report`` document.
 
     Pure function of the analyzed trees (plus the committed baseline's
-    profile weights): identical under every vec backend and shard count.
+    profile weights): identical under every shard count.
     """
     model = CostModel(engine)
     if declared is None:

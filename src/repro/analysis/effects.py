@@ -23,8 +23,8 @@ Two rules consume the engine: ``determinism-taint``
 (:mod:`repro.analysis.rules.taint`) flows the sources whole-program into
 digest/trace-affecting sinks, and ``pure-hot-path``
 (:mod:`repro.analysis.rules.purity`) certifies the fast-path read
-closure as effect-bounded and emits the vectorization-safety report the
-numpy rewrite must consult.  The runtime counterpart
+closure as effect-bounded and emits the vectorization-safety report a
+batched rewrite must consult.  The runtime counterpart
 (:mod:`repro.analysis.effectcheck`) pins these static summaries to
 observed attribute mutations during the four bug demos.
 
@@ -624,27 +624,18 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "group-stats-fold": (None, "_fold_group_stats"),
     "designated-election": (None, "_elect_designated"),
     "event-pending": ("EventLoop", "pending"),
-    # The vectorized core's kernels (repro.sched.vecstate / vec): the
-    # mirror sync sweep, the group folds, the bulk busiest-group
-    # selection, the election memo, and both array backends' wide-fold
-    # kernel.  Everything they reach must stay effect-bounded or the
-    # batched rewrite's certificate is void (the rule fails the lint).
+    # The vectorized core (repro.sched.vecstate): the mirror sync
+    # sweep, the group folds, the bulk busiest-group selection and the
+    # election memo.  Everything they reach must stay effect-bounded or
+    # the certificate is void (the rule fails the lint).
     "vec-sync": ("VecState", "_sync"),
     "vec-group-stats": ("VecState", "group_stats"),
     "vec-fold": ("VecState", "_fold_entry"),
     "vec-find-busiest": ("VecState", "find_busiest"),
     "vec-designated": ("VecState", "designated_for"),
-    "vec-kernel-numpy": ("_NumpyOps", "fold_group"),
-    "vec-kernel-python": ("_PythonOps", "fold_group"),
-    # The tick/pick/enqueue hot-loop kernels: the batched tick body
-    # (both backends), the pick-index argmin kernels behind
-    # RunQueue.pick_next's flat (vruntime, tid) index, and the
-    # periodic/NOHZ balance-driver reductions over the per-CPU
-    # next-balance deadline array.
-    "vec-tick-kernel-numpy": ("_NumpyOps", "tick_batch"),
-    "vec-tick-kernel-python": ("_PythonOps", "tick_batch"),
-    "vec-pick-argmin-numpy": ("_NumpyOps", "argmin_pairs"),
-    "vec-pick-argmin-python": ("_PythonOps", "argmin_pairs"),
+    # The pick index behind RunQueue.pick_next's flat (vruntime, tid)
+    # arrays, and the periodic/NOHZ balance-driver reductions over the
+    # per-CPU next-balance deadline array.
     "vec-pick-index": ("PickIndex", "peek"),
     "vec-balance-gate": ("VecState", "gated"),
     "vec-balance-due": ("VecState", "balance_due"),
@@ -747,8 +738,8 @@ def vectorization_report(
     """The machine-readable vectorization-safety certification.
 
     Walks the callee closure of every :data:`HOT_ROOTS` entry, classifies
-    each member function, and names exactly which functions the batched/
-    numpy rewrite may transform (``safe``: pure or bounded) and which
+    each member function, and names exactly which functions a batched
+    rewrite may transform (``safe``: pure or bounded) and which
     have escaping effects (``unsafe``, with reasons).  Functions outside
     the closure are simply not certified either way.
     """

@@ -32,7 +32,7 @@ list of what it may touch.
 The same classification feeds :func:`repro.analysis.effects.`
 ``vectorization_report`` -- the machine-readable JSON artifact
 (``repro lint --effects-report``) naming exactly which functions the
-numpy/batched rewrite may transform (``safe``) and which it must not
+batched rewrite may transform (``safe``) and which it must not
 touch (``unsafe``, with per-line reasons).  After :meth:`finalize` the
 rule instance exposes that report as :attr:`report`, which the runner
 writes to disk; the findings themselves travel in the normal SARIF

@@ -23,7 +23,7 @@
                          [--effects-report FILE] [--cost-report FILE]
                          [--write-cost-baseline] [--profile-weights FILE]
     python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
-                          [--variant baseline|fast|vec|vec-fallback]
+                          [--variant baseline|fast|vec]
                           [--out BENCH_sim.json] [--check-digests [FILE]]
                           [--profile] [--cost-baseline FILE]
                           [--trend [FILE]]
@@ -749,14 +749,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-digests", nargs="?", const=True, default=None,
         metavar="FILE",
-        help="recompute every benchmark's schedule digest in all four "
-        "variants (baseline, fast, vec, vec-fallback) and require them "
+        help="recompute every benchmark's schedule digest in all three "
+        "variants (baseline, fast, vec) and require them "
         "identical; with FILE, additionally compare against the most "
         "recent run stored there; exit 1 on any mismatch",
     )
     p.add_argument(
         "--variant", default="vec",
-        choices=("baseline", "fast", "vec", "vec-fallback"),
+        choices=("baseline", "fast", "vec"),
         help="the variant the primary wall-clock measurement runs "
         "(default: vec, the array-backed vectorized core)",
     )

@@ -3,13 +3,12 @@
 The fast paths this package measures (``repro bench``) are the incremental
 load tracking, single-pass balance statistics, and event-loop compaction
 behind :meth:`repro.sched.features.SchedFeatures.with_fastpath`.  Each
-benchmark runs the same seeded scenario in one of four variants --
+benchmark runs the same seeded scenario in one of three variants --
 *baseline* (all fast paths off, reproducing the historical
-implementations), *fast* (the per-pass fast paths), *vec* (the
-array-backed vectorized core, numpy backend when importable), and
-*vec-fallback* (the vectorized core on the pure-Python backend) -- and a
-short traced run digests the schedule so every variant can be proven
-byte-identical (``repro bench --check-digests``).
+implementations), *fast* (the per-pass fast paths), and *vec* (the
+array-backed vectorized core) -- and a short traced run digests the
+schedule so every variant can be proven byte-identical
+(``repro bench --check-digests``).
 
 Results append to a ``BENCH_*.json`` trajectory file, so the measured
 speedups (and the determinism digests) are tracked over the repository's

@@ -16,10 +16,9 @@ Three workloads cover the simulator's hot paths from different angles:
 
 Every benchmark is seeded and runs a fixed simulated horizon, so all
 measurement variants execute the *same schedule*; only wall-clock
-differs.  Four variants are registered (:data:`VARIANTS`): the
-historical ``baseline``, the PR 3 per-pass ``fast`` layer, and the
-array-backed vectorized core in its ``vec`` (numpy when importable) and
-``vec-fallback`` (pure-Python backend, forced) forms.  A short traced
+differs.  Three variants are registered (:data:`VARIANTS`): the
+historical ``baseline``, the per-pass ``fast`` layer, and the
+array-backed vectorized core ``vec``.  A short traced
 companion run produces a SHA-256 digest of the schedule (integer/string
 event fields only, so the digest is stable across float formatting
 differences) which must be identical across every variant
@@ -132,15 +131,10 @@ class BenchResult:
 
 
 #: Feature transforms of the measured variants, in trajectory order.
-#: ``vec`` resolves its backend at import time (numpy when importable
-#: and not disabled via ``REPRO_NO_NUMPY``); ``vec-fallback`` forces the
-#: pure-Python backend so both kernels are digest-checked in one
-#: process.
 VARIANTS: Dict[str, Callable[[SchedFeatures], SchedFeatures]] = {
     "baseline": lambda f: f.with_fastpath(False),
     "fast": lambda f: f.with_fastpath(True),
     "vec": lambda f: f.with_vectorized(True),
-    "vec-fallback": lambda f: f.with_vectorized(True, backend="python"),
 }
 
 
@@ -486,7 +480,7 @@ def run_benchmark(
     With ``compare`` the baseline mode is also measured and its digest
     checked against the primary variant's.  With ``check_digests`` the
     digest is recomputed for *every* registered variant (baseline, fast,
-    vec, vec-fallback) and ``digest_match`` asserts they are all equal
+    vec) and ``digest_match`` asserts they are all equal
     -- the determinism contract of the optimization layers.
     """
     spec = BENCHMARKS[name]
@@ -595,7 +589,7 @@ def harvest_profile_weights(stats: object) -> Dict[str, float]:
 
     ``stats`` is a ``pstats.Stats``; entries whose file lives under the
     ``repro`` package are mapped to dotted qualnames via an AST line
-    index, everything else (stdlib, numpy internals) is dropped.
+    index, everything else (stdlib, third-party code) is dropped.
     Duplicate code objects on one line (reloads) sum.
     """
     raw = getattr(stats, "stats", {})

@@ -18,19 +18,19 @@ on the ``alloc-free`` < ``amortized`` < ``allocating`` lattice (see
     staleness, so every observed call allocates by design).
 ``allocating``
     Per-call allocation is part of the contract (fold scratch state,
-    backend array temporaries).  Listed so a future PR that tightens
-    one of these shows up as an improvement in the committed baseline
-    rather than silent drift.
+    result lists).  Listed so a change that tightens one of these shows
+    up as an improvement in the committed baseline rather than silent
+    drift.
 
-The static analyzer may infer a *weaker* class than declared for a few
-documented roots (see ``CONSERVATIVE``): declarations are allowed to be
-conservative, never optimistic.  A root whose declaration is *stronger*
-than the inference is a ``hot-path-alloc`` error.
+A root whose declaration is *stronger* than the static inference is a
+``hot-path-alloc`` error; the cost-model tests additionally hold every
+declaration equal to the inference, so a declaration cannot go stale
+in either direction.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet
+from typing import Dict
 
 #: label -> declared allocation class, one entry per hot root.
 DECLARED_ALLOC: Dict[str, str] = {
@@ -66,43 +66,11 @@ DECLARED_ALLOC: Dict[str, str] = {
     "vec-find-busiest": "amortized",
     # Designated memo over the columnar mirror.
     "vec-designated": "amortized",
-    # Backend kernels: array temporaries are per-call by design -- and
-    # invisible to the AST scan (numpy allocates in C), so these two
-    # are pinned conservatively rather than inferred.
-    "vec-kernel-numpy": "allocating",
-    "vec-kernel-python": "allocating",
-    # Batched tick body: both backends return fresh (new_vr, preempt)
-    # rows per call -- the cohort's scratch is the contract.
-    "vec-tick-kernel-numpy": "allocating",
-    "vec-tick-kernel-python": "allocating",
-    # Pick-index argmin: the numpy twin stages the columns as array
-    # temporaries (in C, below the AST scan); the python twin is a pure
-    # in-place scan -- the strongest tier, runtime-gated.
-    "vec-pick-argmin-numpy": "allocating",
-    "vec-pick-argmin-python": "alloc-free",
-    # PickIndex.peek: the cached-min probe is the steady state; a probe
-    # miss rescans, and at machine width the rescan goes through the
-    # backend argmin whose temporaries are below AST visibility.
-    "vec-pick-index": "amortized",
+    # PickIndex.peek: the cached-min probe, or an in-place argmin
+    # rescan over the flat arrays on a miss -- no allocation either way.
+    "vec-pick-index": "alloc-free",
     # Whole-walk balance gate: two field reads.
     "vec-balance-gate": "alloc-free",
-    # The due-CPU reduction materializes the ascending id list per call
-    # -- through the union-typed backend attribute, so the sites are
-    # invisible to the scan and the tier is pinned, not inferred.
+    # The due-CPU reduction materializes the ascending id list per call.
     "vec-balance-due": "allocating",
 }
-
-#: Roots whose declaration is deliberately *weaker* than what the AST
-#: scan can prove, because the real allocations happen below Python
-#: syntax (numpy array temporaries register with tracemalloc but are
-#: not source-level sites; the python kernel's tuple churn depends on
-#: freelist state).  The baseline drift test allows declared >= inferred
-#: only for these.
-CONSERVATIVE: FrozenSet[str] = frozenset({
-    "vec-kernel-numpy",
-    "vec-kernel-python",
-    "vec-tick-kernel-numpy",
-    "vec-pick-argmin-numpy",
-    "vec-pick-index",
-    "vec-balance-due",
-})

@@ -91,16 +91,12 @@ class SchedFeatures:
     perf_event_compaction: bool = True
     #: Vectorized array-backed core: a persistent struct-of-arrays mirror
     #: of per-CPU state (repro.sched.vecstate) serves balance sampling,
-    #: folding, and busiest-group selection in bulk, and the event loop
-    #: drains same-timestamp batches through one dispatch pass.  Builds
-    #: on the fast paths (it replaces the per-pass BalancePass), so it is
-    #: only honored when ``perf_load_cache``/``perf_balance_stats`` are
-    #: also on -- use :meth:`with_vectorized`.
+    #: folding, and busiest-group selection in bulk, and an array-backed
+    #: pick index serves ``pick_next``.  Builds on the fast paths (it
+    #: replaces the per-pass BalancePass), so it is only honored when
+    #: ``perf_load_cache``/``perf_balance_stats`` are also on -- use
+    #: :meth:`with_vectorized`.
     perf_vectorized: bool = False
-    #: Array backend for the vectorized core: ``"auto"`` picks numpy when
-    #: importable, else the pure-Python fallback; ``"numpy"``/``"python"``
-    #: force one (the bench digest cross-check runs both in-process).
-    vec_backend: str = "auto"
 
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the
     #: value from scratch and raises
@@ -154,23 +150,15 @@ class SchedFeatures:
             perf_event_compaction=enabled,
         )
 
-    def with_vectorized(
-        self, enabled: bool = True, backend: str = "auto"
-    ) -> "SchedFeatures":
+    def with_vectorized(self, enabled: bool = True) -> "SchedFeatures":
         """A copy with the vectorized array-backed core toggled.
 
         The vectorized layer subsumes the per-pass fast paths, so
         enabling it also enables them; disabling leaves the ordinary
-        fast paths as they were.  ``backend`` selects the array kernels
-        (``"auto"``/``"numpy"``/``"python"``) -- every choice is
-        digest-identical, only the throughput differs.
+        fast paths as they were.
         """
         if enabled:
-            return replace(
-                self.with_fastpath(True),
-                perf_vectorized=True,
-                vec_backend=backend,
-            )
+            return replace(self.with_fastpath(True), perf_vectorized=True)
         return replace(self, perf_vectorized=False)
 
     def with_sanitizer(self, enabled: bool = True) -> "SchedFeatures":

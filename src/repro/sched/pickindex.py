@@ -8,7 +8,7 @@ migration scans, and the reference/sanitizer path); the index is kept
 coherent by the exact same call sites that maintain the tree, wired in
 :mod:`repro.sched.runqueue` under the vectorized-core gate.
 
-**Tie order.**  The cached minimum and the recompute kernel both order
+**Tie order.**  The cached minimum and the argmin recompute both order
 by the composite ``(vruntime, tid)`` key -- the rbtree's insertion key
 -- so equal-vruntime tasks pick in exactly rbtree order (tids are
 unique, so the order is total); ``repro bench --check-digests`` holds
@@ -20,11 +20,10 @@ above it, and removals never lower any key.  A probe is valid when the
 cached tid is present at the cached vruntime -- then the lower bound is
 attained and therefore *is* the minimum.  Removing the minimum leaves
 the cache stale (the tid misses, or re-appears at a different
-vruntime), which the probe detects, falling back to an argmin recompute
-through the backend kernel (:meth:`~repro.sched.vec._PythonOps.
-argmin_pairs`; the numpy twin engages above the gather crossover).
-Staleness is always *detected*, never silently wrong: a passing probe
-proves minimality, a failing probe recomputes from the arrays.
+vruntime), which the probe detects, falling back to an in-frame argmin
+sweep over the arrays.  Staleness is always *detected*, never silently
+wrong: a passing probe proves minimality, a failing probe recomputes
+from the arrays.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.task import Task
-    from repro.sched.vec import VecOps
 
 #: Cached-min sentinel: above any real (vruntime, tid), so the first
 #: insert into an empty index always installs itself as the minimum.
@@ -44,13 +42,10 @@ class PickIndex:
     """Flat (vruntime, tid) index over one runqueue's waiting tasks."""
 
     __slots__ = (
-        "ops", "_bulk", "_vrs", "_tids", "_tasks", "_pos",
-        "_min_vr", "_min_tid",
+        "_vrs", "_tids", "_tasks", "_pos", "_min_vr", "_min_tid",
     )
 
-    def __init__(self, ops: "VecOps"):
-        self.ops = ops
-        self._bulk = ops.bulk_min
+    def __init__(self) -> None:
         self._vrs: List[int] = []
         self._tids: List[int] = []
         self._tasks: List["Task"] = []
@@ -108,24 +103,17 @@ class PickIndex:
             return self._tasks[i]
         n = len(vrs)
         tids = self._tids
-        if n < self._bulk:
-            # In-frame scalar argmin (the kernels' own sub-crossover
-            # loop, hoisted here to spare the call on tiny queues).
-            best = 0
-            bv = vrs[0]
-            bt = tids[0]
-            j = 1
-            while j < n:
-                v = vrs[j]
-                if v < bv or (v == bv and tids[j] < bt):
-                    best = j
-                    bv = v
-                    bt = tids[j]
-                j += 1
-        else:
-            best = self.ops.argmin_pairs(vrs, tids, n)
-            bv = vrs[best]
-            bt = tids[best]
+        best = 0
+        bv = vrs[0]
+        bt = tids[0]
+        j = 1
+        while j < n:
+            v = vrs[j]
+            if v < bv or (v == bv and tids[j] < bt):
+                best = j
+                bv = v
+                bt = tids[j]
+            j += 1
         self._min_vr = bv
         self._min_tid = bt
         return self._tasks[best]

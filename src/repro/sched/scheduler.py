@@ -100,7 +100,7 @@ class Scheduler:
                 # The array-backed pick index rides the same gate: the
                 # rbtree stays authoritative, the index makes pick_next
                 # a cached-min probe (argmin on stale-min misses).
-                cpu.rq.pidx = PickIndex(self.vec.ops)
+                cpu.rq.pidx = PickIndex()
         #: Live tasks by tid.
         self.tasks: Dict[int, Task] = {}
         #: Idle CPUs that received work and need a dispatch.
@@ -334,9 +334,6 @@ class Scheduler:
         idle CPU is kicked as the NOHZ balancer and balances on behalf of
         every idle CPU.
         """
-        if self.vec is not None:
-            self._tick_vec(now)
-            return
         overloaded = False
         # One stats pass serves every CPU balanced this tick (and the NOHZ
         # sweep below): they all observe the same timestamp, so per-CPU
@@ -359,123 +356,6 @@ class Scheduler:
             self.balance_calls += 1
             lb.periodic_balance(self, cpu.cpu_id, now, bpass=bpass)
         if overloaded and self.features.nohz_idle_balance_enabled:
-            balancer = lb.nohz_kick_target(self)
-            if balancer is not None:
-                lb.nohz_idle_balance(self, balancer, now, bpass=bpass)
-
-    def _tick_vec(self, now: int) -> None:
-        """The tick body, batched over the busy-CPU cohort (vec gate).
-
-        Two phases, digest-identical to the scalar loop above:
-
-        **Gather** walks the busy CPUs once, hoisting each row's
-        accounting inputs (account delta, vruntime, ran, slice operands,
-        leftmost waiting vruntime) into flat arrays and running the
-        vruntime/preempt arithmetic as one ``tick_batch`` kernel call.
-        Rows whose tracker has not exactly converged (``util != 1.0``)
-        fall back to the scalar ``account_runtime`` in-frame -- the
-        cohort-divergence rule.  Hoisting account effects above earlier
-        CPUs' balances is safe because balancing reads only queue loads
-        (value-equal before/after an account at the same timestamp --
-        ``LoadTracker.peek``/``update`` compute the same expression),
-        ``nr_running``, affinity, and *queued* task keys; it never reads
-        the running task's vruntime, tracker stamps, or busy time.
-
-        **Apply** then replays the remaining per-CPU effects in exact
-        scalar order: batch results land, ``update_min_vruntime`` runs at
-        the scalar position (earlier CPUs' balances may have migrated
-        tasks, changing the leftmost), the overloaded flag samples the
-        post-balance queue depth, and the precomputed preempt verdict is
-        honored only if the queue's private mutation counter is unchanged
-        since the gather (else the scalar check reruns on live state).
-        """
-        vec = self.vec
-        assert vec is not None  # routed here only under the vec gate
-        feats = self.features
-        bpass = vec.begin(now)
-        latency = feats.sched_latency_us
-        min_gran = feats.min_granularity_us
-        wakeup_gran = feats.wakeup_granularity_us
-        cohort: List[Tuple[Cpu, Task, int, int, bool]] = []
-        deltas: List[int] = []
-        weights: List[int] = []
-        vrs: List[int] = []
-        rans: List[int] = []
-        nrs: List[int] = []
-        tws: List[int] = []
-        wait_vrs: List[int] = []
-        muts: List[int] = []
-        for cpu in self.cpus:
-            if not cpu.online:
-                continue
-            rq = cpu.rq
-            curr = rq.curr
-            if curr is None:
-                continue  # tickless idle: no tick runs here
-            started = (
-                curr.exec_start_us if curr.exec_start_us is not None else now
-            )
-            ran = now - started
-            delta = now - cpu.last_account_us
-            accounted = delta > 0
-            slot = -1
-            if accounted:
-                # Raw util read is deliberate: testing exact convergence
-                # (util == target), which decay cannot change -- the
-                # batched row reproduces update()'s shortcut bit-for-bit.
-                if curr.tracker.util == 1.0:  # repro: noqa[perf-load-bypass]
-                    # Converged row: the tracker update is a pure
-                    # timestamp re-stamp, so the whole account body is
-                    # batchable integer arithmetic.
-                    slot = len(deltas)
-                    deltas.append(delta)
-                    weights.append(curr.weight)
-                    vrs.append(curr.vruntime)
-                    rans.append(ran)
-                    nrs.append(rq._nr_running)
-                    tws.append(rq._total_weight)
-                    waiting = rq.pick_next()
-                    wait_vrs.append(
-                        -1 if waiting is None else waiting.vruntime
-                    )
-                    muts.append(rq.mutations)
-                else:
-                    # Divergent row (tracker mid-decay): scalar account,
-                    # minus update_min_vruntime, which phase 2 replays
-                    # at the exact scalar position for every row.
-                    cfs.account_runtime(curr, now, delta)
-                    cpu.busy_time_us += delta
-                    cpu.last_account_us = now
-            cohort.append((cpu, curr, ran, slot, accounted))
-        if deltas:
-            new_vrs, preempts = vec.ops.tick_batch(
-                deltas, weights, vrs, rans, nrs, tws, wait_vrs,
-                latency, min_gran, wakeup_gran,
-            )
-        overloaded = False
-        resched = self.pending_resched
-        for cpu, curr, ran, slot, accounted in cohort:
-            rq = cpu.rq
-            if slot >= 0:
-                delta = deltas[slot]
-                curr.vruntime = new_vrs[slot]
-                curr.stats.total_runtime_us += delta
-                curr.tracker.last_update_us = now
-                cpu.busy_time_us += delta
-                cpu.last_account_us = now
-            if accounted:
-                rq.update_min_vruntime()
-            if rq._nr_running >= 2:
-                overloaded = True
-            if slot >= 0 and rq.mutations == muts[slot]:
-                preempt = preempts[slot]
-            else:
-                preempt = cfs.should_preempt_at_tick(feats, rq, curr, ran)
-            if preempt:
-                resched.add(cpu.cpu_id)
-            self.balance_calls += 1
-            lb.periodic_balance(self, cpu.cpu_id, now, bpass=bpass)
-        if overloaded and feats.nohz_idle_balance_enabled:
             balancer = lb.nohz_kick_target(self)
             if balancer is not None:
                 lb.nohz_idle_balance(self, balancer, now, bpass=bpass)

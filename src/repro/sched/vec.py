@@ -1,358 +1,25 @@
-"""Array-kernel backends for the vectorized core (numpy optional).
+"""Name of the vectorized core's array backend.
 
-The vectorized balance layer (:mod:`repro.sched.vecstate`) keeps per-CPU
-state in flat struct-of-arrays mirrors and folds group statistics from
-them in bulk.  Two interchangeable backends provide the wide-group fold
-kernel:
-
-* :class:`_NumpyOps` -- the integer reductions run as ``int64`` vector
-  ops over the gathered member slots.
-* :class:`_PythonOps` -- the pure-Python fallback, selected
-  automatically when numpy is not importable (or forced with
-  ``REPRO_NO_NUMPY=1``).  Same semantics, no dependency.
-
-**Adaptive dispatch.**  Groups narrower than ``bulk_min`` members are
-folded by an in-frame scalar loop in :mod:`repro.sched.vecstate`: below
-that width the gather (one Python-level indexing op per member) costs
-more than any C reduction saves, and profile runs on the 64-CPU
-reference topology (groups of 1..32 members) show the crossover well
-above it.  The backend kernel therefore only engages for machine-scale
-groups; on small boxes the numpy and fallback variants intentionally
-run the identical scalar loop -- which is also what makes their digest
-equality structural rather than coincidental.
-
-**Float-summation discipline.**  Group *load sums* feed threshold
-comparisons that decide migrations, so they must reproduce the scalar
-path's sequential left-to-right ``sum()`` bit for bit.  numpy's
-``ndarray.sum``/``add.reduceat`` use pairwise summation, which rounds
-differently; the load fold therefore runs Python's sequential ``sum()``
-over the gathered member values.  Integer reductions (``nr_running``
-sums, min/max queue depths) are exact in any order, so the numpy
-backend folds those as true vector ops over an ``int64`` mirror.
-
-**Object-exactness discipline.**  Load *values* are mirrored as the
-exact Python objects ``RunQueue.load(now)`` returned -- never copied
-into a ``float64`` buffer.  An idle queue's load is ``sum([]) == 0``,
-the *int* zero; the schedule digest hashes ints and skips floats, so a
-mirror that coerced it to ``0.0`` would silently drop the group-metric
-field from ``BalanceEvent`` records whenever the Group Imbalance fix
-selects ``min_load``.  Folding ``sum``/``min``/``max`` over the
-original objects (Python ``min``/``max`` return the first minimal /
-maximal *element*, matching the scalar fold's tie-breaking) keeps every
-variant's schedule digest byte-identical (see
-``repro bench --check-digests``).
-
-Likewise, per-task utilization decay stays on scalar ``math.exp`` in
-:mod:`repro.sched.load`: ``numpy.exp`` differs from ``math.exp`` in the
-last ulp for a measurable fraction of inputs, so the tracker is *read*,
-never re-derived, by the vector layer.
+The vectorized layer (:mod:`repro.sched.vecstate`,
+:mod:`repro.sched.pickindex`) folds and scans its flat mirrors with
+in-frame Python loops, so the backend is always ``"python"``.
 """
 
 from __future__ import annotations
 
-import os
-from typing import List, Sequence, Tuple, Union
-
-from repro.sched.weights import NICE_0_WEIGHT
-
-#: Set to any non-empty value to pretend numpy is not installed (CI's
-#: fallback leg and the in-process digest cross-check use this).
-NO_NUMPY_ENV = "REPRO_NO_NUMPY"
-
-
-def _import_numpy():  # pragma: no cover - trivial import guard
-    if os.environ.get(NO_NUMPY_ENV):
-        return None
-    try:
-        import numpy
-    except ImportError:
-        return None
-    return numpy
-
-
-_NUMPY = _import_numpy()
-
-#: True when the numpy backend is available in this process.
-HAVE_NUMPY = _NUMPY is not None
-
-#: (load_sum, load_min, load_max, nr_sum, nr_min, nr_max) of one group.
-#: The load fields are whatever objects the fold's sum/min/max produce
-#: over the mirrored queue loads -- the int zero included (see above).
-GroupFold = Tuple[float, float, float, int, int, int]
-
-#: Batched-tick kernel result: per-row new vruntimes and preemption
-#: verdicts (plain Python ints/bools on every backend -- vruntimes are
-#: digest-hashed fields, so the numpy twin converts its ``int64`` lanes
-#: back via ``tolist()``).
-TickBatch = Tuple[List[int], List[bool]]
-
-
-class _NumpyOps:
-    """numpy-backed wide-group fold kernel."""
-
-    name = "numpy"
-
-    #: Narrowest group the vector kernel pays off for (see module doc).
-    bulk_min = 64
-
-    #: Narrowest tick cohort the batched kernel pays off for: each row
-    #: amortizes ~8 vector ops (vs one gather), so the crossover sits
-    #: well below the single-reduction folds'.
-    tick_bulk_min = 32
-
-    def __init__(self) -> None:
-        if _NUMPY is None:
-            raise RuntimeError(
-                "numpy backend requested but numpy is unavailable "
-                f"(not installed, or {NO_NUMPY_ENV} is set)"
-            )
-        self._np = _NUMPY
-
-    def fold_group(
-        self, loads: Sequence[float], nrs: Sequence[int], cpus: Sequence[int]
-    ) -> GroupFold:
-        # The load fold walks the exact mirrored objects (sequential sum,
-        # first-wins min/max -- see the module docstring); the integer
-        # side gathers into an int64 vector and reduces in C (exact in
-        # any order).
-        np = self._np
-        vals = [loads[c] for c in cpus]
-        ns = np.fromiter(
-            (nrs[c] for c in cpus), dtype=np.int64, count=len(cpus)
-        )
-        return (
-            sum(vals),
-            min(vals),
-            max(vals),
-            int(ns.sum()),
-            int(ns.min()),
-            int(ns.max()),
-        )
-
-    def argmin_pairs(
-        self, vrs: Sequence[int], tids: Sequence[int], n: int
-    ) -> int:
-        """Slot of the minimum ``(vruntime, tid)`` pair (rbtree order).
-
-        Everything is integer, so the vector reduction is exact; ties on
-        vruntime break by tid exactly like the rbtree's composite key.
-        Narrow inputs run the fallback's scalar scan (same crossover
-        story as the group fold: the gather costs more than C saves).
-        """
-        if n < self.bulk_min:
-            best = 0
-            bv = vrs[0]
-            bt = tids[0]
-            i = 1
-            while i < n:
-                v = vrs[i]
-                if v < bv or (v == bv and tids[i] < bt):
-                    best = i
-                    bv = v
-                    bt = tids[i]
-                i += 1
-            return best
-        np = self._np
-        v = np.fromiter(vrs, dtype=np.int64, count=n)
-        ties = np.nonzero(v == v.min())[0]
-        if len(ties) == 1:
-            return int(ties[0])
-        t = np.fromiter(
-            (tids[int(i)] for i in ties), dtype=np.int64, count=len(ties)
-        )
-        return int(ties[int(t.argmin())])
-
-    def due_cpus(
-        self, gates: Sequence[int], arms: Sequence[int], tok: int, now: int
-    ) -> List[int]:
-        """Ascending ids of CPUs whose balance gate has expired.
-
-        A gate is live only while its arming token still matches the
-        global flip token (any idle flip invalidates every gate at
-        once); a stale or expired gate means "due".  One two-array
-        compare-and-nonzero reduction; indices (not floats) come back,
-        so the result is exact by construction on either backend.
-        """
-        n = len(gates)
-        if n < self.bulk_min:
-            return [
-                i for i in range(n) if gates[i] <= now or arms[i] != tok
-            ]
-        np = self._np
-        g = np.fromiter(gates, dtype=np.int64, count=n)
-        a = np.fromiter(arms, dtype=np.int64, count=n)
-        return [int(i) for i in np.nonzero((g <= now) | (a != tok))[0]]
-
-    def tick_batch(
-        self,
-        deltas: Sequence[int],
-        weights: Sequence[int],
-        vrs: Sequence[int],
-        rans: Sequence[int],
-        nrs: Sequence[int],
-        tws: Sequence[int],
-        wait_vrs: Sequence[int],
-        latency: int,
-        min_gran: int,
-        wakeup_gran: int,
-    ) -> TickBatch:
-        """Batched tick body over one same-timestamp cohort.
-
-        Per row (one busy CPU with a convergence-stable mirror):
-        the vruntime charge ``vr + delta * NICE_0_WEIGHT // weight`` and
-        the ``check_preempt_tick`` verdict against the row's timeslice
-        ``max(max(latency, nr * min_gran) * weight // tw, min_gran)``.
-        ``wait_vrs`` carries -1 for rows with an empty wait queue (a
-        vruntime is never negative).  All lanes are int64 and every
-        operand is non-negative, so the vector floor-divisions match
-        Python's exactly; narrow cohorts run the fallback's scalar loop.
-        """
-        n = len(deltas)
-        if n < self.tick_bulk_min:
-            return _tick_batch_scalar(
-                deltas, weights, vrs, rans, nrs, tws, wait_vrs,
-                latency, min_gran, wakeup_gran, n,
-            )
-        np = self._np
-        d = np.fromiter(deltas, dtype=np.int64, count=n)
-        w = np.fromiter(weights, dtype=np.int64, count=n)
-        v = np.fromiter(vrs, dtype=np.int64, count=n)
-        r = np.fromiter(rans, dtype=np.int64, count=n)
-        q = np.fromiter(nrs, dtype=np.int64, count=n)
-        tw = np.fromiter(tws, dtype=np.int64, count=n)
-        wv = np.fromiter(wait_vrs, dtype=np.int64, count=n)
-        new_vr = v + (d * NICE_0_WEIGHT) // w
-        period = np.maximum(q * min_gran, latency)
-        slices = np.maximum((period * w) // tw, min_gran)
-        preempt = (wv >= 0) & (
-            (r >= slices)
-            | ((r >= min_gran) & (new_vr > wv + wakeup_gran))
-        )
-        return new_vr.tolist(), preempt.tolist()
-
-
-def _tick_batch_scalar(
-    deltas: Sequence[int],
-    weights: Sequence[int],
-    vrs: Sequence[int],
-    rans: Sequence[int],
-    nrs: Sequence[int],
-    tws: Sequence[int],
-    wait_vrs: Sequence[int],
-    latency: int,
-    min_gran: int,
-    wakeup_gran: int,
-    n: int,
-) -> TickBatch:
-    """Row-at-a-time tick body: the expression-for-expression scalar
-    reference both backends run below the crossover (and the fallback
-    backend runs at every width).  Integer-only, so it is exact."""
-    new_vrs: List[int] = []
-    preempts: List[bool] = []
-    i = 0
-    while i < n:
-        new_vr = vrs[i] + (deltas[i] * NICE_0_WEIGHT) // weights[i]
-        new_vrs.append(new_vr)
-        wv = wait_vrs[i]
-        if wv < 0:
-            preempts.append(False)
-        else:
-            period = nrs[i] * min_gran
-            if period < latency:
-                period = latency
-            slice_us = (period * weights[i]) // tws[i]
-            if slice_us < min_gran:
-                slice_us = min_gran
-            ran = rans[i]
-            preempts.append(
-                ran >= slice_us
-                or (ran >= min_gran and new_vr > wv + wakeup_gran)
-            )
-        i += 1
-    return new_vrs, preempts
-
 
 class _PythonOps:
-    """Dependency-free fallback: builtin reductions over gathered lists."""
+    """The backend descriptor: a name for host fingerprints."""
 
     name = "python"
 
-    #: Same crossover as the numpy backend, so both backends take the
-    #: same code path for the same group widths (structural identity).
-    bulk_min = 64
 
-    #: Mirrors the numpy backend's tick crossover (same reasoning).
-    tick_bulk_min = 32
+def make_ops(backend: str = "auto") -> _PythonOps:
+    """The backend descriptor (``"auto"`` and ``"python"`` are accepted).
 
-    def fold_group(
-        self, loads: Sequence[float], nrs: Sequence[int], cpus: Sequence[int]
-    ) -> GroupFold:
-        vals = [loads[c] for c in cpus]
-        ns = [nrs[c] for c in cpus]
-        return (sum(vals), min(vals), max(vals), sum(ns), min(ns), max(ns))
-
-    def argmin_pairs(
-        self, vrs: Sequence[int], tids: Sequence[int], n: int
-    ) -> int:
-        """Slot of the minimum ``(vruntime, tid)`` pair (rbtree order)."""
-        best = 0
-        bv = vrs[0]
-        bt = tids[0]
-        i = 1
-        while i < n:
-            v = vrs[i]
-            if v < bv or (v == bv and tids[i] < bt):
-                best = i
-                bv = v
-                bt = tids[i]
-            i += 1
-        return best
-
-    def due_cpus(
-        self, gates: Sequence[int], arms: Sequence[int], tok: int, now: int
-    ) -> List[int]:
-        """Ascending ids of CPUs whose balance gate has expired."""
-        return [
-            i
-            for i in range(len(gates))
-            if gates[i] <= now or arms[i] != tok
-        ]
-
-    def tick_batch(
-        self,
-        deltas: Sequence[int],
-        weights: Sequence[int],
-        vrs: Sequence[int],
-        rans: Sequence[int],
-        nrs: Sequence[int],
-        tws: Sequence[int],
-        wait_vrs: Sequence[int],
-        latency: int,
-        min_gran: int,
-        wakeup_gran: int,
-    ) -> TickBatch:
-        """Batched tick body -- always the scalar reference loop."""
-        return _tick_batch_scalar(
-            deltas, weights, vrs, rans, nrs, tws, wait_vrs,
-            latency, min_gran, wakeup_gran, len(deltas),
-        )
-
-
-VecOps = Union[_NumpyOps, _PythonOps]
-
-
-def make_ops(backend: str = "auto") -> VecOps:
-    """Instantiate the array backend.
-
-    ``"auto"`` picks numpy when importable (and not disabled via
-    ``REPRO_NO_NUMPY``), else the pure-Python fallback.  ``"numpy"`` and
-    ``"python"`` force a specific backend -- the bench harness runs both
-    in one process to cross-check their digests.
+    Only caller: the end-to-end benchmark's host fingerprint
+    (``benchmarks/e2e/run.py``), which records ``make_ops("auto").name``.
     """
-    if backend == "auto":
-        backend = "numpy" if HAVE_NUMPY else "python"
-    if backend == "numpy":
-        return _NumpyOps()
-    if backend == "python":
-        return _PythonOps()
-    raise ValueError(f"unknown vec backend {backend!r}")
+    if backend not in ("auto", "python"):
+        raise ValueError(f"unknown vec backend {backend!r}")
+    return _PythonOps()

@@ -4,9 +4,8 @@
 :class:`~repro.sched.balance.BalancePass`: instead of rebuilding flat
 sample arrays for every rebalance pass, one scheduler-lifetime instance
 keeps flat (load, nr_running) mirrors -- the loads as the exact objects
-the queues returned (see the object-exactness note in
-:mod:`repro.sched.vec`) -- and keeps them coherent through the existing
-epoch-bump protocol:
+the queues returned (see "Object exactness" below) -- and keeps them
+coherent through the existing epoch-bump protocol:
 
 * every load-affecting runqueue mutation calls :meth:`mark_dirty` (wired
   next to the queue's own ``mutations`` bump), which queues the slot for
@@ -23,20 +22,37 @@ epoch-bump protocol:
 
 Group folds gather member slots through pre-built gather plans (one per
 interned :class:`~repro.sched.domains.SchedGroup`) and reduce them with
-an in-frame scalar loop below the backend's ``bulk_min`` width, the
-backend kernel at or above it; sums keep the scalar path's sequential
-float-op order (see :mod:`repro.sched.vec` for why), so folded
-:class:`~repro.sched.balance.GroupStats` are bit-identical to the
-uncached fold and schedule digests match across all variants.  A fold
-is memoized as a flat list of its six reductions keyed ``(now,
-version)``; the :class:`~repro.sched.balance.GroupStats` object is
-materialized from it lazily, only when a caller actually receives the
-group (most folds lose the three-tier selection and are never handed
-out).  Because the instance persists, the synchronized bursts of
-newidle passes that share one timestamp -- which previously each
-rebuilt a fresh ``BalancePass`` -- collapse into memo hits.
+one in-frame loop, so folded :class:`~repro.sched.balance.GroupStats`
+are bit-identical to the uncached fold and schedule digests match
+across all variants.  A fold is memoized as a flat list of its six
+reductions keyed ``(now, version)``; the
+:class:`~repro.sched.balance.GroupStats` object is materialized from it
+lazily, only when a caller actually receives the group (most folds lose
+the three-tier selection and are never handed out).  Because the
+instance persists, the synchronized bursts of newidle passes that share
+one timestamp -- which previously each rebuilt a fresh ``BalancePass``
+-- collapse into memo hits.
 
-The vruntime floor and idle flags of the issue's mirror are exposed via
+**Float summation.**  Group *load sums* feed threshold comparisons that
+decide migrations, so the fold reproduces the scalar path's sequential
+left-to-right ``sum()`` bit for bit: no reordering, no pairwise or
+blocked summation, which rounds differently.  Integer reductions
+(``nr_running`` sums, min/max queue depths) are exact in any order.
+
+**Object exactness.**  Load *values* are mirrored as the exact Python
+objects ``RunQueue.load(now)`` returned -- never copied into a float
+buffer.  An idle queue's load is ``sum([]) == 0``, the *int* zero; the
+schedule digest hashes ints and skips floats, so a mirror that coerced
+it to ``0.0`` would silently drop the group-metric field from
+``BalanceEvent`` records whenever the Group Imbalance fix selects
+``min_load``.  The fold's min/max keep the first minimal / maximal
+*element*, matching the scalar fold's tie-breaking, so every variant's
+schedule digest stays byte-identical (see ``repro bench
+--check-digests``).  Likewise, per-task utilization decay stays on
+scalar ``math.exp`` in :mod:`repro.sched.load`: the tracker is *read*,
+never re-derived, by this layer.
+
+The vruntime floor and idle flags of the mirror are exposed via
 :meth:`snapshot`; ``min_vruntime`` advances without epoch traffic (by
 design -- see ``RunQueue.update_min_vruntime``), so the floor is sampled
 on read rather than pretending an incremental mirror could stay
@@ -47,7 +63,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.sched import vec
 from repro.sched.balance import (
     GroupStats,
     _elect_designated,
@@ -124,7 +139,7 @@ class VecState:
     vectorized = True
 
     __slots__ = (
-        "sched", "ops", "now", "_n", "_bulk", "_loads", "_nrs", "_dirty",
+        "sched", "now", "_n", "_loads", "_nrs", "_dirty",
         "_dirty_list", "_loads_at", "_version", "_div_ref",
         "_div_epoch", "_gidx", "_gstats", "_designated", "_desig_by_cpu",
         "_domains", "_sanitize", "_use_min", "_scratch_folds",
@@ -133,16 +148,13 @@ class VecState:
 
     def __init__(self, sched: "Scheduler"):
         self.sched = sched
-        self.ops = vec.make_ops(sched.features.vec_backend)
         n = len(sched.cpus)
         self._n = n
-        self._bulk = self.ops.bulk_min
         self.now = -1
         #: Exact load objects as returned by each queue's ``load(now)``
-        #: -- a plain list on every backend, because an idle queue's
-        #: load is the *int* zero and the digest distinguishes int from
-        #: float fields (see the object-exactness note in
-        #: :mod:`repro.sched.vec`).
+        #: -- a plain list, because an idle queue's load is the *int*
+        #: zero and the digest distinguishes int from float fields (see
+        #: the object-exactness note above).
         self._loads: List[float] = [0.0] * n
         self._nrs: List[int] = [0] * n
         #: Slots whose queue mutated since their last resample.  The
@@ -400,9 +412,8 @@ class VecState:
         float side, the exact sequential op order and element-object
         results -- of ``_fold_group_stats``; the leading ``0 +`` of the
         builtin ``sum`` is dropped, which is value- *and type*-exact
-        because queue loads are never negative zero.  Narrow groups
-        fold in-frame (one pass, no helper frames); machine-scale ones
-        go through the backend kernel.
+        because queue loads are never negative zero.  Every width folds
+        in-frame: one pass, no helper frames.
         """
         group, cpus, k = entry
         d = self._grp_dirty[id(group)]
@@ -424,46 +435,28 @@ class VecState:
         c = cpus[0]
         v = loads[c]
         nr = nrs[c]
-        if k == 1:
-            m: List[object] = [
-                group, self.now, self._version,
-                v, v, v, nr, nr, nr, None, cpus, 1, d,
-            ]
-        elif k < self._bulk:
-            ls = v
-            lmn = v
-            lmx = v
-            ns = nr
-            nmn = nr
-            nmx = nr
-            j = 1
-            while j < k:
-                c = cpus[j]
-                v = loads[c]
-                ls = ls + v
-                if v < lmn:
-                    lmn = v
-                elif v > lmx:
-                    lmx = v
-                nr = nrs[c]
-                ns = ns + nr
-                if nr < nmn:
-                    nmn = nr
-                elif nr > nmx:
-                    nmx = nr
-                j += 1
-            m = [
-                group, self.now, self._version,
-                ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
-            ]
-        else:
-            ls, lmn, lmx, ns, nmn, nmx = self.ops.fold_group(
-                loads, nrs, cpus
-            )
-            m = [
-                group, self.now, self._version,
-                ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
-            ]
+        ls = lmn = lmx = v
+        ns = nmn = nmx = nr
+        j = 1
+        while j < k:
+            c = cpus[j]
+            v = loads[c]
+            ls = ls + v
+            if v < lmn:
+                lmn = v
+            elif v > lmx:
+                lmx = v
+            nr = nrs[c]
+            ns = ns + nr
+            if nr < nmn:
+                nmn = nr
+            elif nr > nmx:
+                nmx = nr
+            j += 1
+        m: List[object] = [
+            group, self.now, self._version,
+            ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
+        ]
         self._gstats[id(group)] = m
         return m
 
@@ -583,9 +576,12 @@ class VecState:
         mirrors -- "which CPUs need balancing now" without touching the
         CPUs that provably do not.
         """
-        return self.ops.due_cpus(
-            self._gate, self._gate_arm, self._gate_tok, now
-        )
+        gates = self._gate
+        arms = self._gate_arm
+        tok = self._gate_tok
+        return [
+            i for i in range(self._n) if gates[i] <= now or arms[i] != tok
+        ]
 
     # -- bulk busiest-group selection --------------------------------------
 
@@ -787,7 +783,6 @@ class VecState:
         sched = self.sched
         nrs = list(self._nrs)
         return {
-            "backend": self.ops.name,
             "now": self.now,
             "load": [float(v) for v in self._loads],
             "nr_running": nrs,
@@ -804,6 +799,6 @@ class VecState:
 
     def __repr__(self) -> str:
         return (
-            f"VecState(backend={self.ops.name}, cpus={self._n}, "
-            f"now={self.now}us, version={self._version})"
+            f"VecState(cpus={self._n}, now={self.now}us, "
+            f"version={self._version})"
         )

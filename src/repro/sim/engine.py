@@ -12,12 +12,9 @@ timer -- therefore stop degrading as garbage accumulates.  Compaction only
 reorganizes the heap around the same ``(when, seq)`` total order, so the
 firing sequence is byte-identical with compaction on or off.
 
-The vectorized core (``SchedFeatures.with_vectorized``) additionally turns
-on *batched draining*: :meth:`EventLoop.run_until` extracts each
-same-timestamp cohort from the heap at once, applies the lazy-cancel mask
-in one sweep, and dispatches the survivors in one pass -- same ``(when,
-seq)`` order, so traces stay byte-identical (pinned by
-test_batch_order.py).
+:meth:`EventLoop.run_until` and :meth:`EventLoop.run_while` share one
+event-at-a-time drain loop, so every variant fires events through the
+same code.
 """
 
 from __future__ import annotations
@@ -50,7 +47,7 @@ class _Event:
     ``seq`` guarantees the event object is never reached by a compare).
     """
 
-    __slots__ = ("when", "seq", "callback", "cancelled", "fired", "popped", "label")
+    __slots__ = ("when", "seq", "callback", "cancelled", "fired", "label")
 
     def __init__(self, when: int, seq: int, callback: Callable[[], None], label: str):
         self.when = when
@@ -58,11 +55,6 @@ class _Event:
         self.callback = callback
         self.cancelled = False
         self.fired = False
-        #: True once the entry left the heap.  Batched draining extracts a
-        #: whole same-timestamp cohort before firing it, so an event can be
-        #: cancelled while popped-but-unfired; the flag keeps the loop's
-        #: lazy-cancel accounting exact (such a cancel is not heap garbage).
-        self.popped = False
         self.label = label
 
 
@@ -85,7 +77,7 @@ class EventHandle:
         if event.cancelled or event.fired:
             return
         event.cancelled = True
-        self._loop._note_cancel(event)
+        self._loop._note_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -100,15 +92,8 @@ class EventHandle:
 class EventLoop:
     """A discrete-event loop over integer-microsecond virtual time."""
 
-    def __init__(
-        self, start_time: int = 0, compact: bool = True, batch: bool = False
-    ):
+    def __init__(self, start_time: int = 0, compact: bool = True):
         self._now = start_time
-        #: Batched draining: ``run_until`` extracts whole same-timestamp
-        #: cohorts and fires them through one dispatch pass (the heap's
-        #: (when, seq) order is preserved, so firing order -- and every
-        #: trace -- is byte-identical to event-at-a-time draining).
-        self._batch = batch
         self._heap: list = []
         self._seq = itertools.count()
         self._events_fired = 0
@@ -164,7 +149,7 @@ class EventLoop:
         self._live += 1
         return EventHandle(event, self)
 
-    def _note_cancel(self, event: _Event) -> None:
+    def _note_cancel(self) -> None:
         """Account one cancellation; compact when garbage dominates.
 
         Compaction triggers when lazy cancels outnumber live heap entries
@@ -177,10 +162,6 @@ class EventLoop:
         shaped to force one.
         """
         self._live -= 1
-        if event.popped:
-            # Cancelled between batch extraction and firing: the entry is
-            # no longer in the heap, so it is not lazy-delete garbage.
-            return
         self._lazy_cancels += 1
         if (
             self._compact_enabled
@@ -194,9 +175,11 @@ class EventLoop:
 
         The heap invariant is rebuilt over the same ``(when, seq)`` keys,
         so subsequent pops produce exactly the order lazy deletion would
-        have -- compaction is invisible to the simulation.
+        have -- compaction is invisible to the simulation.  The list is
+        rebuilt in place: a drain loop running the cancelling callback
+        holds it by reference.
         """
-        self._heap = [t for t in self._heap if not t[2].cancelled]
+        self._heap[:] = [t for t in self._heap if not t[2].cancelled]
         heapq.heapify(self._heap)
         self._lazy_cancels = 0
         self.compactions += 1
@@ -207,70 +190,7 @@ class EventLoop:
         Time is left at ``deadline`` even if the heap empties earlier, so
         back-to-back ``run_until`` calls see monotonic time.
         """
-        if deadline < self._now:
-            raise SimulationError(
-                f"deadline {deadline}us is before now {self._now}us"
-            )
-        if self._running:
-            raise SimulationError("event loop is not reentrant")
-        self._running = True
-        try:
-            if self._batch:
-                self._drain_batched(deadline)
-            else:
-                heap = self._heap
-                while heap and heap[0][0] <= deadline:
-                    event = heapq.heappop(heap)[2]
-                    if event.cancelled:
-                        self._lazy_cancels -= 1
-                        continue
-                    event.fired = True
-                    self._live -= 1
-                    self._now = event.when
-                    self._events_fired += 1
-                    if _TP_CALLBACK.enabled:
-                        _TP_CALLBACK.emit(self._now, label=event.label)
-                    event.callback()
-            self._now = deadline
-        finally:
-            self._running = False
-
-    def _drain_batched(self, deadline: int) -> None:
-        """Fire events in same-timestamp cohorts (the vectorized core).
-
-        Heap pops at one timestamp already come out in ``seq`` order, so
-        extracting the whole cohort first and dispatching it in one pass
-        preserves the exact firing order of event-at-a-time draining.
-        The lazy-cancel mask is applied to the cohort in one sweep; a
-        callback cancelling a *later* event of its own cohort is honored
-        by the per-event flag check (with the accounting handled by
-        ``_note_cancel`` via the ``popped`` marker).  Callbacks that
-        schedule new work at the current timestamp are picked up by the
-        outer loop as a follow-on cohort -- their sequence numbers are
-        necessarily higher, so ordering is again identical.
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= deadline:
-            when = heap[0][0]
-            cohort: list = []
-            append = cohort.append
-            while heap and heap[0][0] == when:
-                event = heappop(heap)[2]
-                event.popped = True
-                append(event)
-            live = [e for e in cohort if not e.cancelled]
-            self._lazy_cancels -= len(cohort) - len(live)
-            self._now = when
-            for event in live:
-                if event.cancelled:
-                    continue  # cancelled by an earlier callback this cohort
-                event.fired = True
-                self._live -= 1
-                self._events_fired += 1
-                if _TP_CALLBACK.enabled:
-                    _TP_CALLBACK.emit(when, label=event.label)
-                event.callback()
+        self._drain(deadline)
 
     def run_while(
         self,
@@ -282,19 +202,40 @@ class EventLoop:
 
         The condition is evaluated after every fired event (or, when
         ``check_interval`` is given, on that period).  Returns ``True`` when
-        the condition became false in time, ``False`` on deadline.
+        the condition became false in time, ``False`` on deadline.  Like
+        :meth:`run_until`, a deadline before ``now`` is an error.
         """
         if check_interval is not None and check_interval <= 0:
             raise SimulationError("check_interval must be positive")
-        if not condition():
+        return self._drain(deadline, condition, check_interval)
+
+    def _drain(
+        self,
+        deadline: int,
+        condition: Optional[Callable[[], bool]] = None,
+        check_interval: Optional[int] = None,
+    ) -> bool:
+        """The one event-at-a-time drain loop behind both public runners.
+
+        Pops events in ``(when, seq)`` order up to ``deadline``; with a
+        ``condition`` it stops early (returning ``True``) once the
+        condition is false.  On reaching the deadline time is left there
+        and the result is ``not condition()`` (``True`` without one).
+        """
+        if deadline < self._now:
+            raise SimulationError(
+                f"deadline {deadline}us is before now {self._now}us"
+            )
+        if condition is not None and not condition():
             return True
         if self._running:
             raise SimulationError("event loop is not reentrant")
         self._running = True
         try:
+            heap = self._heap
             next_check = self._now
-            while self._heap and self._heap[0][0] <= deadline:
-                event = heapq.heappop(self._heap)[2]
+            while heap and heap[0][0] <= deadline:
+                event = heapq.heappop(heap)[2]
                 if event.cancelled:
                     self._lazy_cancels -= 1
                     continue
@@ -305,13 +246,15 @@ class EventLoop:
                 if _TP_CALLBACK.enabled:
                     _TP_CALLBACK.emit(self._now, label=event.label)
                 event.callback()
-                if check_interval is None or self._now >= next_check:
+                if condition is not None and (
+                    check_interval is None or self._now >= next_check
+                ):
                     if not condition():
                         return True
                     if check_interval is not None:
                         next_check = self._now + check_interval
             self._now = deadline
-            return not condition()
+            return condition is None or not condition()
         finally:
             self._running = False
 

@@ -67,7 +67,6 @@ class System:
         resolved = features if features is not None else SchedFeatures()
         self.loop = EventLoop(
             compact=resolved.perf_event_compaction,
-            batch=resolved.perf_vectorized,
         )
         if probe is None:
             # A fanout by default, so tools (sanity checker, tracers) can

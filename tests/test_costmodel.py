@@ -24,7 +24,7 @@ from repro.analysis.costmodel import (
     scalarize,
 )
 from repro.analysis.effects import EffectEngine
-from repro.sched.allocdecl import CONSERVATIVE, DECLARED_ALLOC
+from repro.sched.allocdecl import DECLARED_ALLOC
 
 # ------------------------------------------------------------ polynomials
 
@@ -121,12 +121,10 @@ def shipped_engine():
 def test_shipped_roots_match_declarations():
     """Static inference agrees with every shipped allocation declaration.
 
-    Exceptions are structural, not slack: CONSERVATIVE labels declare a
-    rank at or above the inference on purpose (kernel internals the
-    tracker can't attribute), and vec-find-busiest carries the one
-    intentional-churn site suppressed inline in vecstate.py.
+    The one exception is structural, not slack: vec-find-busiest
+    carries the one intentional-churn site suppressed inline in
+    vecstate.py.
     """
-    rank = {"alloc-free": 0, "amortized": 1, "allocating": 2}
     model = CostModel(shipped_engine())
     roots = model.hot_roots()
     assert set(roots) == set(DECLARED_ALLOC)
@@ -134,9 +132,7 @@ def test_shipped_roots_match_declarations():
         cert = model.certify(label, qual)
         assert cert is not None, label
         declared = DECLARED_ALLOC[label]
-        if label in CONSERVATIVE:
-            assert rank[declared] >= rank[cert.alloc_class], label
-        elif label == "vec-find-busiest":
+        if label == "vec-find-busiest":
             # The noqa'd _singleton_stats GroupStats freelist seed.
             assert cert.alloc_class == "allocating"
         else:
@@ -171,68 +167,11 @@ def test_residue_ranking_names_cfs_pick_path():
     quals = set(by_rank.values())
     assert any(fn.endswith("Scheduler.pick_next_task") for fn in quals)
     assert any(fn.endswith("EventLoop.run_until") for fn in quals)
-    # The sanitizer and the vec kernels are residue-excluded (the
+    # The sanitizer and the vec roots are residue-excluded (the
     # scalar entry point VecState.begin legitimately remains: it is the
     # per-tick sync cost the scheduler pays from the scalar side).
     assert not any(".sanitizer." in fn for fn in quals)
     assert not any(fn.endswith("_fold_entry") for fn in quals)
-    assert not any("_NumpyOps" in fn or "_PythonOps" in fn for fn in quals)
-
-
-#: The tottime seconds these functions carried in the scalar-era
-#: profile harvest (the pre-batched-kernel ``COST_baseline.json``).
-#: Frozen here as the reference point the refreshed vec-profile
-#: weights are measured against.
-_SCALAR_ERA_WEIGHTS = {
-    "repro.sched.scheduler.Scheduler.tick": 1.373,
-    "repro.sim.engine.EventLoop.run_until": 4.629,
-    "repro.sched.balance.balance_domain": 1.718,
-    "repro.sched.scheduler.Scheduler.pick_next_task": 1.501,
-    "repro.sched.balance.find_busiest_group": 1.469,
-    "repro.sched.balance.newidle_balance": 1.237,
-}
-
-
-def test_refreshed_vec_weights_demote_cfs_path():
-    """The committed weights are a vec-run harvest, not scalar-era data.
-
-    After the batched tick/pick kernels, the CFS-path functions the
-    scalar-era profile named as dominant must carry strictly smaller
-    residue scores under the committed (soak64 vec) weights, and the
-    headline movers must change rank: ``Scheduler.tick`` loses rank 1
-    to its own scalar glue (``_tick_vec``, the honest new residue) and
-    the event loop's ``run_until`` -- now a thin dispatch into the
-    batched drain -- falls out of the top ranks entirely.
-    """
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "COST_baseline.json"
-    committed = json.loads(path.read_text())
-    engine = shipped_engine()
-    old = cost_report(
-        engine, baseline={"profile_weights": _SCALAR_ERA_WEIGHTS}
-    )["scalar_residue"]
-    new = cost_report(engine, baseline=committed)["scalar_residue"]
-
-    def row(rows, qual):
-        match = [r for r in rows if r["function"] == qual]
-        assert match, f"{qual} missing from residue"
-        return match[0]
-
-    for qual in _SCALAR_ERA_WEIGHTS:
-        old_score = float(str(row(old, qual)["score"]))
-        new_score = float(str(row(new, qual)["score"]))
-        assert new_score < old_score, (qual, old_score, new_score)
-    assert new[0]["function"].endswith("Scheduler._tick_vec")
-    tick = "repro.sched.scheduler.Scheduler.tick"
-    assert row(new, tick)["rank"] > row(old, tick)["rank"] == 1
-    run_until = "repro.sim.engine.EventLoop.run_until"
-    assert row(new, run_until)["rank"] > 20 > row(old, run_until)["rank"]
-    # The committed evidence itself says the kernel absorbed the tick:
-    # the per-tick scalar glue now outweighs the whole scalar tick body.
-    weights = committed["profile_weights"]
-    glue = "repro.sched.scheduler.Scheduler._tick_vec"
-    assert weights[tick] < weights[glue]
 
 
 def test_cost_report_is_deterministic():
@@ -252,44 +191,6 @@ def test_cost_report_shape():
         for site in info["allocation_sites"]:
             assert site["escape"] in ("per-call", "amortized")
             assert site["chain"], (label, site)  # provenance never empty
-
-
-def test_cost_report_identical_under_both_vec_backends():
-    """REPRO_NO_NUMPY=1 must not change a byte of the cost report.
-
-    The analyzer reads syntax, not the running process -- both numpy
-    and pure-python kernel bodies are always in the tree, so backend
-    selection (an import-time env check elsewhere in the package) must
-    be invisible here.  Run in subprocesses so the env var actually
-    takes effect at import time.
-    """
-    import os
-    import subprocess
-    import sys
-
-    prog = (
-        "import json\n"
-        "from repro.analysis.effectcheck import installed_files\n"
-        "from repro.analysis.effects import EffectEngine\n"
-        "from repro.analysis.costmodel import cost_report\n"
-        "rep = cost_report(EffectEngine(installed_files()))\n"
-        "print(json.dumps(rep, indent=2, sort_keys=True))\n"
-    )
-    outputs = []
-    for no_numpy in ("0", "1"):
-        env = dict(os.environ)
-        env["REPRO_NO_NUMPY"] = no_numpy
-        proc = subprocess.run(
-            [sys.executable, "-c", prog],
-            capture_output=True,
-            text=True,
-            env=env,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert '"vec-kernel-numpy"' in outputs[0]
-    assert '"vec-kernel-python"' in outputs[0]
 
 
 def test_committed_cost_baseline_matches_fresh_analysis():

@@ -134,6 +134,33 @@ def test_run_while_bad_interval():
         loop.run_while(lambda: True, 10, check_interval=0)
 
 
+@pytest.mark.parametrize("holds", [True, False])
+def test_run_while_backwards_rejected(holds):
+    # Regression: run_while used to accept a deadline before now and
+    # set the clock back to it, so an event scheduled "later" could
+    # fire at a time that had already passed.
+    loop = EventLoop()
+    loop.run_until(100)
+    with pytest.raises(SimulationError):
+        loop.run_while(lambda: holds, 50)
+    assert loop.now == 100
+    with pytest.raises(SimulationError):
+        loop.schedule_at(60, lambda: None)
+
+
+def test_run_while_does_not_delegate_to_run_until(monkeypatch):
+    # Both public runners drain through the shared private loop; a
+    # tracer wrapping each by name must see one call per run.
+    def forbidden(self, deadline):
+        raise AssertionError("run_while called run_until")
+
+    monkeypatch.setattr(EventLoop, "run_until", forbidden)
+    loop = EventLoop()
+    loop.schedule(10, lambda: None)
+    assert not loop.run_while(lambda: True, 20)
+    assert loop.events_fired == 1
+
+
 def test_handle_when():
     loop = EventLoop()
     handle = loop.schedule(25, lambda: None)
@@ -190,23 +217,61 @@ def test_timer_churn_workload_forces_one_compaction():
     assert loop.events_fired == 32
 
 
-def test_batched_drain_compacts_identically():
-    # Same churn through the batched (vectorized-core) drain: the
-    # compaction counter and the surviving schedule must agree with the
-    # event-at-a-time loop.
-    def run(batch):
-        loop = EventLoop(batch=batch)
-        fired = []
-        timers = [
-            loop.schedule(500, lambda i=i: fired.append(i))
-            for i in range(96)
-        ]
-        for i, handle in enumerate(timers):
-            if i % 3 != 0:
-                handle.cancel()
-        loop.run_until(1_000)
-        return fired, loop.compactions, loop.events_fired
+def test_compaction_inside_a_callback_keeps_the_drain_exact():
+    # A callback cancels enough timers to compact the heap mid-drain,
+    # then schedules zero-delay work.  The running drain must see the
+    # compacted heap: the follow-on fires in this run, and no surviving
+    # timer fires twice.
+    loop = EventLoop()
+    fired = []
+    timers = [
+        loop.schedule(100 + i, lambda i=i: fired.append(i))
+        for i in range(96)
+    ]
 
-    batched = run(True)
-    assert batched == run(False)
-    assert batched[1] >= 1  # the churn actually forced a compaction
+    def burst():
+        for handle in timers[:80]:
+            handle.cancel()
+        loop.schedule(0, lambda: fired.append("follow-on"))
+
+    loop.schedule(1, burst)
+    loop.run_until(300)
+    assert loop.compactions >= 1
+    assert fired == ["follow-on"] + list(range(80, 96))
+    assert loop.pending() == 0
+    loop.run_until(400)
+    assert loop.events_fired == 18
+
+
+def test_callback_cancels_later_same_timestamp_event():
+    # The canceller sits before its victim in seq order at one
+    # timestamp: the victim must not fire and the live count stays exact.
+    # The last callback cancels an event that already fired: a no-op.
+    loop = EventLoop()
+    fired = []
+    holder = {}
+    loop.schedule(10, lambda: holder["victim"].cancel())
+    holder["victim"] = loop.schedule(10, lambda: fired.append("victim"))
+    holder["tail"] = loop.schedule(10, lambda: fired.append("tail"))
+    loop.schedule(10, lambda: holder["tail"].cancel())
+    assert loop.pending() == 4
+    loop.run_until(30)
+    assert fired == ["tail"]
+    assert not holder["tail"].cancelled
+    assert loop.events_fired == 3
+    assert loop.pending() == 0
+
+
+def test_followon_work_at_current_timestamp_fires_in_seq_order():
+    # Zero-delay work scheduled by a callback gets a higher seq than
+    # everything already queued for the current microsecond.
+    loop = EventLoop()
+    fired = []
+    loop.schedule(
+        10, lambda: (fired.append("a"), loop.schedule(
+            0, lambda: fired.append("a-child")
+        ))
+    )
+    loop.schedule(10, lambda: fired.append("b"))
+    loop.run_until(30)
+    assert fired == ["a", "b", "a-child"]

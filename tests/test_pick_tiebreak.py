@@ -3,9 +3,8 @@
 The pick index's ordering contract is the rbtree's composite
 ``(vruntime, tid)`` insertion key, so equal-vruntime tasks must pick in
 tid order on every path that can answer a pick: the rbtree itself (the
-scalar reference), the cached-min probe, the in-frame scalar argmin
-(below the backend crossover), and both backend ``argmin_pairs``
-kernels.  These tests drain adversarial tie-heavy populations through
+scalar reference), the cached-min probe, and the in-frame argmin
+recompute.  These tests drain adversarial tie-heavy populations through
 each path and cross-check against the tree; a full traced run then
 proves the whole scheduler picks identically across the scalar and
 vectorized variants, with the replay differ naming the first divergent
@@ -17,7 +16,6 @@ import hashlib
 
 import pytest
 
-from repro.sched import vec
 from repro.sched.pickindex import PickIndex
 from repro.sched.rbtree import RBTree
 from repro.sched.runqueue import RunQueue
@@ -28,9 +26,6 @@ from repro.sim.timebase import MS
 from repro.slo.replay import diff_events, serialize_buffer
 from repro.topology import two_nodes
 from repro.viz.events import TraceBuffer, TraceProbe
-
-_BACKENDS = ["python"] + (["numpy"] if vec.HAVE_NUMPY else [])
-
 
 def _task(tid):
     return Task(name=f"t{tid}", program=None, tid=tid)
@@ -64,14 +59,11 @@ def _drain(index, tree):
     return order
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
 @pytest.mark.parametrize("n,ties", [(12, 3), (200, 5), (96, 1)])
-def test_equal_vruntime_drain_matches_rbtree_order(backend, n, ties):
-    # n=12 stays under bulk_min (in-frame scalar argmin); n=200 forces
-    # the backend argmin kernel on the early recomputes; ties=1 makes
-    # every key a tie, so tid alone decides every single pick.
-    ops = vec.make_ops(backend)
-    index = PickIndex(ops)
+def test_equal_vruntime_drain_matches_rbtree_order(n, ties):
+    # Small and machine-scale queues; ties=1 makes every key a tie, so
+    # tid alone decides every single pick.
+    index = PickIndex()
     tree = RBTree()
     for vr, tid, task in _population(n, ties):
         task.vruntime = vr
@@ -83,14 +75,12 @@ def test_equal_vruntime_drain_matches_rbtree_order(backend, n, ties):
     assert len(order) == n
 
 
-@pytest.mark.parametrize("backend", _BACKENDS)
-def test_stale_cached_min_recompute_preserves_tie_order(backend):
+def test_stale_cached_min_recompute_preserves_tie_order():
     # Removing the cached minimum leaves the probe stale; the recompute
-    # must re-break the remaining all-equal keys by tid, both below and
-    # above the crossover.
-    ops = vec.make_ops(backend)
+    # must re-break the remaining all-equal keys by tid, on small and
+    # machine-scale queues alike.
     for n in (8, 150):
-        index = PickIndex(ops)
+        index = PickIndex()
         tids = [(i * 31) % (n * 3) + 1 for i in range(n)]
         assert len(set(tids)) == n
         for tid in tids:
@@ -107,7 +97,7 @@ def test_requeue_moves_tie_position_exactly_like_tree():
     # structures; with the sanitizer on, every pick cross-checks the
     # index against the tree's leftmost and raises on any drift.
     rq = RunQueue(cpu_id=0, sanitize=True)
-    rq.pidx = PickIndex(vec.make_ops("python"))
+    rq.pidx = PickIndex()
     tasks = [_task(tid) for tid in (3, 1, 2, 5, 4)]
     for task in tasks:
         task.vruntime = 10
@@ -134,7 +124,6 @@ def _traced_stream(variant, seed=13):
     transform = {
         "fast": lambda f: f.with_fastpath(True),
         "vec": lambda f: f.with_vectorized(True),
-        "vec-fallback": lambda f: f.with_vectorized(True, backend="python"),
     }[variant]
     system = System(two_nodes(4, smt_width=2), transform(SchedFeatures()),
                     seed=seed)
@@ -158,27 +147,24 @@ def _digest(stream):
 
 
 def test_pick_paths_schedule_identically_across_variants():
-    # The end-to-end tie-order claim: scalar rbtree picks (fast), the
-    # pick index over the numpy kernel (vec), and the pick index over
-    # the pure-python kernel (vec-fallback) must produce byte-identical
-    # trace streams.  On failure the replay differ names the first
-    # divergent event -- the actionable form of "digests differ".
+    # The end-to-end tie-order claim: scalar rbtree picks (fast) and
+    # the pick index (vec) must produce byte-identical trace streams.
+    # On failure the replay differ names the first divergent event --
+    # the actionable form of "digests differ".
     reference = _traced_stream("fast")
     assert len(reference) > 0
-    for variant in ("vec", "vec-fallback"):
-        stream = _traced_stream(variant)
-        divergence = diff_events(stream, reference)
-        if divergence is not None:
-            got = stream[divergence] if divergence < len(stream) else None
-            want = (
-                reference[divergence]
-                if divergence < len(reference) else None
-            )
-            pytest.fail(
-                f"{variant}: first divergence at event {divergence}: "
-                f"{variant}={got!r} fast={want!r}"
-            )
-        assert _digest(stream) == _digest(reference)
+    stream = _traced_stream("vec")
+    divergence = diff_events(stream, reference)
+    if divergence is not None:
+        got = stream[divergence] if divergence < len(stream) else None
+        want = (
+            reference[divergence] if divergence < len(reference) else None
+        )
+        pytest.fail(
+            f"vec: first divergence at event {divergence}: "
+            f"vec={got!r} fast={want!r}"
+        )
+    assert _digest(stream) == _digest(reference)
 
 
 def test_pick_index_coherent_under_migration_and_hotplug():

@@ -1,18 +1,21 @@
 """Tests for the vectorized array-backed core (repro.sched.vecstate).
 
 The end-to-end guarantee -- byte-identical schedule digests across
-baseline / fast / vec / vec-fallback -- lives in the bench harness
-(``repro bench --check-digests``) and test_batch_order.py.  Pinned here
-are the layer's local obligations: the struct-of-arrays mirror must be
-exact against the queues, every invalidation trigger (dirty marks, new
-timestamps, idle transitions, divisor bumps, hotplug) must actually
-drop what it claims to, and both array backends must fold to the exact
-objects the scalar fold produces.
+baseline / fast / vec -- lives in the bench harness (``repro bench
+--check-digests``).  Pinned here are the layer's local obligations: the
+struct-of-arrays mirror must be exact against the queues, every
+invalidation trigger (dirty marks, new timestamps, idle transitions,
+divisor bumps, hotplug) must actually drop what it claims to, the folds
+must produce the exact objects the scalar fold produces, and the layer
+must run without importing numpy.
 """
 
-import pytest
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from repro.sched import vec
+import repro
 from repro.sched.balance import _fold_group_stats, find_busiest_group
 from repro.sched.features import SchedFeatures
 from repro.sched.task import Task
@@ -21,8 +24,8 @@ from repro.sim.timebase import MS
 from repro.topology import two_nodes
 
 
-def _vec_system(seed=7, backend="auto"):
-    features = SchedFeatures().with_vectorized(True, backend=backend)
+def _vec_system(seed=7):
+    features = SchedFeatures().with_vectorized(True)
     system = System(two_nodes(4, smt_width=2), features, seed=seed)
     return system, system.scheduler
 
@@ -37,22 +40,47 @@ def _spawn_some(system, n=6):
 # ----------------------------------------------------------- construction
 
 
-def test_vectorized_feature_builds_vecstate_and_batched_loop():
-    system, sched = _vec_system()
+def test_vectorized_feature_builds_vecstate():
+    _, sched = _vec_system()
     assert sched.vec is not None
     assert sched.vec.vectorized is True
-    assert system.loop._batch is True
     # Every runqueue is wired to the mirror's dirty tracking.
     for cpu in sched.cpus:
         assert cpu.rq.vec is sched.vec
 
 
-def test_backend_selection():
-    _, sched = _vec_system(backend="python")
-    assert sched.vec.ops.name == "python"
-    expected = "numpy" if vec.HAVE_NUMPY else "python"
-    _, auto = _vec_system(backend="auto")
-    assert auto.vec.ops.name == expected
+def test_vectorized_soak_never_imports_numpy():
+    # The vectorized core is pure Python; importing numpy would cost
+    # every run its import time and resident memory.  A fresh
+    # interpreter keeps other tests' imports out of the check.
+    prog = (
+        "import sys\n"
+        "import repro\n"
+        "from repro.perf.bench import _hog, _sleeper\n"
+        "from repro.sched.features import SchedFeatures\n"
+        "from repro.sim.system import System\n"
+        "from repro.sim.timebase import MS\n"
+        "from repro.topology import amd_bulldozer_64\n"
+        "system = System(amd_bulldozer_64(),\n"
+        "                SchedFeatures().with_vectorized(), seed=3)\n"
+        "for i in range(80):\n"
+        "    system.spawn(_hog(f'hog{i}'), parent_cpu=i % 64)\n"
+        "for i in range(16):\n"
+        "    system.spawn(_sleeper(f'sleep{i}'), parent_cpu=(i * 5) % 64)\n"
+        "system.run_for(20 * MS)\n"
+        "assert system.loop.events_fired > 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", prog], capture_output=True, text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 # ------------------------------------------------------------ mirror sync
@@ -71,7 +99,6 @@ def test_snapshot_mirror_is_exact_against_queues():
         assert snap["idle"][i] == (cpu.rq.nr_running == 0)
         assert snap["vruntime_floor"][i] == cpu.rq.min_vruntime
         assert snap["online"][i] == cpu.online
-    assert snap["backend"] == sched.vec.ops.name
     assert snap["now"] == now
 
 
@@ -264,25 +291,3 @@ def test_sanitized_vectorized_soak_raises_nothing():
     _spawn_some(system)
     system.run_for(30 * MS)
     assert system.loop.events_fired > 0
-
-
-def test_backend_digest_equivalence_quick():
-    # numpy and fallback backends schedule identically (full-size check
-    # lives in the bench gate; this is the cheap in-suite pin).
-    from repro.slo.replay import diff_events, serialize_buffer
-    from repro.viz.events import TraceBuffer, TraceProbe
-
-    def stream(backend):
-        features = SchedFeatures().with_vectorized(True, backend=backend)
-        system = System(two_nodes(4, smt_width=2), features, seed=5)
-        buffer = TraceBuffer()
-        system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
-        _spawn_some(system)
-        system.run_for(25 * MS)
-        return serialize_buffer(buffer)
-
-    python_stream = stream("python")
-    if not vec.HAVE_NUMPY:
-        pytest.skip("numpy unavailable; auto == python")
-    divergence = diff_events(stream("numpy"), python_stream)
-    assert divergence is None, f"first divergence at event {divergence}"
