@@ -1,89 +1,47 @@
-"""Same-timestamp event-batch ordering: batched == unbatched, provably.
+"""Cancellation inside a same-timestamp cohort of events.
 
-The vectorized core's event loop extracts whole same-timestamp cohorts
-and dispatches them in one pass (``EventLoop._drain_batched``).  Its
-correctness claim is total: the *entire trace event stream* -- not just
-aggregate counters -- must be byte-identical to event-at-a-time
-draining.  These tests pin that claim across two seeds, reusing the
-replay-diff machinery (:func:`repro.slo.replay.diff_events`) so a
-failure names the first divergent event instead of just "digests
-differ".
+Several events due at one microsecond fire in ``seq`` order, and a
+callback may cancel another event of the same cohort.  These tests pin
+what happens then: a cancel that lands after its victim fired is a
+no-op, one that lands before stops the victim, and the live-event count
+stays exact either way.  Each case runs through both public runners,
+``EventLoop.run_until`` and ``EventLoop.run_while``, which share one
+drain loop and must agree.
 """
 
-import pytest
-
-from repro.perf.bench import _hog, _sleeper
-from repro.sched.features import SchedFeatures
 from repro.sim.engine import EventLoop
-from repro.sim.system import System
-from repro.sim.timebase import MS
-from repro.slo.replay import diff_events, serialize_buffer
-from repro.topology import two_nodes
-from repro.viz.events import TraceBuffer, TraceProbe
 
 
-def _traced_stream(seed: int, batch: bool):
-    """One vectorized run's serialized trace, with drain mode forced.
-
-    Both runs use the identical feature set (the vectorized core); only
-    the loop's drain strategy is flipped, so any divergence is
-    attributable to cohort extraction alone.
-    """
-    features = SchedFeatures().with_vectorized(True)
-    system = System(two_nodes(4, smt_width=2), features, seed=seed)
-    assert system.loop._batch is True  # vectorized => batched by default
-    system.loop._batch = batch
-    buffer = TraceBuffer()
-    system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
-    for i in range(6):
-        system.spawn(_hog(f"hog{i}"), parent_cpu=(i * 3) % 8)
-    for i in range(4):
-        system.spawn(_sleeper(f"sleep{i}"), parent_cpu=(i * 5) % 8)
-    system.run_for(50 * MS)
-    return serialize_buffer(buffer)
-
-
-@pytest.mark.parametrize("seed", [7, 1234])
-def test_batched_drain_trace_stream_identical(seed):
-    batched = _traced_stream(seed, batch=True)
-    unbatched = _traced_stream(seed, batch=False)
-    divergence = diff_events(batched, unbatched)
-    if divergence is not None:
-        got = batched[divergence] if divergence < len(batched) else None
-        want = (
-            unbatched[divergence] if divergence < len(unbatched) else None
-        )
-        pytest.fail(
-            f"seed {seed}: first divergence at event {divergence}: "
-            f"batched={got!r} unbatched={want!r}"
-        )
-    assert len(batched) > 0  # the run actually produced a schedule
+def _run(loop: EventLoop, mode: str) -> None:
+    if mode == "run_until":
+        loop.run_until(30)
+    else:
+        assert loop.run_while(lambda: True, 30) is False
 
 
 def test_cancel_after_victim_fired_is_noop_in_both_modes():
     # The canceller sits *after* its victim in seq order: the victim has
-    # already fired by the time the cancel lands, in both drain modes.
-    def run(batch):
-        loop = EventLoop(batch=batch)
+    # already fired by the time the cancel lands.
+    def run(mode):
+        loop = EventLoop()
         fired = []
         victim = loop.schedule(10, lambda: fired.append("victim"))
         loop.schedule(10, lambda: victim.cancel())
-        loop.run_until(30)
+        _run(loop, mode)
+        assert not victim.cancelled
         return fired, loop.events_fired, loop.pending()
 
-    batched = run(True)
-    unbatched = run(False)
-    assert batched == unbatched
-    assert batched[0] == ["victim"]
+    until = run("run_until")
+    assert until == run("run_while")
+    assert until == (["victim"], 2, 0)
 
 
 def test_cohort_cancel_before_victim_fires():
-    # Canceller sits *before* its victim in seq order within the same
-    # cohort: the victim was already extracted from the heap (batched
-    # mode) but must still not fire, and the live accounting must not
-    # drift (the ``popped`` flag path in ``_note_cancel``).
-    def run(batch):
-        loop = EventLoop(batch=batch)
+    # The canceller sits *before* its victim in seq order within the
+    # same cohort: the victim must not fire, and the live count must not
+    # drift.
+    def run(mode):
+        loop = EventLoop()
         fired = []
         holder = {}
         loop.schedule(10, lambda: holder["victim"].cancel())
@@ -91,29 +49,12 @@ def test_cohort_cancel_before_victim_fires():
             10, lambda: fired.append("victim")
         )
         loop.schedule(10, lambda: fired.append("tail"))
-        loop.run_until(30)
+        assert loop.pending() == 3
+        _run(loop, mode)
         return fired, loop.events_fired, loop.pending()
 
-    batched = run(True)
-    unbatched = run(False)
-    assert batched == unbatched
-    assert batched[0] == ["tail"]
-    assert batched[2] == 0  # no live-counter drift from the popped path
-
-
-def test_followon_work_at_current_timestamp_orders_identically():
-    # Callbacks scheduling zero-delay work join a follow-on cohort with
-    # higher seq numbers -- order must match event-at-a-time draining.
-    def run(batch):
-        loop = EventLoop(batch=batch)
-        fired = []
-        loop.schedule(
-            10, lambda: (fired.append("a"), loop.schedule(
-                0, lambda: fired.append("a-child")
-            ))
-        )
-        loop.schedule(10, lambda: fired.append("b"))
-        loop.run_until(30)
-        return fired
-
-    assert run(True) == run(False) == ["a", "b", "a-child"]
+    until = run("run_until")
+    assert until == run("run_while")
+    assert until[0] == ["tail"]
+    assert until[1] == 2
+    assert until[2] == 0  # no live-counter drift

@@ -243,25 +243,6 @@ def test_compaction_inside_a_callback_keeps_the_drain_exact():
     assert loop.events_fired == 18
 
 
-def test_callback_cancels_later_same_timestamp_event():
-    # The canceller sits before its victim in seq order at one
-    # timestamp: the victim must not fire and the live count stays exact.
-    # The last callback cancels an event that already fired: a no-op.
-    loop = EventLoop()
-    fired = []
-    holder = {}
-    loop.schedule(10, lambda: holder["victim"].cancel())
-    holder["victim"] = loop.schedule(10, lambda: fired.append("victim"))
-    holder["tail"] = loop.schedule(10, lambda: fired.append("tail"))
-    loop.schedule(10, lambda: holder["tail"].cancel())
-    assert loop.pending() == 4
-    loop.run_until(30)
-    assert fired == ["tail"]
-    assert not holder["tail"].cancelled
-    assert loop.events_fired == 3
-    assert loop.pending() == 0
-
-
 def test_followon_work_at_current_timestamp_fires_in_seq_order():
     # Zero-delay work scheduled by a callback gets a higher seq than
     # everything already queued for the current microsecond.
