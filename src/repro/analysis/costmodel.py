@@ -175,9 +175,6 @@ _ITER_DOMAIN_FIELDS: Dict[Tuple[str, str], str] = {
     ("EventLoop", "_heap"): "heap",
     ("VecState", "_dirty_list"): "cpus",
     ("VecState", "_desig_by_cpu"): "cpus",
-    ("BalancePass", "_loads"): "cpus",
-    ("BalancePass", "_nrs"): "cpus",
-    ("BalancePass", "_muts"): "cpus",
     ("_DomainCache", "entries"): "groups",
     ("_DomainCache", "examined"): "cpus",
 }

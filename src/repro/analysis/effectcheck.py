@@ -17,7 +17,7 @@ This module is the dynamic cross-check.  An :class:`EffectCheckSession`
   ``co_firstlineno`` across versions;
 * patches ``__setattr__`` on the scheduler-state classes
   (:data:`CHECKED_CLASSES`: ``RunQueue``, ``Cpu``, ``CGroup``, ``Task``,
-  ``BalancePass``) so every attribute write is attributed to the Python
+  ``VecState``) so every attribute write is attributed to the Python
   function executing it via the caller's frame.
 
 A write whose executing function is in the static index but whose
@@ -48,13 +48,13 @@ from repro.analysis.effects import EffectEngine
 
 #: ``(module, class)`` pairs whose attribute writes are intercepted.
 #: These are the scheduler-state objects the fast-path closure reads and
-#: the balance pass mutates -- the state the vectorized rewrite batches.
+#: the balance mirror mutates -- the state the fast path batches.
 CHECKED_CLASSES: Tuple[Tuple[str, str], ...] = (
     ("repro.sched.runqueue", "RunQueue"),
     ("repro.sched.cpu", "Cpu"),
     ("repro.sched.cgroup", "CGroup"),
     ("repro.sched.task", "Task"),
-    ("repro.sched.balance", "BalancePass"),
+    ("repro.sched.vecstate", "VecState"),
 )
 
 

@@ -618,14 +618,11 @@ def _module_level_names(tree: ast.Module) -> Set[str]:
 HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "runqueue-load": ("RunQueue", "load"),
     "runqueue-total-weight": ("RunQueue", "total_weight"),
-    "balance-cpu-sample": ("BalancePass", "cpu_load_nr"),
-    "balance-group-stats": ("BalancePass", "group_stats"),
-    "balance-designated": ("BalancePass", "designated_for"),
     "group-stats-fold": (None, "_fold_group_stats"),
     "designated-election": (None, "_elect_designated"),
     "event-pending": ("EventLoop", "pending"),
-    # The vectorized core (repro.sched.vecstate): the mirror sync
-    # sweep, the group folds, the bulk busiest-group selection and the
+    # The fast path's mirror (repro.sched.vecstate): the sync sweep,
+    # the group folds, the bulk busiest-group selection and the
     # election memo.  Everything they reach must stay effect-bounded or
     # the certificate is void (the rule fails the lint).
     "vec-sync": ("VecState", "_sync"),
@@ -633,10 +630,8 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "vec-fold": ("VecState", "_fold_entry"),
     "vec-find-busiest": ("VecState", "find_busiest"),
     "vec-designated": ("VecState", "designated_for"),
-    # The pick index behind RunQueue.pick_next's flat (vruntime, tid)
-    # arrays, and the periodic/NOHZ balance-driver reductions over the
-    # per-CPU next-balance deadline array.
-    "vec-pick-index": ("PickIndex", "peek"),
+    # The periodic/NOHZ balance-driver reductions over the per-CPU
+    # next-balance deadline array.
     "vec-balance-gate": ("VecState", "gated"),
     "vec-balance-due": ("VecState", "balance_due"),
 }

@@ -11,7 +11,7 @@ list of what it may touch.
     Every function reachable (via calls and property accesses) from the
     :data:`~repro.analysis.effects.HOT_ROOTS` -- the accessors
     ``SchedFeatures.with_fastpath`` memoizes: the runqueue load memo,
-    the balance-pass sample/fold/election memos, the event-loop pending
+    the balance mirror's sync/fold/election memos, the event-loop pending
     counter -- must classify as
 
     * **pure** (reads only), or

@@ -23,7 +23,7 @@
                          [--effects-report FILE] [--cost-report FILE]
                          [--write-cost-baseline] [--profile-weights FILE]
     python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
-                          [--variant baseline|fast|vec]
+                          [--variant baseline|fast]
                           [--out BENCH_sim.json] [--check-digests [FILE]]
                           [--profile] [--cost-baseline FILE]
                           [--trend [FILE]]
@@ -144,15 +144,6 @@ def _cmd_demo(args) -> int:
     if args.alloc_check:
         from repro.analysis.alloctrack import AllocCheckSession
 
-        # The demos run the scalar mainline by default; the allocation
-        # declarations cover the vectorized mirror's roots too, so the
-        # checked run enables it (digest-identical to the scalar run by
-        # the bench cross-variant gate).
-        prev = transform
-        if prev is None:
-            transform = lambda f: f.with_vectorized()  # noqa: E731
-        else:
-            transform = lambda f: prev(f).with_vectorized()  # noqa: E731
         alloc_session = AllocCheckSession()
 
     effect_session = None
@@ -328,6 +319,7 @@ def _cmd_bench(args) -> int:
         check_digests,
         format_results,
         run_benchmark,
+        stored_digests,
     )
 
     if args.trend is not None:
@@ -349,6 +341,18 @@ def _cmd_bench(args) -> int:
               f"(known: {', '.join(benchmark_names())})", file=sys.stderr)
         return 2
     cross_check = args.check_digests is not None
+    digest_file = (
+        args.check_digests if isinstance(args.check_digests, str) else None
+    )
+    if digest_file is not None:
+        # Validate before running anything: a missing or digest-less
+        # file would otherwise "match" vacuously and disable the gate.
+        try:
+            stored_digests(digest_file)
+        except (OSError, ValueError) as exc:
+            print(f"cannot check digests against {digest_file}: {exc}",
+                  file=sys.stderr)
+            return 2
     results = []
     for name in names:
         print(f"running {name}{' (quick)' if args.quick else ''} ...",
@@ -371,17 +375,17 @@ def _cmd_bench(args) -> int:
             print(f"digest cross-check FAILED: {', '.join(bad)}")
         else:
             print("digest cross-check passed: all variants identical")
-    if isinstance(args.check_digests, str) and args.check_digests:
-        mismatches = check_digests(args.check_digests, results)
+    if digest_file is not None:
+        mismatches = check_digests(digest_file, results)
         for name, stored, fresh in mismatches:
             print(
                 f"DIGEST DRIFT: {name}: stored {stored[:16]}... != "
                 f"fresh {fresh[:16]}... (schedule changed since "
-                f"{args.check_digests})"
+                f"{digest_file})"
             )
             status = 1
         if not mismatches:
-            print(f"digests match {args.check_digests}")
+            print(f"digests match {digest_file}")
     if args.profile:
         import json
         from pathlib import Path
@@ -749,16 +753,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--check-digests", nargs="?", const=True, default=None,
         metavar="FILE",
-        help="recompute every benchmark's schedule digest in all three "
-        "variants (baseline, fast, vec) and require them "
+        help="recompute every benchmark's schedule digest in both "
+        "variants (baseline, fast) and require them "
         "identical; with FILE, additionally compare against the most "
-        "recent run stored there; exit 1 on any mismatch",
+        "recent run stored there; exit 1 on any mismatch, exit 2 "
+        "before running anything if FILE is missing, unreadable, "
+        "corrupt, or holds no digests",
     )
     p.add_argument(
-        "--variant", default="vec",
-        choices=("baseline", "fast", "vec"),
-        help="the variant the primary wall-clock measurement runs "
-        "(default: vec, the array-backed vectorized core)",
+        "--variant", default="fast",
+        choices=("baseline", "fast"),
+        help="the variant the primary wall-clock measurement runs: "
+        "baseline (the reference path) or fast (default)",
     )
     p.add_argument(
         "--profile", action="store_true",
@@ -887,7 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--alloc-check", action="store_true",
-        help="run with the allocation tracker on (vectorized features): "
+        help="run with the allocation tracker on: "
         "observed allocations inside hot-root frames are cross-checked "
         "against each root's declared class in repro.sched.allocdecl; "
         "any allocation in a declared alloc-free root raises",

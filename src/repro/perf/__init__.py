@@ -1,13 +1,12 @@
 """Performance harness: deterministic macro-benchmarks of the simulator.
 
-The fast paths this package measures (``repro bench``) are the incremental
-load tracking, single-pass balance statistics, and event-loop compaction
-behind :meth:`repro.sched.features.SchedFeatures.with_fastpath`.  Each
-benchmark runs the same seeded scenario in one of three variants --
-*baseline* (all fast paths off, reproducing the historical
-implementations), *fast* (the per-pass fast paths), and *vec* (the
-array-backed vectorized core) -- and a short traced run digests the
-schedule so every variant can be proven byte-identical
+The fast path this package measures (``repro bench``) is the incremental
+load tracking, the persistent balance mirror and the event-loop
+compaction behind :meth:`repro.sched.features.SchedFeatures.with_fastpath`.
+Each benchmark runs the same seeded scenario in one of two variants --
+*baseline* (the reference path, reproducing the historical
+implementations) and *fast* (the fast path) -- and a short traced run
+digests the schedule so both variants can be proven byte-identical
 (``repro bench --check-digests``).
 
 Results append to a ``BENCH_*.json`` trajectory file, so the measured
@@ -45,6 +44,7 @@ from repro.perf.store import (
     format_results,
     format_trend,
     load_trajectory,
+    stored_digests,
 )
 
 __all__ = [
@@ -72,4 +72,5 @@ __all__ = [
     "format_results",
     "format_trend",
     "load_trajectory",
+    "stored_digests",
 ]

@@ -16,9 +16,9 @@ Three workloads cover the simulator's hot paths from different angles:
 
 Every benchmark is seeded and runs a fixed simulated horizon, so all
 measurement variants execute the *same schedule*; only wall-clock
-differs.  Three variants are registered (:data:`VARIANTS`): the
-historical ``baseline``, the per-pass ``fast`` layer, and the
-array-backed vectorized core ``vec``.  A short traced
+differs.  Two variants are registered (:data:`VARIANTS`): ``baseline``,
+the reference path (``with_fastpath(False)``), and ``fast``, the fast
+path with its persistent balance mirror.  A short traced
 companion run produces a SHA-256 digest of the schedule (integer/string
 event fields only, so the digest is stable across float formatting
 differences) which must be identical across every variant
@@ -134,7 +134,6 @@ class BenchResult:
 VARIANTS: Dict[str, Callable[[SchedFeatures], SchedFeatures]] = {
     "baseline": lambda f: f.with_fastpath(False),
     "fast": lambda f: f.with_fastpath(True),
-    "vec": lambda f: f.with_vectorized(True),
 }
 
 
@@ -340,7 +339,7 @@ def _slo_bug(bug: str, duration_us: int) -> Dict[str, object]:
 
 
 def _slo_soak64() -> Dict[str, object]:
-    system = _build_soak64("vec")
+    system = _build_soak64("fast")
     obs = ObsSession.attach_to(
         system, trace=False, registry=TracepointRegistry()
     )
@@ -472,15 +471,15 @@ def run_benchmark(
     quick: bool = False,
     compare: bool = False,
     jobs: int = 1,
-    variant: str = "vec",
+    variant: str = "fast",
     check_digests: bool = False,
 ) -> BenchResult:
     """Run one benchmark in ``variant`` mode (the ``fast`` metrics slot).
 
     With ``compare`` the baseline mode is also measured and its digest
     checked against the primary variant's.  With ``check_digests`` the
-    digest is recomputed for *every* registered variant (baseline, fast,
-    vec) and ``digest_match`` asserts they are all equal
+    digest is recomputed for *every* registered variant (baseline and
+    fast) and ``digest_match`` asserts they are all equal
     -- the determinism contract of the optimization layers.
     """
     spec = BENCHMARKS[name]
@@ -614,7 +613,7 @@ def profile_benchmark(
     name: str,
     quick: bool = False,
     jobs: int = 1,
-    variant: str = "vec",
+    variant: str = "fast",
     top: int = 20,
 ) -> BenchProfile:
     """One benchmark run under cProfile.

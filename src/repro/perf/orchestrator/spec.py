@@ -123,15 +123,18 @@ def resolve_kind(kind: str) -> TrialFn:
     return fn  # type: ignore[no-any-return]
 
 
-def build_features(tokens: Tuple[str, ...]) -> SchedFeatures:
-    """Reconstruct a :class:`SchedFeatures` from a spec's feature tokens.
+def build_features(
+    tokens: Tuple[str, ...], base: SchedFeatures = SchedFeatures()
+) -> SchedFeatures:
+    """Apply a spec's feature tokens on top of ``base``.
 
     Tokens are the canonical, order-insensitive encoding trial specs use:
     ``fix:<name>`` enables one paper fix, ``no_autogroup`` disables the
     autogroup feature, ``v43`` selects the reworked load metric, and
-    ``fastpath_off`` disables the simulator fast paths (bench baselines).
+    ``fastpath_off`` disables the simulator fast path (bench baselines).
+    An unknown token raises ``ValueError``.
     """
-    features = SchedFeatures()
+    features = base
     for token in tokens:
         if token.startswith("fix:"):
             features = features.with_fixes(token[len("fix:"):])

@@ -96,11 +96,31 @@ def _latest_digests(data: Dict[str, object]) -> Dict[str, str]:
     if not isinstance(runs, list) or not runs:
         return {}
     latest = runs[-1]
+    benchmarks = latest.get("benchmarks") if isinstance(latest, dict) else None
     digests: Dict[str, str] = {}
-    for name, bench in latest.get("benchmarks", {}).items():
-        digest = bench.get("digest")
+    if not isinstance(benchmarks, dict):
+        return digests
+    for name, bench in benchmarks.items():
+        digest = bench.get("digest") if isinstance(bench, dict) else None
         if isinstance(digest, str):
             digests[name] = digest
+    return digests
+
+
+def stored_digests(path: PathLike) -> Dict[str, str]:
+    """The digests of the most recent run stored in ``path``.
+
+    Unlike :func:`load_trajectory`, a missing file is an error, and so is
+    a trajectory whose latest run holds no digest: comparing against
+    either would pass vacuously.  Raises ``OSError`` for a missing or
+    unreadable file and ``ValueError`` for a corrupt or digest-less one.
+    """
+    p = Path(path)
+    if not p.is_file():
+        raise FileNotFoundError(f"{p}: no such trajectory file")
+    digests = _latest_digests(load_trajectory(p))
+    if not digests:
+        raise ValueError(f"{p}: the latest run stores no digests")
     return digests
 
 
@@ -112,7 +132,8 @@ def check_digests(
 
     Returns ``(benchmark, stored, fresh)`` for every mismatch.
     Benchmarks absent from the stored run are ignored (new benchmarks
-    have no baseline to regress against).
+    have no baseline to regress against), and so is a missing file; a
+    caller that needs a baseline validates it with :func:`stored_digests`.
     """
     stored = _latest_digests(load_trajectory(path))
     mismatches: List[Tuple[str, str, str]] = []

@@ -14,7 +14,7 @@ on the ``alloc-free`` < ``amortized`` < ``allocating`` lattice (see
     (hit path) is allocation-free.  Certified statically; the runtime
     tracker reports hit/miss allocation counts for these roots but does
     not gate on them, because hit rates are workload-dependent (e.g.
-    ``RunQueue.load`` under the vectorized mirror is *only* invoked on
+    ``RunQueue.load`` under the fast-path mirror is *only* invoked on
     staleness, so every observed call allocates by design).
 ``allocating``
     Per-call allocation is part of the contract (fold scratch state,
@@ -39,14 +39,8 @@ DECLARED_ALLOC: Dict[str, str] = {
     "runqueue-load": "amortized",
     # Incremental total-weight mirror, same shape as load.
     "runqueue-total-weight": "amortized",
-    # Per-pass per-cpu (load, nr) sample memo.
-    "balance-cpu-sample": "amortized",
-    # Per-pass per-group stats memo keyed by epoch signature.
-    "balance-group-stats": "amortized",
-    # Designated-cpu election memo over group stats.
-    "balance-designated": "amortized",
-    # The scalar fold materializes a fresh GroupStats each miss; it is
-    # only ever invoked *from* the memoized paths above.
+    # The reference fold materializes a fresh GroupStats per call; the
+    # fast path invokes it only from the sanitizer's refold.
     "group-stats-fold": "allocating",
     # Pure arithmetic over a cached tuple -- the strongest tier, and
     # the runtime-gated one.
@@ -66,9 +60,6 @@ DECLARED_ALLOC: Dict[str, str] = {
     "vec-find-busiest": "amortized",
     # Designated memo over the columnar mirror.
     "vec-designated": "amortized",
-    # PickIndex.peek: the cached-min probe, or an in-place argmin
-    # rescan over the flat arrays on a miss -- no allocation either way.
-    "vec-pick-index": "alloc-free",
     # Whole-walk balance gate: two field reads.
     "vec-balance-gate": "alloc-free",
     # The due-CPU reduction materializes the ascending id list per call.

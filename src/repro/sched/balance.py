@@ -22,13 +22,16 @@ Also here: ``newidle_balance`` ("emergency" balancing when a core is about
 to idle) and the NOHZ machinery that lets tickless idle cores be balanced on
 behalf of (Section 2.2.2).
 
-A rebalance invocation reads every CPU's (load, nr_running) once per domain
-level per group -- quadratic re-reads in the domain depth.  A
-:class:`BalancePass` collects those per-CPU samples once into flat arrays
-keyed by cpu id and folds every group's stats from them, memoized until a
-migration dirties the load epoch.  The folds use the identical expressions
-(and float-op order) as the uncached path, so balancing decisions -- and
-therefore traces -- are byte-identical with the pass on or off.
+Every entry point runs one of two paths.  The reference path
+(``bpass=None``, the ``with_fastpath(False)`` features) recomputes each
+CPU's (load, nr_running) once per domain level per group and reads like
+Algorithm 1.  The fast path passes the scheduler's persistent
+:class:`~repro.sched.vecstate.VecState` mirror as ``bpass``: it samples
+each CPU once per timestamp, memoizes group folds until a member queue
+mutates, and selects the busiest group in bulk.  Its folds use the
+identical expressions (and float-op order) as the reference path, so
+balancing decisions -- and therefore traces -- are byte-identical on
+either path.
 """
 
 from __future__ import annotations
@@ -36,23 +39,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
-    Dict,
     FrozenSet,
     List,
     Optional,
     Sequence,
     Set,
     Tuple,
-    Union,
-    cast,
 )
 
 from repro.sched.runqueue import has_spare_task
-from repro.sched.sanitizer import (
-    verify_designated,
-    verify_group_stats,
-    verify_overload,
-)
+from repro.sched.sanitizer import verify_overload
 
 #: Gate sentinel above any reachable deadline: a CPU that currently wins
 #: no level parks its gate here and is only re-armed by a watched idle
@@ -104,186 +100,22 @@ def group_metric(sched: "Scheduler", stats: GroupStats) -> float:
     return stats.avg_load
 
 
-class BalancePass:
-    """Per-CPU (load, nr_running) samples shared across one rebalance pass.
-
-    The scheduler-lifetime :class:`~repro.sched.vecstate.VecState` is a
-    drop-in alternative implementing the same sampling interface
-    (``group_stats``/``designated_for``) plus a bulk busiest-group
-    selection; every ``bpass`` parameter below accepts either.
-
-    Samples fill flat arrays indexed by cpu id, lazily; each slot carries
-    the runqueue mutation count it was sampled at, so a migration this
-    very pass triggers re-samples only the two queues it touched.  Group
-    stats are memoized per group with a member-mutation signature, and the
-    designated-balancer memo keys off the idle epoch (elections read only
-    online/idle flags).  One instance serves a whole tick: every
-    designated CPU's domain walk *and* the NOHZ balancer's sweep over all
-    idle CPUs reuse the same samples, since they all observe the same
-    timestamp.
-    """
-
-    #: find_busiest_group routes to the bulk selection path when True.
-    vectorized = False
-
-    __slots__ = (
-        "sched", "now", "_idle_epoch", "_div_epoch", "_loads", "_nrs",
-        "_muts", "_groups", "_designated", "_sanitize",
-    )
-
-    def __init__(self, sched: "Scheduler", now: int):
-        self.sched = sched
-        self.now = now
-        self._sanitize = sched.features.sanitize_coherence
-        n = len(sched.cpus)
-        self._idle_epoch = -1
-        self._div_epoch = sched.divisor_epoch.value
-        self._loads = [0.0] * n
-        self._nrs = [0] * n
-        #: Mutation count each slot was sampled at; -1 = never sampled.
-        self._muts = [-1] * n
-        # Memos are keyed by group identity: dataclass hashing of a
-        # SchedGroup hashes its frozensets on every lookup, which shows up
-        # in profiles.  Storing the group in the value keeps it alive, so
-        # an id can never be recycled while its entry exists.  Groups are
-        # interned per table build (DomainBuilder._make_group), so the same
-        # id recurs across every CPU's domain walk and the memos are shared
-        # between perspectives.  Entries are [group, stats, signature,
-        # epoch]: the signature is the members' mutation counts at fold
-        # time, the epoch the global load epoch the entry was last
-        # validated at (when it is current, even the signature walk is
-        # skipped).
-        self._groups: Dict[
-            int, List[object]
-        ] = {}
-        self._designated: Dict[int, Tuple["SchedGroup", int]] = {}
-
-    def _refresh(self) -> None:
-        # A cgroup divisor change re-weights loads without any runqueue
-        # event, so it drops every sample and fold.  (It cannot actually
-        # happen mid-pass -- attach/detach run from the event loop, not
-        # from tick or balance code -- but the guard costs one compare.)
-        div = self.sched.divisor_epoch.value
-        if div != self._div_epoch:
-            self._div_epoch = div
-            self._muts = [-1] * len(self._muts)
-            self._groups.clear()
-        # The designated election reads only online/idle flags, so its
-        # memo survives ordinary load churn and is dropped only when some
-        # CPU crossed the idle<->busy boundary (or was hotplugged).
-        idle = self.sched.idle_epoch.value
-        if idle != self._idle_epoch:
-            self._idle_epoch = idle
-            self._designated.clear()
-
-    def cpu_load_nr(self, cpu_id: int) -> Tuple[float, int]:
-        """This CPU's (load, nr_running) at the pass timestamp."""
-        self._refresh()
-        rq = self.sched.cpus[cpu_id].rq
-        mut = rq.mutations
-        if self._muts[cpu_id] != mut:
-            self._loads[cpu_id] = rq.load(self.now)
-            # The incremental counter is maintained (and exact) in every
-            # mode; reading it directly skips a property dispatch on the
-            # hottest sampling path.
-            self._nrs[cpu_id] = rq._nr_running
-            self._muts[cpu_id] = mut
-        return self._loads[cpu_id], self._nrs[cpu_id]
-
-    def _signature(self, group: "SchedGroup") -> Tuple[int, ...]:
-        cpus = self.sched.cpus
-        return tuple(cpus[c].rq.mutations for c in group.sorted_cpus())
-
-    def group_stats(self, group: "SchedGroup") -> Optional[GroupStats]:
-        """Memoized :func:`compute_group_stats` for this pass.
-
-        A memoized fold stays valid exactly while no member queue mutated
-        (checked via the signature), so churn on one node never refolds
-        another node's groups.
-        """
-        self._refresh()
-        epoch = self.sched.load_epoch.value
-        entry = self._groups.get(id(group))
-        sig: Optional[Tuple[int, ...]] = None
-        if entry is not None:
-            if entry[3] == epoch:
-                return self._stats_hit(group, entry[1])
-            sig = self._signature(group)
-            if entry[2] == sig:
-                entry[3] = epoch
-                return self._stats_hit(group, entry[1])
-        stats = _fold_group_stats(self.sched, group, self.now, self)
-        if sig is None:
-            sig = self._signature(group)
-        self._groups[id(group)] = [group, stats, sig, epoch]
-        return stats
-
-    def _stats_hit(
-        self, group: "SchedGroup", cached: object
-    ) -> Optional[GroupStats]:
-        """A group-stats memo hit; sanitizer mode refolds and cross-checks.
-
-        The refold bypasses this memo (``bpass=None``); its per-queue
-        ``load()`` reads hit the runqueue memos, whose own sanitizer check
-        recounts their mirrors, so the whole dependency chain is verified.
-        """
-        stats = cast(Optional[GroupStats], cached)
-        if self._sanitize:
-            fresh = _fold_group_stats(self.sched, group, self.now, None)
-            verify_group_stats(group, stats, fresh)
-        return stats
-
-    def designated_for(self, group: "SchedGroup") -> int:
-        """Memoized designated-balancer election for one local group."""
-        mask = group.sorted_balance_mask()
-        if len(mask) == 1:
-            # A one-CPU mask (bottom-level groups) elects itself whether
-            # idle or busy; no memo traffic needed.
-            only = mask[0]
-            return only if self.sched.cpus[only].online else -1
-        self._refresh()
-        entry = self._designated.get(id(group))
-        if entry is not None:
-            if self._sanitize:
-                verify_designated(
-                    group, entry[1], _elect_designated(self.sched, group)
-                )
-            return entry[1]
-        winner = _elect_designated(self.sched, group)
-        self._designated[id(group)] = (group, winner)
-        return winner
-
-
-#: Either sampling layer: the per-pass scalar ``BalancePass`` or the
-#: persistent array-backed ``VecState`` -- same interface, and (by the
-#: digest gate) byte-identical decisions.
-SamplingPass = Union[BalancePass, "VecState"]
-
-
 def _fold_group_stats(
-    sched: "Scheduler",
-    group: "SchedGroup",
-    now: int,
-    bpass: Optional[BalancePass],
+    sched: "Scheduler", group: "SchedGroup", now: int
 ) -> Optional[GroupStats]:
     """Fold per-CPU samples into one group's statistics.
 
-    The fold mirrors the historical implementation expression for
-    expression (same float-op order) so cached and uncached passes agree
-    bit for bit.  The group's CPU tuple is already sorted (cached on the
-    group; hotplug rebuilds make fresh groups), leaving only the online
-    filter per call.
+    The reference fold: :class:`~repro.sched.vecstate.VecState` reproduces
+    it expression for expression (same float-op order), and the coherence
+    sanitizer refolds through it to check the mirror's memo hits.  The
+    group's CPU tuple is already sorted (cached on the group; hotplug
+    rebuilds make fresh groups), leaving only the online filter per call.
     """
     cpus = tuple(c for c in group.sorted_cpus() if sched.cpu(c).online)
     if not cpus:
         return None
-    if bpass is not None:
-        samples = [bpass.cpu_load_nr(c) for c in cpus]
-        loads = [s[0] for s in samples]
-        nrs = [s[1] for s in samples]
-    else:
-        loads = [sched.cpu(c).rq.load(now) for c in cpus]
-        nrs = [sched.cpu(c).rq.nr_running for c in cpus]
+    loads = [sched.cpu(c).rq.load(now) for c in cpus]
+    nrs = [sched.cpu(c).rq.nr_running for c in cpus]
     return GroupStats(
         group=group,
         cpus=cpus,
@@ -298,15 +130,10 @@ def _fold_group_stats(
 
 
 def compute_group_stats(
-    sched: "Scheduler",
-    group: "SchedGroup",
-    now: int,
-    bpass: Optional[SamplingPass] = None,
+    sched: "Scheduler", group: "SchedGroup", now: int
 ) -> Optional[GroupStats]:
     """Per-CPU loads folded into group statistics; None if no CPU is online."""
-    if bpass is not None:
-        return bpass.group_stats(group)
-    return _fold_group_stats(sched, group, now, None)
+    return _fold_group_stats(sched, group, now)
 
 
 def find_busiest_group(
@@ -314,7 +141,7 @@ def find_busiest_group(
     domain: "SchedDomain",
     dst_cpu: int,
     now: int,
-    bpass: Optional[SamplingPass] = None,
+    bpass: Optional["VecState"] = None,
 ) -> Tuple[Optional[GroupStats], Optional[GroupStats]]:
     """(busiest, local) group stats for a balancing attempt.
 
@@ -323,16 +150,16 @@ def find_busiest_group(
     highest metric -- the paper's Line 13.  Returns ``(None, local)`` when
     the domain is already balanced from ``dst_cpu``'s point of view.
     """
-    if bpass is not None and bpass.vectorized:
+    if bpass is not None:
         # Bulk path: folds and the three-tier selection run over the
         # persistent array mirror; decision-identical to the loop below
         # (the digest gate holds it to that).  The probe sees the same
         # examined set, in the same group order.
         probe = sched.probe
         active = probe.active
-        busiest, local_stats, examined_t = cast(
-            "VecState", bpass
-        ).find_busiest(domain, dst_cpu, active)
+        busiest, local_stats, examined_t = bpass.find_busiest(
+            domain, dst_cpu, active
+        )
         if active:
             probe.on_considered(now, dst_cpu, "load_balance", examined_t)
         return busiest, local_stats
@@ -340,7 +167,7 @@ def find_busiest_group(
     others: List[GroupStats] = []
     examined: List[int] = []
     for group in domain.groups:
-        stats = compute_group_stats(sched, group, now, bpass)
+        stats = compute_group_stats(sched, group, now)
         if stats is None:
             continue
         examined.extend(stats.cpus)
@@ -501,7 +328,7 @@ def balance_domain(
     domain: "SchedDomain",
     dst_cpu: int,
     now: int,
-    bpass: Optional[SamplingPass] = None,
+    bpass: Optional["VecState"] = None,
 ) -> int:
     """One balancing attempt at one domain level (Lines 10-23)."""
     if nothing_to_pull(sched):
@@ -582,7 +409,6 @@ def designated_cpu(
     sched: "Scheduler",
     domain: "SchedDomain",
     cpu_id: int,
-    bpass: Optional[SamplingPass] = None,
 ) -> int:
     """The core responsible for balancing this domain (Lines 2-6).
 
@@ -597,8 +423,6 @@ def designated_cpu(
         local = domain.local_group(cpu_id)
     except ValueError:
         return -1
-    if bpass is not None:
-        return bpass.designated_for(local)
     return _elect_designated_baseline(sched, local)
 
 
@@ -607,7 +431,7 @@ def periodic_balance(
     cpu_id: int,
     now: int,
     force: bool = False,
-    bpass: Optional[SamplingPass] = None,
+    bpass: Optional["VecState"] = None,
 ) -> int:
     """Run Algorithm 1 for one CPU across all its domains, bottom-up.
 
@@ -616,7 +440,7 @@ def periodic_balance(
     """
     moved = 0
     cpu = sched.cpus[cpu_id]
-    if bpass is not None and bpass.vectorized:
+    if bpass is not None:
         # Whole-walk gate: the mirror records, per CPU, the earliest
         # next-balance deadline among the levels the CPU currently wins.
         # While that sits in the future, every level below is either not
@@ -626,14 +450,13 @@ def periodic_balance(
         # rebuilds) disarms every gate via the global flip token;
         # ``force`` bypasses the check and leaves the gate untouched (a
         # disarmed gate only costs one extra real walk).
-        vstate = cast("VecState", bpass)
-        if not force and vstate.gated(cpu_id, now):
+        if not force and bpass.gated(cpu_id, now):
             return 0
         # Token snapshot: this walk's own migrations flip idle states
         # that may re-elect this very CPU; set_gate refuses the final
         # stamp if the token moved under the walk.
-        gate_tok = vstate.gate_token()
-        # Vectorized path: the per-level (domain, local group, solo
+        gate_tok = bpass.gate_token()
+        # Fast path: the per-level (domain, local group, solo
         # winner) triple never changes between topology rebuilds, so it
         # is planned once per domain generation and cached on the Cpu.
         # Single-CPU balance masks (every bottom-level group) elect
@@ -667,7 +490,7 @@ def periodic_balance(
             if local is None:
                 continue  # no local group here: never the winner
             # Election before the interval check (the reverse of the
-            # scalar loop): elections read only idle/online flags, are
+            # reference loop): elections read only idle/online flags, are
             # memoized, and emit nothing, so the reorder is unobservable
             # -- and the gate needs the winner of non-due levels too.
             if solo >= 0:
@@ -687,14 +510,11 @@ def periodic_balance(
                 gate = stamp
             moved += balance_domain(sched, domain, cpu_id, now, bpass)
         if not force:
-            vstate.set_gate(cpu_id, gate, gate_tok)
+            bpass.set_gate(cpu_id, gate, gate_tok)
         return moved
     domains = sched.domain_builder.domains_of(cpu_id)
     while len(cpu.next_balance_us) < len(domains):
         cpu.next_balance_us.append(-1)
-    memo = cpu.designated_memo
-    while len(memo) < len(domains):
-        memo.append([-1, -1])
     for domain in domains:
         # Interval gate first: a level that is not due yet skips the
         # designated-CPU election entirely (the election only reads
@@ -705,32 +525,10 @@ def periodic_balance(
         stamp = cpu.next_balance_us[domain.level]
         if not force and 0 <= stamp and now < stamp:
             continue
-        if bpass is not None:
-            # Elections depend only on idle/online flags, so a per-level
-            # memo on the Cpu stays valid across ticks until some CPU
-            # crosses the idle<->busy boundary.  Re-read the epoch per
-            # level: balancing the level below may have migrated work.
-            slot = memo[domain.level]
-            idle_epoch = sched.idle_epoch.value
-            if slot[0] == idle_epoch:
-                winner = slot[1]
-                if sched.features.sanitize_coherence:
-                    # Memo-free baseline election (reads live online/idle
-                    # state only) cross-checks the per-level memo hit.
-                    verify_designated(
-                        None, winner,
-                        designated_cpu(sched, domain, cpu_id, None),
-                    )
-            else:
-                winner = designated_cpu(sched, domain, cpu_id, bpass)
-                slot[0] = idle_epoch
-                slot[1] = winner
-        else:
-            winner = designated_cpu(sched, domain, cpu_id, None)
-        if cpu_id != winner:
+        if cpu_id != designated_cpu(sched, domain, cpu_id):
             continue
         cpu.next_balance_us[domain.level] = now + domain.balance_interval_us
-        moved += balance_domain(sched, domain, cpu_id, now, bpass)
+        moved += balance_domain(sched, domain, cpu_id, now)
     return moved
 
 
@@ -765,33 +563,32 @@ def nohz_idle_balance(
     sched: "Scheduler",
     balancer_cpu: int,
     now: int,
-    bpass: Optional[SamplingPass] = None,
+    bpass: Optional["VecState"] = None,
 ) -> int:
     """Periodic balancing run by the NOHZ balancer for all tickless cores.
 
     The balancer core runs the load-balancing routine "for itself and on
     behalf of all tickless idle cores" -- each idle core is balanced from
     its own perspective (steals land on that core).  All those
-    perspectives share one timestamp, so a shared :class:`BalancePass`
-    collapses their group-stats reads into one sampling sweep.
+    perspectives share one timestamp, so the fast path's mirror serves
+    their group-stats reads from one sampling sweep.
     """
     sched.cpu(balancer_cpu).nohz_balancer = True
     moved = 0
-    if bpass is not None and bpass.vectorized:
+    if bpass is not None:
         # Due-reduction: a non-due CPU's periodic_balance would hit its
         # gate and return 0 with no observables, so asking the mirror
         # "which gates have expired?" in one array reduction and walking
-        # only those (in ascending id order, matching the scalar sweep)
+        # only those (in ascending id order, matching the reference sweep)
         # is trace-identical.  Offline/busy CPUs may appear (gates are
         # not maintained for them) and are filtered exactly as below.
         # One wrinkle: a walk's migrations can zero a *later* CPU's gate
         # mid-sweep, which the lazy reference would observe on reaching
         # that CPU -- the global gate token detects that and recomputes
         # the due set for the ids not yet visited.
-        vstate = cast("VecState", bpass)
         cpus = sched.cpus
-        tok = vstate.gate_token()
-        due = vstate.balance_due(now)
+        tok = bpass.gate_token()
+        due = bpass.balance_due(now)
         i = 0
         while i < len(due):
             cpu_id = due[i]
@@ -800,14 +597,14 @@ def nohz_idle_balance(
             if not cpu.online or not cpu.is_idle:
                 continue
             moved += periodic_balance(sched, cpu_id, now, bpass=bpass)
-            fresh = vstate.gate_token()
+            fresh = bpass.gate_token()
             if fresh != tok:
                 tok = fresh
-                due = [c for c in vstate.balance_due(now) if c > cpu_id]
+                due = [c for c in bpass.balance_due(now) if c > cpu_id]
                 i = 0
         return moved
     for cpu in sched.cpus:
         if not cpu.online or not cpu.is_idle:
             continue
-        moved += periodic_balance(sched, cpu.cpu_id, now, bpass=bpass)
+        moved += periodic_balance(sched, cpu.cpu_id, now)
     return moved

@@ -58,10 +58,7 @@ class Cpu:
         self.idle_time_us = 0
         #: Per-domain-level next periodic balance timestamps.
         self.next_balance_us: list = []
-        #: Per-domain-level [idle_epoch, winner] designated-CPU memo used
-        #: by the fast balancing path; valid while the idle epoch matches.
-        self.designated_memo: list = []
-        #: Vectorized-path balance plan: (domain, local group, solo
+        #: Fast-path balance plan: (domain, local group, solo
         #: winner) per level, cached until the domain generation moves
         #: (see ``periodic_balance``).
         self.balance_plan: Optional[list] = None

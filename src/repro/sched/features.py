@@ -79,24 +79,18 @@ class SchedFeatures:
     #: Each domain level doubles the balance interval of the previous one.
     balance_interval_growth: int = 2
 
-    #: Simulator fast-path switches.  These change *how fast* the
-    #: simulation runs, never *what* it computes: every seeded trace is
-    #: byte-identical with them on or off (pinned by regression test), and
-    #: ``repro bench --compare`` quantifies the speedup by toggling them.
-    #: Memoize each runqueue's load summation per (timestamp, dirty epoch).
-    perf_load_cache: bool = True
-    #: Share per-CPU (load, nr_running) stats across one rebalance pass.
-    perf_balance_stats: bool = True
-    #: Compact the event heap when cancelled entries dominate.
-    perf_event_compaction: bool = True
-    #: Vectorized array-backed core: a persistent struct-of-arrays mirror
-    #: of per-CPU state (repro.sched.vecstate) serves balance sampling,
-    #: folding, and busiest-group selection in bulk, and an array-backed
-    #: pick index serves ``pick_next``.  Builds on the fast paths (it
-    #: replaces the per-pass BalancePass), so it is only honored when
-    #: ``perf_load_cache``/``perf_balance_stats`` are also on -- use
-    #: :meth:`with_vectorized`.
-    perf_vectorized: bool = False
+    #: Simulator fast path.  It changes *how fast* the simulation runs,
+    #: never *what* it computes: every seeded trace is byte-identical with
+    #: it on or off (pinned by regression test), and ``repro bench
+    #: --compare`` quantifies the speedup by toggling it.  On, runqueues
+    #: memoize their load summation and keep nr_running incrementally,
+    #: the event heap compacts when cancelled entries dominate, and the
+    #: persistent mirror :class:`~repro.sched.vecstate.VecState` serves
+    #: balance sampling, folding and busiest-group selection.  Off is the
+    #: reference path: per-call folds and the plain designated-balancer
+    #: election, reading like the paper's Algorithm 1.  Both paths pick
+    #: from the rbtree.
+    fastpath: bool = True
 
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the
     #: value from scratch and raises
@@ -137,40 +131,31 @@ class SchedFeatures:
         return replace(self, load_metric="v43")
 
     def with_fastpath(self, enabled: bool = True) -> "SchedFeatures":
-        """A copy with every simulator fast-path toggled together.
+        """A copy with the simulator fast path toggled.
 
-        ``with_fastpath(False)`` is the bench harness's baseline mode: the
-        simulation recomputes everything from scratch, as the pre-fast-path
-        code did.
+        ``with_fastpath(False)`` is the reference path and the bench
+        harness's baseline mode: the simulation recomputes everything
+        from scratch, as the pre-fast-path code did.
         """
-        return replace(
-            self,
-            perf_load_cache=enabled,
-            perf_balance_stats=enabled,
-            perf_event_compaction=enabled,
-        )
+        return replace(self, fastpath=enabled)
 
     def with_vectorized(self, enabled: bool = True) -> "SchedFeatures":
-        """A copy with the vectorized array-backed core toggled.
+        """Alias of :meth:`with_fastpath`.
 
-        The vectorized layer subsumes the per-pass fast paths, so
-        enabling it also enables them; disabling leaves the ordinary
-        fast paths as they were.
+        Kept only because ``benchmarks/e2e/workloads.py`` calls it; that
+        directory is the pinned end-to-end benchmark and changes only in
+        a dedicated benchmark change.
         """
-        if enabled:
-            return replace(self.with_fastpath(True), perf_vectorized=True)
-        return replace(self, perf_vectorized=False)
+        return self.with_fastpath(enabled)
 
     def with_sanitizer(self, enabled: bool = True) -> "SchedFeatures":
         """A copy with the coherence sanitizer toggled.
 
-        Sanitizing only makes sense with the fast paths on (it checks
-        their memo hits), so enabling it also enables them.
+        Sanitizing only makes sense with the fast path on (it checks its
+        memo hits), so enabling it also enables the fast path.
         """
         if enabled:
-            return replace(
-                self.with_fastpath(True), sanitize_coherence=True
-            )
+            return replace(self, fastpath=True, sanitize_coherence=True)
         return replace(self, sanitize_coherence=False)
 
     def describe(self) -> str:

@@ -28,7 +28,6 @@ from repro.sched.cpu import Cpu
 from repro.sched.domains import DomainBuilder
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadEpoch
-from repro.sched.pickindex import PickIndex
 from repro.sched.runqueue import OverloadCount
 from repro.sched.task import Task, TaskState
 from repro.sched.vecstate import VecState
@@ -75,7 +74,7 @@ class Scheduler:
                 cpu_id,
                 self.probe,
                 load_epoch=self.load_epoch,
-                load_cache=self.features.perf_load_cache,
+                load_cache=self.features.fastpath,
                 idle_epoch=self.idle_epoch,
                 divisor_epoch=self.divisor_epoch,
                 sanitize=self.features.sanitize_coherence,
@@ -84,23 +83,14 @@ class Scheduler:
             for cpu_id in range(topology.num_cpus)
         ]
         self.domain_builder = DomainBuilder(topology, self.features)
-        #: Persistent array-backed sampling layer (the vectorized core).
-        #: It subsumes the per-pass BalancePass, so it is only built when
-        #: the fast paths it replaces are on; every runqueue gets a
+        #: Persistent array-backed sampling layer: the fast path's
+        #: balancer (None on the reference path).  Every runqueue gets a
         #: write-through hook so mutations mark their mirror slot dirty.
         self.vec: Optional[VecState] = None
-        if (
-            self.features.perf_vectorized
-            and self.features.perf_balance_stats
-            and self.features.perf_load_cache
-        ):
+        if self.features.fastpath:
             self.vec = VecState(self)
             for cpu in self.cpus:
                 cpu.rq.vec = self.vec
-                # The array-backed pick index rides the same gate: the
-                # rbtree stays authoritative, the index makes pick_next
-                # a cached-min probe (argmin on stale-min misses).
-                cpu.rq.pidx = PickIndex()
         #: Live tasks by tid.
         self.tasks: Dict[int, Task] = {}
         #: Idle CPUs that received work and need a dispatch.
@@ -116,18 +106,15 @@ class Scheduler:
     def cpu(self, cpu_id: int) -> Cpu:
         return self.cpus[cpu_id]
 
-    def vec_pass(self, now: int) -> Optional[lb.SamplingPass]:
+    def vec_pass(self, now: int) -> Optional[VecState]:
         """The sampling layer for one rebalance pass at ``now``.
 
-        The persistent vectorized mirror when enabled (one instance, so
-        the synchronized newidle bursts sharing a timestamp hit its
-        memos), else a fresh per-pass :class:`~repro.sched.balance.
-        BalancePass`, else None (the baseline recompute-everything mode).
+        The persistent mirror on the fast path (one instance, so the
+        synchronized newidle bursts sharing a timestamp hit its memos),
+        else None (the reference recompute-everything path).
         """
         if self.vec is not None:
             return self.vec.begin(now)
-        if self.features.perf_balance_stats:
-            return lb.BalancePass(self, now)
         return None
 
     def online_cpus(self) -> List[Cpu]:

@@ -1,8 +1,8 @@
 """Name of the vectorized core's array backend.
 
-The vectorized layer (:mod:`repro.sched.vecstate`,
-:mod:`repro.sched.pickindex`) folds and scans its flat mirrors with
-in-frame Python loops, so the backend is always ``"python"``.
+The vectorized layer (:mod:`repro.sched.vecstate`) folds and scans its
+flat mirrors with in-frame Python loops, so the backend is always
+``"python"``.
 """
 
 from __future__ import annotations

@@ -1,11 +1,10 @@
 """Persistent struct-of-arrays mirror of per-CPU scheduler state.
 
-:class:`VecState` is the vectorized successor of
-:class:`~repro.sched.balance.BalancePass`: instead of rebuilding flat
-sample arrays for every rebalance pass, one scheduler-lifetime instance
-keeps flat (load, nr_running) mirrors -- the loads as the exact objects
-the queues returned (see "Object exactness" below) -- and keeps them
-coherent through the existing epoch-bump protocol:
+:class:`VecState` is the simulator's one fast balancing path: instead of
+re-reading every queue for every rebalance pass, one scheduler-lifetime
+instance keeps flat (load, nr_running) mirrors -- the loads as the exact
+objects the queues returned (see "Object exactness" below) -- and keeps
+them coherent through the existing epoch-bump protocol:
 
 * every load-affecting runqueue mutation calls :meth:`mark_dirty` (wired
   next to the queue's own ``mutations`` bump), which queues the slot for
@@ -16,22 +15,20 @@ coherent through the existing epoch-bump protocol:
   the scalar path computes;
 * cgroup divisor bumps drop all load samples, idle-epoch bumps drop the
   designated-balancer memo, hotplug (:meth:`on_topology_change`) drops
-  the interned group/domain index caches -- exactly the invalidation
-  triggers ``BalancePass._refresh`` honors, checked per lookup so
-  mid-pass epoch traffic is observed just like the per-pass layer.
+  the interned group/domain index caches, checked per lookup so
+  mid-pass epoch traffic is observed.
 
 Group folds gather member slots through pre-built gather plans (one per
 interned :class:`~repro.sched.domains.SchedGroup`) and reduce them with
 one in-frame loop, so folded :class:`~repro.sched.balance.GroupStats`
-are bit-identical to the uncached fold and schedule digests match
-across all variants.  A fold is memoized as a flat list of its six
+are bit-identical to the reference fold and schedule digests match
+across both paths.  A fold is memoized as a flat list of its six
 reductions keyed ``(now, version)``; the
 :class:`~repro.sched.balance.GroupStats` object is materialized from it
 lazily, only when a caller actually receives the group (most folds lose
 the three-tier selection and are never handed out).  Because the
 instance persists, the synchronized bursts of newidle passes that share
-one timestamp -- which previously each rebuilt a fresh ``BalancePass``
--- collapse into memo hits.
+one timestamp collapse into memo hits.
 
 **Float summation.**  Group *load sums* feed threshold comparisons that
 decide migrations, so the fold reproduces the scalar path's sequential
@@ -46,8 +43,8 @@ schedule digest hashes ints and skips floats, so a mirror that coerced
 it to ``0.0`` would silently drop the group-metric field from
 ``BalanceEvent`` records whenever the Group Imbalance fix selects
 ``min_load``.  The fold's min/max keep the first minimal / maximal
-*element*, matching the scalar fold's tie-breaking, so every variant's
-schedule digest stays byte-identical (see ``repro bench
+*element*, matching the reference fold's tie-breaking, so both paths'
+schedule digests stay byte-identical (see ``repro bench
 --check-digests``).  Likewise, per-task utilization decay stays on
 scalar ``math.exp`` in :mod:`repro.sched.load`: the tracker is *read*,
 never re-derived, by this layer.
@@ -88,7 +85,7 @@ _GroupEntry = Tuple["SchedGroup", Tuple[int, ...], int]
 #: Slot 12 is the group's dirty counter at fold time: the counter only
 #: moves when a member slot's mirrored value actually changed, so a
 #: matching count revalidates the fold across timestamps in O(1) (and
-#: the entry is re-stamped in place, like BalancePass's epoch slot).
+#: the entry is re-stamped in place).
 _F_STATS = 9
 _F_DIRTY = 12
 
@@ -133,10 +130,6 @@ class _DomainCache:
 
 class VecState:
     """Array-backed balance sampling layer (one per scheduler)."""
-
-    #: Lets ``find_busiest_group`` route to the bulk path without an
-    #: isinstance check against this module (BalancePass carries False).
-    vectorized = True
 
     __slots__ = (
         "sched", "now", "_n", "_loads", "_nrs", "_dirty",
@@ -272,9 +265,9 @@ class VecState:
         self._gate_tok += 1
 
     def _check_epochs(self) -> None:
-        # Mirrors BalancePass._refresh, re-checked per lookup: divisor
-        # bumps re-weight loads without runqueue events (idle traffic is
-        # handled precisely, per CPU, by mark_idle_change).
+        # Re-checked per lookup: divisor bumps re-weight loads without
+        # runqueue events (idle traffic is handled precisely, per CPU, by
+        # mark_idle_change).
         div = self._div_ref.value
         if div != self._div_epoch:
             self._div_epoch = div
@@ -372,7 +365,7 @@ class VecState:
         self._domains[id(domain)] = cache
         return cache
 
-    # -- the BalancePass interface ----------------------------------------
+    # -- sampling interface ------------------------------------------------
 
     def group_stats(self, group: "SchedGroup") -> Optional[GroupStats]:
         """Memoized bulk fold of one group's statistics at ``now``."""
@@ -385,7 +378,7 @@ class VecState:
                 verify_group_stats(
                     group,
                     stats,
-                    _fold_group_stats(self.sched, group, now, None),
+                    _fold_group_stats(self.sched, group, now),
                 )
             return stats
         if self._loads_at != now or self._dirty_list:
@@ -401,7 +394,7 @@ class VecState:
             verify_group_stats(
                 group,
                 stats,
-                _fold_group_stats(self.sched, group, now, None),
+                _fold_group_stats(self.sched, group, now),
             )
         return stats
 
@@ -424,8 +417,7 @@ class VecState:
             # an equal count -- taken after the sync brought the mirror
             # current -- proves every input object unchanged and the
             # memoized reductions still exact.  Re-stamp the entry in
-            # place (the BalancePass epoch re-stamp idiom) instead of
-            # refolding.
+            # place instead of refolding.
             if d == prev[_F_DIRTY]:
                 prev[1] = self.now
                 prev[2] = self._version

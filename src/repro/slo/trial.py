@@ -27,7 +27,6 @@ from repro.experiments.scenarios import build_bug_scenario
 from repro.obs.session import ObsSession
 from repro.obs.tracepoints import TracepointRegistry
 from repro.perf.orchestrator import TrialResult, TrialSpec, build_features
-from repro.sched.features import SchedFeatures
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.slo.report import collect_slo_metrics
@@ -149,24 +148,6 @@ def resolve_workload(ref: str) -> Callable[[str, Mapping[str, str]], TaskSpec]:
 # -- shared plumbing ---------------------------------------------------------
 
 
-def _apply_tokens(
-    features: SchedFeatures, tokens: Tuple[str, ...]
-) -> SchedFeatures:
-    """Apply spec feature tokens on top of an existing feature set."""
-    for token in tokens:
-        if token.startswith("fix:"):
-            features = features.with_fixes(token[len("fix:"):])
-        elif token == "no_autogroup":
-            features = features.without_autogroup()
-        elif token == "v43":
-            features = features.with_v43_load_metric()
-        elif token == "fastpath_off":
-            features = features.with_fastpath(False)
-        else:
-            raise ValueError(f"unknown feature token {token!r}")
-    return features
-
-
 def _duration_us(spec: TrialSpec) -> int:
     duration_ms = float(spec.param("duration_ms", "1000"))  # type: ignore[arg-type]
     return max(MS, int(duration_ms * spec.scale) * MS)
@@ -246,7 +227,7 @@ def bug_slo_trial(spec: TrialSpec) -> TrialResult:
         seed=spec.seed,
         instrument=instrument,
         features_transform=(
-            (lambda f: _apply_tokens(f, tokens)) if tokens else None
+            (lambda f: build_features(tokens, base=f)) if tokens else None
         ),
     )
     scenario.run(_duration_us(spec))

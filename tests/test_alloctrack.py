@@ -1,7 +1,7 @@
 """The runtime allocation tracker: declared classes vs observed churn.
 
 Mirrors the effect sanitizer's test shape: a clean soak over a real
-vectorized scenario (zero divergences -- the shipped declarations are
+fast-path scenario (zero divergences -- the shipped declarations are
 sound for what the demos execute), a tampered-declaration run proving
 the detector actually fires, and hook/patch hygiene checks.
 """
@@ -33,11 +33,7 @@ def short_scenario_run(session, duration_us=100_000):
     from repro.experiments.scenarios import build_bug_scenario
 
     with session:
-        scenario = build_bug_scenario(
-            "group-imbalance",
-            "buggy",
-            features_transform=lambda f: f.with_vectorized(),
-        )
+        scenario = build_bug_scenario("group-imbalance", "buggy")
         scenario.run(duration_us)
     return session
 

@@ -121,7 +121,7 @@ def test_sanitizer_checks_memo_hits(monkeypatch):
 
 
 def test_long_run_leaves_shared_tables_unmutated():
-    system = _build_soak64("vec")
+    system = _build_soak64("fast")
     builder = system.scheduler.domain_builder
     table = builder._domains
     before = {

@@ -3,8 +3,8 @@
 Every optimization here has a correctness obligation stated in its
 docstring -- the O(1) pending counter must agree with the heap, the
 runqueue load memo must return exactly what a recompute would, the
-balance-pass memos must invalidate on every event that could change
-their answer, and group interning must never outlive a topology rebuild.
+balance mirror's fold memos must survive exactly the events that cannot
+change their answer, and group interning must never outlive a topology rebuild.
 These tests pin each obligation directly; the end-to-end guarantee (same
 schedule with the fast paths on or off) lives in
 ``test_determinism_trace.py``.
@@ -12,7 +12,6 @@ schedule with the fast paths on or off) lives in
 
 import pytest
 
-from repro.sched.balance import BalancePass
 from repro.sched.features import SchedFeatures
 from repro.sched.runqueue import RunQueue
 from repro.sched.scheduler import Scheduler
@@ -160,7 +159,7 @@ def test_load_cache_invalidated_by_divisor_epoch():
     assert rq.load_cache_hits == hits
 
 
-# ------------------------------------------------------- balance-pass memos
+# ------------------------------------------------------ balance-mirror memos
 
 
 def make_sched():
@@ -181,10 +180,10 @@ def test_group_stats_memo_hits_within_a_pass():
     add_queued(sched, 0, "t0")
     add_queued(sched, 1, "t1")
     domain = sched.domain_builder.domains_of(0)[-1]
-    bpass = BalancePass(sched, now=1000)
+    vstate = sched.vec_pass(1000)
     group = domain.groups[0]
-    first = bpass.group_stats(group)
-    assert bpass.group_stats(group) is first
+    first = vstate.group_stats(group)
+    assert vstate.group_stats(group) is first
 
 
 def test_group_stats_signature_survives_unrelated_churn():
@@ -198,43 +197,17 @@ def test_group_stats_signature_survives_unrelated_churn():
     domain = sched.domain_builder.domains_of(0)[-1]
     node0 = next(g for g in domain.groups if 0 in g.cpus)
     node1 = next(g for g in domain.groups if 0 not in g.cpus)
-    bpass = BalancePass(sched, now=1000)
-    stats0 = bpass.group_stats(node0)
-    stats1 = bpass.group_stats(node1)
-    # Churn on node 0 bumps the global load epoch; node 1's fold is still
-    # valid (its members' mutation counts are unchanged) and must be
-    # reused, while node 0's must be refolded.
+    vstate = sched.vec_pass(1000)
+    stats0 = vstate.group_stats(node0)
+    stats1 = vstate.group_stats(node1)
+    # Churn on node 0 dirties the mirror; node 1's fold is still valid
+    # (none of its members' samples changed) and must be reused, while
+    # node 0's must be refolded.
     sched.cpu(0).rq.enqueue(straggler, 0)
-    assert bpass.group_stats(node1) is stats1
-    refolded = bpass.group_stats(node0)
+    assert vstate.group_stats(node1) is stats1
+    refolded = vstate.group_stats(node0)
     assert refolded is not stats0
     assert refolded.nr_running == stats0.nr_running + 1
-
-
-def test_cpu_load_nr_resamples_only_mutated_queues():
-    sched = make_sched()
-    add_queued(sched, 0, "t0")
-    bpass = BalancePass(sched, now=1000)
-    load0, nr0 = bpass.cpu_load_nr(0)
-    assert nr0 == 1
-    add_queued(sched, 0, "t0b")
-    load0b, nr0b = bpass.cpu_load_nr(0)
-    assert nr0b == 2
-    assert load0b > load0
-
-
-def test_designated_memo_invalidated_by_idle_transition():
-    sched = make_sched()
-    domain = sched.domain_builder.domains_of(0)[-1]
-    group = domain.local_group(0)
-    bpass = BalancePass(sched, now=1000)
-    # All CPUs idle: the lowest-numbered member wins.
-    assert bpass.designated_for(group) == min(group.cpus)
-    # Waking the winner bumps the idle epoch; the election must rerun and
-    # pick the next idle member.
-    add_queued(sched, min(group.cpus), "waker")
-    members = sorted(group.cpus)
-    assert bpass.designated_for(group) == members[1]
 
 
 # -------------------------------------------------------- group interning

@@ -34,6 +34,7 @@ from repro.perf.orchestrator import (
     run_trials,
     source_tree_digest,
 )
+from repro.sched.features import SchedFeatures
 
 #: This module doubles as the trial-kind target for pool tests: specs
 #: reference it by name, and spawned workers re-import it from sys.path.
@@ -124,6 +125,13 @@ def test_feature_tokens_round_trip():
     assert not features.autogroup_enabled
     with pytest.raises(ValueError, match="unknown feature token"):
         build_features(("warp_drive",))
+    # Tokens apply on top of a caller's base (the SLO bug-scenario path).
+    base = SchedFeatures().with_fixes("missing_domains")
+    stacked = build_features(("fix:group_imbalance", "fastpath_off"), base)
+    assert stacked.fix_missing_domains and stacked.fix_group_imbalance
+    assert not stacked.fastpath
+    with pytest.raises(ValueError, match="unknown feature token"):
+        build_features(("warp_drive",), base)
 
 
 # ----------------------------------------------------------------- pool layer

@@ -182,16 +182,6 @@ OverloadCountMachine.TestCase.settings = settings(
 TestOverloadCount = OverloadCountMachine.TestCase
 
 
-class VecOverloadCountMachine(OverloadCountMachine):
-    features = SchedFeatures().with_vectorized(True)
-
-
-VecOverloadCountMachine.TestCase.settings = settings(
-    max_examples=30, stateful_step_count=40, deadline=None
-)
-TestVecOverloadCount = VecOverloadCountMachine.TestCase
-
-
 # ------------------------------------------------------------- soundness
 
 

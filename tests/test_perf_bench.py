@@ -151,6 +151,36 @@ def test_cli_bench_check_digests_drift_fails(tmp_path):
                  "--check-digests", str(out)]) == 1
 
 
+def test_cli_bench_check_digests_missing_file_exits_2(tmp_path, capsys):
+    # A typo'd path must not pass vacuously, and must fail before any
+    # benchmark runs.
+    missing = tmp_path / "missing.json"
+    assert main(["bench", "--quick", "--only", "figure2",
+                 "--check-digests", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert str(missing) in captured.err
+    assert "running figure2" not in captured.err
+    # A trajectory whose latest run stores no digests is refused too.
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"version": 1, "runs": [{"benchmarks": {}}]}))
+    assert main(["bench", "--quick", "--only", "figure2",
+                 "--check-digests", str(empty)]) == 2
+
+
+def test_cli_bench_check_digests_corrupt_file_exits_2(tmp_path, capsys):
+    corrupt = tmp_path / "corrupt.json"
+    corrupt.write_text('{"version": 1, "runs": [')
+    assert main(["bench", "--quick", "--only", "figure2",
+                 "--check-digests", str(corrupt)]) == 2
+    captured = capsys.readouterr()
+    assert str(corrupt) in captured.err
+    assert "running figure2" not in captured.err
+    # Valid JSON of the wrong shape is corrupt as well.
+    corrupt.write_text('{"version": 1, "runs": [1]}')
+    assert main(["bench", "--quick", "--only", "figure2",
+                 "--check-digests", str(corrupt)]) == 2
+
+
 def test_cli_bench_unknown_benchmark():
     assert main(["bench", "--quick", "--only", "nope"]) == 2
 
@@ -282,6 +312,8 @@ def _trend_fixture(tmp_path):
     first.digest_match = True
     append_run(path, [first], label="pr1")
     second = _result(baseline_wall=6.0)
+    # A variant name from the trajectory's history: rendering must not
+    # depend on today's VARIANTS.
     second.variant = "vec"
     second.digest_match = True
     append_run(path, [second, _result(name="figure2")], label="pr2")

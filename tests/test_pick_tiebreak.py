@@ -1,25 +1,20 @@
-"""Pick-index tie-breaking: equal-vruntime picks in exact rbtree order.
+"""Pick tie-breaking: equal-vruntime picks in exact rbtree order.
 
-The pick index's ordering contract is the rbtree's composite
-``(vruntime, tid)`` insertion key, so equal-vruntime tasks must pick in
-tid order on every path that can answer a pick: the rbtree itself (the
-scalar reference), the cached-min probe, and the in-frame argmin
-recompute.  These tests drain adversarial tie-heavy populations through
-each path and cross-check against the tree; a full traced run then
-proves the whole scheduler picks identically across the scalar and
-vectorized variants, with the replay differ naming the first divergent
-event on failure.  Coherence under requeue / migrate / hotplug rides on
-the sanitizer's per-pick leftmost cross-check.
+The runqueue picks from its rbtree, keyed by the composite
+``(vruntime, tid)``, so equal-vruntime tasks must pick in tid order.
+These tests drain adversarial tie-heavy populations through
+``RunQueue.pick_next`` and check the order; a full traced run then
+proves the whole scheduler picks identically on the reference and fast
+paths, with the replay differ naming the first divergent event on
+failure.
 """
 
 import hashlib
 
 import pytest
 
-from repro.sched.pickindex import PickIndex
-from repro.sched.rbtree import RBTree
-from repro.sched.runqueue import RunQueue
 from repro.sched.features import SchedFeatures
+from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
 from repro.sim.system import System
 from repro.sim.timebase import MS
@@ -41,21 +36,16 @@ def _population(n, ties):
     return tasks
 
 
-def _drain(index, tree):
-    """Pop tasks from both structures in pick order; assert agreement."""
+def _drain(rq):
+    """Take tasks off the queue in pick order."""
     order = []
-    while len(index):
-        picked = index.peek()
-        pair = tree.leftmost()
-        assert pair is not None
-        assert picked is pair[1], (
-            f"index picked tid {picked.tid} vr {picked.vruntime}, "
-            f"tree leftmost tid {pair[1].tid} vr {pair[0][0]}"
-        )
-        order.append(picked)
-        index.remove(picked.tid)
-        tree.remove(pair[0])
-    assert tree.leftmost() is None
+    while True:
+        picked = rq.pick_next()
+        if picked is None:
+            break
+        assert rq.leftmost_vruntime() == picked.vruntime
+        order.append(rq.take(picked, now=0))
+    assert rq.nr_queued == 0
     return order
 
 
@@ -63,41 +53,19 @@ def _drain(index, tree):
 def test_equal_vruntime_drain_matches_rbtree_order(n, ties):
     # Small and machine-scale queues; ties=1 makes every key a tie, so
     # tid alone decides every single pick.
-    index = PickIndex()
-    tree = RBTree()
+    rq = RunQueue(cpu_id=0)
     for vr, tid, task in _population(n, ties):
         task.vruntime = vr
-        index.insert(vr, tid, task)
-        tree.insert((vr, tid), task)
-    order = _drain(index, tree)
+        rq.enqueue(task, now=0)
+    order = _drain(rq)
     keys = [(t.vruntime, t.tid) for t in order]
     assert keys == sorted(keys)
     assert len(order) == n
 
 
-def test_stale_cached_min_recompute_preserves_tie_order():
-    # Removing the cached minimum leaves the probe stale; the recompute
-    # must re-break the remaining all-equal keys by tid, on small and
-    # machine-scale queues alike.
-    for n in (8, 150):
-        index = PickIndex()
-        tids = [(i * 31) % (n * 3) + 1 for i in range(n)]
-        assert len(set(tids)) == n
-        for tid in tids:
-            index.insert(5, tid, _task(tid))
-        for expected in sorted(tids):
-            picked = index.peek()
-            assert picked.tid == expected
-            index.remove(picked.tid)  # invalidates the cached min
-        assert index.peek() is None
-
-
 def test_requeue_moves_tie_position_exactly_like_tree():
-    # A requeue (vruntime change of a queued task) re-sorts both
-    # structures; with the sanitizer on, every pick cross-checks the
-    # index against the tree's leftmost and raises on any drift.
-    rq = RunQueue(cpu_id=0, sanitize=True)
-    rq.pidx = PickIndex()
+    # A requeue (vruntime change of a queued task) re-sorts the tree.
+    rq = RunQueue(cpu_id=0)
     tasks = [_task(tid) for tid in (3, 1, 2, 5, 4)]
     for task in tasks:
         task.vruntime = 10
@@ -120,13 +88,9 @@ def test_requeue_moves_tie_position_exactly_like_tree():
     assert drained == [2, 3, 5, 1]
 
 
-def _traced_stream(variant, seed=13):
-    transform = {
-        "fast": lambda f: f.with_fastpath(True),
-        "vec": lambda f: f.with_vectorized(True),
-    }[variant]
-    system = System(two_nodes(4, smt_width=2), transform(SchedFeatures()),
-                    seed=seed)
+def _traced_stream(fastpath, seed=13):
+    system = System(two_nodes(4, smt_width=2),
+                    SchedFeatures().with_fastpath(fastpath), seed=seed)
     buffer = TraceBuffer()
     system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
     from repro.perf.bench import _hog, _sleeper
@@ -147,13 +111,13 @@ def _digest(stream):
 
 
 def test_pick_paths_schedule_identically_across_variants():
-    # The end-to-end tie-order claim: scalar rbtree picks (fast) and
-    # the pick index (vec) must produce byte-identical trace streams.
-    # On failure the replay differ names the first divergent event --
-    # the actionable form of "digests differ".
-    reference = _traced_stream("fast")
+    # The end-to-end tie-order claim: the reference path and the fast
+    # path must produce byte-identical trace streams.  On failure the
+    # replay differ names the first divergent event -- the actionable
+    # form of "digests differ".
+    reference = _traced_stream(False)
     assert len(reference) > 0
-    stream = _traced_stream("vec")
+    stream = _traced_stream(True)
     divergence = diff_events(stream, reference)
     if divergence is not None:
         got = stream[divergence] if divergence < len(stream) else None
@@ -161,17 +125,17 @@ def test_pick_paths_schedule_identically_across_variants():
             reference[divergence] if divergence < len(reference) else None
         )
         pytest.fail(
-            f"vec: first divergence at event {divergence}: "
-            f"vec={got!r} fast={want!r}"
+            f"fast: first divergence at event {divergence}: "
+            f"fast={got!r} reference={want!r}"
         )
     assert _digest(stream) == _digest(reference)
 
 
-def test_pick_index_coherent_under_migration_and_hotplug():
-    # A sanitized vectorized soak with a mid-run hotplug cycle: every
-    # pick cross-checks index-vs-tree, so any coherence break under the
-    # migration drain or the offline/online rebuild raises.
-    features = SchedFeatures().with_vectorized(True).with_sanitizer(True)
+def test_pick_next_coherent_under_migration_and_hotplug():
+    # A sanitized fast-path soak with a mid-run hotplug cycle: the
+    # migration drain and the offline/online rebuild must leave every
+    # queue picking its least (vruntime, tid) task.
+    features = SchedFeatures().with_sanitizer(True)
     system = System(two_nodes(4, smt_width=2), features, seed=17)
     from repro.perf.bench import _hog, _sleeper
 
@@ -185,15 +149,9 @@ def test_pick_index_coherent_under_migration_and_hotplug():
     system.hotplug_cpu(2, True)
     system.run_for(10 * MS)
     assert system.loop.events_fired > 0
-    # Terminal structural check: every index mirrors its tree exactly.
     for cpu in system.scheduler.cpus:
         rq = cpu.rq
-        assert rq.pidx is not None
-        tree_tids = sorted(t.tid for _, t in rq._tree.items()) \
-            if hasattr(rq._tree, "items") else None
-        if tree_tids is not None:
-            assert sorted(rq.pidx._tids) == tree_tids
-        assert len(rq.pidx) == rq.nr_queued
-        assert rq.pick_next() is (
-            rq._tree.leftmost()[1] if rq.nr_queued else None
-        )
+        queued = list(rq.queued_tasks())
+        assert len(queued) == rq.nr_queued
+        best = min(queued, key=lambda t: (t.vruntime, t.tid), default=None)
+        assert rq.pick_next() is best

@@ -11,7 +11,6 @@ and each seeded un-bumped mutation (the exact bug class the static
 import pytest
 
 from repro.experiments.scenarios import build_bug_scenario
-from repro.sched.balance import BalancePass
 from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import FACTS, CoherenceError
 
@@ -39,8 +38,8 @@ def build(bug, variant="buggy"):
 def test_with_sanitizer_flag():
     f = SchedFeatures().with_fastpath(False).with_sanitizer()
     assert f.sanitize_coherence
-    # Sanitizing checks memo hits, so it forces the fast paths on.
-    assert f.perf_load_cache and f.perf_balance_stats
+    # Sanitizing checks memo hits, so it forces the fast path on.
+    assert f.fastpath
     off = f.with_sanitizer(False)
     assert not off.sanitize_coherence
     assert not SchedFeatures().sanitize_coherence
@@ -123,7 +122,7 @@ def test_trips_on_unbumped_hotplug():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
-    bpass = BalancePass(sched, scenario.system.now)
+    vstate = sched.vec_pass(scenario.system.now)
     domains = sched.domain_builder.domains_of(0)
     group = None
     for domain in reversed(domains):
@@ -132,11 +131,11 @@ def test_trips_on_unbumped_hotplug():
             group = local
             break
     assert group is not None, "need a multi-CPU balance mask"
-    winner = bpass.designated_for(group)
+    winner = vstate.designated_for(group)
     assert winner >= 0
     sched.cpus[winner].online = False  # no sched.set_cpu_online, no bump
     with pytest.raises(CoherenceError) as exc:
-        bpass.designated_for(group)  # memo hit cross-checks the election
+        vstate.designated_for(group)  # memo hit cross-checks the election
     assert exc.value.accessor == "designated-balancer"
     sched.cpus[winner].online = True
 
@@ -145,12 +144,12 @@ def test_trips_on_group_stats_drift():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
-    bpass = BalancePass(sched, scenario.system.now)
+    vstate = sched.vec_pass(scenario.system.now)
     domains = sched.domain_builder.domains_of(0)
     group = domains[-1].local_group(0)
-    bpass.group_stats(group)  # prime the fold memo
+    vstate.group_stats(group)  # prime the fold memo
     victim = sched.cpus[group.sorted_cpus()[0]].rq
-    victim._nr_running += 1  # un-bumped: signature and epoch both stale
+    victim._nr_running += 1  # un-bumped: no dirty mark, memo stays keyed
     with pytest.raises(CoherenceError):
-        bpass.group_stats(group)
+        vstate.group_stats(group)
     victim._nr_running -= 1

@@ -1,7 +1,7 @@
 """Tests for the vectorized array-backed core (repro.sched.vecstate).
 
 The end-to-end guarantee -- byte-identical schedule digests across
-baseline / fast / vec -- lives in the bench harness (``repro bench
+baseline and fast -- lives in the bench harness (``repro bench
 --check-digests``).  Pinned here are the layer's local obligations: the
 struct-of-arrays mirror must be exact against the queues, every
 invalidation trigger (dirty marks, new timestamps, idle transitions,
@@ -15,6 +15,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.sched.balance import _fold_group_stats, find_busiest_group
 from repro.sched.features import SchedFeatures
@@ -25,8 +27,7 @@ from repro.topology import two_nodes
 
 
 def _vec_system(seed=7):
-    features = SchedFeatures().with_vectorized(True)
-    system = System(two_nodes(4, smt_width=2), features, seed=seed)
+    system = System(two_nodes(4, smt_width=2), SchedFeatures(), seed=seed)
     return system, system.scheduler
 
 
@@ -43,10 +44,13 @@ def _spawn_some(system, n=6):
 def test_vectorized_feature_builds_vecstate():
     _, sched = _vec_system()
     assert sched.vec is not None
-    assert sched.vec.vectorized is True
     # Every runqueue is wired to the mirror's dirty tracking.
     for cpu in sched.cpus:
         assert cpu.rq.vec is sched.vec
+    # The reference path builds no mirror.
+    reference = System(two_nodes(4), SchedFeatures().with_fastpath(False))
+    assert reference.scheduler.vec is None
+    assert all(cpu.rq.vec is None for cpu in reference.scheduler.cpus)
 
 
 def test_vectorized_soak_never_imports_numpy():
@@ -62,7 +66,7 @@ def test_vectorized_soak_never_imports_numpy():
         "from repro.sim.timebase import MS\n"
         "from repro.topology import amd_bulldozer_64\n"
         "system = System(amd_bulldozer_64(),\n"
-        "                SchedFeatures().with_vectorized(), seed=3)\n"
+        "                SchedFeatures(), seed=3)\n"
         "for i in range(80):\n"
         "    system.spawn(_hog(f'hog{i}'), parent_cpu=i % 64)\n"
         "for i in range(16):\n"
@@ -111,7 +115,7 @@ def test_group_folds_match_scalar_fold_exactly():
     for domain in sched.domain_builder.domains_of(0):
         for group in domain.groups:
             got = vstate.group_stats(group)
-            want = _fold_group_stats(sched, group, now, None)
+            want = _fold_group_stats(sched, group, now)
             if want is None:
                 assert got is None
                 continue
@@ -284,9 +288,7 @@ def test_sanitized_vectorized_soak_raises_nothing():
     # The coherence sanitizer cross-checks every vectorized fold and
     # election against a from-scratch recompute -- a soak under it is a
     # dense exactness test of the whole mirror protocol.
-    features = (
-        SchedFeatures().with_vectorized(True).with_sanitizer(True)
-    )
+    features = SchedFeatures().with_sanitizer(True)
     system = System(two_nodes(4, smt_width=2), features, seed=11)
     _spawn_some(system)
     system.run_for(30 * MS)
