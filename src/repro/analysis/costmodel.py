@@ -175,6 +175,9 @@ _ITER_DOMAIN_FIELDS: Dict[Tuple[str, str], str] = {
     ("EventLoop", "_heap"): "heap",
     ("VecState", "_dirty_list"): "cpus",
     ("VecState", "_desig_by_cpu"): "cpus",
+    ("VecState", "_idle_q"): "cpus",
+    ("VecState", "_idle_entries"): "cpus",
+    ("_Election", "mask"): "cpus",
     ("_DomainCache", "entries"): "groups",
     ("_DomainCache", "examined"): "cpus",
 }
@@ -184,6 +187,7 @@ _ELEM_DOMAINS: Dict[str, str] = {
     "Task": "tasks",
     "Cpu": "cpus",
     "SchedGroup": "groups",
+    "_Election": "groups",
     "SchedDomain": "domains",
     "_Event": "heap",
 }

@@ -631,9 +631,12 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "vec-find-busiest": ("VecState", "find_busiest"),
     "vec-designated": ("VecState", "designated_for"),
     # The periodic/NOHZ balance-driver reductions over the per-CPU
-    # next-balance deadline array.
+    # next-balance deadline array, and the lazy fold of queued idle
+    # flips into the election memo and the gates that every gate and
+    # election query runs first.
     "vec-balance-gate": ("VecState", "gated"),
     "vec-balance-due": ("VecState", "balance_due"),
+    "vec-reconcile": ("VecState", "_reconcile"),
 }
 
 #: Classification lattice, weakest to strongest claim.

@@ -48,11 +48,11 @@ from typing import (
 )
 
 from repro.sched.runqueue import has_spare_task
-from repro.sched.sanitizer import verify_overload
+from repro.sched.sanitizer import verify_gated_skip, verify_overload
 
 #: Gate sentinel above any reachable deadline: a CPU that currently wins
-#: no level parks its gate here and is only re-armed by a watched idle
-#: flip or a topology change (both zero the gate).
+#: no level parks its gate here until it wins one (a reconciled election
+#: shift) or hotplug rebuilds the domains -- both zero the gate.
 _NEVER_DUE = 1 << 62
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -445,26 +445,28 @@ def periodic_balance(
         # next-balance deadline among the levels the CPU currently wins.
         # While that sits in the future, every level below is either not
         # due or not won -- the walk would attempt nothing, emit nothing,
-        # and stamp nothing -- so it is skipped wholesale.  Any idle
-        # flip (the only election input that moves between topology
-        # rebuilds) disarms every gate via the global flip token;
-        # ``force`` bypasses the check and leaves the gate untouched (a
-        # disarmed gate only costs one extra real walk).
+        # and stamp nothing -- so it is skipped wholesale.  An idle flip
+        # that makes this CPU the winner of another level disarms its
+        # gate (see VecState._reconcile); ``force`` bypasses the check
+        # and leaves the gate untouched (force only pushes deadlines
+        # later, so the gate stays early).  The epoch read reconciles
+        # queued idle flips first; set_gate refuses the final stamp if
+        # the epoch moved under the walk (its own migrations flip idle
+        # states that may re-elect this very CPU).
+        gate_tok = bpass.gate_token(cpu_id)
         if not force and bpass.gated(cpu_id, now):
+            if sched.features.sanitize_coherence:
+                _verify_gated_skip(sched, cpu_id, now)
             return 0
-        # Token snapshot: this walk's own migrations flip idle states
-        # that may re-elect this very CPU; set_gate refuses the final
-        # stamp if the token moved under the walk.
-        gate_tok = bpass.gate_token()
         # Fast path: the per-level (domain, local group, solo
         # winner) triple never changes between topology rebuilds, so it
         # is planned once per domain generation and cached on the Cpu.
         # Single-CPU balance masks (every bottom-level group) elect
         # themselves without even a memo probe; wider masks go through
-        # VecState's election memo, which is invalidated per CPU on
-        # real idle<->busy transitions and therefore outlives the
-        # global idle epoch (which sleeper churn bumps thousands of
-        # times a second).
+        # VecState's election memo, which re-elects only on real
+        # idle<->busy transitions of a mask member and therefore
+        # outlives the global idle epoch (which sleeper churn bumps
+        # thousands of times a second).
         builder = sched.domain_builder
         plan = cpu.balance_plan
         if plan is None or cpu.balance_plan_gen != builder.generation:
@@ -532,6 +534,21 @@ def periodic_balance(
     return moved
 
 
+def _verify_gated_skip(sched: "Scheduler", cpu_id: int, now: int) -> None:
+    """Sanitizer: re-elect every level of a gated CPU from scratch."""
+    cpu = sched.cpus[cpu_id]
+    stamps = cpu.next_balance_us
+    levels = []
+    for domain in sched.domain_builder.domains_of(cpu_id):
+        try:
+            local = domain.local_group(cpu_id)
+        except ValueError:
+            continue
+        stamp = stamps[domain.level] if domain.level < len(stamps) else -1
+        levels.append((domain.name, _elect_designated(sched, local), stamp))
+    verify_gated_skip(cpu_id, now, levels)
+
+
 def newidle_balance(sched: "Scheduler", cpu_id: int, now: int) -> int:
     """Emergency balancing when a core is about to go idle.
 
@@ -584,10 +601,10 @@ def nohz_idle_balance(
         # not maintained for them) and are filtered exactly as below.
         # One wrinkle: a walk's migrations can zero a *later* CPU's gate
         # mid-sweep, which the lazy reference would observe on reaching
-        # that CPU -- the global gate token detects that and recomputes
-        # the due set for the ids not yet visited.
+        # that CPU -- the mirror's disarm counter detects that and the
+        # due set is recomputed for the ids not yet visited.
         cpus = sched.cpus
-        tok = bpass.gate_token()
+        tok = bpass.disarm_token()
         due = bpass.balance_due(now)
         i = 0
         while i < len(due):
@@ -597,7 +614,7 @@ def nohz_idle_balance(
             if not cpu.online or not cpu.is_idle:
                 continue
             moved += periodic_balance(sched, cpu_id, now, bpass=bpass)
-            fresh = bpass.gate_token()
+            fresh = bpass.disarm_token()
             if fresh != tok:
                 tok = fresh
                 due = [c for c in bpass.balance_due(now) if c > cpu_id]

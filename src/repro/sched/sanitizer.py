@@ -25,7 +25,7 @@ enables it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.balance import GroupStats
@@ -141,6 +141,39 @@ def verify_designated(
     """Cross-check a designated-balancer memo hit against a re-election."""
     if cached != fresh:
         raise CoherenceError("designated-balancer", "winner", cached, fresh)
+
+
+def verify_gated_skip(
+    cpu_id: int, now: int, levels: Iterable[Tuple[str, int, int]]
+) -> None:
+    """Cross-check a skipped periodic walk against fresh elections.
+
+    ``levels`` holds ``(domain name, fresh winner, next_balance stamp)``
+    for each level of the CPU; the skip is sound only if no level this
+    CPU wins is due (a stamp below zero was never balanced: due).
+    """
+    for name, winner, stamp in levels:
+        if winner == cpu_id and not 0 <= now < stamp:
+            raise CoherenceError(
+                "balance-gate", f"cpu {cpu_id} {name} gate", "not due",
+                f"due (next_balance {stamp}, now {now})",
+            )
+
+
+def verify_longest_idle(cached: int, fresh: Optional[int]) -> None:
+    """Cross-check the idle-entry list's answer against the full scan."""
+    if cached != fresh:
+        raise CoherenceError(
+            "idle-entry-list", "longest-idle cpu", cached, fresh
+        )
+
+
+def verify_idle_sibling(target: int, cached: int, fresh: int) -> None:
+    """Cross-check the fast idle-sibling pick against the LLC scan."""
+    if cached != fresh:
+        raise CoherenceError(
+            "idle-sibling", f"idle sibling of cpu {target}", cached, fresh
+        )
 
 
 def verify_overload(cached: int, fresh: int) -> None:

@@ -13,10 +13,25 @@ them coherent through the existing epoch-bump protocol:
   a function of ``now``); the resample sweep reads each queue's
   memoized ``load(now)``, so the mirrored floats are the *same objects*
   the scalar path computes;
-* cgroup divisor bumps drop all load samples, idle-epoch bumps drop the
-  designated-balancer memo, hotplug (:meth:`on_topology_change`) drops
-  the interned group/domain index caches, checked per lookup so
-  mid-pass epoch traffic is observed.
+* cgroup divisor bumps drop all load samples; hotplug
+  (:meth:`on_topology_change`) drops the interned group/domain index
+  caches, checked per lookup so mid-pass epoch traffic is observed;
+* idle<->busy flips (:meth:`mark_idle_change`) are only queued, and
+  reconciled lazily into the designated-balancer memo, which is kept
+  current rather than dropped (see "Balance gates" below).
+
+**Balance gates.**  Like the kernel's per-runqueue ``next_balance``,
+each CPU carries the earliest balancing deadline among the levels it
+currently wins, and its periodic walk is skipped while that lies in the
+future.  A gate only has to be disarmed when its CPU *gains* a level:
+reconciling a flip re-elects every memoized group whose mask holds the
+flipped CPU and disarms only a changed winner, through a per-CPU arming
+epoch.  A CPU that loses a level keeps a gate that is merely early, and
+an early gate only costs one real (and exact) walk.
+
+**Idle-entry list.**  The CPUs whose ``Cpu.idle_since_us`` is set, in
+assignment order, so the Overload-on-Wakeup fix's longest-idle search
+starts at the head like the kernel's idle-core list (:meth:`longest_idle`).
 
 Group folds gather member slots through pre-built gather plans (one per
 interned :class:`~repro.sched.domains.SchedGroup`) and reduce them with
@@ -70,6 +85,7 @@ from repro.sched.sanitizer import verify_designated, verify_group_stats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
     from repro.sched.scheduler import Scheduler
+    from repro.sched.task import Task
 
 #: A group's cached gather plan: (group, online members sorted, member
 #: count).  The group reference keeps the interned object alive so its
@@ -128,6 +144,23 @@ class _DomainCache:
         )
 
 
+class _Election:
+    """One memoized designated-balancer election (see ``designated_for``).
+
+    Immutable: the winner lives in the owning VecState's ``_winners``
+    list at ``slot``, so re-elections write only the mirror's own state.
+    """
+
+    __slots__ = ("group", "mask", "slot")
+
+    def __init__(self, group: "SchedGroup", slot: int):
+        #: The group itself keeps the interned object alive, so its id
+        #: (the memo key) can never be recycled while the entry exists.
+        self.group = group
+        self.mask = group.sorted_balance_mask()
+        self.slot = slot
+
+
 class VecState:
     """Array-backed balance sampling layer (one per scheduler)."""
 
@@ -136,7 +169,9 @@ class VecState:
         "_dirty_list", "_loads_at", "_version", "_div_ref",
         "_div_epoch", "_gidx", "_gstats", "_designated", "_desig_by_cpu",
         "_domains", "_sanitize", "_use_min", "_scratch_folds",
-        "_grp_dirty", "_slot_grps", "_gate", "_gate_arm", "_gate_tok",
+        "_winners", "_grp_dirty", "_slot_grps", "_gate", "_gate_ep",
+        "_disarms", "_idle", "_idle_queued", "_idle_q", "_idle_entries",
+        "_idle_last", "_idle_ordered",
     )
 
     def __init__(self, sched: "Scheduler"):
@@ -167,12 +202,15 @@ class VecState:
         #: id(domain) -> plan.
         self._gidx: Dict[int, _GroupEntry] = {}
         self._gstats: Dict[int, List[object]] = {}
-        self._designated: Dict[int, Tuple["SchedGroup", int]] = {}
-        #: Per-CPU reverse index of the election memo: the id of every
-        #: group whose memoized winner read this CPU's idle flag.  An
-        #: idle<->busy transition invalidates exactly those entries
-        #: (dict-as-ordered-set so re-registration stays idempotent).
-        self._desig_by_cpu: List[Dict[int, bool]] = [{} for _ in range(n)]
+        self._designated: Dict[int, _Election] = {}
+        #: Current winner of each memoized election, by its slot.
+        self._winners: List[int] = []
+        #: Per-CPU reverse index of the election memo: every group whose
+        #: memoized winner read this CPU's idle flag.  A reconciled
+        #: idle<->busy transition re-elects exactly those entries.  A
+        #: group registers once, on its memo miss; entries are never
+        #: dropped short of hotplug, which clears both maps together.
+        self._desig_by_cpu: List[List[_Election]] = [[] for _ in range(n)]
         self._domains: Dict[int, _DomainCache] = {}
         #: Reused fold-slot buffer for find_busiest: the per-call list
         #: was the only bulk-path allocation left on the steady state
@@ -199,22 +237,38 @@ class VecState:
         #: deadline among the levels this CPU currently wins at its
         #: cached plan.  ``gate > now`` proves the whole domain walk is
         #: a no-op (no due level the CPU would act on), so the walk is
-        #: skipped wholesale.  A gate is live only while its arming
-        #: token (below) matches the global flip token; 0 = due either
-        #: way, forcing one real walk which re-arms the gate.
+        #: skipped wholesale; 0 = due, forcing one real walk which
+        #: re-arms the gate.
         self._gate: List[int] = [0] * n
-        #: Token each gate was armed at.  Elections read idle flags, so
-        #: *any* idle<->busy flip may promote some CPU to winner of an
-        #: already-due level; bumping one global token invalidates every
-        #: gate in O(1) instead of walking reverse watch lists (whose
-        #: zero-loops cost more than the gates saved under flip churn).
-        self._gate_arm: List[int] = [-1] * n
-        #: The global flip token.  Also serves the mid-walk hazard: a
-        #: walk snapshots it on entry and its final stamp is refused if
-        #: the token moved (the walk's own migrations flip idle states),
-        #: and the NOHZ due-sweep recomputes its due list when the token
-        #: moves under it.
-        self._gate_tok = 0
+        #: Per-CPU arming epoch, bumped by every disarm.  A walk reads it
+        #: on entry and its final stamp is refused if it moved (the
+        #: walk's own migrations can make this very CPU a new winner).
+        self._gate_ep: List[int] = [0] * n
+        #: Disarms anywhere: the NOHZ due-sweep recomputes its due list
+        #: when this moves under it.
+        self._disarms = 0
+        #: Mirrored ``rq._nr_running == 0`` per CPU, as of the last
+        #: reconcile, and the CPUs queued since (flag-deduped, like the
+        #: dirty list).  A flip and its undo between two reconciles --
+        #: ``pick_next_task``'s take/set_current pair -- cancel out.
+        self._idle = [cpu.rq._nr_running == 0 for cpu in sched.cpus]
+        self._idle_queued = [False] * n
+        self._idle_q: List[int] = []
+        #: CPUs whose ``idle_since_us`` is set, in assignment order (a
+        #: dict used as an ordered set), fed by ``Cpu.idle_since_us``'s
+        #: setter.  While every assignment is at least the previous one
+        #: (simulated time only moves forward) the order is also by
+        #: ``idle_since_us``; one that is not clears ``_idle_ordered``
+        #: and the wakeup search scans from then on.
+        boot = sorted(
+            (c for c in sched.cpus if c.idle_since_us is not None),
+            key=lambda c: (c.idle_since_us, c.cpu_id),
+        )
+        self._idle_entries: Dict[int, None] = dict.fromkeys(
+            c.cpu_id for c in boot
+        )
+        self._idle_last = boot[-1].idle_since_us if boot else 0
+        self._idle_ordered = True
         self._sanitize = sched.features.sanitize_coherence
         self._use_min = sched.features.fix_group_imbalance
 
@@ -235,34 +289,79 @@ class VecState:
     def mark_idle_change(self, cpu_id: int) -> None:
         """This CPU crossed the idle<->busy boundary.
 
-        Wired next to the queue's ``idle_epoch.bump()`` sites.  Elections
-        read only idle/online flags, so instead of dropping the whole
-        election memo on the (global) idle epoch -- which sleeper churn
-        bumps thousands of times a second -- only the entries whose mask
-        includes this CPU are dropped, via the reverse index.
+        Wired next to the queue's ``idle_epoch.bump()`` sites.  The flip
+        is only queued; the next election or gate query reconciles the
+        queue (:meth:`_reconcile`), so a flip undone before then costs
+        nothing.
         """
-        bucket = self._desig_by_cpu[cpu_id]
-        if bucket:
-            designated = self._designated
-            for gid in bucket:
-                designated.pop(gid, None)
-            bucket.clear()
-        self._gate_tok += 1
+        if not self._idle_queued[cpu_id]:
+            self._idle_queued[cpu_id] = True
+            self._idle_q.append(cpu_id)
+
+    def _reconcile(self) -> None:
+        """Fold the queued idle flips into the election memo and gates.
+
+        A queued CPU whose idleness equals its mirrored flag flipped and
+        flipped back: nothing an election reads changed.  For a real
+        change, every memoized group whose mask holds the CPU is
+        re-elected, and a changed winner has its gate disarmed -- the
+        only CPU that may have gained a due level.  Elections read the
+        queues directly, so the order the queue drains in is immaterial.
+
+        The election is ``_elect_designated``'s rule, inlined over the
+        entry's cached mask: this runs ahead of every gate and election
+        query, and the sanitizer re-elects through the original on
+        every memo hit and gated skip.
+        """
+        cpus = self.sched.cpus
+        idle = self._idle
+        queued = self._idle_queued
+        by_cpu = self._desig_by_cpu
+        winners = self._winners
+        for c in self._idle_q:
+            queued[c] = False
+            flag = cpus[c].rq._nr_running == 0
+            if flag == idle[c]:
+                continue
+            idle[c] = flag
+            for entry in by_cpu[c]:
+                winner = -1
+                for cand in entry.mask:
+                    cpu = cpus[cand]
+                    if not cpu.online:
+                        continue
+                    if cpu.rq._nr_running == 0:
+                        winner = cand
+                        break
+                    if winner < 0:
+                        winner = cand
+                if winner != winners[entry.slot]:
+                    winners[entry.slot] = winner
+                    if winner >= 0:
+                        self._gate[winner] = 0
+                        self._gate_ep[winner] += 1
+                        self._disarms += 1
+        self._idle_q.clear()
 
     def on_topology_change(self) -> None:
         """Hotplug rebuilt the domains: drop every interned index/memo."""
         self._gidx.clear()
         self._gstats.clear()
         self._designated.clear()
+        del self._winners[:]
         for bucket in self._desig_by_cpu:
-            bucket.clear()
+            del bucket[:]
         self._domains.clear()
         self._loads_at = -1
         self._version += 1
         self._grp_dirty.clear()
         for lst in self._slot_grps:
             del lst[:]
-        self._gate_tok += 1
+        # The plans and elections every gate was computed from are gone.
+        for i in range(self._n):
+            self._gate[i] = 0
+            self._gate_ep[i] += 1
+        self._disarms += 1
 
     def _check_epochs(self) -> None:
         # Re-checked per lookup: divisor bumps re-weight loads without
@@ -500,19 +599,22 @@ class VecState:
     def designated_for(self, group: "SchedGroup") -> int:
         """Memoized designated-balancer election for one local group.
 
-        Valid until a mask member crosses the idle<->busy boundary
-        (:meth:`mark_idle_change`) or hotplug rebuilds the topology --
-        the only inputs an election reads.
+        Kept current by :meth:`_reconcile`, which re-elects the entry
+        whenever a mask member really crossed the idle<->busy boundary;
+        hotplug (the other election input) drops the memo.
         """
-        # Memo probe first: the common caller (a due periodic-balance
-        # level) hits it thousands of times between invalidations.
+        if self._idle_q:
+            self._reconcile()
+        # Memo probe first: the common caller (a periodic-balance
+        # level) hits it thousands of times between re-elections.
         entry = self._designated.get(id(group))
         if entry is not None:
+            winner = self._winners[entry.slot]
             if self._sanitize:
                 verify_designated(
-                    group, entry[1], _elect_designated(self.sched, group)
+                    group, winner, _elect_designated(self.sched, group)
                 )
-            return entry[1]
+            return winner
         mask = group.sorted_balance_mask()
         if len(mask) == 1:
             # One-CPU masks elect themselves; no memo traffic needed
@@ -520,10 +622,12 @@ class VecState:
             only = mask[0]
             return only if self.sched.cpus[only].online else -1
         winner = _elect_designated(self.sched, group)
-        self._designated[id(group)] = (group, winner)
+        entry = _Election(group, len(self._winners))
+        self._winners.append(winner)
+        self._designated[id(group)] = entry
         by_cpu = self._desig_by_cpu
         for c in mask:
-            by_cpu[c][id(group)] = True
+            by_cpu[c].append(entry)
         return winner
 
     # -- periodic-balance gate ---------------------------------------------
@@ -532,48 +636,100 @@ class VecState:
         """True when this CPU's whole domain walk is provably a no-op.
 
         The gate holds the earliest ``next_balance`` deadline among the
-        levels this CPU currently wins, stamped by its last real walk.
-        While the gate is live (armed at the current flip token) and
-        sits in the future, no level is both due and won, and a walk
-        that attempts nothing emits no events, stamps no deadline, and
-        moves no task -- so skipping it wholesale is digest-invisible.
-        Election shifts that could promote the CPU to winner of an
-        already-due level come only from idle<->busy churn or hotplug;
-        both bump the flip token, disarming every gate in O(1).
-        """
-        return (
-            self._gate_arm[cpu_id] == self._gate_tok
-            and self._gate[cpu_id] > now
-        )
+        levels this CPU won at its last real walk.  While it sits in the
+        future, no level is both due and won, and a walk that attempts
+        nothing emits no events, stamps no deadline, and moves no task
+        -- so skipping it wholesale is digest-invisible.  Winning a new
+        level (an election shift reconciled from idle flips) or hotplug
+        disarms the gate; losing one leaves it early, which is safe.
 
-    def gate_token(self) -> int:
-        """The global flip token; snapshot before a walk (see set_gate)."""
-        return self._gate_tok
+        Queued flips are not reconciled here: while any is pending the
+        answer is False (walk).  Read :meth:`gate_token` first, which
+        reconciles, to get the precise answer.
+        """
+        return not self._idle_q and self._gate[cpu_id] > now
+
+    def gate_token(self, cpu_id: int) -> int:
+        """This CPU's arming epoch, after reconciling queued idle flips.
+
+        Read it before :meth:`gated` and keep it for :meth:`set_gate`.
+        """
+        if self._idle_q:
+            self._reconcile()
+        return self._gate_ep[cpu_id]
+
+    def disarm_token(self) -> int:
+        """A counter that moves whenever any gate is disarmed."""
+        if self._idle_q:
+            self._reconcile()
+        return self._disarms
 
     def set_gate(self, cpu_id: int, stamp: int, tok: int) -> None:
         """Arm the walk's earliest next deadline for this CPU.
 
-        Refused if the token moved since ``tok`` was read: the walk's
-        own migrations can flip idle states that re-elect this very
-        CPU, and the walk's deadline is stale the moment they do.
+        Refused if the CPU's arming epoch moved since ``tok`` was read:
+        the walk's own migrations can flip idle states that re-elect
+        this very CPU, and the walk's deadline is stale the moment they
+        do.
         """
-        if self._gate_tok == tok:
+        if self._idle_q:
+            self._reconcile()
+        if self._gate_ep[cpu_id] == tok:
             self._gate[cpu_id] = stamp
-            self._gate_arm[cpu_id] = tok
 
     def balance_due(self, now: int) -> List[int]:
         """CPU ids whose gate expired or is disarmed, ascending.
 
-        One two-array reduction over the deadline and arming-token
-        mirrors -- "which CPUs need balancing now" without touching the
-        CPUs that provably do not.
+        One reduction over the deadline mirror -- "which CPUs need
+        balancing now" without touching the CPUs that provably do not.
         """
+        if self._idle_q:
+            self._reconcile()
         gates = self._gate
-        arms = self._gate_arm
-        tok = self._gate_tok
-        return [
-            i for i in range(self._n) if gates[i] <= now or arms[i] != tok
-        ]
+        return [i for i in range(self._n) if gates[i] <= now]
+
+    # -- idle-entry list ---------------------------------------------------
+
+    def note_idle_since(self, cpu_id: int, since: Optional[int]) -> None:
+        """``Cpu.idle_since_us`` was assigned: move the CPU to the tail."""
+        entries = self._idle_entries
+        entries.pop(cpu_id, None)
+        if since is not None:
+            if since < self._idle_last:
+                self._idle_ordered = False
+            else:
+                self._idle_last = since
+            entries[cpu_id] = None
+
+    def longest_idle(self, task: "Task", now: int) -> int:
+        """The scan's longest-idle answer from the idle-entry list, or -1.
+
+        Walks the list from its head -- the oldest ``idle_since_us``
+        first -- and stops past the first valid timestamp; equal
+        timestamps go to the lowest id, as in the scan.  Returns -1
+        whenever the list cannot decide: the order was broken, nothing
+        on it qualifies, or the best timestamp is not before ``now`` (an
+        empty queue whose ``idle_since_us`` is None ranks as ``now`` in
+        the scan and is not on the list).
+        """
+        if not self._idle_ordered:
+            return -1
+        cpus = self.sched.cpus
+        allowed = task.can_run_on
+        best = -1
+        best_since = now
+        for c in self._idle_entries:
+            cpu = cpus[c]
+            since = cpu._idle_since_us
+            if best >= 0 and since != best_since:
+                break
+            if cpu.online and cpu.rq._nr_running == 0 and allowed(c):
+                if best < 0 or c < best:
+                    best = c
+                    best_since = since  # type: ignore[assignment]
+        if best < 0 or best_since >= now:
+            return -1
+        return best
 
     # -- bulk busiest-group selection --------------------------------------
 
@@ -779,7 +935,7 @@ class VecState:
             "load": [float(v) for v in self._loads],
             "nr_running": nrs,
             "vruntime_floor": [c.rq.min_vruntime for c in sched.cpus],
-            "idle": [n == 0 for n in nrs],
+            "idle": [c.online and n == 0 for c, n in zip(sched.cpus, nrs)],
             "online": [c.online for c in sched.cpus],
             "epochs": {
                 "load": sched.load_epoch.value,

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
+from repro.sched.sanitizer import verify_idle_sibling, verify_longest_idle
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
     from repro.sched.scheduler import Scheduler
@@ -104,14 +106,72 @@ def _mainline_wake(
     return _select_idle_sibling(sched, task, target, now)
 
 
+def _probe_consumes(sched: "Scheduler") -> bool:
+    """True when a probe records the cores a decision considered."""
+    probe = sched.probe
+    return probe.active and probe.wants_balance()
+
+
 def _select_idle_sibling(
     sched: "Scheduler", task: "Task", target: int, now: int
 ) -> int:
     """An idle allowed core in ``target``'s LLC domain, else ``target``.
 
     This never looks outside the node -- exactly the scoping that causes
-    wakeups to pile onto busy cores while remote nodes sit idle.
+    wakeups to pile onto busy cores while remote nodes sit idle.  The
+    fast path answers from the topology's sorted sibling tuples without
+    building the candidate list, which only a recording probe reads.
     """
+    if sched.vec is None or _probe_consumes(sched):
+        return _scan_idle_sibling(sched, task, target, now)
+    pick = _fast_idle_sibling(sched, task, target, now)
+    if sched.features.sanitize_coherence:
+        verify_idle_sibling(
+            target, pick, _scan_idle_sibling(sched, task, target, now)
+        )
+    return pick
+
+
+def _fast_idle_sibling(
+    sched: "Scheduler", task: "Task", target: int, now: int
+) -> int:
+    """:func:`_scan_idle_sibling`'s answer, in its order, list-free."""
+    cpus = sched.cpus
+    topo = sched.topology
+    allowed = task.can_run_on
+    if allowed(target) and cpus[target].is_idle:
+        return target
+    # SMT siblings share the node, so the sorted sibling tuple visits
+    # them in the LLC scan's order.
+    for c in topo.sorted_smt_siblings(target):
+        cpu = cpus[c]
+        if cpu.online and cpu.rq._nr_running == 0 and allowed(c):
+            return c
+    llc = topo.sorted_llc_siblings(target)
+    for c in llc:
+        cpu = cpus[c]
+        if cpu.online and cpu.rq._nr_running == 0 and allowed(c):
+            return c
+    if allowed(target):
+        return target
+    best = -1
+    best_load = 0.0
+    for c in llc:
+        cpu = cpus[c]
+        if cpu.online and allowed(c):
+            load = cpu.rq.load(now)
+            if best < 0 or load < best_load:
+                best = c
+                best_load = load
+    if best >= 0:
+        return best
+    return _any_allowed_cpu(sched, task, target)
+
+
+def _scan_idle_sibling(
+    sched: "Scheduler", task: "Task", target: int, now: int
+) -> int:
+    """The reference idle-sibling search over the candidate list."""
     topo = sched.topology
     candidates = [
         c
@@ -155,8 +215,25 @@ def _longest_idle_cpu(
     """The allowed online core idle for the longest time, if any.
 
     The kernel keeps idle cores in a list ordered by idle entry, so taking
-    the head is O(1); our scan is O(cpus) but equivalent in result.
+    the head is O(1).  The fast path does the same with VecState's
+    idle-entry list (:meth:`~repro.sched.vecstate.VecState.longest_idle`)
+    and scans only when the list cannot decide or a probe records the
+    considered cores; the reference path always scans.
     """
+    vec = sched.vec
+    if vec is not None and not _probe_consumes(sched):
+        best = vec.longest_idle(task, now)
+        if best >= 0:
+            if sched.features.sanitize_coherence:
+                verify_longest_idle(best, _scan_longest_idle(sched, task, now))
+            return best
+    return _scan_longest_idle(sched, task, now)
+
+
+def _scan_longest_idle(
+    sched: "Scheduler", task: "Task", now: int
+) -> Optional[int]:
+    """The reference longest-idle search: every CPU, O(cpus)."""
     best: Optional[int] = None
     best_since: Optional[int] = None
     considered: List[int] = []

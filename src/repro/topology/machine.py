@@ -10,6 +10,7 @@ is a NUMA node of eight cores), and how the NUMA nodes are wired together
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.topology.interconnect import Interconnect
@@ -56,6 +57,44 @@ class MachineSpec:
     interconnect_name: str = "HyperTransport 3.0"
     caches: str = "768 KB L1, 16 MB L2, 12 MB L3 per CPU"
     extra: Dict[str, str] = field(default_factory=dict)
+
+
+_SiblingTables = Tuple[
+    Tuple[Tuple[int, ...], ...],
+    Tuple[FrozenSet[int], ...],
+    Tuple[Tuple[int, ...], ...],
+    Tuple[FrozenSet[int], ...],
+]
+
+
+@lru_cache(maxsize=None)
+def _sibling_tables(
+    nodes: int, cores_per_node: int, smt_width: int
+) -> _SiblingTables:
+    """Per-CPU (SMT tuple, SMT set, LLC tuple, LLC set), ascending.
+
+    A pure function of the machine's shape, so every topology of one
+    shape -- every scheduler and simulation built on it -- shares one
+    copy of these immutable answers.
+    """
+    smt: List[Tuple[int, ...]] = []
+    llc: List[Tuple[int, ...]] = []
+    for node_id in range(nodes):
+        first = node_id * cores_per_node
+        last = first + cores_per_node
+        for base in range(first, last, smt_width):
+            smt.extend([tuple(range(base, base + smt_width))] * smt_width)
+        llc.extend([tuple(range(first, last))] * cores_per_node)
+    sets: Dict[Tuple[int, ...], FrozenSet[int]] = {}
+    for cpus in smt + llc:
+        if cpus not in sets:
+            sets[cpus] = frozenset(cpus)
+    return (
+        tuple(smt),
+        tuple(sets[cpus] for cpus in smt),
+        tuple(llc),
+        tuple(sets[cpus] for cpus in llc),
+    )
 
 
 class MachineTopology:
@@ -123,6 +162,9 @@ class MachineTopology:
                 self.cores.append(Core(cpu_id, node_id, smt_id))
                 cpu_ids.append(cpu_id)
             self.nodes.append(Node(node_id, tuple(cpu_ids)))
+        self._smt, self._smt_sets, self._llc, self._llc_sets = _sibling_tables(
+            nodes, cores_per_node, smt_width
+        )
 
     @property
     def num_cpus(self) -> int:
@@ -156,16 +198,19 @@ class MachineTopology:
 
     def smt_siblings(self, cpu_id: int) -> FrozenSet[int]:
         """CPUs sharing functional units with ``cpu_id`` (including it)."""
-        core = self.core(cpu_id)
-        return frozenset(
-            c.cpu_id
-            for c in self.cores
-            if c.node_id == core.node_id and c.smt_id == core.smt_id
-        )
+        return self._smt_sets[self.core(cpu_id).cpu_id]
+
+    def sorted_smt_siblings(self, cpu_id: int) -> Tuple[int, ...]:
+        """:meth:`smt_siblings` as an ascending tuple."""
+        return self._smt[self.core(cpu_id).cpu_id]
 
     def llc_siblings(self, cpu_id: int) -> FrozenSet[int]:
         """CPUs sharing the last-level cache (= the node) with ``cpu_id``."""
-        return frozenset(self.cpus_of_node(self.node_of(cpu_id)))
+        return self._llc_sets[self.core(cpu_id).cpu_id]
+
+    def sorted_llc_siblings(self, cpu_id: int) -> Tuple[int, ...]:
+        """:meth:`llc_siblings` as an ascending tuple."""
+        return self._llc[self.core(cpu_id).cpu_id]
 
     def all_cpus(self) -> FrozenSet[int]:
         """The full CPU set of the machine."""

@@ -11,8 +11,13 @@ and each seeded un-bumped mutation (the exact bug class the static
 import pytest
 
 from repro.experiments.scenarios import build_bug_scenario
+from repro.sched import balance as lb
+from repro.sched import wakeup as wk
 from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import FACTS, CoherenceError
+from repro.sched.scheduler import Scheduler
+from repro.sched.task import Task
+from repro.topology import two_nodes
 
 ALL_BUGS = (
     "group-imbalance",
@@ -153,3 +158,40 @@ def test_trips_on_group_stats_drift():
     with pytest.raises(CoherenceError):
         vstate.group_stats(group)
     victim._nr_running -= 1
+
+
+def test_trips_on_stale_balance_gate():
+    """A gate armed past a due level this CPU wins hides a walk."""
+    scenario = build("group-imbalance")
+    scenario.run(SOAK_US // 2)
+    sched = scenario.system.scheduler
+    cpu_id = next(c.cpu_id for c in sched.cpus if c.rq.curr is not None)
+    # The bottom level is always won (a one-CPU mask), and half a
+    # second on it is long past due.
+    later = scenario.system.now + 500_000
+    sched.vec._gate[cpu_id] = later + 1  # planted: no disarm, no walk
+    with pytest.raises(CoherenceError) as exc:
+        lb.periodic_balance(
+            sched, cpu_id, later, bpass=sched.vec_pass(later)
+        )
+    assert exc.value.accessor == "balance-gate"
+    assert f"cpu {cpu_id}" in exc.value.field
+
+
+def test_trips_on_stale_idle_entry_list():
+    """The longest-idle CPU missing from the idle-entry list."""
+    sched = Scheduler(
+        two_nodes(cores_per_node=4),
+        sanitized(SchedFeatures().with_fixes("overload_on_wakeup")),
+    )
+    for cpu_id in range(4):
+        sched.enqueue_task_on(Task(f"busy{cpu_id}"), cpu_id, 0)
+        sched.pick_next_task(cpu_id, 0)
+    task = Task("waker")
+    sched.register_task(task)
+    assert wk._longest_idle_cpu(sched, task, 1000) == 4  # boot ties: id 4
+    del sched.vec._idle_entries[4]  # planted: CPU 4 idle but unlisted
+    with pytest.raises(CoherenceError) as exc:
+        wk._longest_idle_cpu(sched, task, 1000)
+    assert exc.value.accessor == "idle-entry-list"
+    assert (exc.value.cached, exc.value.fresh) == (5, 4)

@@ -16,11 +16,20 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 import repro
-from repro.sched.balance import _fold_group_stats, find_busiest_group
+from repro.sched import wakeup as wk
+from repro.sched.balance import (
+    _elect_designated,
+    _fold_group_stats,
+    find_busiest_group,
+)
 from repro.sched.features import SchedFeatures
-from repro.sched.task import Task
+from repro.sched.scheduler import Scheduler
+from repro.sched.task import Task, TaskState
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology import two_nodes
@@ -180,29 +189,37 @@ def _wide_group(sched):
     pytest.skip("topology has no multi-CPU balance mask")
 
 
-def test_designated_memo_invalidated_per_cpu_on_idle_change():
+def test_designated_memo_tracks_election_on_idle_change():
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(10 * MS)
-    vstate = sched.vec.begin(system.now)
+    now = system.now
+    vstate = sched.vec.begin(now)
     group = _wide_group(sched)
     winner = vstate.designated_for(group)
     assert id(group) in vstate._designated
     assert vstate.designated_for(group) == winner  # memo hit
-    # An idle<->busy transition on a mask member drops exactly the
-    # entries registered against that CPU.
-    member = group.sorted_balance_mask()[0]
-    vstate.mark_idle_change(member)
-    assert id(group) not in vstate._designated
-    # Non-members are untouched: re-memoize, poke an unrelated CPU.
-    vstate.designated_for(group)
-    outside = [
-        c.cpu_id for c in sched.cpus
-        if c.cpu_id not in group.sorted_balance_mask()
-    ]
-    if outside:
-        vstate.mark_idle_change(outside[0])
+    # A flip is only queued; the entry survives it and is re-elected at
+    # the next query, so it always equals a from-scratch election.
+    seen = {winner}
+    for member in group.sorted_balance_mask():
+        rq = sched.cpus[member].rq
+        if rq.nr_running == 0:
+            rq.enqueue(Task(f"poke{member}"), now)
+        else:
+            task = next(iter(rq.queued_tasks()), None)
+            if task is None:
+                continue
+            rq.take(task, now)
         assert id(group) in vstate._designated
+        assert vstate.designated_for(group) == _elect_designated(sched, group)
+        entry = vstate._designated[id(group)]
+        assert vstate._winners[entry.slot] == _elect_designated(sched, group)
+        seen.add(vstate._winners[entry.slot])
+    assert len(seen) > 1  # some flip really moved the election
+    # A bare mark without a real change re-elects nothing new.
+    vstate.mark_idle_change(group.sorted_balance_mask()[0])
+    assert vstate.designated_for(group) == _elect_designated(sched, group)
 
 
 def test_hotplug_drops_interned_indices_and_balance_plans():
@@ -229,6 +246,242 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
             sched.domain_builder.generation
         )
     system.hotplug_cpu(1, True)
+
+
+# ----------------------------------------------- periodic-balance gates
+
+
+def _occupied_sched(features, idle=(2,)):
+    """two_nodes(4) with one running task on every CPU but ``idle``."""
+    sched = Scheduler(two_nodes(cores_per_node=4), features)
+    for cpu in sched.cpus:
+        if cpu.cpu_id not in idle:
+            _run_on(sched, cpu.cpu_id, 0)
+    return sched
+
+
+def _run_on(sched, cpu_id, now):
+    task = Task(f"run{cpu_id}@{now}")
+    sched.enqueue_task_on(task, cpu_id, now)
+    assert sched.pick_next_task(cpu_id, now) is task
+    return task
+
+
+def _tick_to(sched, until_us):
+    for now in range(MS, until_us + 1, MS):
+        sched.tick(now)
+
+
+def test_snapshot_reports_offline_cpu_not_idle():
+    sched = _occupied_sched(SchedFeatures(), idle=(2, 6))
+    sched.set_cpu_online(6, False, 0)
+    snap = sched.vec.begin(0).snapshot()
+    assert snap["online"][6] is False
+    assert snap["idle"][6] is False  # nr_running is 0, but it is offline
+    assert snap["idle"][2] is True
+    assert snap["idle"] == [cpu.is_idle for cpu in sched.cpus]
+
+
+def test_transient_take_set_current_pair_disarms_no_gate():
+    sched = _occupied_sched(SchedFeatures())
+    _tick_to(sched, 10 * MS)
+    vec = sched.vec
+    now = 10 * MS + 500
+    sched.enqueue_task_on(Task("queued"), 2, now)  # a real flip
+    vec.disarm_token()  # reconcile it
+    gates, epochs, disarms = list(vec._gate), list(vec._gate_ep), vec._disarms
+    # pick_next_task takes the task (1 -> 0) and installs it (0 -> 1).
+    assert sched.pick_next_task(2, now) is not None
+    assert vec._idle_q == [2]
+    assert vec.disarm_token() == disarms
+    assert vec._gate == gates
+    assert vec._gate_ep == epochs
+
+
+def test_flip_outside_every_mask_keeps_gate_armed():
+    sched = _occupied_sched(SchedFeatures(), idle=(2, 5))
+    _tick_to(sched, 10 * MS)
+    vec = sched.vec
+    now = 10 * MS
+    masks = set()
+    for domain in sched.domain_builder.domains_of(0):
+        masks.update(domain.local_group(0).sorted_balance_mask())
+    assert 5 not in masks
+    epoch = vec.gate_token(0)
+    assert vec.gated(0, now)
+    gate = vec._gate[0]
+    disarms = vec._disarms
+    sched.enqueue_task_on(Task("outside"), 5, now)  # 5 idle -> busy
+    assert not vec.gated(0, now)  # a queued flip: no precise answer yet
+    assert vec.gate_token(0) == epoch  # reconciled: 0 was not disarmed
+    assert vec.gated(0, now)
+    assert vec._gate[0] == gate
+    assert vec._disarms > disarms  # 5's own node did re-elect
+
+
+def _winner_gain(features):
+    """Node 0's NUMA winner moves from idle CPU 2 to CPU 0, then a tick."""
+    sched = _occupied_sched(features)
+    _tick_to(sched, 10 * MS)
+    vec = sched.vec
+    epochs = list(vec._gate_ep) if vec is not None else None
+    _run_on(sched, 2, 10 * MS + 500)  # node 0 has no idle CPU left
+    changed = None
+    if vec is not None:
+        vec.disarm_token()
+        changed = [
+            c for c in range(len(epochs)) if vec._gate_ep[c] != epochs[c]
+        ]
+    sched.tick(11 * MS)
+    return sched, changed
+
+
+def test_winner_gain_disarms_exactly_that_cpu_and_balances_like_reference():
+    fast, changed = _winner_gain(SchedFeatures())
+    reference, _ = _winner_gain(SchedFeatures().with_fastpath(False))
+    assert changed == [0]
+    numa = fast.domain_builder.domains_of(0)[1]
+    # CPU 0 won the never-balanced NUMA level and walked it at once.
+    assert fast.cpus[0].next_balance_us[numa.level] == (
+        11 * MS + numa.balance_interval_us
+    )
+    assert [c.next_balance_us for c in fast.cpus] == [
+        c.next_balance_us for c in reference.cpus
+    ]
+    assert fast.balance_calls == reference.balance_calls
+
+
+# ------------------------------------------------- differential machine
+
+
+class FastAnswersMachine(RuleBasedStateMachine):
+    """Random scheduler churn; the fast path's memoized elections and
+    list-based wake targets must equal the from-scratch answers."""
+
+    def __init__(self):
+        super().__init__()
+        self.sched = Scheduler(
+            two_nodes(cores_per_node=4, smt_width=2),
+            SchedFeatures().with_fixes("overload_on_wakeup"),
+        )
+        self.now = 0
+        self.parked = []
+
+    def _advance(self, dt):
+        self.now += dt
+        return self.now
+
+    def _online(self):
+        return [c.cpu_id for c in self.sched.cpus if c.online]
+
+    def _queued(self):
+        return [
+            (cpu.cpu_id, task)
+            for cpu in self.sched.cpus
+            for task in cpu.rq.queued_tasks()
+        ]
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def enqueue(self, data, dt):
+        cpu_id = data.draw(st.sampled_from(self._online()))
+        task = Task(f"t{len(self.sched.tasks)}")
+        self.sched.enqueue_task_on(task, cpu_id, self._advance(dt))
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def take(self, data, dt):
+        queued = self._queued()
+        if queued:
+            cpu_id, task = data.draw(st.sampled_from(queued))
+            self.sched.cpu(cpu_id).rq.take(task, self._advance(dt))
+            task.state = TaskState.SLEEPING
+            self.parked.append(task)
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def set_current(self, data, dt):
+        idle = [
+            c for c in self._online() if self.sched.cpu(c).rq.curr is None
+        ]
+        if idle:
+            self.sched.pick_next_task(
+                data.draw(st.sampled_from(idle)), self._advance(dt)
+            )
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def stop_current(self, data, dt):
+        busy = [c.cpu_id for c in self.sched.cpus if c.rq.curr is not None]
+        if busy:
+            task = self.sched.deschedule(
+                data.draw(st.sampled_from(busy)), self._advance(dt), False
+            )
+            task.state = TaskState.SLEEPING
+            self.parked.append(task)
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def migrate(self, data, dt):
+        queued = self._queued()
+        if queued:
+            src, task = data.draw(st.sampled_from(queued))
+            dst = data.draw(st.sampled_from(self._online()))
+            if dst != src and task.can_run_on(dst):
+                self.sched.migrate_task(
+                    task, src, dst, self._advance(dt), "test"
+                )
+
+    @rule(dt=st.integers(0, 2 * MS))
+    def tick(self, dt):
+        self.sched.tick(self._advance(dt))
+
+    @rule(data=st.data(), dt=st.integers(0, 2 * MS))
+    def hotplug(self, data, dt):
+        now = self._advance(dt)
+        cpu_id = data.draw(st.sampled_from(range(len(self.sched.cpus))))
+        cpu = self.sched.cpu(cpu_id)
+        if not cpu.online:
+            self.sched.set_cpu_online(cpu_id, True, now)
+        elif len(self._online()) > 1:
+            running = self.sched.deschedule(cpu_id, now, requeue=False)
+            if running is not None:
+                running.state = TaskState.BLOCKED
+                self.parked.append(running)
+            self.parked.extend(self.sched.set_cpu_online(cpu_id, False, now))
+
+    @rule(data=st.data())
+    def affinity(self, data):
+        if self.parked:
+            task = data.draw(st.sampled_from(self.parked))
+            cpus = data.draw(
+                st.frozensets(st.sampled_from(range(8)), min_size=1)
+            )
+            task.set_affinity(cpus)
+
+    @invariant()
+    def elections_are_current(self):
+        vec = self.sched.vec
+        vec.disarm_token()
+        for entry in vec._designated.values():
+            assert vec._winners[entry.slot] == _elect_designated(
+                self.sched, entry.group
+            )
+
+    @invariant()
+    def wake_targets_match_scans(self):
+        probes = self.parked or [Task("probe")]
+        for task in probes:
+            if not any(task.can_run_on(c) for c in self._online()):
+                continue
+            fast = self.sched.vec.longest_idle(task, self.now)
+            if fast >= 0:
+                assert fast == wk._scan_longest_idle(self.sched, task, self.now)
+            for target in self._online():
+                assert wk._fast_idle_sibling(
+                    self.sched, task, target, self.now
+                ) == wk._scan_idle_sibling(self.sched, task, target, self.now)
+
+
+FastAnswersMachine.TestCase.settings = settings(
+    max_examples=60, stateful_step_count=40, deadline=None
+)
+TestFastAnswers = FastAnswersMachine.TestCase
 
 
 # ------------------------------------------------- busiest-group selection
