@@ -176,7 +176,6 @@ _ITER_DOMAIN_FIELDS: Dict[Tuple[str, str], str] = {
     ("VecState", "_dirty_list"): "cpus",
     ("VecState", "_desig_by_cpu"): "cpus",
     ("VecState", "_idle_q"): "cpus",
-    ("VecState", "_idle_entries"): "cpus",
     ("_Election", "mask"): "cpus",
     ("_DomainCache", "entries"): "groups",
     ("_DomainCache", "examined"): "cpus",

@@ -630,11 +630,10 @@ HOT_ROOTS: Dict[str, Tuple[Optional[str], str]] = {
     "vec-fold": ("VecState", "_fold_entry"),
     "vec-find-busiest": ("VecState", "find_busiest"),
     "vec-designated": ("VecState", "designated_for"),
-    # The periodic/NOHZ balance-driver reductions over the per-CPU
-    # next-balance deadline array, and the lazy fold of queued idle
-    # flips into the election memo and the gates that every gate and
-    # election query runs first.
-    "vec-balance-gate": ("VecState", "gated"),
+    # The NOHZ balance driver's reduction over the per-CPU next-balance
+    # deadline array, and the lazy fold of queued idle flips into the
+    # election memo and the gates that every gate and election query
+    # runs first.
     "vec-balance-due": ("VecState", "balance_due"),
     "vec-reconcile": ("VecState", "_reconcile"),
 }

@@ -60,11 +60,9 @@ DECLARED_ALLOC: Dict[str, str] = {
     "vec-find-busiest": "amortized",
     # Designated memo over the columnar mirror.
     "vec-designated": "amortized",
-    # Whole-walk balance gate: a field read behind the reconcile.
-    "vec-balance-gate": "alloc-free",
     # The due-CPU reduction materializes the ascending id list per call.
     "vec-balance-due": "allocating",
-    # Queued idle flips re-elect memo entries in place (winner slot
+    # Queued idle flips re-elect memo entries in place (winner
     # rewritten, gate and epoch slots stored): no allocation.
     "vec-reconcile": "alloc-free",
 }

@@ -449,12 +449,11 @@ def periodic_balance(
         # that makes this CPU the winner of another level disarms its
         # gate (see VecState._reconcile); ``force`` bypasses the check
         # and leaves the gate untouched (force only pushes deadlines
-        # later, so the gate stays early).  The epoch read reconciles
-        # queued idle flips first; set_gate refuses the final stamp if
-        # the epoch moved under the walk (its own migrations flip idle
-        # states that may re-elect this very CPU).
-        gate_tok = bpass.gate_token(cpu_id)
-        if not force and bpass.gated(cpu_id, now):
+        # later, so the gate stays early).  set_gate refuses the final
+        # stamp if the CPU's arming epoch moved under the walk (its own
+        # migrations flip idle states that may re-elect this very CPU).
+        gate_tok = bpass.walk_token(cpu_id, now)
+        if gate_tok < 0 and not force:
             if sched.features.sanitize_coherence:
                 _verify_gated_skip(sched, cpu_id, now)
             return 0

@@ -39,9 +39,9 @@ class Cpu:
         )
         #: Hotplug state; offline CPUs host no tasks and join no domain.
         self.online = True
-        #: See :attr:`idle_since_us`.  CPUs boot idle and tickless, so
-        #: they are NOHZ-balanceable from time zero.
-        self._idle_since_us: Optional[int] = 0
+        #: Timestamp the CPU last became idle; None while busy.  CPUs boot
+        #: idle and tickless, so they are NOHZ-balanceable from time zero.
+        self.idle_since_us: Optional[int] = 0
         #: True when the CPU stopped its periodic tick (tickless idle).
         self.tickless = True
         #: Set when this idle CPU was kicked to act as the NOHZ balancer.
@@ -63,21 +63,6 @@ class Cpu:
         #: (see ``periodic_balance``).
         self.balance_plan: Optional[list] = None
         self.balance_plan_gen = -1
-
-    def _get_idle_since(self) -> Optional[int]:
-        return self._idle_since_us
-
-    def _set_idle_since(self, since: Optional[int]) -> None:
-        self._idle_since_us = since
-        vec = self.rq.vec
-        if vec is not None:
-            vec.note_idle_since(self.cpu_id, since)
-
-    #: Timestamp the CPU last became idle; None while busy.  Every
-    #: assignment also reaches the fast path's idle-entry list
-    #: (:meth:`~repro.sched.vecstate.VecState.note_idle_since`), so the
-    #: longest-idle wakeup search never reads a stale order.
-    idle_since_us = property(_get_idle_since, _set_idle_since)
 
     @property
     def is_idle(self) -> bool:

@@ -160,14 +160,6 @@ def verify_gated_skip(
             )
 
 
-def verify_longest_idle(cached: int, fresh: Optional[int]) -> None:
-    """Cross-check the idle-entry list's answer against the full scan."""
-    if cached != fresh:
-        raise CoherenceError(
-            "idle-entry-list", "longest-idle cpu", cached, fresh
-        )
-
-
 def verify_idle_sibling(target: int, cached: int, fresh: int) -> None:
     """Cross-check the fast idle-sibling pick against the LLC scan."""
     if cached != fresh:

@@ -29,10 +29,6 @@ flipped CPU and disarms only a changed winner, through a per-CPU arming
 epoch.  A CPU that loses a level keeps a gate that is merely early, and
 an early gate only costs one real (and exact) walk.
 
-**Idle-entry list.**  The CPUs whose ``Cpu.idle_since_us`` is set, in
-assignment order, so the Overload-on-Wakeup fix's longest-idle search
-starts at the head like the kernel's idle-core list (:meth:`longest_idle`).
-
 Group folds gather member slots through pre-built gather plans (one per
 interned :class:`~repro.sched.domains.SchedGroup`) and reduce them with
 one in-frame loop, so folded :class:`~repro.sched.balance.GroupStats`
@@ -85,7 +81,6 @@ from repro.sched.sanitizer import verify_designated, verify_group_stats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
     from repro.sched.scheduler import Scheduler
-    from repro.sched.task import Task
 
 #: A group's cached gather plan: (group, online members sorted, member
 #: count).  The group reference keeps the interned object alive so its
@@ -145,20 +140,20 @@ class _DomainCache:
 
 
 class _Election:
-    """One memoized designated-balancer election (see ``designated_for``).
+    """The inputs of one memoized designated-balancer election.
 
-    Immutable: the winner lives in the owning VecState's ``_winners``
-    list at ``slot``, so re-elections write only the mirror's own state.
+    The winner itself is the value of ``VecState._designated``: a write
+    to this object would be a foreign-receiver effect on the balance hot
+    path, while the memo dict is the mirror's own state.
     """
 
-    __slots__ = ("group", "mask", "slot")
+    __slots__ = ("group", "mask")
 
-    def __init__(self, group: "SchedGroup", slot: int):
+    def __init__(self, group: "SchedGroup"):
         #: The group itself keeps the interned object alive, so its id
         #: (the memo key) can never be recycled while the entry exists.
         self.group = group
         self.mask = group.sorted_balance_mask()
-        self.slot = slot
 
 
 class VecState:
@@ -169,9 +164,8 @@ class VecState:
         "_dirty_list", "_loads_at", "_version", "_div_ref",
         "_div_epoch", "_gidx", "_gstats", "_designated", "_desig_by_cpu",
         "_domains", "_sanitize", "_use_min", "_scratch_folds",
-        "_winners", "_grp_dirty", "_slot_grps", "_gate", "_gate_ep",
-        "_disarms", "_idle", "_idle_queued", "_idle_q", "_idle_entries",
-        "_idle_last", "_idle_ordered",
+        "_grp_dirty", "_slot_grps", "_gate", "_gate_ep", "_disarms",
+        "_idle", "_idle_queued", "_idle_q",
     )
 
     def __init__(self, sched: "Scheduler"):
@@ -198,13 +192,11 @@ class VecState:
         self._div_ref = sched.divisor_epoch
         self._div_epoch = self._div_ref.value
         #: id(group) -> gather plan; id(group) -> flat fold-memo entry
-        #: (see module constants); id(group) -> (group, winner);
+        #: (see module constants); id(group) -> elected winner;
         #: id(domain) -> plan.
         self._gidx: Dict[int, _GroupEntry] = {}
         self._gstats: Dict[int, List[object]] = {}
-        self._designated: Dict[int, _Election] = {}
-        #: Current winner of each memoized election, by its slot.
-        self._winners: List[int] = []
+        self._designated: Dict[int, int] = {}
         #: Per-CPU reverse index of the election memo: every group whose
         #: memoized winner read this CPU's idle flag.  A reconciled
         #: idle<->busy transition re-elects exactly those entries.  A
@@ -254,21 +246,6 @@ class VecState:
         self._idle = [cpu.rq._nr_running == 0 for cpu in sched.cpus]
         self._idle_queued = [False] * n
         self._idle_q: List[int] = []
-        #: CPUs whose ``idle_since_us`` is set, in assignment order (a
-        #: dict used as an ordered set), fed by ``Cpu.idle_since_us``'s
-        #: setter.  While every assignment is at least the previous one
-        #: (simulated time only moves forward) the order is also by
-        #: ``idle_since_us``; one that is not clears ``_idle_ordered``
-        #: and the wakeup search scans from then on.
-        boot = sorted(
-            (c for c in sched.cpus if c.idle_since_us is not None),
-            key=lambda c: (c.idle_since_us, c.cpu_id),
-        )
-        self._idle_entries: Dict[int, None] = dict.fromkeys(
-            c.cpu_id for c in boot
-        )
-        self._idle_last = boot[-1].idle_since_us if boot else 0
-        self._idle_ordered = True
         self._sanitize = sched.features.sanitize_coherence
         self._use_min = sched.features.fix_group_imbalance
 
@@ -317,7 +294,7 @@ class VecState:
         idle = self._idle
         queued = self._idle_queued
         by_cpu = self._desig_by_cpu
-        winners = self._winners
+        designated = self._designated
         for c in self._idle_q:
             queued[c] = False
             flag = cpus[c].rq._nr_running == 0
@@ -335,8 +312,8 @@ class VecState:
                         break
                     if winner < 0:
                         winner = cand
-                if winner != winners[entry.slot]:
-                    winners[entry.slot] = winner
+                if winner != designated[id(entry.group)]:
+                    designated[id(entry.group)] = winner
                     if winner >= 0:
                         self._gate[winner] = 0
                         self._gate_ep[winner] += 1
@@ -348,7 +325,6 @@ class VecState:
         self._gidx.clear()
         self._gstats.clear()
         self._designated.clear()
-        del self._winners[:]
         for bucket in self._desig_by_cpu:
             del bucket[:]
         self._domains.clear()
@@ -607,9 +583,8 @@ class VecState:
             self._reconcile()
         # Memo probe first: the common caller (a periodic-balance
         # level) hits it thousands of times between re-elections.
-        entry = self._designated.get(id(group))
-        if entry is not None:
-            winner = self._winners[entry.slot]
+        winner = self._designated.get(id(group))
+        if winner is not None:
             if self._sanitize:
                 verify_designated(
                     group, winner, _elect_designated(self.sched, group)
@@ -622,9 +597,8 @@ class VecState:
             only = mask[0]
             return only if self.sched.cpus[only].online else -1
         winner = _elect_designated(self.sched, group)
-        entry = _Election(group, len(self._winners))
-        self._winners.append(winner)
-        self._designated[id(group)] = entry
+        entry = _Election(group)
+        self._designated[id(group)] = winner
         by_cpu = self._desig_by_cpu
         for c in mask:
             by_cpu[c].append(entry)
@@ -632,8 +606,11 @@ class VecState:
 
     # -- periodic-balance gate ---------------------------------------------
 
-    def gated(self, cpu_id: int, now: int) -> bool:
-        """True when this CPU's whole domain walk is provably a no-op.
+    def walk_token(self, cpu_id: int, now: int) -> int:
+        """-1 when this CPU's whole domain walk is provably a no-op.
+
+        Otherwise the CPU's arming epoch, to hand to :meth:`set_gate`
+        after the walk.  Queued idle flips are reconciled first.
 
         The gate holds the earliest ``next_balance`` deadline among the
         levels this CPU won at its last real walk.  While it sits in the
@@ -642,20 +619,11 @@ class VecState:
         -- so skipping it wholesale is digest-invisible.  Winning a new
         level (an election shift reconciled from idle flips) or hotplug
         disarms the gate; losing one leaves it early, which is safe.
-
-        Queued flips are not reconciled here: while any is pending the
-        answer is False (walk).  Read :meth:`gate_token` first, which
-        reconciles, to get the precise answer.
-        """
-        return not self._idle_q and self._gate[cpu_id] > now
-
-    def gate_token(self, cpu_id: int) -> int:
-        """This CPU's arming epoch, after reconciling queued idle flips.
-
-        Read it before :meth:`gated` and keep it for :meth:`set_gate`.
         """
         if self._idle_q:
             self._reconcile()
+        if self._gate[cpu_id] > now:
+            return -1
         return self._gate_ep[cpu_id]
 
     def disarm_token(self) -> int:
@@ -687,49 +655,6 @@ class VecState:
             self._reconcile()
         gates = self._gate
         return [i for i in range(self._n) if gates[i] <= now]
-
-    # -- idle-entry list ---------------------------------------------------
-
-    def note_idle_since(self, cpu_id: int, since: Optional[int]) -> None:
-        """``Cpu.idle_since_us`` was assigned: move the CPU to the tail."""
-        entries = self._idle_entries
-        entries.pop(cpu_id, None)
-        if since is not None:
-            if since < self._idle_last:
-                self._idle_ordered = False
-            else:
-                self._idle_last = since
-            entries[cpu_id] = None
-
-    def longest_idle(self, task: "Task", now: int) -> int:
-        """The scan's longest-idle answer from the idle-entry list, or -1.
-
-        Walks the list from its head -- the oldest ``idle_since_us``
-        first -- and stops past the first valid timestamp; equal
-        timestamps go to the lowest id, as in the scan.  Returns -1
-        whenever the list cannot decide: the order was broken, nothing
-        on it qualifies, or the best timestamp is not before ``now`` (an
-        empty queue whose ``idle_since_us`` is None ranks as ``now`` in
-        the scan and is not on the list).
-        """
-        if not self._idle_ordered:
-            return -1
-        cpus = self.sched.cpus
-        allowed = task.can_run_on
-        best = -1
-        best_since = now
-        for c in self._idle_entries:
-            cpu = cpus[c]
-            since = cpu._idle_since_us
-            if best >= 0 and since != best_since:
-                break
-            if cpu.online and cpu.rq._nr_running == 0 and allowed(c):
-                if best < 0 or c < best:
-                    best = c
-                    best_since = since  # type: ignore[assignment]
-        if best < 0 or best_since >= now:
-            return -1
-        return best
 
     # -- bulk busiest-group selection --------------------------------------
 

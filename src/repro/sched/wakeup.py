@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
-from repro.sched.sanitizer import verify_idle_sibling, verify_longest_idle
+from repro.sched.sanitizer import verify_idle_sibling
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
@@ -106,12 +106,6 @@ def _mainline_wake(
     return _select_idle_sibling(sched, task, target, now)
 
 
-def _probe_consumes(sched: "Scheduler") -> bool:
-    """True when a probe records the cores a decision considered."""
-    probe = sched.probe
-    return probe.active and probe.wants_balance()
-
-
 def _select_idle_sibling(
     sched: "Scheduler", task: "Task", target: int, now: int
 ) -> int:
@@ -122,7 +116,8 @@ def _select_idle_sibling(
     fast path answers from the topology's sorted sibling tuples without
     building the candidate list, which only a recording probe reads.
     """
-    if sched.vec is None or _probe_consumes(sched):
+    probe = sched.probe
+    if sched.vec is None or (probe.active and probe.wants_balance()):
         return _scan_idle_sibling(sched, task, target, now)
     pick = _fast_idle_sibling(sched, task, target, now)
     if sched.features.sanitize_coherence:
@@ -215,25 +210,8 @@ def _longest_idle_cpu(
     """The allowed online core idle for the longest time, if any.
 
     The kernel keeps idle cores in a list ordered by idle entry, so taking
-    the head is O(1).  The fast path does the same with VecState's
-    idle-entry list (:meth:`~repro.sched.vecstate.VecState.longest_idle`)
-    and scans only when the list cannot decide or a probe records the
-    considered cores; the reference path always scans.
+    the head is O(1); our scan is O(cpus) but equivalent in result.
     """
-    vec = sched.vec
-    if vec is not None and not _probe_consumes(sched):
-        best = vec.longest_idle(task, now)
-        if best >= 0:
-            if sched.features.sanitize_coherence:
-                verify_longest_idle(best, _scan_longest_idle(sched, task, now))
-            return best
-    return _scan_longest_idle(sched, task, now)
-
-
-def _scan_longest_idle(
-    sched: "Scheduler", task: "Task", now: int
-) -> Optional[int]:
-    """The reference longest-idle search: every CPU, O(cpus)."""
     best: Optional[int] = None
     best_since: Optional[int] = None
     considered: List[int] = []

@@ -178,20 +178,22 @@ def test_trips_on_stale_balance_gate():
     assert f"cpu {cpu_id}" in exc.value.field
 
 
-def test_trips_on_stale_idle_entry_list():
-    """The longest-idle CPU missing from the idle-entry list."""
-    sched = Scheduler(
-        two_nodes(cores_per_node=4),
-        sanitized(SchedFeatures().with_fixes("overload_on_wakeup")),
-    )
-    for cpu_id in range(4):
+def test_trips_on_stale_idle_sibling():
+    """An idle LLC sibling missing from the topology's sibling tuple."""
+    sched = Scheduler(two_nodes(cores_per_node=4), sanitized(SchedFeatures()))
+    for cpu_id in (0, 1):
         sched.enqueue_task_on(Task(f"busy{cpu_id}"), cpu_id, 0)
         sched.pick_next_task(cpu_id, 0)
     task = Task("waker")
     sched.register_task(task)
-    assert wk._longest_idle_cpu(sched, task, 1000) == 4  # boot ties: id 4
-    del sched.vec._idle_entries[4]  # planted: CPU 4 idle but unlisted
+    assert wk._select_idle_sibling(sched, task, 0, 1000) == 2
+    topo = sched.topology
+    # Planted on this instance only: the tables are shared per shape.
+    llc = list(topo._llc)
+    llc[0] = tuple(c for c in llc[0] if c != 2)
+    topo._llc = llc
     with pytest.raises(CoherenceError) as exc:
-        wk._longest_idle_cpu(sched, task, 1000)
-    assert exc.value.accessor == "idle-entry-list"
-    assert (exc.value.cached, exc.value.fresh) == (5, 4)
+        wk._select_idle_sibling(sched, task, 0, 1000)
+    assert exc.value.accessor == "idle-sibling"
+    assert "cpu 0" in exc.value.field
+    assert (exc.value.cached, exc.value.fresh) == (3, 2)

@@ -213,9 +213,9 @@ def test_designated_memo_tracks_election_on_idle_change():
             rq.take(task, now)
         assert id(group) in vstate._designated
         assert vstate.designated_for(group) == _elect_designated(sched, group)
-        entry = vstate._designated[id(group)]
-        assert vstate._winners[entry.slot] == _elect_designated(sched, group)
-        seen.add(vstate._winners[entry.slot])
+        winner = vstate._designated[id(group)]
+        assert winner == _elect_designated(sched, group)
+        seen.add(winner)
     assert len(seen) > 1  # some flip really moved the election
     # A bare mark without a real change re-elects nothing new.
     vstate.mark_idle_change(group.sorted_balance_mask()[0])
@@ -307,14 +307,14 @@ def test_flip_outside_every_mask_keeps_gate_armed():
     for domain in sched.domain_builder.domains_of(0):
         masks.update(domain.local_group(0).sorted_balance_mask())
     assert 5 not in masks
-    epoch = vec.gate_token(0)
-    assert vec.gated(0, now)
+    assert vec.walk_token(0, now) == -1  # gated
+    epoch = vec._gate_ep[0]
     gate = vec._gate[0]
     disarms = vec._disarms
     sched.enqueue_task_on(Task("outside"), 5, now)  # 5 idle -> busy
-    assert not vec.gated(0, now)  # a queued flip: no precise answer yet
-    assert vec.gate_token(0) == epoch  # reconciled: 0 was not disarmed
-    assert vec.gated(0, now)
+    assert vec._idle_q == [5]  # only queued so far
+    assert vec.walk_token(0, now) == -1  # reconciled: 0 was not disarmed
+    assert vec._gate_ep[0] == epoch
     assert vec._gate[0] == gate
     assert vec._disarms > disarms  # 5's own node did re-elect
 
@@ -356,7 +356,7 @@ def test_winner_gain_disarms_exactly_that_cpu_and_balances_like_reference():
 
 class FastAnswersMachine(RuleBasedStateMachine):
     """Random scheduler churn; the fast path's memoized elections and
-    list-based wake targets must equal the from-scratch answers."""
+    idle-sibling wake targets must equal the from-scratch answers."""
 
     def __init__(self):
         super().__init__()
@@ -458,10 +458,11 @@ class FastAnswersMachine(RuleBasedStateMachine):
     def elections_are_current(self):
         vec = self.sched.vec
         vec.disarm_token()
-        for entry in vec._designated.values():
-            assert vec._winners[entry.slot] == _elect_designated(
-                self.sched, entry.group
-            )
+        for bucket in vec._desig_by_cpu:
+            for entry in bucket:
+                assert vec._designated[id(entry.group)] == _elect_designated(
+                    self.sched, entry.group
+                )
 
     @invariant()
     def wake_targets_match_scans(self):
@@ -469,9 +470,6 @@ class FastAnswersMachine(RuleBasedStateMachine):
         for task in probes:
             if not any(task.can_run_on(c) for c in self._online()):
                 continue
-            fast = self.sched.vec.longest_idle(task, self.now)
-            if fast >= 0:
-                assert fast == wk._scan_longest_idle(self.sched, task, self.now)
             for target in self._online():
                 assert wk._fast_idle_sibling(
                     self.sched, task, target, self.now
