@@ -326,7 +326,7 @@ class VecState:
         self._gstats.clear()
         self._designated.clear()
         for bucket in self._desig_by_cpu:
-            del bucket[:]
+            bucket.clear()
         self._domains.clear()
         self._loads_at = -1
         self._version += 1
