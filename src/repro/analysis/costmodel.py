@@ -188,7 +188,7 @@ _ELEM_DOMAINS: Dict[str, str] = {
     "SchedGroup": "groups",
     "_Election": "groups",
     "SchedDomain": "domains",
-    "_Event": "heap",
+    "Event": "heap",
 }
 
 #: The scalar simulation drivers the residue ranking closes over: the

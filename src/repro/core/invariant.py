@@ -76,18 +76,27 @@ def find_violations(sched: "Scheduler", now: int) -> List[Violation]:
 
 
 def has_violation(sched: "Scheduler", now: int) -> bool:
-    """Cheap early-exit variant of :func:`find_violations`."""
+    """Cheap early-exit variant of :func:`find_violations`.
+
+    Returns at once while no runqueue has a task to spare (the
+    scheduler's exact ``overload`` count): without a CPU running two
+    threads there is nothing to steal.  Otherwise each waiting task of
+    each spare queue is tested against the set of idle CPUs in one
+    ``isdisjoint`` call.
+    """
+    if sched.overload.value == 0:
+        return False
     cpus = sched.cpus
-    idle = [c for c in cpus if c.online and c.rq.nr_running == 0]
-    if not idle:
+    idle_ids = {c.cpu_id for c in cpus if c.is_idle}
+    if not idle_ids:
         return False
     for cpu2 in cpus:
         if not cpu2.online or cpu2.rq.nr_running < 2:
             continue
         for task in cpu2.rq.queued_tasks():
-            for cpu1 in idle:
-                if task.can_run_on(cpu1.cpu_id):
-                    return True
+            allowed = task.allowed_cpus
+            if allowed is None or not allowed.isdisjoint(idle_ids):
+                return True
     return False
 
 

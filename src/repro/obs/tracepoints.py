@@ -9,7 +9,7 @@ and guards every emission with a single attribute check::
     _TP_CALLBACK = TRACEPOINTS.tracepoint("engine.callback")
     ...
     if _TP_CALLBACK.enabled:
-        _TP_CALLBACK.emit(now, label=event.label)
+        _TP_CALLBACK.emit(now, label=event.full_label())
 
 ``enabled`` is simply "someone subscribed", so the disabled path is one
 attribute load and one branch -- measured against a benchmark run in

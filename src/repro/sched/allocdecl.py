@@ -62,7 +62,8 @@ DECLARED_ALLOC: Dict[str, str] = {
     "vec-designated": "amortized",
     # The due-CPU reduction materializes the ascending id list per call.
     "vec-balance-due": "allocating",
-    # Queued idle flips re-elect memo entries in place (winner
-    # rewritten, gate and epoch slots stored): no allocation.
+    # Queued idle flips update memo entries in place (queue sorted in
+    # place, winner rewritten, gate and epoch slots stored): no
+    # allocation.
     "vec-reconcile": "alloc-free",
 }

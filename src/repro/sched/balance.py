@@ -437,26 +437,24 @@ def periodic_balance(
 
     Honors the designated-core rule and each level's balancing interval
     unless ``force`` is set (used by tests and the NOHZ path's first kick).
+
+    On the fast path the callers (:meth:`Scheduler.tick` and the NOHZ
+    due-sweep below) have already consulted the CPU's balance gate and
+    call this only for a CPU whose walk may do something; the walk
+    re-arms the gate when it ends.
     """
     moved = 0
     cpu = sched.cpus[cpu_id]
     if bpass is not None:
-        # Whole-walk gate: the mirror records, per CPU, the earliest
-        # next-balance deadline among the levels the CPU currently wins.
-        # While that sits in the future, every level below is either not
-        # due or not won -- the walk would attempt nothing, emit nothing,
-        # and stamp nothing -- so it is skipped wholesale.  An idle flip
-        # that makes this CPU the winner of another level disarms its
-        # gate (see VecState._reconcile); ``force`` bypasses the check
-        # and leaves the gate untouched (force only pushes deadlines
-        # later, so the gate stays early).  set_gate refuses the final
-        # stamp if the CPU's arming epoch moved under the walk (its own
-        # migrations flip idle states that may re-elect this very CPU).
-        gate_tok = bpass.walk_token(cpu_id, now)
-        if gate_tok < 0 and not force:
-            if sched.features.sanitize_coherence:
-                _verify_gated_skip(sched, cpu_id, now)
-            return 0
+        # The gate: the mirror records, per CPU, the earliest
+        # next-balance deadline among the levels the CPU currently wins,
+        # and a caller skips the CPU while that sits in the future.  The
+        # walk stamps its new earliest deadline at the end; ``force``
+        # leaves the gate untouched (force only pushes deadlines later,
+        # so the gate stays early).  set_gate refuses the stamp if the
+        # CPU's arming epoch moved under the walk (its own migrations
+        # flip idle states that may re-elect this very CPU).
+        gate_tok = bpass.gate_token(cpu_id)
         # Fast path: the per-level (domain, local group, solo
         # winner) triple never changes between topology rebuilds, so it
         # is planned once per domain generation and cached on the Cpu.
@@ -533,8 +531,13 @@ def periodic_balance(
     return moved
 
 
-def _verify_gated_skip(sched: "Scheduler", cpu_id: int, now: int) -> None:
-    """Sanitizer: re-elect every level of a gated CPU from scratch."""
+def check_gated_skip(sched: "Scheduler", cpu_id: int, now: int) -> None:
+    """Sanitizer: re-elect every level of a gated CPU from scratch.
+
+    Called by each caller that skips a CPU at its gate; raises
+    :class:`~repro.sched.sanitizer.CoherenceError` if some level the CPU
+    wins is due.
+    """
     cpu = sched.cpus[cpu_id]
     stamps = cpu.next_balance_us
     levels = []
@@ -570,7 +573,7 @@ def newidle_balance(sched: "Scheduler", cpu_id: int, now: int) -> int:
 def nohz_kick_target(sched: "Scheduler") -> Optional[int]:
     """The tickless idle core to wake as the NOHZ balancer (lowest id)."""
     for cpu in sched.cpus:
-        if cpu.online and cpu.is_idle and cpu.tickless:
+        if cpu.is_idle and cpu.tickless:
             return cpu.cpu_id
     return None
 
@@ -592,25 +595,30 @@ def nohz_idle_balance(
     sched.cpu(balancer_cpu).nohz_balancer = True
     moved = 0
     if bpass is not None:
-        # Due-reduction: a non-due CPU's periodic_balance would hit its
-        # gate and return 0 with no observables, so asking the mirror
-        # "which gates have expired?" in one array reduction and walking
-        # only those (in ascending id order, matching the reference sweep)
-        # is trace-identical.  Offline/busy CPUs may appear (gates are
-        # not maintained for them) and are filtered exactly as below.
-        # One wrinkle: a walk's migrations can zero a *later* CPU's gate
-        # mid-sweep, which the lazy reference would observe on reaching
-        # that CPU -- the mirror's disarm counter detects that and the
-        # due set is recomputed for the ids not yet visited.
+        # Due-reduction: the sweep walks only the CPUs whose gate has
+        # expired (``balance_due``, one array reduction), in ascending id
+        # order like the reference sweep; a gated CPU's walk would
+        # attempt nothing, emit nothing and stamp nothing.  Offline/busy
+        # CPUs may appear (gates are not maintained for them) and are
+        # filtered exactly as below.  One wrinkle: a walk's migrations
+        # can zero a *later* CPU's gate mid-sweep, which the lazy
+        # reference would observe on reaching that CPU -- the mirror's
+        # disarm counter detects that and the due set is recomputed for
+        # the ids not yet visited.  The sanitizer re-elects every idle
+        # CPU the sweep passes over.
         cpus = sched.cpus
+        sanitize = sched.features.sanitize_coherence
         tok = bpass.disarm_token()
         due = bpass.balance_due(now)
+        skipped_from = 0
         i = 0
         while i < len(due):
             cpu_id = due[i]
             i += 1
-            cpu = cpus[cpu_id]
-            if not cpu.online or not cpu.is_idle:
+            if sanitize:
+                _check_swept_past(sched, skipped_from, cpu_id, now)
+                skipped_from = cpu_id + 1
+            if not cpus[cpu_id].is_idle:
                 continue
             moved += periodic_balance(sched, cpu_id, now, bpass=bpass)
             fresh = bpass.disarm_token()
@@ -618,9 +626,20 @@ def nohz_idle_balance(
                 tok = fresh
                 due = [c for c in bpass.balance_due(now) if c > cpu_id]
                 i = 0
+        if sanitize:
+            _check_swept_past(sched, skipped_from, len(cpus), now)
         return moved
     for cpu in sched.cpus:
-        if not cpu.online or not cpu.is_idle:
+        if not cpu.is_idle:
             continue
         moved += periodic_balance(sched, cpu.cpu_id, now)
     return moved
+
+
+def _check_swept_past(
+    sched: "Scheduler", lo: int, hi: int, now: int
+) -> None:
+    """Sanitizer: verify the gate of each idle CPU in ``[lo, hi)``."""
+    for cpu in sched.cpus[lo:hi]:
+        if cpu.is_idle:
+            check_gated_skip(sched, cpu.cpu_id, now)

@@ -37,8 +37,15 @@ class Cpu:
             idle_epoch=idle_epoch, divisor_epoch=divisor_epoch,
             sanitize=sanitize, overload=overload,
         )
+        self.rq.owner = self
         #: Hotplug state; offline CPUs host no tasks and join no domain.
+        #: Change it through :meth:`set_online`, which keeps ``is_idle``.
         self.online = True
+        #: True when the CPU is online and nothing runs or waits here.
+        #: A plain flag, read on every wakeup and balance decision: the
+        #: runqueue rewrites it at each idle<->busy flip, and
+        #: :meth:`set_online` at each hotplug.
+        self.is_idle = True
         #: Timestamp the CPU last became idle; None while busy.  CPUs boot
         #: idle and tickless, so they are NOHZ-balanceable from time zero.
         self.idle_since_us: Optional[int] = 0
@@ -64,10 +71,10 @@ class Cpu:
         self.balance_plan: Optional[list] = None
         self.balance_plan_gen = -1
 
-    @property
-    def is_idle(self) -> bool:
-        """True when nothing runs here and nothing waits in the queue."""
-        return self.online and self.rq.is_idle()
+    def set_online(self, online: bool) -> None:
+        """Record a hotplug transition (the caller moves the tasks)."""
+        self.online = online
+        self.is_idle = online and self.rq._nr_running == 0
 
     def mark_idle(self, now: int) -> None:
         """Record the busy -> idle transition (enters tickless state)."""

@@ -34,6 +34,7 @@ from repro.sched.task import Task, TaskState
 from repro.sched.timebase import SCHED_LATENCY_US
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sched.cpu import Cpu
     from repro.viz.events import Probe
 
 #: Fewest runnable tasks at which a queue has one a balancer may pull.
@@ -120,6 +121,9 @@ class RunQueue:
         #: *set* is unchanged), so the mirror's coherence contract is
         #: exactly the memo contract.
         self.vec = None
+        #: The CPU this queue belongs to (set by :class:`Cpu`), whose
+        #: ``is_idle`` flag every idle<->busy flip below rewrites.
+        self.owner: Optional["Cpu"] = None
         #: Memo of the last load(now) summation, keyed by
         #: (now, own mutations, divisor epoch).
         self._cached_load_now = -1
@@ -162,9 +166,6 @@ class RunQueue:
         """Tasks waiting in the tree (excluding the running one)."""
         return len(self._tree)
 
-    def is_idle(self) -> bool:
-        return self.nr_running == 0
-
     # -- enqueue / dequeue -----------------------------------------------------
 
     def enqueue(self, task: Task, now: int, wakeup: bool = False) -> None:
@@ -191,6 +192,8 @@ class RunQueue:
             self.vec.mark_dirty(self.cpu_id)
         if self._nr_running == 1:
             self.idle_epoch.bump()
+            if self.owner is not None:
+                self.owner.is_idle = False
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING:
@@ -208,6 +211,8 @@ class RunQueue:
             self.vec.mark_dirty(self.cpu_id)
         if self._nr_running == 0:
             self.idle_epoch.bump()
+            if self.owner is not None:
+                self.owner.is_idle = self.owner.online
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING - 1:
@@ -254,6 +259,10 @@ class RunQueue:
             self.vec.mark_dirty(self.cpu_id)
         if was_empty != (self._nr_running == 0):
             self.idle_epoch.bump()
+            if self.owner is not None:
+                self.owner.is_idle = (
+                    self.owner.online and self._nr_running == 0
+                )
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         if had_spare != has_spare_task(self._nr_running):
@@ -299,6 +308,8 @@ class RunQueue:
             self.vec.mark_dirty(self.cpu_id)
         if self._nr_running == 0:
             self.idle_epoch.bump()
+            if self.owner is not None:
+                self.owner.is_idle = self.owner.online
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING - 1:

@@ -320,6 +320,14 @@ class Scheduler:
         CPUs are tickless; if some CPU is overloaded, the first tickless
         idle CPU is kicked as the NOHZ balancer and balances on behalf of
         every idle CPU.
+
+        Two shortcuts leave every observable unchanged.  The preemption
+        check runs only when a task waits (with none waiting it is always
+        False).  On the fast path a CPU whose balance gate lies in the
+        future is skipped without calling ``periodic_balance``: its walk
+        would attempt nothing (see ``VecState.gate_token``).  It still
+        counts in ``balance_calls``, and the sanitizer re-elects every
+        level of each skipped CPU.
         """
         overloaded = False
         # One stats pass serves every CPU balanced this tick (and the NOHZ
@@ -327,21 +335,33 @@ class Scheduler:
         # samples and folded group stats carry across until a migration
         # dirties the load epoch.
         bpass = self.vec_pass(now)
+        sanitize = self.features.sanitize_coherence
         for cpu in self.cpus:
             if not cpu.online:
                 continue
-            curr = cpu.rq.curr
+            rq = cpu.rq
+            curr = rq.curr
             if curr is None:
                 continue  # tickless idle: no tick runs here
-            self.account(cpu.cpu_id, now)
-            if cpu.rq.nr_running >= 2:
+            cpu_id = cpu.cpu_id
+            self.account(cpu_id, now)
+            if rq.nr_running >= 2:
                 overloaded = True
-            started = curr.exec_start_us if curr.exec_start_us is not None else now
-            ran = now - started
-            if cfs.should_preempt_at_tick(self.features, cpu.rq, curr, ran):
-                self.pending_resched.add(cpu.cpu_id)
+                started = curr.exec_start_us
+                ran = now - (started if started is not None else now)
+                if cfs.should_preempt_at_tick(self.features, rq, curr, ran):
+                    self.pending_resched.add(cpu_id)
             self.balance_calls += 1
-            lb.periodic_balance(self, cpu.cpu_id, now, bpass=bpass)
+            if bpass is not None:
+                # Earlier walks this tick may have queued idle flips that
+                # disarm this CPU's gate: reconcile before reading it.
+                if bpass._idle_q:
+                    bpass._reconcile()
+                if bpass._gate[cpu_id] > now:
+                    if sanitize:
+                        lb.check_gated_skip(self, cpu_id, now)
+                    continue
+            lb.periodic_balance(self, cpu_id, now, bpass=bpass)
         if overloaded and self.features.nohz_idle_balance_enabled:
             balancer = lb.nohz_kick_target(self)
             if balancer is not None:
@@ -371,10 +391,10 @@ class Scheduler:
                 task.state = TaskState.BLOCKED
                 task.cpu = None
                 evicted.append(task)
-            cpu.online = False
+            cpu.set_online(False)
             cpu.mark_idle(now)
         else:
-            cpu.online = True
+            cpu.set_online(True)
             cpu.idle_since_us = now
             cpu.tickless = True
         self.domain_builder.set_cpu_online(cpu_id, online)

@@ -24,9 +24,9 @@ them coherent through the existing epoch-bump protocol:
 each CPU carries the earliest balancing deadline among the levels it
 currently wins, and its periodic walk is skipped while that lies in the
 future.  A gate only has to be disarmed when its CPU *gains* a level:
-reconciling a flip re-elects every memoized group whose mask holds the
-flipped CPU and disarms only a changed winner, through a per-CPU arming
-epoch.  A CPU that loses a level keeps a gate that is merely early, and
+reconciling a flip updates every memoized group whose mask holds the
+flipped CPU (incrementally: only a winner turning busy rescans) and
+disarms only a changed winner, through a per-CPU arming epoch.  A CPU that loses a level keeps a gate that is merely early, and
 an early gate only costs one real (and exact) walk.
 
 Group folds gather member slots through pre-built gather plans (one per
@@ -199,7 +199,7 @@ class VecState:
         self._designated: Dict[int, int] = {}
         #: Per-CPU reverse index of the election memo: every group whose
         #: memoized winner read this CPU's idle flag.  A reconciled
-        #: idle<->busy transition re-elects exactly those entries.  A
+        #: idle<->busy transition updates exactly those entries.  A
         #: group registers once, on its memo miss; entries are never
         #: dropped short of hotplug, which clears both maps together.
         self._desig_by_cpu: List[List[_Election]] = [[] for _ in range(n)]
@@ -279,45 +279,81 @@ class VecState:
         """Fold the queued idle flips into the election memo and gates.
 
         A queued CPU whose idleness equals its mirrored flag flipped and
-        flipped back: nothing an election reads changed.  For a real
-        change, every memoized group whose mask holds the CPU is
-        re-elected, and a changed winner has its gate disarmed -- the
-        only CPU that may have gained a due level.  Elections read the
-        queues directly, so the order the queue drains in is immaterial.
+        flipped back: nothing an election reads changed.  A real change
+        updates every memoized group whose mask holds the CPU, and a
+        changed winner has its gate disarmed -- the only CPU that may
+        have gained a due level.
 
-        The election is ``_elect_designated``'s rule, inlined over the
-        entry's cached mask: this runs ahead of every gate and election
-        query, and the sanitizer re-elects through the original on
-        every memo hit and gated skip.
+        The update is incremental, against the queues' current state.
+        The election (``_elect_designated``'s rule) picks the first idle
+        online CPU of the (ascending) mask, else its first online CPU:
+
+        * a CPU turning idle wins if it sits below the winner, or if the
+          winner is busy;
+        * a winner turning busy rescans from its own position, falling
+          back to the first online member;
+        * every other flip leaves the winner alone.
+
+        The queue is drained in ascending CPU order.  Then the first
+        flip that touches a group leaves it on the full election's
+        answer, or it leaves the old winner and a later flip moves it
+        there.  Either way a group's winner changes at most once per
+        reconcile, to the winner a full re-election would pick, so the
+        disarms are exactly those of re-electing every touched group.
+        The sanitizer re-elects through the original on every memo hit
+        and gated skip.
         """
         cpus = self.sched.cpus
         idle = self._idle
         queued = self._idle_queued
         by_cpu = self._desig_by_cpu
         designated = self._designated
+        self._idle_q.sort()
         for c in self._idle_q:
             queued[c] = False
-            flag = cpus[c].rq._nr_running == 0
+            cpu = cpus[c]
+            flag = cpu.rq._nr_running == 0
             if flag == idle[c]:
                 continue
             idle[c] = flag
+            if not cpu.online:
+                continue  # offline CPUs never win; hotplug resets anyway
             for entry in by_cpu[c]:
-                winner = -1
-                for cand in entry.mask:
-                    cpu = cpus[cand]
-                    if not cpu.online:
-                        continue
-                    if cpu.rq._nr_running == 0:
-                        winner = cand
-                        break
+                winner = designated[id(entry.group)]
+                if winner == c:
+                    if flag:
+                        continue  # the busy fallback went idle: still first
+                    # Rescan from c's position; no member before c is
+                    # idle (c was the first).
+                    winner = -1
+                    after = False
+                    for cand in entry.mask:
+                        if after:
+                            other = cpus[cand]
+                            if other.online and other.rq._nr_running == 0:
+                                winner = cand
+                                break
+                        elif cand == c:
+                            after = True
                     if winner < 0:
-                        winner = cand
-                if winner != designated[id(entry.group)]:
-                    designated[id(entry.group)] = winner
-                    if winner >= 0:
-                        self._gate[winner] = 0
-                        self._gate_ep[winner] += 1
-                        self._disarms += 1
+                        for cand in entry.mask:
+                            if cpus[cand].online:
+                                winner = cand
+                                break
+                    if winner == c:
+                        continue
+                elif flag and (
+                    winner < 0
+                    or c < winner
+                    or cpus[winner].rq._nr_running != 0
+                ):
+                    winner = c
+                else:
+                    continue
+                designated[id(entry.group)] = winner
+                self._gate[winner] = 0
+                self._gate_ep[winner] += 1
+                self._disarms += 1
         self._idle_q.clear()
 
     def on_topology_change(self) -> None:
@@ -575,7 +611,7 @@ class VecState:
     def designated_for(self, group: "SchedGroup") -> int:
         """Memoized designated-balancer election for one local group.
 
-        Kept current by :meth:`_reconcile`, which re-elects the entry
+        Kept current by :meth:`_reconcile`, which updates the entry
         whenever a mask member really crossed the idle<->busy boundary;
         hotplug (the other election input) drops the memo.
         """
@@ -606,24 +642,25 @@ class VecState:
 
     # -- periodic-balance gate ---------------------------------------------
 
-    def walk_token(self, cpu_id: int, now: int) -> int:
-        """-1 when this CPU's whole domain walk is provably a no-op.
+    def gate_token(self, cpu_id: int) -> int:
+        """The CPU's arming epoch, to hand to :meth:`set_gate` after a walk.
 
-        Otherwise the CPU's arming epoch, to hand to :meth:`set_gate`
-        after the walk.  Queued idle flips are reconciled first.
+        Queued idle flips are reconciled first, so a disarm they cause
+        is already in the token.
 
-        The gate holds the earliest ``next_balance`` deadline among the
-        levels this CPU won at its last real walk.  While it sits in the
-        future, no level is both due and won, and a walk that attempts
-        nothing emits no events, stamps no deadline, and moves no task
-        -- so skipping it wholesale is digest-invisible.  Winning a new
-        level (an election shift reconciled from idle flips) or hotplug
-        disarms the gate; losing one leaves it early, which is safe.
+        The gate itself (``_gate[cpu_id]``) is read by the callers that
+        skip walks -- ``Scheduler.tick`` and the NOHZ due-sweep -- after
+        reconciling.  It holds the earliest ``next_balance`` deadline
+        among the levels this CPU won at its last real walk.  While it
+        sits in the future, no level is both due and won, and a walk
+        that attempts nothing emits no events, stamps no deadline, and
+        moves no task -- so skipping it wholesale is digest-invisible.
+        Winning a new level (an election shift reconciled from idle
+        flips) or hotplug disarms the gate; losing one leaves it early,
+        which is safe.
         """
         if self._idle_q:
             self._reconcile()
-        if self._gate[cpu_id] > now:
-            return -1
         return self._gate_ep[cpu_id]
 
     def disarm_token(self) -> int:

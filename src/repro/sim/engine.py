@@ -39,32 +39,41 @@ class SimulationError(RuntimeError):
     """Raised for misuse of the simulation engine (e.g. scheduling in the past)."""
 
 
-class _Event:
-    """A scheduled callback; cancellation just flags the entry (lazy delete).
+class Event:
+    """A scheduled callback, and the handle :meth:`EventLoop.schedule`
+    returns for it: one object per event.
 
-    Events never define ordering themselves: the heap stores ``(when,
-    seq, event)`` triples, so heapq compares plain ints in C (the unique
-    ``seq`` guarantees the event object is never reached by a compare).
+    Cancellation just flags the entry (lazy delete).  Events never define
+    ordering themselves: the heap stores ``(when, seq, event)`` triples,
+    so heapq compares plain ints in C (the unique ``seq`` guarantees the
+    event object is never reached by a compare).
+
+    The ``engine.callback`` label is ``label``, or ``label:tag`` when a
+    ``tag`` is given; it is formatted only when the tracepoint fires
+    enabled, so untraced runs never build label strings.
     """
 
-    __slots__ = ("when", "seq", "callback", "cancelled", "fired", "label")
+    __slots__ = (
+        "when", "seq", "callback", "cancelled", "fired", "label", "tag",
+        "_loop",
+    )
 
-    def __init__(self, when: int, seq: int, callback: Callable[[], None], label: str):
+    def __init__(
+        self,
+        when: int,
+        seq: int,
+        callback: Callable[[], None],
+        label: str,
+        tag: Optional[int],
+        loop: "EventLoop",
+    ):
         self.when = when
         self.seq = seq
         self.callback = callback
         self.cancelled = False
         self.fired = False
         self.label = label
-
-
-class EventHandle:
-    """Opaque handle returned by :meth:`EventLoop.schedule`; supports cancel."""
-
-    __slots__ = ("_event", "_loop")
-
-    def __init__(self, event: _Event, loop: "EventLoop"):
-        self._event = event
+        self.tag = tag
         self._loop = loop
 
     def cancel(self) -> None:
@@ -73,27 +82,25 @@ class EventHandle:
         The loop's live counter is adjusted exactly once, no matter how
         many times cancel is called, and never for an already-fired event.
         """
-        event = self._event
-        if event.cancelled or event.fired:
+        if self.cancelled or self.fired:
             return
-        event.cancelled = True
+        self.cancelled = True
         self._loop._note_cancel()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
-
-    @property
-    def when(self) -> int:
-        """Absolute firing time in microseconds."""
-        return self._event.when
+    def full_label(self) -> str:
+        """The label the ``engine.callback`` tracepoint reports."""
+        if self.tag is None:
+            return self.label
+        return f"{self.label}:{self.tag}"
 
 
 class EventLoop:
     """A discrete-event loop over integer-microsecond virtual time."""
 
     def __init__(self, start_time: int = 0, compact: bool = True):
-        self._now = start_time
+        #: Current virtual time (microseconds).  A plain attribute: the
+        #: simulator reads it on every event.
+        self.now = start_time
         self._heap: list = []
         self._seq = itertools.count()
         self._events_fired = 0
@@ -108,11 +115,6 @@ class EventLoop:
         self.compactions = 0
 
     @property
-    def now(self) -> int:
-        """Current virtual time (microseconds)."""
-        return self._now
-
-    @property
     def events_fired(self) -> int:
         """Number of callbacks executed so far (for overhead accounting)."""
         return self._events_fired
@@ -122,32 +124,36 @@ class EventLoop:
         delay: int,
         callback: Callable[[], None],
         label: str = "",
-    ) -> EventHandle:
+        tag: Optional[int] = None,
+    ) -> Event:
         """Run ``callback`` ``delay`` microseconds from now.
 
         ``delay`` must be non-negative; zero-delay events run after all
-        events already queued for the current microsecond.
+        events already queued for the current microsecond.  ``label``
+        (and ``tag``, see :class:`Event`) name the event to tracing.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}us in the past")
-        return self.schedule_at(self._now + delay, callback, label)
+        when = self.now + delay
+        seq = next(self._seq)
+        event = Event(when, seq, callback, label, tag, self)
+        heapq.heappush(self._heap, (when, seq, event))
+        self._live += 1
+        return event
 
     def schedule_at(
         self,
         when: int,
         callback: Callable[[], None],
         label: str = "",
-    ) -> EventHandle:
+        tag: Optional[int] = None,
+    ) -> Event:
         """Run ``callback`` at absolute time ``when`` (microseconds)."""
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when}us, now is {self._now}us"
+                f"cannot schedule at {when}us, now is {self.now}us"
             )
-        seq = next(self._seq)
-        event = _Event(when, seq, callback, label)
-        heapq.heappush(self._heap, (when, seq, event))
-        self._live += 1
-        return EventHandle(event, self)
+        return self.schedule(when - self.now, callback, label, tag)
 
     def _note_cancel(self) -> None:
         """Account one cancellation; compact when garbage dominates.
@@ -222,9 +228,9 @@ class EventLoop:
         condition is false.  On reaching the deadline time is left there
         and the result is ``not condition()`` (``True`` without one).
         """
-        if deadline < self._now:
+        if deadline < self.now:
             raise SimulationError(
-                f"deadline {deadline}us is before now {self._now}us"
+                f"deadline {deadline}us is before now {self.now}us"
             )
         if condition is not None and not condition():
             return True
@@ -233,27 +239,28 @@ class EventLoop:
         self._running = True
         try:
             heap = self._heap
-            next_check = self._now
+            heappop = heapq.heappop
+            next_check = self.now
             while heap and heap[0][0] <= deadline:
-                event = heapq.heappop(heap)[2]
+                event = heappop(heap)[2]
                 if event.cancelled:
                     self._lazy_cancels -= 1
                     continue
                 event.fired = True
                 self._live -= 1
-                self._now = event.when
+                self.now = event.when
                 self._events_fired += 1
                 if _TP_CALLBACK.enabled:
-                    _TP_CALLBACK.emit(self._now, label=event.label)
+                    _TP_CALLBACK.emit(self.now, label=event.full_label())
                 event.callback()
                 if condition is not None and (
-                    check_interval is None or self._now >= next_check
+                    check_interval is None or self.now >= next_check
                 ):
                     if not condition():
                         return True
                     if check_interval is not None:
-                        next_check = self._now + check_interval
-            self._now = deadline
+                        next_check = self.now + check_interval
+            self.now = deadline
             return condition is None or not condition()
         finally:
             self._running = False
@@ -268,6 +275,6 @@ class EventLoop:
 
     def __repr__(self) -> str:
         return (
-            f"EventLoop(now={self._now}us, pending={self.pending()}, "
+            f"EventLoop(now={self.now}us, pending={self.pending()}, "
             f"fired={self._events_fired})"
         )

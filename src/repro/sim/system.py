@@ -21,12 +21,13 @@ Everything is deterministic for a fixed seed.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Dict, List, Optional
 
 from repro.sched.features import SchedFeatures
 from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task, TaskState, reset_tid_counter
-from repro.sim.engine import EventHandle, EventLoop, SimulationError
+from repro.sim.engine import Event, EventLoop, SimulationError
 from repro.sim.timebase import TICK_US
 from repro.topology.machine import MachineTopology
 from repro.viz.events import FanoutProbe, Probe
@@ -75,7 +76,7 @@ class System:
         #: Hooks invoked after every tick with the current time (stats,
         #: sanity checker, ...).
         self.tick_hooks: List[Callable[[int], None]] = []
-        self._phase_events: Dict[int, EventHandle] = {}
+        self._phase_events: Dict[int, Event] = {}
         self._started = False
         #: All tasks ever spawned, for completion queries.
         self.spawned: List[Task] = []
@@ -87,6 +88,10 @@ class System:
 
     @property
     def now(self) -> int:
+        """Current virtual time: the loop's plain ``now`` attribute.
+
+        The simulator's own paths read ``self.loop.now`` directly.
+        """
         return self.loop.now
 
     @property
@@ -141,10 +146,10 @@ class System:
         task = self._create_task(spec)
         if on_cpu is not None:
             self.scheduler.register_task(task)
-            self.scheduler.enqueue_task_on(task, on_cpu, self.now)
+            self.scheduler.enqueue_task_on(task, on_cpu, self.loop.now)
         else:
             origin = parent_cpu if parent_cpu is not None else 0
-            self.scheduler.place_new_task(task, origin, self.now)
+            self.scheduler.place_new_task(task, origin, self.loop.now)
         self._drain()
         return task
 
@@ -154,7 +159,7 @@ class System:
             nice=spec.nice,
             program=spec.program(),
             allowed_cpus=spec.allowed_cpus,
-            now=self.now,
+            now=self.loop.now,
         )
         manager = self.scheduler.cgroups
         if spec.cgroup is not None:
@@ -175,7 +180,7 @@ class System:
     def run_for(self, duration_us: int) -> None:
         """Advance virtual time by ``duration_us``."""
         self.start()
-        self.loop.run_until(self.now + duration_us)
+        self.loop.run_until(self.loop.now + duration_us)
 
     def run_until(self, deadline_us: int) -> None:
         """Advance virtual time to an absolute deadline."""
@@ -204,7 +209,7 @@ class System:
         if sched.cpu(cpu_id).online == online:
             return
         self.start()
-        now = self.now
+        now = self.loop.now
         displaced: List[Task] = []
         if not online:
             cpu = sched.cpu(cpu_id)
@@ -223,7 +228,7 @@ class System:
     # -- tick -------------------------------------------------------------------------
 
     def _tick(self) -> None:
-        now = self.now
+        now = self.loop.now
         self.scheduler.tick(now)
         self._drain()
         for hook in self.tick_hooks:
@@ -233,8 +238,13 @@ class System:
     # -- pending-work draining -----------------------------------------------------------
 
     def _drain(self) -> None:
-        """Apply scheduler-requested dispatches and preemptions until quiet."""
+        """Apply scheduler-requested dispatches and preemptions until quiet.
+
+        Most calls find nothing pending and return before allocating.
+        """
         sched = self.scheduler
+        if not sched.pending_dispatch and not sched.pending_resched:
+            return
         for _ in range(10_000):
             dispatch, resched = sched.drain_pending()
             if not dispatch and not resched:
@@ -258,7 +268,7 @@ class System:
         task = cpu.rq.curr
         if task is None:
             return None
-        now = self.now
+        now = self.loop.now
         if isinstance(task.current_phase, Run) and task.phase_started_us is not None:
             ran = max(0, now - task.phase_started_us)
             task.phase_left_us = max(0, task.phase_left_us - ran)
@@ -274,14 +284,14 @@ class System:
 
     def _dispatch(self, cpu_id: int) -> None:
         """Pick the next task for an empty CPU and start executing it."""
-        task = self.scheduler.pick_next_task(cpu_id, self.now)
+        task = self.scheduler.pick_next_task(cpu_id, self.loop.now)
         if task is None:
             return
         self._begin_run(cpu_id, task)
 
     def _begin_run(self, cpu_id: int, task: Task) -> None:
         """Resume a freshly-dispatched task according to its phase state."""
-        now = self.now
+        now = self.loop.now
         if task.spinning_on is not None:
             obj = task.spinning_on
             acquired = False
@@ -308,19 +318,19 @@ class System:
     def _arm_phase_end(self, cpu_id: int, task: Task, delay_us: int) -> None:
         handle = self.loop.schedule(
             max(delay_us, 1),
-            lambda: self._phase_end(cpu_id, task),
-            label=f"phase-end:{task.tid}",
+            partial(self._phase_end, cpu_id, task),
+            label="phase-end",
+            tag=task.tid,
         )
         self._phase_events[cpu_id] = handle
 
     def _phase_end(self, cpu_id: int, task: Task) -> None:
-        cpu = self.scheduler.cpu(cpu_id)
-        if cpu.rq.curr is not task:
+        if self.scheduler.cpus[cpu_id].rq.curr is not task:
             return  # stale event (the task was moved); defensive only
         self._phase_events.pop(cpu_id, None)
         task.phase_left_us = 0
         task.phase_started_us = None
-        self.scheduler.account(cpu_id, self.now)
+        self.scheduler.account(cpu_id, self.loop.now)
         self._advance(cpu_id, task)
         self._drain()
 
@@ -329,7 +339,7 @@ class System:
     def _advance(self, cpu_id: int, task: Task) -> None:
         """Interpret phases for the running ``task`` until it needs the CPU
         for a while (Run / spin) or leaves it (sleep/block/exit)."""
-        now = self.now
+        now = self.loop.now
         for _ in range(_MAX_INLINE_PHASES):
             try:
                 phase = next(task.program)
@@ -349,8 +359,9 @@ class System:
                 self._leave_cpu(cpu_id, task, TaskState.SLEEPING)
                 self.loop.schedule(
                     max(phase.duration_us, 1),
-                    lambda: self._timer_wake(task),
-                    label=f"wake:{task.tid}",
+                    partial(self._timer_wake, task),
+                    label="wake",
+                    tag=task.tid,
                 )
                 self._dispatch(cpu_id)
                 return
@@ -440,17 +451,18 @@ class System:
 
     def _leave_cpu(self, cpu_id: int, task: Task, state: TaskState) -> None:
         """Deschedule the running task without requeuing it."""
-        self.scheduler.account(cpu_id, self.now)
+        now = self.loop.now
+        self.scheduler.account(cpu_id, now)
         handle = self._phase_events.pop(cpu_id, None)
         if handle is not None:
             handle.cancel()
-        self.scheduler.deschedule(cpu_id, self.now, requeue=False)
+        self.scheduler.deschedule(cpu_id, now, requeue=False)
         task.state = state
         task.phase_started_us = None
 
     def _grant_to_spinner(self, task: Task) -> None:
         """A running spinner just received lock ownership: resume it."""
-        now = self.now
+        now = self.loop.now
         if task.spin_started_us is not None:
             task.stats.spin_time_us += max(0, now - task.spin_started_us)
             task.spin_started_us = None
@@ -467,7 +479,7 @@ class System:
         """
         if task.state is not TaskState.RUNNING:
             return
-        now = self.now
+        now = self.loop.now
         if task.spin_started_us is not None:
             task.stats.spin_time_us += max(0, now - task.spin_started_us)
             task.spin_started_us = None
@@ -477,7 +489,7 @@ class System:
     def _release_from_barrier(
         self, task: Task, barrier: Barrier, waker_cpu: int
     ) -> None:
-        now = self.now
+        now = self.loop.now
         if barrier.mode == "spin":
             if task.state is TaskState.RUNNING:
                 if task.spin_started_us is not None:
@@ -496,11 +508,11 @@ class System:
     def _timer_wake(self, task: Task) -> None:
         if task.state is not TaskState.SLEEPING:
             return
-        self.scheduler.wake_task(task, task.prev_cpu, self.now)
+        self.scheduler.wake_task(task, task.prev_cpu, self.loop.now)
         self._drain()
 
     def __repr__(self) -> str:
         return (
-            f"System(now={self.now}us, cpus={self.topology.num_cpus}, "
+            f"System(now={self.loop.now}us, cpus={self.topology.num_cpus}, "
             f"tasks={len(self.scheduler.tasks)})"
         )

@@ -61,12 +61,12 @@ class IdleOverloadSampler:
             self.violation_time_us += TICK_US
             if _TP_VIOLATION_TICK.enabled:
                 _TP_VIOLATION_TICK.emit(now)
-            idle = sum(
-                1 for c in sched.cpus if c.online and c.rq.nr_running == 0
-            )
-            queued = sum(
-                c.rq.nr_queued for c in sched.cpus if c.online
-            )
+            idle = queued = 0
+            for c in sched.cpus:
+                if c.is_idle:
+                    idle += 1
+                elif c.online:
+                    queued += c.rq.nr_queued
             self.wasted_core_time_us += min(idle, queued) * TICK_US
 
     @property

@@ -1,5 +1,9 @@
 """Tests for the work-conserving invariant (Algorithm 2)."""
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core.invariant import find_violations, has_violation, violation_pairs
 from repro.sched.features import SchedFeatures
 from repro.sched.scheduler import Scheduler
@@ -95,3 +99,37 @@ def test_describe():
     text = find_violations(sched, 55)[0].describe()
     assert "cpu 1 idle" in text
     assert "t=55us" in text
+
+
+# Per CPU: online?, then per task (at most three): pinned?, extra CPUs
+# its affinity allows besides this one, and whether one task runs.
+_CPU_STATE = st.tuples(
+    st.booleans(),
+    st.lists(
+        st.tuples(st.booleans(), st.frozensets(st.integers(0, 5))),
+        max_size=3,
+    ),
+    st.booleans(),
+)
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+@settings(max_examples=150, deadline=None)
+@given(states=st.lists(_CPU_STATE, min_size=6, max_size=6))
+def test_has_violation_agrees_with_find_violations(fastpath, states):
+    """The early-exit check answers exactly what Algorithm 2 finds, on
+    random mixes of idle, busy, overloaded and offline CPUs with pinned
+    and unpinned waiting tasks."""
+    sched = Scheduler(single_node(6), FEATURES.with_fastpath(fastpath))
+    for cpu_id, (online, tasks, run_one) in enumerate(states):
+        if not online and cpu_id > 0:  # CPU 0 stays online
+            sched.set_cpu_online(cpu_id, False, 0)
+            continue
+        for i, (pinned, extra) in enumerate(tasks):
+            allowed = extra | {cpu_id} if pinned else None
+            sched.enqueue_task_on(
+                Task(f"t{cpu_id}.{i}", allowed_cpus=allowed), cpu_id, 0
+            )
+        if run_one and tasks:
+            sched.pick_next_task(cpu_id, 0)
+    assert has_violation(sched, 0) == bool(find_violations(sched, 0))

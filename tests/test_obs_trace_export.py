@@ -5,7 +5,12 @@ import json
 import pytest
 
 from repro.obs.trace_export import CHECKER_PID, ENGINE_PID, ChromeTraceBuilder
-from repro.obs.tracepoints import TracepointRegistry, span
+from repro.obs.tracepoints import TRACEPOINTS, TracepointRegistry, span
+from repro.sched.features import SchedFeatures
+from repro.sim.system import System
+from repro.sim.timebase import MS
+from repro.topology import single_node
+from repro.workloads.base import Exit, Run, Sleep, TaskSpec
 
 
 def _builder(num_cpus=2, **kwargs):
@@ -90,6 +95,39 @@ class TestBuilderUnits:
         instants = [e for e in _events(builder) if e.get("cat") == "engine"]
         assert [e["name"] for e in instants] == ["phase-end:17", "callback"]
         assert all(e["pid"] == ENGINE_PID for e in instants)
+
+    def test_real_run_emits_tick_phase_end_and_wake_labels(self):
+        """The labels a real System run hands ``engine.callback``,
+        including for events scheduled before tracing was enabled."""
+
+        def program():
+            yield Run(1500)
+            yield Sleep(2000)
+            yield Run(500)
+            yield Exit()
+
+        labels = []
+
+        def sink(name, now, fields):
+            labels.append((now, fields["label"]))
+
+        system = System(single_node(2), SchedFeatures(), seed=1)
+        task = system.spawn(TaskSpec("worker", program))
+        system.run_for(MS // 2)  # the first phase-end is already queued
+        TRACEPOINTS.subscribe("engine.callback", sink)
+        try:
+            system.run_for(10 * MS - MS // 2)
+        finally:
+            TRACEPOINTS.unsubscribe("engine.callback", sink)
+        tid = task.tid
+        assert [entry for entry in labels if entry[1] != "tick"] == [
+            (1500, f"phase-end:{tid}"),
+            (3500, f"wake:{tid}"),
+            (4000, f"phase-end:{tid}"),
+        ]
+        assert [now for now, label in labels if label == "tick"] == [
+            k * MS for k in range(1, 11)
+        ]
 
     def test_nr_running_becomes_counter_track(self):
         reg, builder = _builder()

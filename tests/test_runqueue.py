@@ -18,7 +18,6 @@ def test_empty_queue():
     rq = RunQueue(0)
     assert rq.nr_running == 0
     assert rq.nr_queued == 0
-    assert rq.is_idle()
     assert rq.pick_next() is None
     assert rq.leftmost_vruntime() is None
 
@@ -113,7 +112,7 @@ def test_dequeue_and_take():
     rq.dequeue(a, 0)
     assert rq.pick_next() is b
     assert rq.take(b, 0) is b
-    assert rq.is_idle()
+    assert rq.nr_running == 0
 
 
 def test_requeue_after_vruntime_change():

@@ -161,7 +161,8 @@ def test_trips_on_group_stats_drift():
 
 
 def test_trips_on_stale_balance_gate():
-    """A gate armed past a due level this CPU wins hides a walk."""
+    """A gate armed past a due level this CPU wins hides a walk: the
+    tick, which skips the CPU without calling periodic_balance, trips."""
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
@@ -171,8 +172,25 @@ def test_trips_on_stale_balance_gate():
     later = scenario.system.now + 500_000
     sched.vec._gate[cpu_id] = later + 1  # planted: no disarm, no walk
     with pytest.raises(CoherenceError) as exc:
-        lb.periodic_balance(
-            sched, cpu_id, later, bpass=sched.vec_pass(later)
+        sched.tick(later)
+    assert exc.value.accessor == "balance-gate"
+    assert f"cpu {cpu_id}" in exc.value.field
+
+
+def test_trips_on_stale_balance_gate_in_nohz_sweep():
+    """The NOHZ due-sweep passes over a planted gate of an idle CPU; the
+    sanitizer re-elects the CPU's levels there too."""
+    scenario = build("group-imbalance")
+    scenario.run(SOAK_US // 2)
+    sched = scenario.system.scheduler
+    idle = [c.cpu_id for c in sched.cpus if c.is_idle]
+    assert idle, "scenario should leave some CPU idle"
+    cpu_id = idle[-1]
+    later = scenario.system.now + 500_000
+    sched.vec._gate[cpu_id] = later + 1
+    with pytest.raises(CoherenceError) as exc:
+        lb.nohz_idle_balance(
+            sched, idle[0], later, bpass=sched.vec_pass(later)
         )
     assert exc.value.accessor == "balance-gate"
     assert f"cpu {cpu_id}" in exc.value.field

@@ -307,14 +307,13 @@ def test_flip_outside_every_mask_keeps_gate_armed():
     for domain in sched.domain_builder.domains_of(0):
         masks.update(domain.local_group(0).sorted_balance_mask())
     assert 5 not in masks
-    assert vec.walk_token(0, now) == -1  # gated
-    epoch = vec._gate_ep[0]
+    epoch = vec.gate_token(0)
     gate = vec._gate[0]
+    assert gate > now  # gated
     disarms = vec._disarms
     sched.enqueue_task_on(Task("outside"), 5, now)  # 5 idle -> busy
     assert vec._idle_q == [5]  # only queued so far
-    assert vec.walk_token(0, now) == -1  # reconciled: 0 was not disarmed
-    assert vec._gate_ep[0] == epoch
+    assert vec.gate_token(0) == epoch  # reconciled: 0 was not disarmed
     assert vec._gate[0] == gate
     assert vec._disarms > disarms  # 5's own node did re-elect
 
@@ -454,15 +453,34 @@ class FastAnswersMachine(RuleBasedStateMachine):
             )
             task.set_affinity(cpus)
 
+    @rule()
+    def elect_all(self):
+        """Memoize every election, so later flips update them in place."""
+        vec = self.sched.vec.begin(self.now)
+        for cpu_id in self._online():
+            for domain in self.sched.domain_builder.domains_of(cpu_id):
+                vec.designated_for(domain.local_group(cpu_id))
+
     @invariant()
     def elections_are_current(self):
+        """The incremental update lands every memo on the full election,
+        and disarms the gate of exactly the CPUs that became a winner."""
         vec = self.sched.vec
+        before = dict(vec._designated)
+        gates = list(vec._gate)
         vec.disarm_token()
+        gained = set()
         for bucket in vec._desig_by_cpu:
             for entry in bucket:
-                assert vec._designated[id(entry.group)] == _elect_designated(
-                    self.sched, entry.group
-                )
+                winner = vec._designated[id(entry.group)]
+                assert winner == _elect_designated(self.sched, entry.group)
+                if winner != before[id(entry.group)]:
+                    gained.add(winner)
+        for cpu_id, gate in enumerate(vec._gate):
+            if cpu_id in gained:
+                assert gate == 0
+            else:
+                assert gate == gates[cpu_id]
 
     @invariant()
     def wake_targets_match_scans(self):
