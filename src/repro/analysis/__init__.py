@@ -16,11 +16,13 @@ Public surface:
 * :func:`~repro.analysis.runner.run_lint` -- the CLI entry point;
 * :func:`~repro.analysis.sarif.to_sarif` -- SARIF 2.1.0 export.
 
-Whole-program facilities (built once per lint run, shared by rules that
-need more than one file): :class:`~repro.analysis.symbols.SymbolTable`,
-:class:`~repro.analysis.callgraph.CallGraph`, and the mutation/epoch
+Whole-program facilities (built per lint run by the rules that need
+more than one file): :class:`~repro.analysis.symbols.SymbolTable`,
+:class:`~repro.analysis.callgraph.CallGraph`, the mutation/epoch
 dataflow pass in :mod:`repro.analysis.dataflow` feeding
-:mod:`repro.analysis.rules.coherence`.
+:mod:`repro.analysis.rules.coherence`, and the shared nondeterminism
+vocabulary in :mod:`repro.analysis.effects` feeding the ``det-*`` rules
+and :mod:`repro.analysis.rules.taint`.
 """
 
 from __future__ import annotations

@@ -133,7 +133,7 @@ def resolve_call(
     """The qualname one call expression resolves to, or None.
 
     The resolver the graph builder uses, exposed so interprocedural
-    passes (effect taint, purity certification) can resolve *specific*
+    passes (the determinism taint) can resolve *specific*
     call expressions against the same rules the graph was built with.
     """
     func = call.func

@@ -11,7 +11,6 @@ from typing import List
 
 from repro.analysis.core import Rule
 from repro.analysis.rules.coherence import CoherenceRule
-from repro.analysis.rules.cost import HotPathCostRule
 from repro.analysis.rules.determinism import (
     SetIterationRule,
     UnseededRandomRule,
@@ -21,7 +20,6 @@ from repro.analysis.rules.flags import FeatureFlagRule
 from repro.analysis.rules.layering import LayeringRule, layering_rules
 from repro.analysis.rules.orchestrator import OrchestratorForkSafetyRule
 from repro.analysis.rules.perf import LoadBypassRule
-from repro.analysis.rules.purity import PureHotPathRule
 from repro.analysis.rules.sloreg import SloRegistryRule
 from repro.analysis.rules.taint import TaintRule
 from repro.analysis.rules.tracepoints import TracepointConsistencyRule
@@ -37,8 +35,6 @@ def default_rules() -> List[Rule]:
         LoadBypassRule(),
         CoherenceRule(),
         TaintRule(),
-        PureHotPathRule(),
-        HotPathCostRule(),
         TracepointConsistencyRule(),
         OrchestratorForkSafetyRule(),
         SloRegistryRule(),
@@ -78,11 +74,9 @@ __all__ = [
     "WallClockRule",
     "SetIterationRule",
     "FeatureFlagRule",
-    "HotPathCostRule",
     "LayeringRule",
     "LoadBypassRule",
     "OrchestratorForkSafetyRule",
-    "PureHotPathRule",
     "SloRegistryRule",
     "TaintRule",
     "layering_rules",

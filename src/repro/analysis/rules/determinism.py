@@ -119,7 +119,7 @@ class WallClockRule(Rule):
     )
     scope = HOT_SCOPE
 
-    #: Shared with the effect engine / taint rule (one wall-clock list).
+    #: Shared with the taint rule (one wall-clock list).
     _WALL_CALLS = WALL_CALLS
     _WALL_IMPORTS = WALL_IMPORTS
 

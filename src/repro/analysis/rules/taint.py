@@ -13,7 +13,8 @@ three calls later in another module.
 ``determinism-taint`` (severity: error)
     Interprocedural taint from nondeterminism sources to
     digest/trace-affecting sinks, over the
-    :class:`~repro.analysis.effects.EffectEngine` call graph.
+    :class:`~repro.analysis.effects.EffectEngine` symbol table and call
+    resolution.
 
     Sources (kinds in brackets):
       * unseeded ``random.*`` draws [rng];
@@ -57,10 +58,10 @@ table's own environments), through resolvable project calls (return
 values and parameters, to a fixpoint), and through arithmetic/formatting
 expressions.  It deliberately does NOT flow through object fields or
 container lookups by key: a value stored in an attribute and re-read
-elsewhere is outside this rule's reach -- the runtime effect sanitizer
-(:mod:`repro.analysis.effectcheck`) is the dynamic backstop on that
-boundary, mirroring how PR 4 pairs the coherence rule with the memo
-sanitizer.
+elsewhere is outside this rule's reach.  The dynamic backstop on that
+boundary is the schedule-digest gates, which compare two runs of the
+same seed directly (serial vs ``-jN``, traced vs untraced, committed
+digests vs fresh).
 """
 
 from __future__ import annotations
@@ -246,7 +247,7 @@ class TaintAnalysis:
             # ``results[i] = record`` taints the container binding.
             TaintAnalysis._absorb_target(target.value, value, absorb)
         # Attribute targets: field stores are outside this rule's flow
-        # model (the runtime effect sanitizer owns that boundary).
+        # model (see the module docstring).
 
     def _return_taint(self, fn: FunctionInfo) -> Taint:
         node = fn.node

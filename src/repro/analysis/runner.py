@@ -23,12 +23,7 @@ if TYPE_CHECKING:
 
 from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.core import Analyzer, Finding, iter_python_files
-from repro.analysis.rules import (
-    HotPathCostRule,
-    PureHotPathRule,
-    default_rules,
-    split_rules,
-)
+from repro.analysis.rules import default_rules, split_rules
 from repro.analysis.sarif import render_sarif
 
 #: Default baseline filename, looked up in the current directory.
@@ -137,13 +132,7 @@ def lint_shard_trial(spec: TrialSpec) -> TrialResult:
     )
 
 
-def _parallel_findings(
-    targets: Sequence[Path], jobs: int
-) -> Tuple[
-    List[Finding],
-    Optional[Dict[str, object]],
-    Optional[Dict[str, object]],
-]:
+def _parallel_findings(targets: Sequence[Path], jobs: int) -> List[Finding]:
     """The ``--jobs N`` walk: shard per-file rules, keep cross-file local.
 
     Workers each run the per-file rules over a round-robin shard of the
@@ -154,8 +143,6 @@ def _parallel_findings(
     findings sort after visit findings on ties exactly as the serial
     accumulator ordered them, and the parent's duplicate parse-error
     findings are dropped in favor of the workers' copies.
-
-    Returns ``(findings, vectorization_report, cost_report)``.
     """
     from repro.perf.orchestrator.pool import run_pool
     from repro.perf.orchestrator.spec import TrialSpec
@@ -205,8 +192,6 @@ def _parallel_findings(
         if finding.rule_id == "parse-error":
             continue  # the owning shard already reported it
         findings.append(finding)
-    report = _take_effects_report(cross)
-    cost = _take_cost_report(cross)
     findings.sort(key=Finding.sort_key)
     elapsed = time.perf_counter() - start
     print(
@@ -215,27 +200,7 @@ def _parallel_findings(
         file=sys.stderr,
         flush=True,
     )
-    return findings, report, cost
-
-
-def _take_effects_report(
-    rules: Sequence[object],
-) -> Optional[Dict[str, object]]:
-    """The vectorization-safety report stashed by the purity rule."""
-    for rule in rules:
-        if isinstance(rule, PureHotPathRule) and rule.report is not None:
-            return rule.report
-    return None
-
-
-def _take_cost_report(
-    rules: Sequence[object],
-) -> Optional[Dict[str, object]]:
-    """The cost/allocation report stashed by the hot-path cost rule."""
-    for rule in rules:
-        if isinstance(rule, HotPathCostRule) and rule.report is not None:
-            return rule.report
-    return None
+    return findings
 
 
 def run_lint(
@@ -245,10 +210,6 @@ def run_lint(
     write_baseline: bool = False,
     sarif_path: Optional[str] = None,
     jobs: Optional[int] = None,
-    effects_report: Optional[str] = None,
-    cost_report: Optional[str] = None,
-    write_cost_baseline: bool = False,
-    profile_weights_path: Optional[str] = None,
     out: Callable[[str], None] = print,
 ) -> int:
     """Run the offline checker; returns the process exit code.
@@ -259,15 +220,7 @@ def run_lint(
     ``sarif_path`` is given a SARIF 2.1.0 log of *every* finding
     (including suppressed ones, flagged as such) is also written there.
     ``jobs`` > 1 shards the per-file rules across a worker pool (stdout
-    stays byte-identical; progress goes to stderr); ``effects_report``
-    names a file to receive the vectorization-safety JSON computed by
-    the ``pure-hot-path`` rule, ``cost_report`` one for the cost and
-    allocation analysis computed by the ``hot-path-alloc`` rule.
-    ``write_cost_baseline`` rewrites ``COST_baseline.json`` from the
-    fresh analysis (profile weights are carried over) -- the cost
-    analogue of ``write_baseline``; ``profile_weights_path`` names a
-    harvested ``repro bench --profile`` weights file to commit in place
-    of the carried-over weights.
+    stays byte-identical; progress goes to stderr).
     """
     targets = (
         [Path(p) for p in paths] if paths else [default_target()]
@@ -287,73 +240,9 @@ def run_lint(
 
     rules = default_rules()
     if workers > 1:
-        findings, report, cost = _parallel_findings(targets, workers)
+        findings = _parallel_findings(targets, workers)
     else:
-        analyzer = Analyzer(rules)
-        findings = analyzer.run(targets)
-        report = _take_effects_report(rules)
-        cost = _take_cost_report(rules)
-
-    if effects_report is not None:
-        if report is None:
-            out(
-                "error: no vectorization-safety report produced "
-                "(no repro.sched/sim/core files in the analyzed set)"
-            )
-            return 2
-        Path(effects_report).write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    if cost_report is not None:
-        if cost is None:
-            out(
-                "error: no cost report produced "
-                "(no repro.sched/sim/core files in the analyzed set)"
-            )
-            return 2
-        Path(cost_report).write_text(
-            json.dumps(cost, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-
-    if write_cost_baseline:
-        if cost is None:
-            out(
-                "error: no cost report produced "
-                "(no repro.sched/sim/core files in the analyzed set)"
-            )
-            return 2
-        from repro.analysis.rules.cost import (
-            DEFAULT_COST_BASELINE,
-            build_cost_baseline,
-            load_cost_baseline,
-        )
-
-        weights = None
-        if profile_weights_path is not None:
-            try:
-                raw = json.loads(Path(profile_weights_path).read_text())
-            except (OSError, ValueError) as exc:
-                out(f"error: cannot read profile weights "
-                    f"{profile_weights_path}: {exc}")
-                return 2
-            if not isinstance(raw, dict):
-                out(f"error: {profile_weights_path}: not a "
-                    "qualname->seconds map")
-                return 2
-            weights = {str(k): float(v) for k, v in raw.items()}
-
-        target = Path(DEFAULT_COST_BASELINE)
-        previous = load_cost_baseline(str(target))
-        document = build_cost_baseline(cost, previous=previous,
-                                       weights=weights)
-        target.write_text(
-            json.dumps(document, indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        out(f"cost baseline written to {target}")
+        findings = Analyzer(rules).run(targets)
 
     active, noqa = partition_noqa(findings)
 

@@ -13,19 +13,16 @@
     python -m repro overhead [--threads 512]
     python -m repro demo <group-imbalance|group-construction|
                           overload-on-wakeup|missing-domains>
-                         [--sanitize] [--effect-check] [--alloc-check]
+                         [--sanitize]
     python -m repro trace <bug> [--variant buggy|fixed] [--out trace.json]
     python -m repro metrics <bug> [--variant buggy|fixed]
     python -m repro report [--quick] [-j N] [--no-cache] [--cache-dir DIR]
                            [--utilization-out FILE] [--digests-out FILE]
     python -m repro lint [paths ...] [--format json|text|sarif]
                          [--sarif FILE] [--baseline FILE]
-                         [--effects-report FILE] [--cost-report FILE]
-                         [--write-cost-baseline] [--profile-weights FILE]
     python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
                           [--variant baseline|fast]
                           [--out BENCH_sim.json] [--check-digests [FILE]]
-                          [--profile] [--cost-baseline FILE]
                           [--trend [FILE]]
     python -m repro slo run [--registry PATH] [--scenario NAME] [--scale F]
                             [-j N] [--json FILE]
@@ -140,47 +137,21 @@ def _cmd_demo(args) -> int:
     if args.sanitize:
         transform = lambda f: f.with_sanitizer()  # noqa: E731
 
-    alloc_session = None
-    if args.alloc_check:
-        from repro.analysis.alloctrack import AllocCheckSession
-
-        alloc_session = AllocCheckSession()
-
-    effect_session = None
-    if args.effect_check:
-        from repro.analysis.effectcheck import EffectCheckSession
-
-        effect_session = EffectCheckSession()
-        effect_session.install()
-    if alloc_session is not None:
-        alloc_session.install()
-    try:
-        for variant in ("buggy", "fixed"):
-            scenario = build_bug_scenario(
-                args.bug, variant, features_transform=transform
-            )
-            scenario.run()
-            system = scenario.system
-            print(f"--- {scenario.bug} [{variant}]")
-            print(f"  {system.scheduler.features.describe()}")
-            busy = node_busy_times(system)
-            print(f"  node busy core-seconds: "
-                  f"{ {n: round(v / 1e6, 2) for n, v in busy.items()} }")
-            print(f"  idle-while-overloaded fraction: "
-                  f"{scenario.sampler.violation_fraction:.1%}")
-            print(f"  {scenario.checker.summary()}")
-            print()
-    finally:
-        if alloc_session is not None:
-            alloc_session.uninstall()
-        if effect_session is not None:
-            effect_session.uninstall()
-    if effect_session is not None:
-        print(effect_session.summary())
-        effect_session.check()  # raises EffectDivergence on any divergence
-    if alloc_session is not None:
-        print(alloc_session.summary())
-        alloc_session.check()  # raises AllocDivergence on any divergence
+    for variant in ("buggy", "fixed"):
+        scenario = build_bug_scenario(
+            args.bug, variant, features_transform=transform
+        )
+        scenario.run()
+        system = scenario.system
+        print(f"--- {scenario.bug} [{variant}]")
+        print(f"  {system.scheduler.features.describe()}")
+        busy = node_busy_times(system)
+        print(f"  node busy core-seconds: "
+              f"{ {n: round(v / 1e6, 2) for n, v in busy.items()} }")
+        print(f"  idle-while-overloaded fraction: "
+              f"{scenario.sampler.violation_fraction:.1%}")
+        print(f"  {scenario.checker.summary()}")
+        print()
     return 0
 
 
@@ -304,10 +275,6 @@ def _cmd_lint(args) -> int:
         write_baseline=args.write_baseline,
         sarif_path=args.sarif,
         jobs=args.jobs,
-        effects_report=args.effects_report,
-        cost_report=args.cost_report,
-        write_cost_baseline=args.write_cost_baseline,
-        profile_weights_path=args.profile_weights,
     )
 
 
@@ -386,36 +353,6 @@ def _cmd_bench(args) -> int:
             status = 1
         if not mismatches:
             print(f"digests match {digest_file}")
-    if args.profile:
-        import json
-        from pathlib import Path
-
-        from repro.perf import format_profile_comparison, profile_benchmark
-
-        base = Path(args.out) if args.out else Path("bench")
-        baseline_path = Path(args.cost_baseline)
-        baseline = None
-        if baseline_path.exists():
-            with baseline_path.open() as fh:
-                baseline = json.load(fh)
-        for name in names:
-            print(f"profiling {name} ...", file=sys.stderr)
-            prof = profile_benchmark(
-                name, quick=args.quick, jobs=args.jobs,
-                variant=args.variant,
-            )
-            target = base.with_name(f"{base.stem}.profile.{name}.txt")
-            target.write_text(prof.text)
-            print(f"wrote profile to {target}")
-            wtarget = base.with_name(f"{base.stem}.profile.{name}.json")
-            with wtarget.open("w") as fh:
-                json.dump(prof.weights, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"wrote profile weights to {wtarget} (commit via repro "
-                  f"lint --write-cost-baseline --profile-weights {wtarget})")
-            if baseline is not None:
-                print(f"--- {name} ({prof.variant}) ---")
-                print(format_profile_comparison(prof.weights, baseline))
     if args.out:
         append_run(args.out, results, label=args.label, jobs=args.jobs)
         print(f"appended run to {args.out}")
@@ -432,12 +369,17 @@ def _slo_progress(done: int, total: int, outcome) -> None:
 
 
 def _load_slo_registry(args):
-    """The scenario set the slo/replay flags select."""
+    """The scenario set the slo/replay flags select, or None (after one
+    ``error:`` line on stderr) when the registry or a name is bad."""
     from repro.slo.registry import find_scenarios, load_registry
 
-    scenarios = load_registry(args.registry or None)
-    if args.scenario:
-        scenarios = find_scenarios(scenarios, args.scenario)
+    try:
+        scenarios = load_registry(args.registry or None)
+        if args.scenario:
+            scenarios = find_scenarios(scenarios, args.scenario)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
     return scenarios
 
 
@@ -448,6 +390,8 @@ def _cmd_slo_run(args) -> int:
     from repro.slo.registry import run_registry
 
     scenarios = _load_slo_registry(args)
+    if scenarios is None:
+        return 2
     report, run = run_registry(
         scenarios,
         scale=args.scale,
@@ -472,6 +416,28 @@ def _cmd_slo_check(args) -> int:
     from repro.slo.registry import run_registry
 
     scenarios = _load_slo_registry(args)
+    if scenarios is None:
+        return 2
+    expected = None
+    if not args.write_baseline:
+        # Validate before running anything, as lint --baseline does.
+        try:
+            with open(args.baseline, encoding="utf-8") as f:
+                baseline = json.load(f)
+        except FileNotFoundError:
+            print(f"no baseline at {args.baseline}; run with "
+                  "--write-baseline to record one", file=sys.stderr)
+            return 2
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read SLO baseline {args.baseline}: {exc}",
+                  file=sys.stderr)
+            return 2
+        if isinstance(baseline, dict):
+            expected = baseline.get("verdicts", {})
+        if not isinstance(expected, dict):
+            print(f"error: {args.baseline}: not an SLO baseline (expected "
+                  "an object with a verdicts map)", file=sys.stderr)
+            return 2
     report, _ = run_registry(
         scenarios,
         scale=args.scale,
@@ -493,14 +459,6 @@ def _cmd_slo_check(args) -> int:
             f.write("\n")
         print(f"baseline written to {args.baseline}")
         return 0
-    try:
-        with open(args.baseline, encoding="utf-8") as f:
-            baseline = json.load(f)
-    except FileNotFoundError:
-        print(f"no baseline at {args.baseline}; run with --write-baseline "
-              "to record one", file=sys.stderr)
-        return 2
-    expected = baseline.get("verdicts", {})
     status = 0
     for key in sorted(set(expected) | set(verdicts)):
         if key not in verdicts:
@@ -529,6 +487,8 @@ def _cmd_replay_record(args) -> int:
     from repro.slo.replay import record_trace, trace_filename
 
     scenarios = _load_slo_registry(args)
+    if scenarios is None:
+        return 2
     os.makedirs(args.out, exist_ok=True)
     count = 0
     for scenario in scenarios:
@@ -703,30 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per core; default REPRO_JOBS or serial); stdout is "
         "byte-identical to a serial run",
     )
-    p.add_argument(
-        "--effects-report", default=None, metavar="FILE",
-        help="write the vectorization-safety report (the pure-hot-path "
-        "rule's effect classification of the fast-path closure) to FILE",
-    )
-    p.add_argument(
-        "--cost-report", default=None, metavar="FILE",
-        help="write the hot-path cost & allocation report (per-root "
-        "cost expressions, allocation sites with provenance, ranked "
-        "scalar-residue table) to FILE",
-    )
-    p.add_argument(
-        "--write-cost-baseline", action="store_true",
-        help="rewrite COST_baseline.json from the fresh analysis "
-        "(committed profile weights are carried over); use when a "
-        "complexity change is intentional and justified in the PR",
-    )
-    p.add_argument(
-        "--profile-weights", default=None, metavar="FILE",
-        help="with --write-cost-baseline: replace the carried-over "
-        "profile weights with the harvested qualname->tottime map FILE "
-        "(written by repro bench --profile as "
-        "<out-stem>.profile.<bench>.json)",
-    )
     p.set_defaults(func=_cmd_lint)
 
     p = sub.add_parser(
@@ -765,18 +701,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("baseline", "fast"),
         help="the variant the primary wall-clock measurement runs: "
         "baseline (the reference path) or fast (default)",
-    )
-    p.add_argument(
-        "--profile", action="store_true",
-        help="rerun each benchmark under cProfile, write the top-20 "
-        "cumulative report and the harvested per-function weights next "
-        "to --out (<out-stem>.profile.<bench>.{txt,json}), and print a "
-        "per-hot-root comparison against the committed baseline weights",
-    )
-    p.add_argument(
-        "--cost-baseline", default="COST_baseline.json", metavar="FILE",
-        help="the committed cost baseline --profile compares harvested "
-        "weights against (default: COST_baseline.json)",
     )
     p.add_argument(
         "--trend", nargs="?", const="BENCH_sim.json", default=None,
@@ -884,19 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--sanitize", action="store_true",
         help="run with the coherence sanitizer on: every fast-path memo "
         "hit is cross-checked against a from-scratch recompute",
-    )
-    p.add_argument(
-        "--effect-check", action="store_true",
-        help="run with the effect sanitizer on: every attribute write to "
-        "scheduler-state objects is cross-checked against the static "
-        "effect summaries; any undeclared write raises",
-    )
-    p.add_argument(
-        "--alloc-check", action="store_true",
-        help="run with the allocation tracker on: "
-        "observed allocations inside hot-root frames are cross-checked "
-        "against each root's declared class in repro.sched.allocdecl; "
-        "any allocation in a declared alloc-free root raises",
     )
     p.set_defaults(func=_cmd_demo)
 

@@ -18,13 +18,9 @@ simulation hot scope the ``det-wallclock`` lint rule protects.
 from repro.perf.bench import (
     BENCHMARKS,
     VARIANTS,
-    BenchProfile,
     BenchResult,
     ModeMetrics,
     benchmark_names,
-    format_profile_comparison,
-    harvest_profile_weights,
-    profile_benchmark,
     run_benchmark,
 )
 from repro.perf.orchestrator import (
@@ -50,13 +46,9 @@ from repro.perf.store import (
 __all__ = [
     "BENCHMARKS",
     "VARIANTS",
-    "BenchProfile",
     "BenchResult",
     "ModeMetrics",
     "benchmark_names",
-    "format_profile_comparison",
-    "harvest_profile_weights",
-    "profile_benchmark",
     "run_benchmark",
     "OrchestratorRun",
     "PoolStats",

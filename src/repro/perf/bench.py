@@ -37,8 +37,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.experiments.scenarios import BUG_NAMES, build_bug_scenario
 from repro.obs.recorder import MetricsRecorder
@@ -513,197 +512,3 @@ def run_benchmark(
         variant=variant,
         digests=digests,
     )
-
-
-@dataclass
-class BenchProfile:
-    """One benchmark run under the profiler: report text + weights.
-
-    ``weights`` maps dotted qualnames (``repro.sched.cfs.account_runtime``,
-    ``repro.sched.scheduler.Scheduler.tick``) of in-repo functions to
-    their cProfile *tottime* seconds -- the key space of
-    ``COST_baseline.json``'s ``profile_weights``, so a harvested profile
-    can be committed as the evidence behind the scalar-residue ranking
-    (``repro lint --write-cost-baseline --profile-weights``).
-    """
-
-    name: str
-    variant: str
-    text: str
-    weights: Dict[str, float]
-
-
-def _qualname_index(path: str) -> Dict[int, str]:
-    """line -> ``Class.method`` (or ``fn``) for every def in ``path``.
-
-    cProfile reports ``(filename, firstlineno, co_name)``; the class
-    part of the committed weight keys only exists in source.  Both the
-    ``def`` line and the first decorator line are indexed because a
-    decorated function's code object starts at the decorator.
-    """
-    import ast
-
-    try:
-        tree = ast.parse(Path(path).read_text(), filename=path)
-    except (OSError, SyntaxError):
-        return {}
-    index: Dict[int, str] = {}
-
-    def visit(node: ast.AST, stack: List[str]) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qual = ".".join(stack + [child.name])
-                index.setdefault(child.lineno, qual)
-                if child.decorator_list:
-                    first = child.decorator_list[0].lineno
-                    index.setdefault(first, qual)
-                visit(child, stack + [child.name])
-            elif isinstance(child, ast.ClassDef):
-                visit(child, stack + [child.name])
-            else:
-                visit(child, stack)
-
-    visit(tree, [])
-    return index
-
-
-def _module_of(path: str) -> Optional[str]:
-    """``.../src/repro/sched/cfs.py`` -> ``repro.sched.cfs``."""
-    parts = Path(path).parts
-    try:
-        start = len(parts) - 1 - parts[::-1].index("repro")
-    except ValueError:
-        return None
-    mods = list(parts[start:])
-    if not mods or not mods[-1].endswith(".py"):
-        return None
-    mods[-1] = mods[-1][:-3]
-    if mods[-1] == "__init__":
-        mods.pop()
-    return ".".join(mods)
-
-
-def harvest_profile_weights(stats: object) -> Dict[str, float]:
-    """Per-function *tottime* seconds for in-repo functions.
-
-    ``stats`` is a ``pstats.Stats``; entries whose file lives under the
-    ``repro`` package are mapped to dotted qualnames via an AST line
-    index, everything else (stdlib, third-party code) is dropped.
-    Duplicate code objects on one line (reloads) sum.
-    """
-    raw = getattr(stats, "stats", {})
-    indexes: Dict[str, Dict[int, str]] = {}
-    weights: Dict[str, float] = {}
-    for (filename, lineno, funcname), row in raw.items():
-        module = _module_of(filename)
-        if module is None:
-            continue
-        if filename not in indexes:
-            indexes[filename] = _qualname_index(filename)
-        local = indexes[filename].get(lineno, funcname)
-        if not local.split(".")[-1] == funcname:
-            local = funcname
-        tottime = float(row[2])
-        qual = f"{module}.{local}"
-        weights[qual] = round(weights.get(qual, 0.0) + tottime, 6)
-    return weights
-
-
-def profile_benchmark(
-    name: str,
-    quick: bool = False,
-    jobs: int = 1,
-    variant: str = "fast",
-    top: int = 20,
-) -> BenchProfile:
-    """One benchmark run under cProfile.
-
-    Returns the pstats text (sorted by cumulative time, top-``top``
-    rows) that ``repro bench --profile`` writes next to ``--out`` plus
-    the harvested per-function weights, so hot-spot hunts need no
-    ad-hoc harness scripts and baseline refreshes reuse the same run.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    spec = BENCHMARKS[name]
-    _variant_transform(variant)
-    profiler = cProfile.Profile()
-    profiler.enable()
-    try:
-        spec.run(variant, quick, jobs)
-    finally:
-        profiler.disable()
-    out = io.StringIO()
-    stats = pstats.Stats(profiler, stream=out)
-    stats.sort_stats("cumulative").print_stats(top)
-    return BenchProfile(
-        name=name,
-        variant=variant,
-        text=out.getvalue(),
-        weights=harvest_profile_weights(stats),
-    )
-
-
-def format_profile_comparison(
-    weights: Dict[str, float],
-    baseline: Dict[str, object],
-    top: int = 12,
-) -> str:
-    """Per-hot-root residue comparison against the committed baseline.
-
-    One aligned row per ``COST_baseline.json`` root: the committed
-    ``profile_weights`` entry for the root's function next to the fresh
-    harvested tottime, so a ``repro bench --profile`` run answers "did
-    this root's share of the wall clock move since the baseline was
-    committed" without re-running the lint engine.  A second section
-    ranks the heaviest non-root (scalar residue) functions the same
-    way.
-    """
-    committed_raw = baseline.get("profile_weights")
-    committed: Dict[str, float] = {}
-    if isinstance(committed_raw, dict):
-        committed = {str(k): float(v) for k, v in committed_raw.items()}
-    roots_raw = baseline.get("roots")
-    roots: Dict[str, str] = {}
-    if isinstance(roots_raw, dict):
-        for label, info in roots_raw.items():
-            if isinstance(info, dict) and isinstance(info.get("function"), str):
-                roots[str(label)] = str(info["function"])
-
-    def row(label: str, qual: str) -> Tuple[str, str, str, str, str]:
-        base = committed.get(qual)
-        fresh = weights.get(qual)
-        delta = ""
-        if base is not None and fresh is not None:
-            delta = f"{fresh - base:+.3f}"
-        return (
-            label,
-            qual.split("repro.", 1)[-1],
-            f"{base:.3f}" if base is not None else "-",
-            f"{fresh:.3f}" if fresh is not None else "-",
-            delta,
-        )
-
-    header = ("root", "function", "baseline(s)", "fresh(s)", "delta")
-    rows: List[Tuple[str, ...]] = [header]
-    for label in sorted(roots):
-        rows.append(row(label, roots[label]))
-    root_quals = set(roots.values())
-    residue = [
-        q for q in sorted(
-            set(committed) | set(weights),
-            key=lambda q: -max(committed.get(q, 0.0), weights.get(q, 0.0)),
-        )
-        if q not in root_quals
-    ][:top]
-    for qual in residue:
-        rows.append(row("(residue)", qual))
-    widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-    lines = ["profile vs committed baseline weights:"]
-    lines += [
-        "  " + "  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-        for r in rows
-    ]
-    return "\n".join(lines)

@@ -128,6 +128,9 @@ class ResultCache:
         except (OSError, ValueError):
             self.misses += 1
             return None
+        if not isinstance(data, dict):
+            self.misses += 1
+            return None
         row = data.get("row")
         digest = data.get("schedule_digest")
         if not isinstance(row, dict) or not isinstance(digest, str):

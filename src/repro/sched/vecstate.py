@@ -206,7 +206,7 @@ class VecState:
         self._domains: Dict[int, _DomainCache] = {}
         #: Reused fold-slot buffer for find_busiest: the per-call list
         #: was the only bulk-path allocation left on the steady state
-        #: (the hot-path-alloc analyzer's top per-call site).  The
+        #: (its costliest per-call allocation).  The
         #: buffer never escapes: every slot it holds is either a memo
         #: entry owned by ``_gstats`` or a fresh fold that ``_fold_entry``
         #: already registered there.
@@ -219,7 +219,7 @@ class VecState:
         #: later (now, version) proves every input object unchanged and
         #: revalidates the fold in O(1) -- the old per-member
         #: generation-sum probe paid O(group) per probe, which was the
-        #: top scalar-residue line on soak64.
+        #: costliest fold-path line on soak64.
         self._grp_dirty: Dict[int, int] = {}
         #: Reverse index for the counters: every registered group
         #: containing the slot (built with the gather plans, dropped on
@@ -594,9 +594,9 @@ class VecState:
         # Intentional per-call churn on the two-singleton fast path: the
         # scalar consumer's interface requires a GroupStats, and memoizing
         # a singleton's stats costs more than building them (one object,
-        # no fold).  Retiring the GroupStats bridge entirely is the
-        # residue ranking's next item, not this PR.
-        return GroupStats(  # repro: noqa[hot-path-alloc]
+        # no fold).  Retiring the GroupStats bridge entirely would
+        # remove it.
+        return GroupStats(
             group=entry[0],
             cpus=entry[1],
             avg_load=v / 1,

@@ -36,3 +36,10 @@ def record_digest(value):
 def publish_constant():
     # OK: an untainted constant into a digest-named function.
     return record_digest(42)
+
+
+def emit_memoized(memo, group):
+    # OK: id() used directly as a memo key selects an entry; the
+    # memoized value, not the identity, reaches the emit.
+    trace = Tracepoint("fixture.memo")
+    trace.emit(value=memo.get(id(group)))

@@ -1,65 +1,29 @@
-"""The effect engine: summaries, purity lattice, vectorization report.
+"""The engine the taint rule runs on: call resolution and set inference.
 
-Toy-project tests pin each classification mechanism (sources, global
-writes, bounded memo writes, the id()-as-memo-key exemption); the
-real-tree tests are the acceptance criteria -- the shipped fast-path
-closure certifies with zero escaping members, and the report the CI
-artifact is built from says so in machine-readable form.
+A toy project pins the two queries ``determinism-taint`` asks of
+:class:`~repro.analysis.effects.EffectEngine`: which project function a
+call expression resolves to, and whether an expression is an unordered
+set.
 """
 
 import ast
-import json
-from pathlib import Path
 
-from repro.analysis.effects import (
-    EffectEngine,
-    HOT_ROOTS,
-    classify_function,
-    root_function,
-    vectorization_report,
-)
-
-REPO = Path(__file__).resolve().parents[1]
+from repro.analysis.effects import EffectEngine, dotted_name
 
 TOY = '''
-import random
-import time
-
-_LOG = []
+from typing import Set
 
 
 class RunQueue:
     def __init__(self):
         self._tasks = []
-        self._cached_load = None
-        self.mutations = 0
+        self.ready: Set[int] = set()
 
     def load(self):
-        if self._cached_load is None:
-            self._cached_load = plain_sum(self._tasks)
-        return self._cached_load
-
-    def noisy_load(self):
-        _LOG.append(time.time())
         return plain_sum(self._tasks)
 
-
-class Registry:
-    def __init__(self):
-        self._memo = {}
-
-    def lookup(self, group):
-        # id() used directly as a private memo key: the sanctioned
-        # interned-object idiom, not a nondeterminism source.
-        entry = self._memo.get(id(group))
-        if entry is None:
-            entry = len(self._memo)
-            self._memo[id(group)] = entry
-        return entry
-
-    def leak(self, group):
-        # id() escaping into a returned value IS a source.
-        return id(group)
+    def order(self):
+        return list(self.ready), list(self._tasks), self.ready.copy()
 
 
 def plain_sum(items):
@@ -67,10 +31,6 @@ def plain_sum(items):
     for item in items:
         total += item
     return total
-
-
-def draw():
-    return random.random()
 '''
 
 MOD = "repro.core.toy"
@@ -84,91 +44,27 @@ def q(name):
     return f"{MOD}.{name}"
 
 
-# ------------------------------------------------------------- summaries
+def _calls(engine, qualname):
+    fn = engine.table.functions[qualname]
+    return [c for c in ast.walk(fn.node) if isinstance(c, ast.Call)]
 
 
-def test_summary_sources_and_globals():
+def test_engine_resolves_calls_to_helpers():
     engine = toy_engine()
-    noisy = engine.summaries[q("RunQueue.noisy_load")]
-    kinds = {e.kind for e in noisy.sources}
-    assert "wallclock" in kinds
-    assert len(noisy.globals_written) == 1
-    assert "_LOG" in noisy.globals_written[0].detail
-    draw = engine.summaries[q("draw")]
-    assert {e.kind for e in draw.sources} == {"rng"}
+    fn = engine.table.functions[q("RunQueue.load")]
+    resolved = {engine.resolve(fn, c) for c in _calls(engine, fn.qualname)}
+    assert resolved == {q("plain_sum")}
 
 
-def test_memo_key_idiom_is_not_a_source():
+def test_is_set_typed_follows_annotations_and_copies():
     engine = toy_engine()
-    lookup = engine.summaries[q("Registry.lookup")]
-    assert lookup.sources == ()
-    leak = engine.summaries[q("Registry.leak")]
-    assert {e.kind for e in leak.sources} == {"idhash"}
-
-
-# -------------------------------------------------------- classification
-
-
-def test_purity_lattice():
-    engine = toy_engine()
-    assert classify_function(engine, q("plain_sum"))[0] == "pure"
-    # Self-confined memo write + nothing else: bounded.
-    category, reasons = classify_function(engine, q("RunQueue.load"))
-    assert category == "bounded", reasons
-    # Wall clock + module-global append: escaping, with named reasons.
-    category, reasons = classify_function(engine, q("RunQueue.noisy_load"))
-    assert category == "escaping"
-    text = " ".join(reasons)
-    assert "_LOG" in text
-    assert "wall" in text or "wallclock" in text
-    # The memo-key idiom classifies bounded despite the id() calls.
-    assert classify_function(engine, q("Registry.lookup"))[0] == "bounded"
-
-
-def test_transitive_closure_reaches_helpers():
-    engine = toy_engine()
-    members = engine.closure([q("RunQueue.load")])
-    assert q("plain_sum") in members
-    assert q("draw") not in members
-
-
-# ---------------------------------------------------------- real tree
-
-
-def shipped_engine():
-    from repro.analysis.effectcheck import installed_files
-
-    return EffectEngine(installed_files())
-
-
-def test_shipped_hot_roots_all_found():
-    engine = shipped_engine()
-    for label in sorted(HOT_ROOTS):
-        cls, name = HOT_ROOTS[label]
-        fn = root_function(engine, cls, name)
-        assert fn is not None, f"hot root {label} not found in the tree"
-
-
-def test_shipped_fast_path_closure_certifies():
-    # The acceptance criterion of the pure-hot-path rule: every function
-    # reachable from the with_fastpath memo accessors is pure or bounded.
-    engine = shipped_engine()
-    report = vectorization_report(engine)
-    assert report["summary"]["escaping"] == 0, report["unsafe"]
-    assert report["unsafe"] == []
-    assert len(report["safe"]) == len(report["functions"])
-    # The report is the CI artifact: it must be JSON-serializable and
-    # name every hot root it certified from.
-    encoded = json.loads(json.dumps(report))
-    assert set(encoded["roots"]) == set(HOT_ROOTS)
-    assert encoded["version"] >= 1
-
-
-def test_shipped_report_function_entries_are_complete():
-    engine = shipped_engine()
-    report = vectorization_report(engine)
-    for entry in report["functions"]:
-        assert entry["category"] in ("pure", "bounded", "escaping")
-        assert entry["qualname"]
-        if entry["category"] == "escaping":
-            assert entry["reasons"]
+    fn = engine.table.functions[q("RunQueue.order")]
+    ready, tasks, copied = (
+        c.args[0] if c.args else c
+        for c in _calls(engine, fn.qualname)
+        if dotted_name(c.func) in ("list", "self.ready.copy")
+    )
+    assert engine.is_set_typed(fn, ready)
+    assert not engine.is_set_typed(fn, tasks)
+    assert engine.is_set_typed(fn, copied)
+    assert engine.is_set_typed(fn, ast.parse("{1, 2}").body[0].value)

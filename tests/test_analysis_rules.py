@@ -375,30 +375,6 @@ def test_taint_ok_sanitizers():
     assert findings == [], [f.format() for f in findings]
 
 
-# ------------------------------------------------ vectorization safety
-
-
-def test_purity_bad_escaping_helper():
-    findings = lint_fixture("purity_bad.py", "repro.core.purity_bad")
-    assert rule_ids(findings) == ["pure-hot-path"]
-    f = findings[0]
-    assert f.severity == "error"
-    assert "_tally" in f.message
-    assert "runqueue-load" in f.message  # names the poisoned hot loop
-    assert "_SAMPLES" in f.message or "module global" in f.message
-
-
-def test_purity_ok_bounded_memo():
-    findings = lint_fixture("purity_ok.py", "repro.core.purity_ok")
-    assert findings == [], [f.format() for f in findings]
-
-
-def test_purity_out_of_scope():
-    # The same file analyzed outside sched/sim/core is not certified.
-    findings = lint_fixture("purity_bad.py", "repro.viz.purity_bad")
-    assert rule_ids(findings) == []
-
-
 # ------------------------------------------------ coherence: vec pairing
 
 
@@ -416,70 +392,5 @@ def test_coherence_vec_pairing_bad():
 def test_coherence_vec_pairing_ok():
     findings = lint_fixture(
         "coherence_vec_ok.py", "repro.sched.coherence_vec_ok"
-    )
-    assert findings == [], [f.format() for f in findings]
-
-
-# ------------------------------------------------ hot-path cost & alloc
-
-
-def cost_fixture(name, module):
-    """Run a fixture through the cost rule alone, with the fixture baseline.
-
-    The full default ruleset co-fires unrelated rules on these trees
-    (e.g. ``perf-load-bypass`` on the direct field reads), so the cost
-    pairs pin the cost rule's behavior in isolation -- mirroring how the
-    complexity gate runs against a committed baseline document.
-    """
-    from repro.analysis.rules.cost import HotPathCostRule
-
-    path = FIXTURES / name
-    assert path.exists(), f"missing fixture {path}"
-    analyzer = Analyzer(
-        [
-            HotPathCostRule(
-                baseline_path=str(FIXTURES / "cost_fixture_baseline.json")
-            )
-        ]
-    )
-    return analyzer.run([path], modules={path: module})
-
-
-def test_hot_path_alloc_bad():
-    findings = cost_fixture(
-        "hot_path_alloc_bad.py", "repro.sched.hot_path_alloc_bad"
-    )
-    assert rule_ids(findings) == ["hot-path-alloc"]
-    f = findings[0]
-    assert f.severity == "error"
-    assert f.line == 19  # the pre-guard list literal, not the def line
-    assert "runqueue-load" in f.message
-    assert "per-call" in f.message
-    assert "amortized" in f.message  # names the breached declaration
-
-
-def test_hot_path_alloc_ok():
-    findings = cost_fixture(
-        "hot_path_alloc_ok.py", "repro.sched.hot_path_alloc_ok"
-    )
-    assert findings == [], [f.format() for f in findings]
-
-
-def test_hot_path_complexity_bad():
-    findings = cost_fixture(
-        "hot_path_complexity_bad.py", "repro.sched.hot_path_complexity_bad"
-    )
-    # The O(n) scan is on the unconditional path: both the worst-case
-    # and the steady-state expression breach the committed O(1) bound.
-    assert rule_ids(findings) == ["hot-path-complexity"] * 2
-    assert all(f.severity == "warning" for f in findings)
-    assert "worst-case" in findings[0].message
-    assert "steady-case" in findings[1].message
-    assert all("O(n)" in f.message for f in findings)
-
-
-def test_hot_path_complexity_ok():
-    findings = cost_fixture(
-        "hot_path_complexity_ok.py", "repro.sched.hot_path_complexity_ok"
     )
     assert findings == [], [f.format() for f in findings]

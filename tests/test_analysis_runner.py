@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.analysis import run_lint
 from repro.analysis.runner import REPORT_VERSION
 
@@ -18,6 +20,15 @@ CLEAN_SOURCE = "import random\n\nrng = random.Random(7)\n"
 def _capture():
     lines = []
     return lines, lines.append
+
+
+@pytest.fixture(scope="module")
+def shipped_lint():
+    """One JSON-format lint of the shipped tree, shared by the self-lint
+    tests: ``(exit code, stdout lines, parsed report)``."""
+    lines, out = _capture()
+    code = run_lint(paths=[str(SRC / "repro")], fmt="json", out=out)
+    return code, lines, json.loads("\n".join(lines))
 
 
 def test_clean_tree_exits_zero(tmp_path):
@@ -107,17 +118,17 @@ def test_corrupt_baseline_exits_two(tmp_path):
     )
 
 
-def test_repository_tree_is_lint_clean():
+def test_repository_tree_is_lint_clean(shipped_lint):
     """Acceptance: ``repro lint`` runs clean on the shipped source tree.
 
     "Clean" means zero *active* findings; the tree's own deliberate
     ``# repro: noqa[...]`` exemptions (e.g. ``RunQueue.requeue``) are
     reported as inline-suppressed and never fail the run.
     """
-    lines, out = _capture()
-    code = run_lint(paths=[str(SRC / "repro")], out=out)
+    code, lines, report = shipped_lint
     assert code == 0, "\n".join(lines)
-    assert lines[-1].startswith("0 findings")
+    assert report["counts"]["new"] == 0
+    assert report["findings"] == []
 
 
 def test_parallel_lint_byte_identical(tmp_path, capsys):
@@ -167,37 +178,6 @@ def test_negative_jobs_rejected(tmp_path):
     assert any("jobs" in line for line in lines)
 
 
-def test_effects_report_written():
-    report_path = REPO / "vectorization-safety.test.json"
-    try:
-        lines, out = _capture()
-        code = run_lint(
-            paths=[str(SRC / "repro")],
-            effects_report=str(report_path),
-            out=out,
-        )
-        assert code == 0, "\n".join(lines)
-        report = json.loads(report_path.read_text())
-        assert report["summary"]["escaping"] == 0
-        assert report["unsafe"] == []
-    finally:
-        if report_path.exists():
-            report_path.unlink()
-
-
-def test_effects_report_requires_certifiable_files(tmp_path):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN_SOURCE)
-    lines, out = _capture()
-    code = run_lint(
-        paths=[str(target)],
-        effects_report=str(tmp_path / "report.json"),
-        out=out,
-    )
-    assert code == 2
-    assert any("no vectorization-safety report" in line for line in lines)
-
-
 def test_split_rules_keeps_finalizers_in_parent():
     """Any rule with a finalize() override must run in the parent process.
 
@@ -217,86 +197,18 @@ def test_split_rules_keeps_finalizers_in_parent():
         assert type(rule).finalize is Rule.finalize, type(rule).__name__
     names = {type(r).__name__ for r in cross}
     # The interprocedural passes all finalize in the parent.
-    assert {"CoherenceRule", "TaintRule", "PureHotPathRule",
-            "HotPathCostRule"} <= names
+    assert {"CoherenceRule", "TaintRule"} <= names
 
 
-def test_cost_report_written():
-    report_path = REPO / "cost-report.test.json"
-    try:
-        lines, out = _capture()
-        code = run_lint(
-            paths=[str(SRC / "repro")],
-            cost_report=str(report_path),
-            out=out,
-        )
-        assert code == 0, "\n".join(lines)
-        report = json.loads(report_path.read_text())
-        assert report["version"] == 1
-        assert report["summary"]["roots"] > 0
-        assert report["scalar_residue"][0]["rank"] == 1
-    finally:
-        if report_path.exists():
-            report_path.unlink()
-
-
-def test_cost_report_requires_certifiable_files(tmp_path):
-    target = tmp_path / "ok.py"
-    target.write_text(CLEAN_SOURCE)
-    lines, out = _capture()
-    code = run_lint(
-        paths=[str(target)],
-        cost_report=str(tmp_path / "report.json"),
-        out=out,
-    )
-    assert code == 2
-    assert any("no cost report" in line for line in lines)
-
-
-def test_parallel_reports_byte_identical(tmp_path):
-    """-j2 must reproduce the serial cost/effects artifacts exactly.
-
-    The cross-file finalizers run once in the parent either way; this
-    pins the contract that sharding changes scheduling, never results.
-    """
-    targets = [str(SRC / "repro")]
-    serial_cost = tmp_path / "cost-serial.json"
-    serial_fx = tmp_path / "fx-serial.json"
-    parallel_cost = tmp_path / "cost-parallel.json"
-    parallel_fx = tmp_path / "fx-parallel.json"
-
-    serial_lines, serial_out = _capture()
-    serial_code = run_lint(
-        paths=targets,
-        cost_report=str(serial_cost),
-        effects_report=str(serial_fx),
-        out=serial_out,
-    )
-    parallel_lines, parallel_out = _capture()
-    parallel_code = run_lint(
-        paths=targets,
-        jobs=2,
-        cost_report=str(parallel_cost),
-        effects_report=str(parallel_fx),
-        out=parallel_out,
-    )
-    assert parallel_code == serial_code == 0
-    assert parallel_lines == serial_lines
-    assert parallel_cost.read_bytes() == serial_cost.read_bytes()
-    assert parallel_fx.read_bytes() == serial_fx.read_bytes()
-
-
-def test_self_lint_suppressions_are_exactly_the_declared_ones():
+def test_self_lint_suppressions_are_exactly_the_declared_ones(shipped_lint):
     """The gate stays honest: every inline noqa in the tree is accounted.
 
     Intentional churn must be suppressed at the site with a
     justification; this test pins the full list so a new suppression
     (or a rule silently going blind) shows up as a diff here.
     """
-    lines, out = _capture()
-    code = run_lint(paths=[str(SRC / "repro")], fmt="json", out=out)
+    code, _lines, report = shipped_lint
     assert code == 0
-    report = json.loads("\n".join(lines))
     assert report["findings"] == []
     suppressed = sorted(
         (f["rule"], Path(f["path"]).name) for f in report["noqa"]
@@ -304,7 +216,6 @@ def test_self_lint_suppressions_are_exactly_the_declared_ones():
     assert suppressed == [
         ("coherence-unbumped-write", "runqueue.py"),
         ("coherence-unbumped-write", "runqueue.py"),
-        ("hot-path-alloc", "vecstate.py"),
         # The load-invariance convergence test reads raw util on
         # purpose: util == target is decay-invariant, so the bypass
         # cannot observe staleness.

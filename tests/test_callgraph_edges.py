@@ -143,8 +143,8 @@ def test_interned_sched_group_receivers_resolve():
     table, graph = real_tree()
     # The balance mirror's memos key interned SchedGroup objects by id()
     # and call through the group parameter; those receiver-typed edges
-    # are what lets the purity rule walk from the memo accessors into
-    # SchedGroup's sorted-view helpers.
+    # are what lets the coherence rule's dependency closure walk from
+    # the memo accessors into SchedGroup's sorted-view helpers.
     designated = callee_names(graph, "repro.sched.vecstate.VecState.designated_for")
     assert "repro.sched.domains.SchedGroup.sorted_balance_mask" in designated
     fold = callee_names(graph, "repro.sched.balance._fold_group_stats")

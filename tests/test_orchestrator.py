@@ -246,11 +246,16 @@ def test_cache_code_digest_invalidates(tmp_path):
     assert after.misses == 1
 
 
-def test_cache_corrupt_entry_is_a_miss(tmp_path):
+@pytest.mark.parametrize(
+    "payload", ["{torn write", "[]", "null", "3"],
+    ids=["torn-write", "list", "null", "int"],
+)
+def test_cache_corrupt_entry_is_a_miss(tmp_path, payload):
+    # Valid JSON that is not an object is as corrupt as a torn write.
     cache = _cache(tmp_path)
     spec = fixture_specs(1)[0]
     run_trials([spec], jobs=1, cache=cache)
-    cache.entry_path(spec).write_text("{torn write", encoding="utf-8")
+    cache.entry_path(spec).write_text(payload, encoding="utf-8")
     fresh = _cache(tmp_path)
     assert fresh.get(spec) is None  # no exception, just re-executed
     rerun = run_trials([spec], jobs=1, cache=_cache(tmp_path))

@@ -236,73 +236,6 @@ def test_slo_companion_measures_real_run():
     assert _slo_bug("overload-on-wakeup", 10 * MS) == fields
 
 
-# ------------------------------------------- profile harvest & comparison
-
-
-def test_qualname_index_resolves_methods_and_functions():
-    # The harvest maps cProfile's (file, line, co_name) back to the
-    # dotted qualnames the committed baseline uses as keys -- including
-    # the class component cProfile itself does not know.
-    import repro.sched.scheduler as sched_mod
-    from repro.perf.bench import _module_of, _qualname_index
-
-    path = sched_mod.__file__
-    assert _module_of(path) == "repro.sched.scheduler"
-    index = _qualname_index(path)
-    tick_line = sched_mod.Scheduler.tick.__code__.co_firstlineno
-    assert index[tick_line] == "Scheduler.tick"
-
-
-def test_harvest_profile_weights_filters_and_sums():
-    import repro.sched.cfs as cfs_mod
-    from repro.perf.bench import harvest_profile_weights
-
-    line = cfs_mod.account_runtime.__code__.co_firstlineno
-
-    class FakeStats:
-        stats = {
-            (cfs_mod.__file__, line, "account_runtime"):
-                (10, 10, 0.25, 0.5, {}),
-            ("/usr/lib/python3/json/decoder.py", 1, "decode"):
-                (1, 1, 9.0, 9.0, {}),
-        }
-
-    weights = harvest_profile_weights(FakeStats())
-    assert weights == {"repro.sched.cfs.account_runtime": 0.25}
-
-
-def test_format_profile_comparison_ranks_roots_and_residue():
-    from repro.perf.bench import format_profile_comparison
-
-    baseline = {
-        "profile_weights": {
-            "repro.sched.balance.balance_domain": 1.5,
-            "repro.sched.scheduler.Scheduler.tick": 1.0,
-        },
-        "roots": {
-            "runqueue-load": {
-                "function": "repro.sched.runqueue.RunQueue.load",
-            },
-        },
-    }
-    fresh = {
-        "repro.sched.runqueue.RunQueue.load": 0.2,
-        "repro.sched.balance.balance_domain": 0.5,
-    }
-    text = format_profile_comparison(fresh, baseline)
-    lines = text.splitlines()
-    assert lines[0] == "profile vs committed baseline weights:"
-    body = "\n".join(lines[1:])
-    # The hot root row shows the fresh harvest with no committed weight.
-    assert "runqueue-load" in body
-    assert "sched.runqueue.RunQueue.load" in body
-    # Residue rows carry the delta when both sides have evidence.
-    assert "-1.000" in body
-    assert "(residue)" in body
-    # Aligned: every body line starts at the same two-space indent.
-    assert all(line.startswith("  ") for line in lines[1:])
-
-
 # ----------------------------------------------------------------- trend
 
 
@@ -358,32 +291,3 @@ def test_cli_bench_trend(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"not\": \"a trajectory\"}")
     assert main(["bench", "--trend", str(bad)]) == 2
-
-
-def test_cli_bench_profile_writes_weights_and_comparison(tmp_path, capsys):
-    out = tmp_path / "BENCH_prof.json"
-    baseline = tmp_path / "COST_baseline.json"
-    baseline.write_text(json.dumps({
-        "profile_weights": {
-            "repro.sched.balance.balance_domain": 1.5,
-        },
-        "roots": {
-            "runqueue-load": {
-                "function": "repro.sched.runqueue.RunQueue.load",
-            },
-        },
-    }))
-    code = main([
-        "bench", "--quick", "--only", "figure2", "--profile",
-        "--out", str(out), "--cost-baseline", str(baseline),
-    ])
-    assert code == 0
-    stdout = capsys.readouterr().out
-    assert "profile vs committed baseline weights:" in stdout
-    assert "runqueue-load" in stdout
-    weights_path = tmp_path / "BENCH_prof.profile.figure2.json"
-    assert (tmp_path / "BENCH_prof.profile.figure2.txt").exists()
-    weights = json.loads(weights_path.read_text())
-    # Harvested keys are in-repo dotted qualnames with real tottimes.
-    assert all(k.startswith("repro.") for k in weights)
-    assert any(k.endswith("Scheduler.tick") for k in weights)

@@ -126,9 +126,51 @@ def test_replay_diff_flags_divergence(registry, tmp_path, capsys):
     assert "first divergent event: #4" in out
 
 
-def test_slo_run_unknown_scenario_errors(registry):
-    with pytest.raises(ValueError, match="unknown scenario"):
-        main([
-            "slo", "run", "--registry", str(registry),
-            "--scenario", "nope", "--no-cache",
-        ])
+def test_slo_run_unknown_scenario_errors(registry, capsys):
+    code = main([
+        "slo", "run", "--registry", str(registry),
+        "--scenario", "nope", "--no-cache",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: unknown scenario")
+
+
+def _bad_registry(tmp_path, kind):
+    if kind == "missing":
+        return tmp_path / "no-such-registry"
+    reg = tmp_path / "bad"
+    reg.mkdir()
+    (reg / "broken.toml").write_text("[scenario]\nname = \"broken\"\n")
+    return reg
+
+
+@pytest.mark.parametrize("kind", ["missing", "malformed"])
+@pytest.mark.parametrize("argv", [
+    ["slo", "run"], ["slo", "check"], ["replay", "record"],
+], ids=["slo-run", "slo-check", "replay-record"])
+def test_bad_registry_exits_two(tmp_path, capsys, argv, kind):
+    # Exit 1 is "SLO REGRESSION"; bad input must not masquerade as one.
+    registry = _bad_registry(tmp_path, kind)
+    extra = ["--out", str(tmp_path / "t")] if argv[0] == "replay" else []
+    code = main(argv + ["--registry", str(registry)] + extra)
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("payload", ["{torn", "[]", "null", "3"],
+                         ids=["corrupt", "list", "null", "int"])
+def test_slo_check_bad_baseline_exits_two(registry, tmp_path, capsys,
+                                          payload):
+    baseline = tmp_path / "baseline.json"
+    baseline.write_text(payload)
+    code = main([
+        "slo", "check", "--registry", str(registry), "--no-cache",
+        "-j", "1", "--baseline", str(baseline),
+    ])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(baseline) in err[0]
