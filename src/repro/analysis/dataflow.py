@@ -8,9 +8,10 @@ is stated over:
 
 * :class:`FunctionSummary` -- per function: the fields it writes (plain
   assignments, augmented assignments, subscript stores, and *mutating
-  calls* like ``self._tree.insert(...)``, which mutate the object held by
-  a field), the fields it reads, and the counter bumps it performs
-  (``<counter>.bump()`` calls and ``mutations += 1``).
+  calls* like ``self._q.insert(...)`` or ``bisect.insort(self._q, ...)``,
+  which mutate the object held by a field, also through a local alias
+  ``q = self._q``), the fields it reads, and the counter bumps it
+  performs (``<counter>.bump()`` calls and ``mutations += 1``).
 * :class:`CoverageAnalysis` -- the query "is this write followed by a
   bump of counter C?", answered interprocedurally: a bump later in the
   same function (source order; conditional bumps count -- the contract's
@@ -44,6 +45,10 @@ from repro.analysis.symbols import (
 COUNTER_NAMES = frozenset({
     "mutations", "load_epoch", "idle_epoch", "divisor_epoch",
 })
+
+
+#: Module functions that insert into the sorted list passed first.
+SORTED_INSERTS = frozenset({"insort", "insort_left", "insort_right"})
 
 
 def normalize_counter(name: str) -> str:
@@ -109,6 +114,25 @@ def _summarize(table: SymbolTable, fn: FunctionInfo) -> FunctionSummary:
             return f"<{inferred.name}>", via_self
         return inferred.name, via_self
 
+    # Local names bound straight to a field (``q = self._q``): a call
+    # through the name mutates the field's object as ``self._q.m()`` does.
+    aliases: Dict[str, ast.Attribute] = {}
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Assign) and len(sub.targets) == 1:
+            name = sub.targets[0]
+            if isinstance(name, ast.Name) and isinstance(
+                sub.value, ast.Attribute
+            ):
+                aliases[name.id] = sub.value
+
+    def held_field(expr: ast.expr) -> Optional[ast.Attribute]:
+        """The ``x.f`` an expression names, directly or via an alias."""
+        if isinstance(expr, ast.Attribute):
+            return expr
+        if isinstance(expr, ast.Name):
+            return aliases.get(expr.id)
+        return None
+
     def record_write(target: ast.expr, kind: str) -> None:
         sub_kind = kind
         if isinstance(target, ast.Subscript):
@@ -143,6 +167,15 @@ def _summarize(table: SymbolTable, fn: FunctionInfo) -> FunctionSummary:
                 summary.bumps.append((
                     normalize_counter(sub.target.attr), sub.target.lineno,
                 ))
+        elif isinstance(sub, ast.Call) and _is_sorted_insert(sub) and (
+            held := held_field(sub.args[0])
+        ) is not None:
+            # ``insort(x.f, item)`` mutates the list held by ``f``.
+            cls, via_self = owner_of(held.value)
+            summary.writes.append(FieldAccess(
+                cls=cls, attr=held.attr, line=sub.lineno,
+                kind="mutate", via_self=via_self,
+            ))
         elif isinstance(sub, ast.Call) and isinstance(
             sub.func, ast.Attribute
         ):
@@ -156,11 +189,12 @@ def _summarize(table: SymbolTable, fn: FunctionInfo) -> FunctionSummary:
             # Mutating call through a field: ``x.f.m(...)`` mutates the
             # object held by ``f`` -- a write to (class-of-x, f) as far
             # as cache coherence is concerned.
-            if isinstance(recv, ast.Attribute):
-                cls, via_self = owner_of(recv.value)
-                if _mutates(table, cls, recv.attr, method):
+            held = held_field(recv)
+            if held is not None:
+                cls, via_self = owner_of(held.value)
+                if _mutates(table, cls, held.attr, method):
                     summary.writes.append(FieldAccess(
-                        cls=cls, attr=recv.attr, line=recv.lineno,
+                        cls=cls, attr=held.attr, line=sub.lineno,
                         kind="mutate", via_self=via_self,
                     ))
 
@@ -181,6 +215,16 @@ def _summarize(table: SymbolTable, fn: FunctionInfo) -> FunctionSummary:
             kind="read", via_self=via_self,
         ))
     return summary
+
+
+def _is_sorted_insert(call: ast.Call) -> bool:
+    """Whether ``call`` is ``[bisect.]insort*(seq, ...)``."""
+    func = call.func
+    name = (
+        func.attr if isinstance(func, ast.Attribute)
+        else func.id if isinstance(func, ast.Name) else None
+    )
+    return name in SORTED_INSERTS and bool(call.args)
 
 
 def _bump_counter(recv: ast.AST) -> Optional[str]:

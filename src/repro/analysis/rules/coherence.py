@@ -62,7 +62,7 @@ from repro.analysis.symbols import FunctionInfo, SymbolTable
 #: may be conditional (only idle *transitions* matter) -- the analyzer
 #: checks presence on the path, not the guard.
 CONTRACT: Dict[Tuple[str, str], FrozenSet[str]] = {
-    ("RunQueue", "_tree"): frozenset({"mutations", "load_epoch"}),
+    ("RunQueue", "_q"): frozenset({"mutations", "load_epoch"}),
     ("RunQueue", "curr"): frozenset(
         {"mutations", "load_epoch", "idle_epoch"}
     ),
@@ -214,7 +214,7 @@ class _Project:
                         continue
                     if (cls, read.attr) in CONTRACT:
                         # Guarded fields always count as dependencies --
-                        # including container bindings like ``_tree``
+                        # including container bindings like ``_q``
                         # whose *contents* are what the counter guards.
                         deps.add((cls, read.attr))
                         continue

@@ -79,12 +79,12 @@ def has_violation(sched: "Scheduler", now: int) -> bool:
     """Cheap early-exit variant of :func:`find_violations`.
 
     Returns at once while no runqueue has a task to spare (the
-    scheduler's exact ``overload`` count): without a CPU running two
+    scheduler's exact ``overload`` set is empty): without a CPU running two
     threads there is nothing to steal.  Otherwise each waiting task of
     each spare queue is tested against the set of idle CPUs in one
     ``isdisjoint`` call.
     """
-    if sched.overload.value == 0:
+    if not sched.overload:
         return False
     cpus = sched.cpus
     idle_ids = {c.cpu_id for c in cpus if c.is_idle}

@@ -104,16 +104,21 @@ class ResultCache:
         self.code_digest = (
             code_digest if code_digest is not None else source_tree_digest()
         )
+        #: The current digest's shard directory, as a string: lookups
+        #: join entry names onto it instead of building ``Path`` objects.
+        self._shard_dir = os.path.join(
+            self.root, f"v{CACHE_VERSION}", self.code_digest[:16]
+        )
         #: Tallies for utilization summaries.
         self.hits = 0
         self.misses = 0
 
-    def _shard(self) -> Path:
-        return self.root / f"v{CACHE_VERSION}" / self.code_digest[:16]
+    def _entry_file(self, spec: TrialSpec) -> str:
+        return os.path.join(self._shard_dir, f"{spec.fingerprint()}.json")
 
     def entry_path(self, spec: TrialSpec) -> Path:
         """Where this spec's entry lives under the current source digest."""
-        return self._shard() / f"{spec.fingerprint()}.json"
+        return Path(self._entry_file(spec))
 
     def get(self, spec: TrialSpec) -> Optional[TrialResult]:
         """The cached result for ``spec``, or ``None`` on a miss.
@@ -121,9 +126,8 @@ class ResultCache:
         A corrupt or schema-incompatible entry counts as a miss (it will
         be overwritten by the next :meth:`put`), never an error.
         """
-        path = self.entry_path(spec)
         try:
-            with path.open(encoding="utf-8") as fh:
+            with open(self._entry_file(spec), encoding="utf-8") as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
             self.misses += 1
@@ -149,8 +153,9 @@ class ResultCache:
         self, spec: TrialSpec, result: TrialResult, wall_seconds: float = 0.0
     ) -> Path:
         """Store one executed trial's row (atomically; artifact excluded)."""
-        path = self.entry_path(spec)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        fingerprint = spec.fingerprint()
+        path = os.path.join(self._shard_dir, f"{fingerprint}.json")
+        os.makedirs(self._shard_dir, exist_ok=True)
         entry: Dict[str, object] = {
             "version": CACHE_VERSION,
             "code_digest": self.code_digest,
@@ -163,16 +168,18 @@ class ResultCache:
         # Write-then-rename so a concurrent reader (another worker, another
         # process) sees either the old entry or the new one, never a torn
         # file.  The temp name is per-pid to keep writers from colliding.
-        tmp = path.with_suffix(f".{os.getpid()}.tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
+        tmp = os.path.join(
+            self._shard_dir, f"{fingerprint}.{os.getpid()}.tmp"
+        )
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(entry, fh, indent=1, sort_keys=True)
             fh.write("\n")
         os.replace(tmp, path)
-        return path
+        return Path(path)
 
     def entry_count(self) -> int:
         """How many entries exist under the current source digest."""
-        shard = self._shard()
+        shard = Path(self._shard_dir)
         if not shard.is_dir():
             return 0
         return sum(1 for _ in shard.glob("*.json"))

@@ -1,6 +1,6 @@
 """The CFS model: everything the paper's Section 2 describes.
 
-Per-CPU runqueues ordered by vruntime on a red-black tree, the
+Per-CPU runqueues ordered by vruntime (a bisect-sorted list), the
 weight-and-utilization load metric with cgroup/autogroup division, the
 scheduling-domain hierarchy with per-level scheduling groups, the hierarchical
 load-balancing algorithm (the paper's Algorithm 1), wakeup placement, NOHZ
@@ -13,7 +13,6 @@ package and is toggled by :class:`~repro.sched.features.SchedFeatures`.
 from repro.sched.cgroup import Autogroup, CGroup, CGroupManager
 from repro.sched.domains import DomainBuilder, SchedDomain, SchedGroup
 from repro.sched.features import SchedFeatures
-from repro.sched.rbtree import RBTree
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task, TaskState
 from repro.sched.weights import (
@@ -27,7 +26,6 @@ __all__ = [
     "CGroupManager",
     "DomainBuilder",
     "NICE_0_WEIGHT",
-    "RBTree",
     "RunQueue",
     "SchedDomain",
     "SchedFeatures",

@@ -32,6 +32,11 @@ mutates, and selects the busiest group in bulk.  Its folds use the
 identical expressions (and float-op order) as the reference path, so
 balancing decisions -- and therefore traces -- are byte-identical on
 either path.
+
+On both paths an attempt first consults the spare set
+(``Scheduler.overload``): an attempt whose domain holds no CPU with a
+task to spare outside the local group cannot move anything, so it
+returns before sampling (:func:`nothing_to_pull`).
 """
 
 from __future__ import annotations
@@ -48,7 +53,11 @@ from typing import (
 )
 
 from repro.sched.runqueue import has_spare_task
-from repro.sched.sanitizer import verify_gated_skip, verify_overload
+from repro.sched.sanitizer import (
+    verify_gated_skip,
+    verify_overload,
+    verify_skipped_attempt,
+)
 
 #: Gate sentinel above any reachable deadline: a CPU that currently wins
 #: no level parks its gate here until it wins one (a reconciled election
@@ -292,35 +301,60 @@ def move_tasks(
     return moved
 
 
-def overloaded_rqs(sched: "Scheduler") -> int:
-    """From-scratch count of the runqueues with a task to spare.
+def overloaded_rqs(sched: "Scheduler") -> Set[int]:
+    """From-scratch set of the CPUs whose runqueue has a task to spare.
 
     The reference value of ``Scheduler.overload``, which the runqueues
     keep incrementally; the coherence sanitizer compares the two.
     """
-    return sum(
-        1 for cpu in sched.cpus if has_spare_task(cpu.rq._nr_running)
-    )
+    return {
+        cpu.cpu_id for cpu in sched.cpus if has_spare_task(cpu.rq._nr_running)
+    }
 
 
-def nothing_to_pull(sched: "Scheduler") -> bool:
-    """True when no balancing attempt anywhere can move a task.
+def nothing_to_pull(
+    sched: "Scheduler", reach: Optional[FrozenSet[int]] = None
+) -> bool:
+    """True when no balancing attempt that can only pull from ``reach``
+    (default: anywhere) can move a task.
 
-    The kernel's ``!rd->overload`` early exit.  :func:`pick_busiest_cpu`
-    only accepts a CPU that passes ``has_spare_task``, so while the
-    overload count is zero every level ends "balanced" or "blocked" and
-    nothing moves: the walk's only observable output is its probe
-    records.  A probe that consumes them (``Probe.wants_balance``) keeps
-    every walk; otherwise the walk is skipped.
+    The kernel's ``!rd->overload`` early exit, refined per domain:
+    :func:`pick_busiest_cpu` only accepts a CPU that passes
+    ``has_spare_task``, so while no such CPU lies in ``reach`` the
+    attempt ends "balanced" or "blocked" and nothing moves: its only
+    observable output is its probe records.  A probe that consumes them
+    (``Probe.wants_balance``) keeps every attempt; otherwise the attempt
+    is skipped.
     """
-    if sched.overload.value:
+    spare = sched.overload
+    if spare if reach is None else not spare.isdisjoint(reach):
         return False
     probe = sched.probe
     if probe.active and probe.wants_balance():
         return False
     if sched.features.sanitize_coherence:
-        verify_overload(sched.overload.value, overloaded_rqs(sched))
+        verify_overload(spare, overloaded_rqs(sched))
     return True
+
+
+def _check_nothing_found(
+    sched: "Scheduler",
+    domain: "SchedDomain",
+    dst_cpu: int,
+    now: int,
+    bpass: Optional["VecState"],
+) -> None:
+    """Sanitizer: a skipped attempt, run for real, finds no source CPU.
+
+    Only probes that ignore balance records are attached when an attempt
+    is skipped, so the dry run's records go unobserved.
+    """
+    busiest, _local = find_busiest_group(sched, domain, dst_cpu, now, bpass)
+    src_cpu = (
+        None if busiest is None
+        else pick_busiest_cpu(sched, busiest, frozenset(), now)
+    )
+    verify_skipped_attempt(dst_cpu, domain.name, src_cpu)
 
 
 def balance_domain(
@@ -330,8 +364,14 @@ def balance_domain(
     now: int,
     bpass: Optional["VecState"] = None,
 ) -> int:
-    """One balancing attempt at one domain level (Lines 10-23)."""
-    if nothing_to_pull(sched):
+    """One balancing attempt at one domain level (Lines 10-23).
+
+    Skipped before any sampling when no CPU of the domain's non-local
+    groups has a task to spare (see :func:`nothing_to_pull`).
+    """
+    if nothing_to_pull(sched, domain.remote_cpus(dst_cpu)):
+        if sched.features.sanitize_coherence:
+            _check_nothing_found(sched, domain, dst_cpu, now, bpass)
         return 0
     busiest, local = find_busiest_group(sched, domain, dst_cpu, now, bpass)
     probe = sched.probe

@@ -8,10 +8,10 @@ the paper's Section 2.2.2 describes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Optional, Set
 
 from repro.sched.load import LoadEpoch
-from repro.sched.runqueue import OverloadCount, RunQueue
+from repro.sched.runqueue import RunQueue
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.viz.events import Probe
@@ -29,7 +29,7 @@ class Cpu:
         idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
-        overload: Optional[OverloadCount] = None,
+        overload: Optional[Set[int]] = None,
     ):
         self.cpu_id = cpu_id
         self.rq = RunQueue(

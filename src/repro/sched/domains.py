@@ -129,6 +129,39 @@ class SchedDomain:
             raise ValueError(f"cpu {cpu_id} not in domain {self.name}")
         return group
 
+    @cached_property
+    def _remote_by_cpu(self) -> Dict[int, FrozenSet[int]]:
+        # One union per local group (index of the first group containing
+        # the CPU), shared by every CPU of that group.  The union of the
+        # *other* groups, not the span minus the local group: NUMA
+        # groups overlap, so a CPU of the local group may also sit in a
+        # group the balancer can pick as busiest.
+        by_local: Dict[int, FrozenSet[int]] = {}
+        mapping: Dict[int, FrozenSet[int]] = {}
+        for idx, group in enumerate(self.groups):
+            for c in group.cpus:
+                if c in mapping:
+                    continue
+                remote = by_local.get(idx)
+                if remote is None:
+                    remote = frozenset(
+                        cpu
+                        for j, other in enumerate(self.groups) if j != idx
+                        for cpu in other.cpus
+                    )
+                    by_local[idx] = remote
+                mapping[c] = remote
+        return mapping
+
+    def remote_cpus(self, cpu_id: int) -> FrozenSet[int]:
+        """Every CPU of the groups other than ``cpu_id``'s local group.
+
+        A balancing attempt from ``cpu_id`` can only pull from these CPUs
+        (the busiest group is never the local one); empty when the CPU
+        is not in the domain, where an attempt finds no local group.
+        """
+        return self._remote_by_cpu.get(cpu_id, frozenset())
+
     def __repr__(self) -> str:
         return (
             f"SchedDomain({self.name!r}, level={self.level}, "

@@ -89,7 +89,7 @@ class SchedFeatures:
     #: balance sampling, folding and busiest-group selection.  Off is the
     #: reference path: per-call folds and the plain designated-balancer
     #: election, reading like the paper's Algorithm 1.  Both paths pick
-    #: from the rbtree.
+    #: from the same sorted runqueue.
     fastpath: bool = True
 
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the

@@ -1,9 +1,10 @@
 """Per-CPU runqueue (the kernel's ``cfs_rq``).
 
-Runnable tasks wait in a red-black tree sorted by vruntime; the running task
-is kept outside the tree (like the kernel).  ``nr_running`` counts both, and
-is the quantity both the paper's heatmaps (Figure 2a) and the sanity
-checker's invariant are defined over.
+Runnable tasks wait in a list kept sorted by ``(vruntime, tid)`` with
+:mod:`bisect` (the kernel's rbtree timeline: the pick is the leftmost
+entry); the running task is kept outside the list (like the kernel).
+``nr_running`` counts both, and is the quantity both the paper's heatmaps
+(Figure 2a) and the sanity checker's invariant are defined over.
 
 The queue reports every ``nr_running`` and load change to an optional probe,
 mirroring the paper's instrumentation of ``add_nr_running`` /
@@ -18,17 +19,19 @@ returns the *same float object* the miss produced -- the cached value is the
 plain summation, never a closed-form shortcut -- so traces are byte-identical
 with the cache on or off.
 
-Every queue also keeps the machine-wide :class:`OverloadCount` (the kernel's
-``rd->overload``) exact: the four mutators that change ``nr_running`` move
-it whenever the queue crosses :func:`has_spare_task`.
+Every queue also keeps the scheduler's shared *spare set* exact: the ids of
+the CPUs whose queue passes :func:`has_spare_task` (the kernel's
+``rd->overload`` flag, refined per CPU; its ``len`` is the count of
+overloaded queues).  The four mutators that change ``nr_running`` add or
+discard the queue's id whenever it crosses that boundary.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Optional
+from bisect import bisect_left
+from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
 from repro.sched.load import LoadEpoch
-from repro.sched.rbtree import RBTree
 from repro.sched.sanitizer import verify_rq_load
 from repro.sched.task import Task, TaskState
 from repro.sched.timebase import SCHED_LATENCY_US
@@ -52,21 +55,9 @@ def has_spare_task(nr_running: int) -> bool:
     return nr_running >= SPARE_NR_RUNNING
 
 
-class OverloadCount:
-    """How many runqueues currently have a task to spare.
-
-    The kernel keeps ``rd->overload`` as a flag; the simulator keeps the
-    exact count, shared by every runqueue of a scheduler, so a zero proves
-    that no balancing attempt anywhere can move a task.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def __repr__(self) -> str:
-        return f"OverloadCount({self.value})"
+#: One waiting task's entry in the sorted queue: (vruntime, tid, task).
+#: tids are unique, so comparisons never reach the task object.
+QueueEntry = Tuple[int, int, Task]
 
 
 class RunQueue:
@@ -81,12 +72,15 @@ class RunQueue:
         idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
-        overload: Optional[OverloadCount] = None,
+        overload: Optional[Set[int]] = None,
     ):
         self.cpu_id = cpu_id
         self.probe = probe
-        self._tree = RBTree()
-        #: Task currently on the CPU (not in the tree), if any.
+        #: Waiting tasks as (vruntime, tid, task), ascending: the pick is
+        #: index 0.  Written only through ``insert``/``pop`` calls, which
+        #: the coherence lint rule sees as writes to ``_q``.
+        self._q: List[QueueEntry] = []
+        #: Task currently on the CPU (not in the queue), if any.
         self.curr: Optional[Task] = None
         #: Monotonic floor for newcomers' vruntime.
         self.min_vruntime = 0
@@ -101,12 +95,11 @@ class RunQueue:
         self.divisor_epoch = (
             divisor_epoch if divisor_epoch is not None else LoadEpoch()
         )
-        #: Shared count of queues with a task to spare; moved only when
-        #: this queue crosses ``has_spare_task`` (balancers skip their
-        #: walks while it is zero).
-        self.overload = (
-            overload if overload is not None else OverloadCount()
-        )
+        #: Shared set of the CPUs whose queue has a task to spare; this
+        #: queue's id enters or leaves it only when the queue crosses
+        #: ``has_spare_task`` (balancers skip every attempt that cannot
+        #: reach a member).
+        self.overload: Set[int] = overload if overload is not None else set()
         self._load_cache_enabled = load_cache
         #: Coherence sanitizer: cross-check every load-memo hit against a
         #: from-scratch recompute (see ``repro.sched.sanitizer``).
@@ -140,7 +133,7 @@ class RunQueue:
         #: the memo key; every bumping mutator forces a recompute (and
         #: thus a re-derivation) through the key itself.
         self._cached_load_invariant = False
-        #: Incrementally-maintained mirrors of the tree + curr aggregates
+        #: Incrementally-maintained mirrors of the queue + curr aggregates
         #: (task weights are fixed at construction, so integer bookkeeping
         #: is exact).  ``nr_running`` and ``total_weight`` are hot in the
         #: balancer and the tick path.
@@ -159,17 +152,17 @@ class RunQueue:
             return self._nr_running
         # Baseline (fast path off) recounts from scratch, reproducing the
         # pre-incremental implementation for `repro bench --compare`.
-        return len(self._tree) + (1 if self.curr is not None else 0)
+        return len(self._q) + (1 if self.curr is not None else 0)
 
     @property
     def nr_queued(self) -> int:
-        """Tasks waiting in the tree (excluding the running one)."""
-        return len(self._tree)
+        """Tasks waiting in the queue (excluding the running one)."""
+        return len(self._q)
 
     # -- enqueue / dequeue -----------------------------------------------------
 
     def enqueue(self, task: Task, now: int, wakeup: bool = False) -> None:
-        """Add a runnable task to the tree.
+        """Add a runnable task to the queue.
 
         On wakeup the task's vruntime is clamped to
         ``min_vruntime - latency/2`` like the kernel's ``place_entity``: a
@@ -184,7 +177,7 @@ class RunQueue:
         task.state = TaskState.RUNNABLE
         task.cpu = self.cpu_id
         task.stats.last_enqueue_us = now
-        self._tree.insert((task.vruntime, task.tid), task)
+        self._insert(task)
         self._nr_running += 1
         self._total_weight += task.weight
         self.mutations += 1
@@ -197,13 +190,13 @@ class RunQueue:
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING:
-            self.overload.value += 1
+            self.overload.add(self.cpu_id)
         self.load_epoch.bump()
         self._notify(now)
 
     def dequeue(self, task: Task, now: int) -> None:
-        """Remove a queued (not running) task from the tree."""
-        self._tree.remove((task.vruntime, task.tid))
+        """Remove a queued (not running) task from the queue."""
+        self._q.pop(self._index(task))
         self._nr_running -= 1
         self._total_weight -= task.weight
         self.mutations += 1
@@ -216,25 +209,25 @@ class RunQueue:
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING - 1:
-            self.overload.value -= 1
+            self.overload.discard(self.cpu_id)
         self.load_epoch.bump()
         self._notify(now)
 
     def requeue(self, task: Task, new_vruntime: int, now: int) -> None:
         """Re-sort a queued task to ``new_vruntime``.
 
-        A queued task's vruntime *is* its tree key, so the move must be
+        A queued task's vruntime *is* its sort key, so the move must be
         keyed by the old value and the attribute updated in between --
         callers pass the new vruntime instead of mutating the task
-        first.  The task *set* is unchanged -- the tree entry merely
-        moves to its new sort position -- so load, nr_running, and
-        idleness are all exactly what every cache already holds: no
-        epoch or mutation bump, by design (hence the inline coherence
-        suppressions).
+        first.  The task *set* is unchanged -- the entry merely moves to
+        its new sort position -- so load, nr_running, and idleness are
+        all exactly what every cache already holds: no epoch or mutation
+        bump, by design (hence the inline coherence suppressions).
         """
-        self._tree.remove((task.vruntime, task.tid))  # repro: noqa[coherence-unbumped-write]
+        self._q.pop(self._index(task))  # repro: noqa[coherence-unbumped-write]
         task.vruntime = new_vruntime
-        self._tree.insert((task.vruntime, task.tid), task)  # repro: noqa[coherence-unbumped-write]
+        i = bisect_left(self._q, (new_vruntime, task.tid))
+        self._q.insert(i, (new_vruntime, task.tid, task))  # repro: noqa[coherence-unbumped-write]
         # Not a load-affecting change, but the invariance flag is keyed
         # to the summation the memo last saw; drop it conservatively.
         self._cached_load_invariant = False
@@ -266,20 +259,23 @@ class RunQueue:
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         if had_spare != has_spare_task(self._nr_running):
-            self.overload.value += -1 if had_spare else 1
+            if had_spare:
+                self.overload.discard(self.cpu_id)
+            else:
+                self.overload.add(self.cpu_id)
         self.load_epoch.bump()
         self._notify(now)
 
     def put_prev(self, task: Task, now: int) -> None:
-        """Return the previously-running task to the tree (preemption)."""
+        """Return the previously-running task to the queue (preemption)."""
         if self.curr is not task:
             raise ValueError(f"{task} is not current on cpu {self.cpu_id}")
         self.curr = None
         task.state = TaskState.RUNNABLE
         task.stats.last_enqueue_us = now
-        self._tree.insert((task.vruntime, task.tid), task)
+        self._insert(task)
         # The task set (and therefore load, nr_running, idleness) is
-        # unchanged -- curr merely moved into the tree -- so no epoch or
+        # unchanged -- curr merely moved into the queue -- so no epoch or
         # mutation bump: every cached aggregate stays exactly valid.
         # The *time-invariance* of the load summation is not: the task's
         # running-state target flipped without a memo-key event, so the
@@ -289,18 +285,45 @@ class RunQueue:
 
     # -- selection -------------------------------------------------------------
 
+    def _insert(self, task: Task) -> None:
+        """Put a task at its ``(vruntime, tid)`` position in the queue.
+
+        Callers bump (or, for ``put_prev``, deliberately do not bump) the
+        counters themselves.  A task already queued under the same key
+        raises ``KeyError`` instead of sitting in the queue twice.
+        """
+        q = self._q
+        vruntime = task.vruntime
+        tid = task.tid
+        i = bisect_left(q, (vruntime, tid))
+        if i < len(q) and q[i][1] == tid and q[i][0] == vruntime:
+            raise KeyError(f"duplicate key {(vruntime, tid)!r}")
+        q.insert(i, (vruntime, tid, task))
+
+    def _index(self, task: Task) -> int:
+        """Position of a queued task; ``KeyError`` if it is not queued.
+
+        ``(vruntime, tid)`` sorts before every entry that extends it, so
+        ``bisect_left`` lands on the task's own entry when it is here.
+        """
+        q = self._q
+        i = bisect_left(q, (task.vruntime, task.tid))
+        if i == len(q) or q[i][2] is not task:
+            raise KeyError(f"key {(task.vruntime, task.tid)!r} not queued")
+        return i
+
     def pick_next(self) -> Optional[Task]:
         """The leftmost (least-vruntime) waiting task, without removing it.
 
-        The tree orders by the composite ``(vruntime, tid)`` key, so
+        The queue orders by the composite ``(vruntime, tid)`` key, so
         equal-vruntime tasks pick in tid order.
         """
-        pair = self._tree.leftmost()
-        return None if pair is None else pair[1]
+        q = self._q
+        return q[0][2] if q else None
 
     def take(self, task: Task, now: int) -> Task:
         """Remove a specific waiting task (for migration or dispatch)."""
-        self._tree.remove((task.vruntime, task.tid))
+        self._q.pop(self._index(task))
         self._nr_running -= 1
         self._total_weight -= task.weight
         self.mutations += 1
@@ -313,31 +336,30 @@ class RunQueue:
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING - 1:
-            self.overload.value -= 1
+            self.overload.discard(self.cpu_id)
         self.load_epoch.bump()
         self._notify(now)
         return task
 
     def leftmost_vruntime(self) -> Optional[int]:
-        pair = self._tree.leftmost()
-        return None if pair is None else pair[0][0]
+        q = self._q
+        return q[0][0] if q else None
 
     def update_min_vruntime(self) -> None:
         """Advance the monotonic vruntime floor (kernel semantics).
 
         Equivalent to ``max(min_vruntime, min(candidates))`` over the
-        running task's vruntime and the tree's leftmost key, written
+        running task's vruntime and the queue's leftmost key, written
         branch-by-branch because this runs on every accounting point.
         """
         curr = self.curr
-        pair = self._tree.leftmost()
-        leftmost_vr = None if pair is None else pair[0][0]
+        q = self._q
         if curr is not None:
             floor = curr.vruntime
-            if leftmost_vr is not None and leftmost_vr < floor:
-                floor = leftmost_vr
-        elif leftmost_vr is not None:
-            floor = leftmost_vr
+            if q and q[0][0] < floor:
+                floor = q[0][0]
+        elif q:
+            floor = q[0][0]
         else:
             return
         if floor > self.min_vruntime:
@@ -345,13 +367,13 @@ class RunQueue:
 
     # -- introspection -----------------------------------------------------------
 
-    def queued_tasks(self) -> Iterator[Task]:
+    def queued_tasks(self) -> List[Task]:
         """Waiting tasks in vruntime order (excludes the running task)."""
-        return self._tree.values()
+        return [entry[2] for entry in self._q]
 
     def all_tasks(self) -> List[Task]:
-        """Running + waiting tasks."""
-        tasks = list(self._tree.values())
+        """Waiting tasks in vruntime order, then the running one."""
+        tasks = [entry[2] for entry in self._q]
         if self.curr is not None:
             tasks.append(self.curr)
         return tasks
@@ -387,20 +409,25 @@ class RunQueue:
             if self._sanitize:
                 verify_rq_load(self, now, self._cached_load)
             return self._cached_load
-        # Explicit loop with the exact float-op order of the builtin
-        # ``sum`` (int 0 start, sequential left-to-right adds), which
+        # Explicit walk with the exact float-op order of the builtin
+        # ``sum`` over ``all_tasks()`` (int 0 start, sequential
+        # left-to-right adds: the queue in order, then curr), which
         # additionally derives the time-invariance flag: every member
         # tracker sitting exactly on its state's target (1.0 running,
         # 0.0 waiting) decays to itself at any future timestamp, so the
         # summation -- and therefore this sample -- is a constant of
-        # time until the next mutation or state flip.
+        # time until the next mutation or state flip.  Raw util reads
+        # are deliberate: exact convergence (util == target) is
+        # decay-invariant -- the decayed value IS the raw value on this
+        # path -- so no staleness can be observed.
         value: float = 0
         invariant = True
-        for task in self.all_tasks():
+        q = self._q
+        curr = self.curr
+        n = len(q)
+        for i in range(n if curr is None else n + 1):
+            task = q[i][2] if i < n else curr
             value = value + task.load(now)
-            # Raw util read is deliberate: exact convergence (util ==
-            # target) is decay-invariant -- the decayed value IS the raw
-            # value on this path -- so no staleness can be observed.
             if task.tracker.util != (  # repro: noqa[perf-load-bypass]
                 1.0 if task.state is TaskState.RUNNING else 0.0
             ):

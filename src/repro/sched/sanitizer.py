@@ -25,7 +25,15 @@ enables it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Optional,
+    Tuple,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.balance import GroupStats
@@ -38,7 +46,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 FACTS: Dict[str, FrozenSet[Tuple[str, str]]] = {
     "runqueue-load": frozenset(
         {
-            ("RunQueue", "_tree"),
+            ("RunQueue", "_q"),
             ("RunQueue", "curr"),
             ("CGroup", "_members"),
             ("CGroup", "_avg_threads"),
@@ -46,7 +54,7 @@ FACTS: Dict[str, FrozenSet[Tuple[str, str]]] = {
     ),
     "group-stats": frozenset(
         {
-            ("RunQueue", "_tree"),
+            ("RunQueue", "_q"),
             ("RunQueue", "curr"),
             ("RunQueue", "_nr_running"),
             ("CGroup", "_members"),
@@ -97,7 +105,7 @@ def verify_rq_load(rq: "RunQueue", now: int, cached: float) -> None:
     fresh = sum(task.load(now) for task in rq.all_tasks())
     if fresh != cached:
         raise CoherenceError("runqueue-load", "load", cached, fresh)
-    nr = len(rq._tree) + (1 if rq.curr is not None else 0)
+    nr = len(rq._q) + (1 if rq.curr is not None else 0)
     if nr != rq._nr_running:
         raise CoherenceError(
             "runqueue-load", "_nr_running", rq._nr_running, nr
@@ -168,10 +176,28 @@ def verify_idle_sibling(target: int, cached: int, fresh: int) -> None:
         )
 
 
-def verify_overload(cached: int, fresh: int) -> None:
-    """Cross-check the overload count at a balance-gate skip."""
+def verify_overload(
+    cached: AbstractSet[int], fresh: AbstractSet[int]
+) -> None:
+    """Cross-check the spare set at a balance-gate skip."""
     if cached != fresh:
-        raise CoherenceError("overload-gate", "overloaded_rqs", cached, fresh)
+        raise CoherenceError(
+            "overload-gate", "overloaded_rqs", sorted(cached), sorted(fresh)
+        )
+
+
+def verify_skipped_attempt(
+    cpu_id: int, domain: str, src_cpu: Optional[int]
+) -> None:
+    """Cross-check a spare-gated balancing attempt against a dry run.
+
+    ``src_cpu`` is the source CPU the skipped attempt would have pulled
+    from had it run; the skip is sound only if there is none.
+    """
+    if src_cpu is not None:
+        raise CoherenceError(
+            "spare-gate", f"cpu {cpu_id} {domain} source", None, src_cpu
+        )
 
 
 def verify_domain_table(cached: "DomainTable", fresh: "DomainTable") -> None:

@@ -28,7 +28,6 @@ from repro.sched.cpu import Cpu
 from repro.sched.domains import DomainBuilder
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadEpoch
-from repro.sched.runqueue import OverloadCount
 from repro.sched.task import Task, TaskState
 from repro.sched.vecstate import VecState
 from repro.topology.machine import MachineTopology
@@ -63,11 +62,12 @@ class Scheduler:
         #: Bumped when a cgroup divisor changes (attach/detach), dirtying
         #: per-queue load caches without any runqueue event.
         self.divisor_epoch = LoadEpoch()
-        #: Runqueues with a task to spare (the kernel's ``rd->overload``,
-        #: kept as an exact count by every runqueue): while it is zero no
-        #: balancing attempt can move anything, so the balancers skip
-        #: their walks (see ``repro.sched.balance.nothing_to_pull``).
-        self.overload = OverloadCount()
+        #: Ids of the CPUs whose runqueue has a task to spare (the
+        #: kernel's ``rd->overload``, refined per CPU and kept exact by
+        #: every runqueue).  An attempt whose domain holds no member
+        #: outside its local group can move nothing, so the balancers
+        #: skip it (see ``repro.sched.balance.nothing_to_pull``).
+        self.overload: Set[int] = set()
         self.cgroups.bind_load_epoch(self.load_epoch, self.divisor_epoch)
         self.cpus: List[Cpu] = [
             Cpu(

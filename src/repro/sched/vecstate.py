@@ -6,14 +6,17 @@ instance keeps flat (load, nr_running) mirrors -- the loads as the exact
 objects the queues returned (see "Object exactness" below) -- and keeps
 them coherent through the existing epoch-bump protocol:
 
+* each slot carries the timestamp it was sampled at; a sample is valid
+  only at that timestamp (loads are a function of ``now``);
 * every load-affecting runqueue mutation calls :meth:`mark_dirty` (wired
-  next to the queue's own ``mutations`` bump), which queues the slot for
-  resampling and advances the private fold version;
-* a new pass timestamp invalidates every load sample at once (loads are
-  a function of ``now``); the resample sweep reads each queue's
-  memoized ``load(now)``, so the mirrored floats are the *same objects*
-  the scalar path computes;
-* cgroup divisor bumps drop all load samples; hotplug
+  next to the queue's own ``mutations`` bump), which stales that slot
+  alone and advances the private fold version;
+* sampling is demand-driven: a fold resamples just the stale members of
+  the group it folds, through each queue's memoized ``load(now)``, so
+  the mirrored floats are the *same objects* the scalar path computes
+  and an attempt that reads one SMT pair samples two slots, not the
+  machine;
+* cgroup divisor bumps stale every slot; hotplug
   (:meth:`on_topology_change`) drops the interned group/domain index
   caches, checked per lookup so mid-pass epoch traffic is observed;
 * idle<->busy flips (:meth:`mark_idle_change`) are only queued, and
@@ -69,7 +72,7 @@ coherent.  No balancing decision consumes it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 
 from repro.sched.balance import (
     GroupStats,
@@ -160,10 +163,10 @@ class VecState:
     """Array-backed balance sampling layer (one per scheduler)."""
 
     __slots__ = (
-        "sched", "now", "_n", "_loads", "_nrs", "_dirty",
-        "_dirty_list", "_loads_at", "_version", "_div_ref",
-        "_div_epoch", "_gidx", "_gstats", "_designated", "_desig_by_cpu",
-        "_domains", "_sanitize", "_use_min", "_scratch_folds",
+        "sched", "now", "_n", "_loads", "_nrs", "_at", "_version",
+        "_div_ref", "_div_epoch", "_gidx", "_gstats", "_designated",
+        "_desig_by_cpu", "_domains", "_sanitize", "_use_min",
+        "_scratch_folds",
         "_grp_dirty", "_slot_grps", "_gate", "_gate_ep", "_disarms",
         "_idle", "_idle_queued", "_idle_q",
     )
@@ -179,13 +182,10 @@ class VecState:
         #: the object-exactness note above).
         self._loads: List[float] = [0.0] * n
         self._nrs: List[int] = [0] * n
-        #: Slots whose queue mutated since their last resample.  The
-        #: flag array dedups; the list makes the drain proportional to
-        #: the churn, not the machine size.
-        self._dirty = [False] * n
-        self._dirty_list: List[int] = []
-        #: Timestamp every non-dirty load slot is valid at (-1 = none).
-        self._loads_at = -1
+        #: Per-slot sampling timestamp: slot ``i`` is current exactly
+        #: when ``_at[i] == now``; -1 marks a slot staled by a mutation,
+        #: a divisor bump or hotplug.
+        self._at: List[int] = [-1] * n
         #: Fold version: bumped by every mutation/epoch invalidation, so
         #: a (now, version) pair keys the group-stats memos.
         self._version = 0
@@ -258,9 +258,7 @@ class VecState:
 
     def mark_dirty(self, cpu_id: int) -> None:
         """A load-affecting mutation happened on this CPU's queue."""
-        if not self._dirty[cpu_id]:
-            self._dirty[cpu_id] = True
-            self._dirty_list.append(cpu_id)
+        self._at[cpu_id] = -1
         self._version += 1
 
     def mark_idle_change(self, cpu_id: int) -> None:
@@ -364,7 +362,7 @@ class VecState:
         for bucket in self._desig_by_cpu:
             bucket.clear()
         self._domains.clear()
-        self._loads_at = -1
+        self._at = [-1] * self._n
         self._version += 1
         self._grp_dirty.clear()
         for lst in self._slot_grps:
@@ -382,62 +380,39 @@ class VecState:
         div = self._div_ref.value
         if div != self._div_epoch:
             self._div_epoch = div
-            self._loads_at = -1
+            self._at = [-1] * self._n
             self._version += 1
 
-    def _sync(self) -> None:
-        """Bring the (load, nr) mirrors current for ``now``.
+    def _sample(self, members: Iterable[int]) -> None:
+        """Bring the (load, nr) slots of ``members`` current for ``now``.
 
-        A new timestamp stales every load sample at once (loads decay
-        with time), so the sweep resamples the whole machine through the
-        queues' own memoized ``load(now)`` -- the exact floats the
-        scalar path reads.  At an already-synced timestamp only the
-        dirty slots are drained.
+        Only slots not yet sampled at ``now`` are read, through the
+        queues' own memoized ``load(now)`` -- the exact objects the
+        scalar path reads.  A slot whose mirrored object or count
+        changed bumps the dirty counter of every group holding it.
         """
         now = self.now
+        at = self._at
         loads = self._loads
         nrs = self._nrs
-        slot_grps = self._slot_grps
-        grp_dirty = self._grp_dirty
-        if self._loads_at != now:
-            for cpu in self.sched.cpus:
-                rq = cpu.rq
-                i = rq.cpu_id
-                # Identity check: the queue's load memo carries its value
-                # across timestamps while provably time-invariant, so a
-                # slot whose mirrored *object* is unchanged dirties no
-                # fold memo over it.
-                v = rq.load(now)
-                if v is not loads[i]:
-                    loads[i] = v
-                    for g in slot_grps[i]:
-                        grp_dirty[id(g)] += 1
-                nr = rq._nr_running
-                if nr != nrs[i]:
-                    nrs[i] = nr
-                    for g in slot_grps[i]:
-                        grp_dirty[id(g)] += 1
-            self._loads_at = now
-            if self._dirty_list:
-                for i in self._dirty_list:
-                    self._dirty[i] = False
-                self._dirty_list.clear()
-        elif self._dirty_list:
-            cpus = self.sched.cpus
-            for i in self._dirty_list:
-                rq = cpus[i].rq
-                v = rq.load(now)
-                if v is not loads[i]:
-                    loads[i] = v
-                    for g in slot_grps[i]:
-                        grp_dirty[id(g)] += 1
-                nr = rq._nr_running
-                if nr != nrs[i]:
-                    nrs[i] = nr
-                    for g in slot_grps[i]:
-                        grp_dirty[id(g)] += 1
-                self._dirty[i] = False
-            self._dirty_list.clear()
+        cpus = self.sched.cpus
+        for i in members:
+            if at[i] == now:
+                continue
+            at[i] = now
+            rq = cpus[i].rq
+            # Identity check: the queue's load memo carries its value
+            # across timestamps while provably time-invariant, so a slot
+            # whose mirrored *object* is unchanged dirties no fold memo
+            # over it.
+            v = rq.load(now)
+            nr = rq._nr_running
+            if v is not loads[i] or nr != nrs[i]:
+                loads[i] = v
+                nrs[i] = nr
+                grp_dirty = self._grp_dirty
+                for g in self._slot_grps[i]:
+                    grp_dirty[id(g)] += 1
 
     # -- gather plans ------------------------------------------------------
 
@@ -492,13 +467,12 @@ class VecState:
                     _fold_group_stats(self.sched, group, now),
                 )
             return stats
-        if self._loads_at != now or self._dirty_list:
-            self._sync()
         entry = self._group_entry(group)
         if not entry[1]:
             return None
+        self._sample(entry[1])
         # The fold carries its own cross-timestamp second chance (the
-        # generation-sum probe in _fold_entry), so this "miss" may be a
+        # dirty-count probe in _fold_entry), so this "miss" may be a
         # revalidated memo; the sanitizer cross-checks it either way.
         stats = self._materialize(self._fold_entry(entry))
         if self._sanitize:
@@ -525,8 +499,8 @@ class VecState:
         if prev is not None:
             # Second chance across timestamps: the (now, version) stamp
             # went stale, but the group's dirty counter is monotone, so
-            # an equal count -- taken after the sync brought the mirror
-            # current -- proves every input object unchanged and the
+            # an equal count -- taken after the members were sampled at
+            # ``now`` -- proves every input object unchanged and the
             # memoized reductions still exact.  Re-stamp the entry in
             # place instead of refolding.
             if d == prev[_F_DIRTY]:
@@ -716,18 +690,18 @@ class VecState:
         memo can never hit -- only the group folds underneath repeat,
         and those carry the fold memo.)
 
-        The body is deliberately flat: the epoch check, the mirror
-        sync gate, the per-group fold-memo probes, and the three-tier
-        selection all run in this one frame.  The selection compares
-        raw memo slots and materializes GroupStats objects only for
-        the (at most two) groups actually returned.
+        The body is deliberately flat: the epoch check, the per-group
+        fold-memo probes (sampling a group's members only on a miss),
+        and the three-tier selection all run in this one frame.  The
+        selection compares raw memo slots and materializes GroupStats
+        objects only for the (at most two) groups actually returned.
         """
         # Inline _check_epochs (divisor only; idle invalidation is
         # per-CPU via mark_idle_change).
         div = self._div_ref.value
         if div != self._div_epoch:
             self._div_epoch = div
-            self._loads_at = -1
+            self._at = [-1] * self._n
             self._version += 1
         cache = self._domains.get(id(domain))
         if cache is None:
@@ -738,8 +712,6 @@ class VecState:
             )
             return busiest, local, cache.examined
         now = self.now
-        if self._loads_at != now or self._dirty_list:
-            self._sync()
         use_min = self._use_min
         loads = self._loads
         pair = cache.pair
@@ -758,6 +730,7 @@ class VecState:
                 lc, oc, li, oi = c1, c0, 1, 0
             else:
                 return None, None, cache.examined
+            self._sample(pair)
             if use_min:
                 best_metric = loads[oc]
                 local_metric = loads[lc]
@@ -787,9 +760,10 @@ class VecState:
             if m is not None and m[1] == now and m[2] == version:
                 append(m)
             else:
-                # May still revalidate in place: _fold_entry's own
-                # generation-sum probe catches stale-stamp-same-inputs
-                # entries before paying for a refold.
+                # Sample just this group's stale members; the fold may
+                # still revalidate in place (_fold_entry's dirty-count
+                # probe) before paying for a refold.
+                self._sample(entry[1])
                 append(self._fold_entry(entry))
         local_idx = cache.local_slot.get(dst_cpu, -1)
         if local_idx < 0:
@@ -889,7 +863,7 @@ class VecState:
         traffic, by design); loads/nr come from the coherent buffers.
         """
         self._check_epochs()
-        self._sync()
+        self._sample(range(self._n))
         sched = self.sched
         nrs = list(self._nrs)
         return {

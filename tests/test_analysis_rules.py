@@ -272,14 +272,20 @@ def test_orchestrator_fork_safety_out_of_scope():
 
 def test_coherence_unbumped_writes():
     findings = lint_fixture("coherence_bad.py", "repro.sched.coherence_bad")
-    assert rule_ids(findings) == ["coherence-unbumped-write"] * 3
+    assert rule_ids(findings) == ["coherence-unbumped-write"] * 6
     assert all(f.severity == "error" for f in findings)
     # sneaky_insert: both writes fully unbumped.
-    assert "_tree" in findings[0].message
+    assert "_q" in findings[0].message
     assert "_nr_running" in findings[1].message
     # half_bumped: only the missing counter is named.
     assert "load_epoch" in findings[2].message
     assert "mutations" not in findings[2].message.split("bump of")[1]
+    # sneaky_sorted_insert: ``self._q.insert`` and ``insort(self._q, x)``;
+    # sneaky_alias_pop: ``q = self._q; q.pop(0)``.
+    assert [f.snippet.split("(")[0] for f in findings[3:]] == [
+        "self._q.insert", "bisect.insort", "q.pop",
+    ]
+    assert all("RunQueue._q" in f.message for f in findings[3:])
 
 
 def test_coherence_ok_disciplines():

@@ -1,11 +1,13 @@
-"""The overload gate: an exact count of runqueues with a task to spare.
+"""The spare gate: the exact set of CPUs whose runqueue has a task to spare.
 
-``Scheduler.overload`` mirrors the kernel's ``rd->overload``.  Every
-runqueue keeps it exact, and the balancers skip their walks while it is
-zero and no probe consumes balance records.  These tests hold the count
-to a from-scratch recount under random scheduler operations, check that
-the gate only skips walks that could not have moved a task, and check
-that probe consumers and schedules see no difference.
+``Scheduler.overload`` refines the kernel's ``rd->overload`` per CPU.
+Every runqueue keeps it exact, and the balancers skip an attempt while
+no member lies in the domain's non-local groups (the whole walk while
+the set is empty) and no probe consumes balance records.  These tests
+hold the set to a from-scratch recount under random scheduler
+operations on both paths, check that the gate only skips walks that
+could not have moved a task, and check that probe consumers and
+schedules see no difference.
 """
 
 import hashlib
@@ -24,6 +26,7 @@ from repro.experiments.scenarios import build_bug_scenario
 from repro.obs import ProbeTracepointBridge
 from repro.obs.tracepoints import TracepointRegistry
 from repro.sched import balance as lb
+from repro.sched.domains import SchedDomain
 from repro.sched.features import SchedFeatures
 from repro.sched.runqueue import has_spare_task
 from repro.sched.sanitizer import CoherenceError
@@ -62,22 +65,34 @@ def _force_ungated(monkeypatch):
     monkeypatch.setattr(Probe, "wants_balance", lambda self: True)
 
 
+#: Wider than any simulated machine: an attempt "reaching" every CPU.
+_EVERY_CPU = frozenset(range(1024))
+
+
+def _force_global_gate_only(monkeypatch):
+    """Open the per-domain gate: every attempt reaches every CPU, so an
+    attempt is skipped only while the spare set is empty."""
+    monkeypatch.setattr(
+        SchedDomain, "remote_cpus", lambda self, cpu_id: _EVERY_CPU
+    )
+
+
 def _recount(sched):
-    """Queues with a task to spare, counted from the tree and curr."""
-    return sum(
-        1
+    """CPUs whose queue has a task to spare, counted from queue and curr."""
+    return {
+        cpu.cpu_id
         for cpu in sched.cpus
         if has_spare_task(
-            len(cpu.rq._tree) + (1 if cpu.rq.curr is not None else 0)
+            len(cpu.rq._q) + (1 if cpu.rq.curr is not None else 0)
         )
-    )
+    }
 
 
 # ------------------------------------------------------- stateful recount
 
 
 class OverloadCountMachine(RuleBasedStateMachine):
-    """Random scheduler operations; the count must always equal a recount."""
+    """Random scheduler operations; the set must always equal a recount."""
 
     features = SchedFeatures()
 
@@ -171,15 +186,30 @@ class OverloadCountMachine(RuleBasedStateMachine):
             self.sched.set_cpu_online(cpu_id, True, self._advance(dt))
 
     @invariant()
-    def count_matches_recount(self):
-        assert self.sched.overload.value == _recount(self.sched)
-        assert self.sched.overload.value == lb.overloaded_rqs(self.sched)
+    def set_matches_recount(self):
+        spare = self.sched.overload
+        assert spare == _recount(self.sched)
+        assert spare == lb.overloaded_rqs(self.sched)
+        # ``len`` is the old overload count.
+        assert len(spare) == sum(
+            1 for cpu in self.sched.cpus
+            if has_spare_task(cpu.rq.nr_running)
+        )
 
 
-OverloadCountMachine.TestCase.settings = settings(
+class ReferenceOverloadCountMachine(OverloadCountMachine):
+    """The same operations on the reference path."""
+
+    features = SchedFeatures().with_fastpath(False)
+
+
+_MACHINE_SETTINGS = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+OverloadCountMachine.TestCase.settings = _MACHINE_SETTINGS
+ReferenceOverloadCountMachine.TestCase.settings = _MACHINE_SETTINGS
 TestOverloadCount = OverloadCountMachine.TestCase
+TestReferenceOverloadCount = ReferenceOverloadCountMachine.TestCase
 
 
 # ------------------------------------------------------------- soundness
@@ -238,7 +268,7 @@ def test_zero_count_means_no_walk_can_move(monkeypatch, build):
     original = lb.newidle_balance
 
     def checked_newidle(sched_, cpu_id, now):
-        if sched_.overload.value == 0:
+        if not sched_.overload:
             idle = [
                 c.cpu_id for c in sched_.cpus if c.online and c.is_idle
             ]
@@ -246,7 +276,7 @@ def test_zero_count_means_no_walk_can_move(monkeypatch, build):
         return original(sched_, cpu_id, now)
 
     def at_tick(now):
-        if sched.overload.value == 0:
+        if not sched.overload:
             online = [c.cpu_id for c in sched.cpus if c.online]
             walks[0] += _assert_ungated_walks_move_nothing(sched, online, now)
 
@@ -277,7 +307,7 @@ def _digest(system, buffer):
     return hasher.hexdigest()
 
 
-def _run_scenarios(scenarios, probe_factory):
+def _run_scenarios(scenarios, probe_factory, transform=None):
     """Run each (bug, variant, seed, us) scenario; returns per-run results.
 
     Each result is (digest, balance records, find_busiest_group calls).
@@ -302,7 +332,8 @@ def _run_scenarios(scenarios, probe_factory):
 
             calls[0] = 0
             scenario = build_bug_scenario(
-                bug, variant, seed=seed, instrument=instrument
+                bug, variant, seed=seed, instrument=instrument,
+                features_transform=transform,
             )
             scenario.run(duration)
             balance, rest = [], TraceBuffer()
@@ -355,6 +386,37 @@ def test_trace_probe_sees_every_balance_record(monkeypatch):
     assert [r[0] for r in traced] == [r[0] for r in gated]
 
 
+def _reference(features):
+    return features.with_fastpath(False)
+
+
+@pytest.mark.parametrize("transform", [None, _reference],
+                         ids=["fast", "reference"])
+def test_domain_gate_does_not_change_the_schedule(monkeypatch, transform):
+    gated = _run_scenarios(SCENARIOS, _quiet, transform)
+    _force_global_gate_only(monkeypatch)
+    global_only = _run_scenarios(SCENARIOS, _quiet, transform)
+    assert [r[0] for r in gated] == [r[0] for r in global_only]
+    # The per-domain gate skipped attempts the global gate ran.
+    assert sum(r[2] for r in gated) < sum(r[2] for r in global_only)
+
+
+@pytest.mark.parametrize("transform", [None, _reference],
+                         ids=["fast", "reference"])
+def test_domain_gate_keeps_every_balance_record(monkeypatch, transform):
+    traced = _run_scenarios(SCENARIOS, _considering, transform)
+    gated = _run_scenarios(SCENARIOS, _quiet, transform)
+    _force_global_gate_only(monkeypatch)
+    forced = _run_scenarios(SCENARIOS, _considering, transform)
+    # A consumer of balance records sees the same records whether or
+    # not the per-domain gate is open ...
+    assert [r[1] for r in traced] == [r[1] for r in forced]
+    assert [r[2] for r in traced] == [r[2] for r in forced]
+    assert any(r[1] for r in traced)
+    # ... and attaching it leaves the schedule as the gated run has it.
+    assert [r[0] for r in traced] == [r[0] for r in gated]
+
+
 def test_wants_balance_defaults():
     assert not Probe().wants_balance()
     assert not _Listener().wants_balance()
@@ -391,11 +453,57 @@ def test_sanitizer_catches_a_drifted_count():
     )
     sched.enqueue_task_on(Task("a"), 0, 0)
     sched.enqueue_task_on(Task("b"), 0, 0)
-    assert sched.overload.value == 1
+    assert sched.overload == {0}
     assert not lb.nothing_to_pull(sched)
-    sched.overload.value = 0  # an un-tracked change to the count
+    sched.overload.clear()  # an un-tracked change to the set
     with pytest.raises(CoherenceError) as info:
         lb.nothing_to_pull(sched)
     assert info.value.accessor == "overload-gate"
     assert info.value.field == "overloaded_rqs"
-    assert (info.value.cached, info.value.fresh) == (0, 1)
+    assert (info.value.cached, info.value.fresh) == ([], [0])
+
+
+def _pair_sched():
+    """Two single-CPU groups at the MC level; cpu 1 has tasks to spare."""
+    sched = Scheduler(
+        two_nodes(cores_per_node=2), SchedFeatures().with_sanitizer()
+    )
+    for name in "abc":
+        sched.enqueue_task_on(Task(name), 1, 0)
+    domain = sched.domain_builder.domains_of(0)[0]
+    assert 1 in domain.remote_cpus(0) and 0 not in domain.remote_cpus(0)
+    return sched, domain
+
+
+def test_remote_cpus_is_the_union_of_the_other_groups():
+    sched, domain = _pair_sched()
+    for cpu_id in domain.span:
+        local = domain.local_group(cpu_id)
+        others = [g for g in domain.groups if g is not local]
+        assert domain.remote_cpus(cpu_id) == frozenset().union(
+            *(g.cpus for g in others)
+        )
+    assert domain.remote_cpus(99) == frozenset()
+
+
+def test_sanitizer_catches_a_drifted_set_at_a_domain_skip():
+    sched, domain = _pair_sched()
+    sched.overload.clear()  # cpu 1 drops out of the set untracked
+    with pytest.raises(CoherenceError) as info:
+        lb.balance_domain(sched, domain, 0, 0, sched.vec_pass(0))
+    assert info.value.accessor == "overload-gate"
+    assert (info.value.cached, info.value.fresh) == ([], [1])
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_sanitizer_dry_runs_every_domain_skip(monkeypatch, fastpath):
+    sched, domain = _pair_sched()
+    # A wrong reach makes the gate skip an attempt that would pull.
+    monkeypatch.setattr(
+        SchedDomain, "remote_cpus", lambda self, cpu_id: frozenset()
+    )
+    bpass = sched.vec_pass(0) if fastpath else None
+    with pytest.raises(CoherenceError) as info:
+        lb.balance_domain(sched, domain, 0, 0, bpass)
+    assert info.value.accessor == "spare-gate"
+    assert info.value.fresh == 1

@@ -141,37 +141,72 @@ def test_group_folds_match_scalar_fold_exactly():
 
 
 def test_dirty_mark_resamples_only_after_mutation():
+    """A mutation stales its own slot only, until that slot is read."""
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(10 * MS)
     now = system.now
     vstate = sched.vec.begin(now)
-    vstate._sync()
+    vstate._sample(range(len(sched.cpus)))
+    assert vstate._at == [now] * len(sched.cpus)
     rq = sched.cpus[0].rq
     before = vstate._loads[0]
     task = Task("late", nice=0)
-    rq.enqueue(task, now)  # mutator bumps mark_dirty via the wiring
-    assert vstate._dirty[0]
-    vstate._sync()
-    assert not vstate._dirty[0]
+    rq.enqueue(task, now)  # mutator calls mark_dirty via the wiring
+    assert vstate._at[0] == -1
+    assert vstate._at[1:] == [now] * (len(sched.cpus) - 1)
+    vstate._sample([0])
+    assert vstate._at[0] == now
     assert vstate._loads[0] == rq.load(now)
     assert vstate._loads[0] != before
     rq.take(task, now)  # restore
 
 
 def test_new_timestamp_stales_every_load_slot():
+    """A new timestamp stales every slot; only the slots read resample."""
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(10 * MS)
     vstate = sched.vec.begin(system.now)
-    vstate._sync()
-    assert vstate._loads_at == system.now
+    vstate._sample(range(len(sched.cpus)))
     later = system.now + 1_000
     vstate.begin(later)
-    vstate._sync()
-    assert vstate._loads_at == later
+    # Every sample is stale at the new timestamp, but none is re-read
+    # until a fold asks for it.
+    assert later not in vstate._at
+    vstate._sample([3])
+    assert [i for i, at in enumerate(vstate._at) if at == later] == [3]
+    vstate._sample(range(len(sched.cpus)))
     for cpu in sched.cpus:
         assert vstate._loads[cpu.cpu_id] == cpu.rq.load(later)
+
+
+def _sampled_at(vstate, now):
+    return {i for i, at in enumerate(vstate._at) if at == now}
+
+
+def test_smt_pair_attempt_resamples_exactly_two_slots():
+    system, sched = _vec_system()
+    _spawn_some(system)
+    system.run_for(10 * MS)
+    smt = sched.domain_builder.domains_of(0)[0]
+    assert smt.name == "SMT" and len(smt.span) == 2
+    fresh = system.now + 1_000  # nothing sampled at this timestamp yet
+    vstate = sched.vec.begin(fresh)
+    vstate.find_busiest(smt, 0)
+    assert _sampled_at(vstate, fresh) == set(smt.span)
+
+
+def test_wide_attempt_resamples_only_its_domain():
+    system, sched = _vec_system()
+    _spawn_some(system)
+    system.run_for(10 * MS)
+    mc = sched.domain_builder.domains_of(0)[1]
+    assert mc.name == "MC" and len(mc.span) < len(sched.cpus)
+    fresh = system.now + 1_000
+    vstate = sched.vec.begin(fresh)
+    vstate.find_busiest(mc, 0)
+    assert _sampled_at(vstate, fresh) == set(mc.span)
 
 
 # ------------------------------------------------------ election memoing
@@ -227,7 +262,6 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
     _spawn_some(system)
     system.run_for(10 * MS)
     vstate = sched.vec.begin(system.now)
-    vstate._sync()
     group = _wide_group(sched)
     vstate.group_stats(group)
     vstate.designated_for(group)
@@ -239,6 +273,7 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
     assert not vstate._gidx
     assert not vstate._gstats
     assert not vstate._designated
+    assert set(vstate._at) == {-1}
     # The per-CPU periodic plans are generation-keyed: the stale plan
     # object may linger but can never be used again.
     if plan_before is not None:
