@@ -1,156 +1,81 @@
-"""Unit and property-based tests for the red-black tree."""
+"""Timeline properties of the runqueue's waiting list.
 
-import pytest
+The kernel keeps a CFS runqueue's waiting tasks in a red-black tree
+ordered by vruntime; the simulator keeps them in a list sorted by the
+composite ``(vruntime, tid)`` key.  These tests hold that list to the
+tree's timeline contract: empty state, in-order iteration, leftmost and
+rightmost ends, and popping the leftmost until the queue drains.
+``test_runqueue_order.py`` holds the reference-model and key properties.
+"""
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sched.rbtree import RBTree
+from repro.sched.runqueue import RunQueue
+from repro.sched.task import Task
+
+
+def _enqueue_all(rq, keys):
+    for vruntime, tid in keys:
+        task = Task(f"t{tid}", tid=tid)
+        task.vruntime = vruntime
+        rq.enqueue(task, now=0)
+
+
+def _keys(tasks):
+    return [(t.vruntime, t.tid) for t in tasks]
+
+
+def _pop_leftmost(rq):
+    return rq.take(rq.pick_next(), now=0)
 
 
 def test_empty_tree():
-    tree = RBTree()
-    assert len(tree) == 0
-    assert not tree
-    assert tree.leftmost() is None
-    assert tree.rightmost() is None
-    assert 1 not in tree
-    tree.validate()
-
-
-def test_insert_and_lookup():
-    tree = RBTree()
-    tree.insert(5, "five")
-    tree.insert(3, "three")
-    tree.insert(8, "eight")
-    assert tree.get(5) == "five"
-    assert tree.get(99, "default") == "default"
-    assert 3 in tree
-    assert len(tree) == 3
-
-
-def test_duplicate_key_rejected():
-    tree = RBTree()
-    tree.insert(1, "a")
-    with pytest.raises(KeyError):
-        tree.insert(1, "b")
-
-
-def test_remove_returns_value():
-    tree = RBTree()
-    tree.insert(1, "a")
-    assert tree.remove(1) == "a"
-    assert len(tree) == 0
-    with pytest.raises(KeyError):
-        tree.remove(1)
+    rq = RunQueue(0)
+    assert rq.nr_running == rq.nr_queued == 0
+    assert rq.pick_next() is None
+    assert rq.leftmost_vruntime() is None
+    assert rq.queued_tasks() == [] and rq.all_tasks() == []
 
 
 def test_leftmost_rightmost():
-    tree = RBTree()
-    for k in (5, 2, 9, 7, 1):
-        tree.insert(k, str(k))
-    assert tree.leftmost() == (1, "1")
-    assert tree.rightmost() == (9, "9")
+    rq = RunQueue(0)
+    _enqueue_all(rq, [(5, 1), (2, 2), (9, 3), (7, 4), (1, 5)])
+    queued = rq.queued_tasks()
+    assert rq.pick_next() is queued[0]
+    assert (queued[0].vruntime, queued[0].tid) == (1, 5)
+    assert rq.leftmost_vruntime() == 1
+    assert (queued[-1].vruntime, queued[-1].tid) == (9, 3)
 
 
 def test_pop_leftmost():
-    tree = RBTree()
-    for k in (3, 1, 2):
-        tree.insert(k)
-    assert tree.pop_leftmost() == (1, None)
-    assert tree.pop_leftmost() == (2, None)
-    assert tree.pop_leftmost() == (3, None)
-    with pytest.raises(KeyError):
-        tree.pop_leftmost()
+    rq = RunQueue(0)
+    _enqueue_all(rq, [(3, 1), (1, 2), (2, 3)])
+    assert [_pop_leftmost(rq).vruntime for _ in range(3)] == [1, 2, 3]
+    assert rq.pick_next() is None
+    assert rq.nr_running == 0
 
 
 def test_inorder_iteration():
-    tree = RBTree()
-    keys = [7, 3, 9, 1, 5, 8]
-    for k in keys:
-        tree.insert(k, k * 10)
-    assert list(tree.keys()) == sorted(keys)
-    assert list(tree.values()) == [k * 10 for k in sorted(keys)]
-    assert list(tree.items()) == [(k, k * 10) for k in sorted(keys)]
-
-
-def test_tuple_keys():
-    """The runqueue uses (vruntime, tid) composite keys."""
-    tree = RBTree()
-    tree.insert((100, 2), "b")
-    tree.insert((100, 1), "a")
-    tree.insert((50, 9), "c")
-    assert tree.leftmost() == ((50, 9), "c")
-    assert [v for _, v in tree.items()] == ["c", "a", "b"]
-
-
-def test_height_is_logarithmic():
-    tree = RBTree()
-    for k in range(1024):
-        tree.insert(k)
-    # RB trees guarantee height <= 2*log2(n+1).
-    assert tree.height() <= 2 * 11
-    tree.validate()
-
-
-def test_sequential_insert_delete():
-    tree = RBTree()
-    for k in range(100):
-        tree.insert(k)
-        tree.validate()
-    for k in range(0, 100, 2):
-        tree.remove(k)
-        tree.validate()
-    assert list(tree.keys()) == list(range(1, 100, 2))
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    ops=st.lists(
-        st.tuples(st.booleans(), st.integers(min_value=0, max_value=200)),
-        max_size=120,
-    )
-)
-def test_matches_reference_model(ops):
-    """Random insert/remove interleavings match a dict+sorted model."""
-    tree = RBTree()
-    model = {}
-    for is_insert, key in ops:
-        if is_insert:
-            if key in model:
-                continue
-            model[key] = key * 3
-            tree.insert(key, key * 3)
-        else:
-            if key in model:
-                assert tree.remove(key) == model.pop(key)
-            else:
-                with pytest.raises(KeyError):
-                    tree.remove(key)
-        tree.validate()
-        assert len(tree) == len(model)
-    assert list(tree.keys()) == sorted(model)
-    if model:
-        assert tree.leftmost()[0] == min(model)
-        assert tree.rightmost()[0] == max(model)
-
-
-@settings(max_examples=100, deadline=None)
-@given(keys=st.sets(st.integers(), max_size=200))
-def test_iteration_sorted_property(keys):
-    tree = RBTree()
-    for k in keys:
-        tree.insert(k)
-    assert list(tree.keys()) == sorted(keys)
-    tree.validate()
+    rq = RunQueue(0)
+    keys = [(7, 1), (3, 2), (9, 3), (1, 4), (5, 5), (8, 6)]
+    _enqueue_all(rq, keys)
+    assert _keys(rq.queued_tasks()) == sorted(keys)
+    assert rq.leftmost_vruntime() == 1
+    assert _keys(rq.all_tasks()) == sorted(keys)
 
 
 @settings(max_examples=50, deadline=None)
-@given(keys=st.sets(st.integers(min_value=0, max_value=10_000), min_size=1))
-def test_pop_leftmost_drains_in_order(keys):
-    tree = RBTree()
-    for k in keys:
-        tree.insert(k)
+@given(
+    vruntimes=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
+                       max_size=60)
+)
+def test_pop_leftmost_drains_in_order(vruntimes):
+    rq = RunQueue(0)
+    _enqueue_all(rq, [(vr, tid) for tid, vr in enumerate(vruntimes, 1)])
     drained = []
-    while tree:
-        drained.append(tree.pop_leftmost()[0])
-    assert drained == sorted(keys)
+    while rq.pick_next() is not None:
+        drained.append(_pop_leftmost(rq))
+    assert _keys(drained) == sorted(_keys(drained))
+    assert len(drained) == len(vruntimes)
+    assert rq.nr_running == 0

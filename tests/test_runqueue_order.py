@@ -3,8 +3,9 @@
 Waiting tasks sit in a list sorted by the composite ``(vruntime, tid)``
 key; the pick is its first entry.  These tests hold the list to a
 dict-plus-``sorted`` reference model under random enqueue/take
-interleavings, and check iteration order, drain order and duplicate
-keys.  ``test_pick_tiebreak.py`` is the tie-break spec.
+interleavings, and check key order and duplicate keys.
+``test_rbtree.py`` holds the timeline (iteration, leftmost, drain)
+properties; ``test_pick_tiebreak.py`` is the tie-break spec.
 """
 
 import pytest
@@ -54,15 +55,6 @@ def test_take_returns_task_and_rejects_absent():
         rq.take(task, now=0)
     with pytest.raises(KeyError):
         rq.dequeue(_task(5, 2), now=0)
-
-
-def test_inorder_iteration():
-    rq = RunQueue(0)
-    keys = [(7, 1), (3, 2), (9, 3), (1, 4), (5, 5), (8, 6)]
-    _enqueue_all(rq, keys)
-    assert _keys(rq) == sorted(keys)
-    assert rq.leftmost_vruntime() == 1
-    assert [(t.vruntime, t.tid) for t in rq.all_tasks()] == sorted(keys)
 
 
 def test_tuple_keys():
@@ -123,20 +115,3 @@ def test_iteration_sorted_property(keys):
     unique = {tid: vruntime for vruntime, tid in keys}
     _enqueue_all(rq, [(vr, tid) for tid, vr in unique.items()])
     assert _keys(rq) == sorted((vr, tid) for tid, vr in unique.items())
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    vruntimes=st.lists(st.integers(min_value=0, max_value=50), min_size=1,
-                       max_size=60)
-)
-def test_pick_drains_in_order(vruntimes):
-    rq = RunQueue(0)
-    _enqueue_all(rq, [(vr, tid) for tid, vr in enumerate(vruntimes, 1)])
-    drained = []
-    while rq.pick_next() is not None:
-        task = rq.take(rq.pick_next(), now=0)
-        drained.append((task.vruntime, task.tid))
-    assert drained == sorted(drained)
-    assert len(drained) == len(vruntimes)
-    assert rq.nr_running == 0
