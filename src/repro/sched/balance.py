@@ -52,6 +52,7 @@ from typing import (
     Tuple,
 )
 
+from repro.sched.load import load_sum
 from repro.sched.runqueue import has_spare_task
 from repro.sched.sanitizer import (
     verify_gated_skip,
@@ -128,7 +129,7 @@ def _fold_group_stats(
     return GroupStats(
         group=group,
         cpus=cpus,
-        avg_load=sum(loads) / len(loads),
+        avg_load=load_sum(loads) / len(loads),
         min_load=min(loads),
         max_load=max(loads),
         nr_running=sum(nrs),

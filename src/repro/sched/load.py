@@ -15,6 +15,11 @@ nothing until they are observed again.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence, Tuple
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.sched.cgroup import CGroup
+    from repro.sched.task import Task
 
 #: Half-life of the utilization average, microseconds (PELT uses 32 ms).
 UTIL_HALFLIFE_US = 32_000
@@ -122,3 +127,90 @@ def task_load(weight: int, util: float, group_divisor: int) -> float:
         raise ValueError(f"group divisor must be positive, got {group_divisor}")
     util = min(max(util, 0.0), 1.0)
     return weight * util / group_divisor
+
+
+def load_sum(loads: Iterable[float]) -> float:
+    """Add loads left to right, starting from the int zero.
+
+    Every float load sum the scheduler compares goes through here (or,
+    on the hot paths, adds in exactly this order inline).  The builtin
+    ``sum`` of floats is compensated since Python 3.12 and rounds
+    differently from sequential adds, so the memoized, mirrored and
+    reference paths would disagree on the same queue.  The int start
+    keeps an empty sum the int zero, like ``sum([])``.
+    """
+    total: float = 0
+    for load in loads:
+        total = total + load
+    return total
+
+
+def queue_load(
+    entries: Sequence[Tuple[int, int, "Task"]],
+    curr: Optional["Task"],
+    now: int,
+    running: object,
+) -> Tuple[float, bool]:
+    """(load, time-invariant) of a runqueue: its waiting tasks, then curr.
+
+    One frame for what ``Task.load(now)`` computes per task through
+    ``CGroup.load_divisor``, ``LoadTracker.peek`` and :func:`task_load`:
+    the same expressions, added left to right from the int zero in
+    ``RunQueue.all_tasks()`` order, so the value is the very float
+    ``load_sum(t.load(now) for t in rq.all_tasks())`` returns.
+    ``running`` is ``TaskState.RUNNING`` (this module sits below
+    ``repro.sched.task``).
+
+    The flag is True when every member tracker sits exactly on its
+    state's target (1.0 running, 0.0 waiting): a converged average
+    decays to itself, so the sum is a constant of time until the task
+    set or some member's running state changes.  The raw ``util`` reads
+    are that test and the decay itself, which this module owns.
+    """
+    value: float = 0
+    invariant = True
+    n = len(entries)
+    for i in range(n + 1):
+        task: "Task"
+        if i < n:
+            task = entries[i][2]
+        elif curr is not None:
+            task = curr
+        else:
+            break
+        group: Optional["CGroup"] = task.cgroup
+        # CGroup.load_divisor, expression for expression.
+        divisor: float
+        if group is None or group.is_root:
+            divisor = 1
+        elif group.metric == "v43":
+            threads = group._avg_threads
+            divisor = threads if threads > 1.0 else 1.0
+        else:
+            members = len(group._members)
+            divisor = members if members > 1 else 1
+        # LoadTracker.peek.
+        tracker = task.tracker
+        util = tracker.util
+        target = 1.0 if task.state is running else 0.0
+        if util != target:
+            invariant = False
+            delta = now - tracker.last_update_us
+            if delta > 0:
+                util = target + (util - target) * math.exp(
+                    -delta / UTIL_TAU_US
+                )
+        # task_load.
+        weight = task.weight
+        if weight <= 0:
+            raise ValueError(f"weight must be positive, got {weight}")
+        if divisor <= 0:
+            raise ValueError(
+                f"group divisor must be positive, got {divisor}"
+            )
+        if util < 0.0:
+            util = 0.0
+        elif util > 1.0:
+            util = 1.0
+        value = value + weight * util / divisor
+    return value, invariant

@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import TYPE_CHECKING, List, Optional, Set, Tuple
 
-from repro.sched.load import LoadEpoch
+from repro.sched.load import LoadEpoch, load_sum, queue_load
 from repro.sched.sanitizer import verify_rq_load
 from repro.sched.task import Task, TaskState
 from repro.sched.timebase import SCHED_LATENCY_US
@@ -341,6 +341,56 @@ class RunQueue:
         self._notify(now)
         return task
 
+    def dispatch(self, task: Task, now: int) -> None:
+        """Install a waiting task as the running one (the switch-in).
+
+        One transition for what ``take`` + ``set_current`` did in two.
+        ``nr_running`` counts the task before (queued) and after
+        (running), so the queue neither goes idle nor crosses the spare
+        boundary: no idle flip, no spare-set churn, one mutation bump.
+        An attached probe still sees the two notifications of the pair,
+        in order and with their values: the count without the task and
+        the load of the queue left behind, then the count and load with
+        the task running.
+        """
+        if self.curr is not None:
+            raise ValueError(
+                f"cpu {self.cpu_id} still runs {self.curr}; cannot dispatch"
+            )
+        self._q.pop(self._index(task))
+        self.curr = task
+        task.state = TaskState.RUNNING
+        task.cpu = self.cpu_id
+        task.prev_cpu = self.cpu_id
+        self.mutations += 1
+        if self.vec is not None:
+            self.vec.mark_dirty(self.cpu_id)
+        if self._nr_running == 0:
+            # The idle-transition guard every write to ``curr`` answers
+            # to; a dispatch never crosses it (the task was counted).
+            self.idle_epoch.bump()
+            if self.vec is not None:
+                self.vec.mark_idle_change(self.cpu_id)
+        self.load_epoch.bump()
+        probe = self.probe
+        if probe is None or not probe.active:
+            return
+        cpu_id = self.cpu_id
+        nr = self.nr_running
+        sample = not self._load_cache_enabled or probe.wants_rq_load()
+        probe.on_nr_running(now, cpu_id, nr - 1)
+        if sample:
+            # The queue without its new curr: the same left-to-right
+            # adds, so the value is the one ``take`` reported.
+            if self._load_cache_enabled:
+                left = queue_load(self._q, None, now, TaskState.RUNNING)[0]
+            else:
+                left = load_sum(t.load(now) for t in self.queued_tasks())
+            probe.on_rq_load(now, cpu_id, left)
+        probe.on_nr_running(now, cpu_id, nr)
+        if sample:
+            probe.on_rq_load(now, cpu_id, self.load(now))
+
     def leftmost_vruntime(self) -> Optional[int]:
         q = self._q
         return q[0][0] if q else None
@@ -384,10 +434,12 @@ class RunQueue:
         O(1) on a cache hit: the summation is memoized per ``(now, epoch)``
         and every load-affecting mutation bumps the shared epoch.  Misses
         recompute the exact same per-task sum the uncached path uses, so
-        the returned floats are identical either way.
+        the returned floats are identical either way.  With the
+        sanitizer on, every hit and every miss is checked against that
+        per-task sum.
         """
         if now is None or not self._load_cache_enabled:
-            return sum(task.load(now) for task in self.all_tasks())
+            return load_sum(task.load(now) for task in self.all_tasks())
         div = self.divisor_epoch.value
         if (
             self._cached_load_mut == self.mutations
@@ -409,29 +461,14 @@ class RunQueue:
             if self._sanitize:
                 verify_rq_load(self, now, self._cached_load)
             return self._cached_load
-        # Explicit walk with the exact float-op order of the builtin
-        # ``sum`` over ``all_tasks()`` (int 0 start, sequential
-        # left-to-right adds: the queue in order, then curr), which
-        # additionally derives the time-invariance flag: every member
-        # tracker sitting exactly on its state's target (1.0 running,
-        # 0.0 waiting) decays to itself at any future timestamp, so the
-        # summation -- and therefore this sample -- is a constant of
-        # time until the next mutation or state flip.  Raw util reads
-        # are deliberate: exact convergence (util == target) is
-        # decay-invariant -- the decayed value IS the raw value on this
-        # path -- so no staleness can be observed.
-        value: float = 0
-        invariant = True
-        q = self._q
-        curr = self.curr
-        n = len(q)
-        for i in range(n if curr is None else n + 1):
-            task = q[i][2] if i < n else curr
-            value = value + task.load(now)
-            if task.tracker.util != (  # repro: noqa[perf-load-bypass]
-                1.0 if task.state is TaskState.RUNNING else 0.0
-            ):
-                invariant = False
+        # One call for the whole queue: ``queue_load`` adds the per-task
+        # loads in ``all_tasks()`` order with ``Task.load``'s exact
+        # expressions, and derives the time-invariance flag.
+        value, invariant = queue_load(
+            self._q, self.curr, now, TaskState.RUNNING
+        )
+        if self._sanitize:
+            verify_rq_load(self, now, value)
         self._cached_load_invariant = invariant
         self._cached_load_now = now
         self._cached_load_mut = self.mutations

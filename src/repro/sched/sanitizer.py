@@ -10,6 +10,9 @@ recomputes the value from first principles and raises
 :class:`CoherenceError` naming the divergent field if the cached copy
 drifted.  A hit is exactly the moment a missing bump becomes observable --
 on a miss the caches are refilled and any staleness is silently healed.
+The runqueue load memo is also checked on every miss: its misses add
+through the one-frame ``repro.sched.load.queue_load``, which must agree
+with the per-task ``Task.load`` chain it replaces.
 
 ``FACTS`` pins the analyzer's derived dependency sets.  The ``sched``
 layer must not import ``repro.analysis`` (layering contract), so the facts
@@ -34,6 +37,8 @@ from typing import (
     Optional,
     Tuple,
 )
+
+from repro.sched.load import load_sum
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.balance import GroupStats
@@ -95,14 +100,16 @@ class CoherenceError(AssertionError):
 
 
 def verify_rq_load(rq: "RunQueue", now: int, cached: float) -> None:
-    """Cross-check a load-memo hit against the from-scratch summation.
+    """Cross-check a load-memo value against the per-task summation.
 
-    Also recounts the incremental ``_nr_running`` / ``_total_weight``
-    mirrors: they share the memo's dependency set (tree + curr), and a
-    direct, unbumped write to either mirror is invisible to the load memo
-    key but corrupts every balancing decision reading it.
+    Runs on every hit, and on every miss, whose value comes from the
+    one-frame ``queue_load`` rather than ``Task.load``.  Also recounts
+    the incremental ``_nr_running`` / ``_total_weight`` mirrors: they
+    share the memo's dependency set (queue + curr), and a direct,
+    unbumped write to either mirror is invisible to the load memo key
+    but corrupts every balancing decision reading it.
     """
-    fresh = sum(task.load(now) for task in rq.all_tasks())
+    fresh = load_sum(task.load(now) for task in rq.all_tasks())
     if fresh != cached:
         raise CoherenceError("runqueue-load", "load", cached, fresh)
     nr = len(rq._q) + (1 if rq.curr is not None else 0)

@@ -245,8 +245,7 @@ class Scheduler:
         if task is None:
             cpu.mark_idle(now)
             return None
-        cpu.rq.take(task, now)
-        cpu.rq.set_current(task, now)
+        cpu.rq.dispatch(task, now)
         cpu.mark_busy(now)
         cpu.last_account_us = now
         task.exec_start_us = now

@@ -46,16 +46,18 @@ one timestamp collapse into memo hits.
 
 **Float summation.**  Group *load sums* feed threshold comparisons that
 decide migrations, so the fold reproduces the scalar path's sequential
-left-to-right ``sum()`` bit for bit: no reordering, no pairwise or
-blocked summation, which rounds differently.  Integer reductions
-(``nr_running`` sums, min/max queue depths) are exact in any order.
+left-to-right ``load_sum`` bit for bit: no reordering, no pairwise,
+blocked or compensated summation (the builtin ``sum`` of floats is
+compensated since Python 3.12), each of which rounds differently.
+Integer reductions (``nr_running`` sums, min/max queue depths) are
+exact in any order.
 
 **Object exactness.**  Load *values* are mirrored as the exact Python
 objects ``RunQueue.load(now)`` returned -- never copied into a float
-buffer.  An idle queue's load is ``sum([]) == 0``, the *int* zero; the
-schedule digest hashes ints and skips floats, so a mirror that coerced
-it to ``0.0`` would silently drop the group-metric field from
-``BalanceEvent`` records whenever the Group Imbalance fix selects
+buffer.  An idle queue's load is ``load_sum([]) == 0``, the *int*
+zero; the schedule digest hashes ints and skips floats, so a mirror
+that coerced it to ``0.0`` would silently drop the group-metric field
+from ``BalanceEvent`` records whenever the Group Imbalance fix selects
 ``min_load``.  The fold's min/max keep the first minimal / maximal
 *element*, matching the reference fold's tie-breaking, so both paths'
 schedule digests stay byte-identical (see ``repro bench
@@ -242,7 +244,8 @@ class VecState:
         #: Mirrored ``rq._nr_running == 0`` per CPU, as of the last
         #: reconcile, and the CPUs queued since (flag-deduped, like the
         #: dirty list).  A flip and its undo between two reconciles --
-        #: ``pick_next_task``'s take/set_current pair -- cancel out.
+        #: a wakeup onto an idle CPU whose task then sleeps -- cancel
+        #: out.
         self._idle = [cpu.rq._nr_running == 0 for cpu in sched.cpus]
         self._idle_queued = [False] * n
         self._idle_q: List[int] = []
@@ -488,8 +491,8 @@ class VecState:
 
         The six reductions use the exact expressions -- and, for the
         float side, the exact sequential op order and element-object
-        results -- of ``_fold_group_stats``; the leading ``0 +`` of the
-        builtin ``sum`` is dropped, which is value- *and type*-exact
+        results -- of ``_fold_group_stats``; the leading ``0 +`` of
+        ``load_sum`` is dropped, which is value- *and type*-exact
         because queue loads are never negative zero.  Every width folds
         in-frame: one pass, no helper frames.
         """
@@ -560,7 +563,7 @@ class VecState:
     def _singleton_stats(self, entry: _GroupEntry, c: int) -> GroupStats:
         """GroupStats of a one-CPU group, built without memo traffic.
 
-        ``v / 1`` reproduces the generic ``sum([v]) / len`` average
+        ``v / 1`` reproduces the generic ``load_sum([v]) / len`` average
         exactly; the remaining fields are the member's own samples.
         """
         v = self._loads[c]
@@ -720,7 +723,7 @@ class VecState:
             # the non-local group (a singleton is never `imbalanced`;
             # the any-group tier seeds it even at metric zero), so the
             # decision collapses to the threshold compare.  ``v / 1``
-            # reproduces the generic ``sum([v]) / len`` average exactly
+            # reproduces the generic ``load_sum([v]) / len`` average exactly
             # (IEEE division by one is exact; the int zero of an idle
             # queue becomes the same 0.0).
             c0, c1 = pair

@@ -19,8 +19,9 @@ balancer uses.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.sched.load import load_sum
 from repro.sched.sanitizer import verify_idle_sibling
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -210,23 +211,30 @@ def _longest_idle_cpu(
     """The allowed online core idle for the longest time, if any.
 
     The kernel keeps idle cores in a list ordered by idle entry, so taking
-    the head is O(1); our scan is O(cpus) but equivalent in result.
+    the head is O(1); our scan is O(cpus) but equivalent in result.  The
+    considered list is built only for a listening probe.
     """
+    allowed = task.allowed_cpus
+    probe = sched.probe
+    considered: Optional[List[int]] = [] if probe.active else None
     best: Optional[int] = None
-    best_since: Optional[int] = None
-    considered: List[int] = []
+    best_since = 0
     for cpu in sched.cpus:
-        if not cpu.online or not cpu.is_idle:
+        if not cpu.is_idle or not cpu.online:
             continue
-        if not task.can_run_on(cpu.cpu_id):
+        cpu_id = cpu.cpu_id
+        if allowed is not None and cpu_id not in allowed:
             continue
-        considered.append(cpu.cpu_id)
-        since = cpu.idle_since_us if cpu.idle_since_us is not None else now
-        if best_since is None or since < best_since:
-            best = cpu.cpu_id
+        if considered is not None:
+            considered.append(cpu_id)
+        since = cpu.idle_since_us
+        if since is None:
+            since = now
+        if best is None or since < best_since:
+            best = cpu_id
             best_since = since
-    if considered and sched.probe.active:
-        sched.probe.on_considered(
+    if considered:
+        probe.on_considered(
             now, considered[0], "wake_longest_idle", considered
         )
     return best
@@ -267,11 +275,11 @@ def find_idlest_cpu(
         domain = domains[level]
         group = _find_idlest_group(sched, domain, cpu_id, task, now)
         if group is not None:
-            chosen = _idlest_cpu_in(sched, group.cpus, task, now)
+            chosen = _idlest_cpu_in(sched, group, task, now)
             if chosen is not None:
                 cpu_id = chosen
         level -= 1
-    if task.can_run_on(cpu_id) and sched.cpu(cpu_id).online:
+    if task.can_run_on(cpu_id) and sched.cpus[cpu_id].online:
         return cpu_id
     return _any_allowed_cpu(sched, task, cpu_id)
 
@@ -287,21 +295,26 @@ def _find_idlest_group(
 
     Uses the same group-load metric as the balancer; the local group wins
     ties and small differences (the kernel's imbalance percentage), which is
-    what keeps freshly-forked threads near their parent.
+    what keeps freshly-forked threads near their parent.  The examined
+    list is built only for a listening probe.
     """
+    cpus = sched.cpus
+    affinity = task.allowed_cpus
+    probe = sched.probe
+    examined: Optional[List[int]] = [] if probe.active else None
     local: Optional[Tuple["SchedGroup", float]] = None
     best: Optional["SchedGroup"] = None
     best_load: Optional[float] = None
-    examined: List[int] = []
     for group in domain.groups:
         allowed = [
             c
-            for c in group.cpus
-            if sched.cpu(c).online and task.can_run_on(c)
+            for c in group.sorted_cpus()
+            if cpus[c].online and (affinity is None or c in affinity)
         ]
         if not allowed:
             continue
-        examined.extend(allowed)
+        if examined is not None:
+            examined.extend(allowed)
         load = _group_avg_load(sched, allowed, now)
         if cpu_id in group.cpus and local is None:
             local = (group, load)
@@ -309,8 +322,8 @@ def _find_idlest_group(
         if best_load is None or load < best_load:
             best = group
             best_load = load
-    if sched.probe.active:
-        sched.probe.on_considered(now, cpu_id, "find_idlest_group", examined)
+    if examined is not None:
+        probe.on_considered(now, cpu_id, "find_idlest_group", examined)
     if best is None:
         return local[0] if local is not None else None
     if local is None:
@@ -323,22 +336,23 @@ def _find_idlest_group(
 
 
 def _group_avg_load(
-    sched: "Scheduler", cpus: Iterable[int], now: int
+    sched: "Scheduler", cpu_ids: List[int], now: int
 ) -> float:
-    cpus = list(cpus)
-    if not cpus:
-        return 0.0
-    return sum(sched.cpu(c).rq.load(now) for c in cpus) / len(cpus)
+    """Mean load of a nonempty CPU list, summed left to right."""
+    cpus = sched.cpus
+    return load_sum([cpus[c].rq.load(now) for c in cpu_ids]) / len(cpu_ids)
 
 
 def _idlest_cpu_in(
-    sched: "Scheduler", cpus: Iterable[int], task: "Task", now: int
+    sched: "Scheduler", group: "SchedGroup", task: "Task", now: int
 ) -> Optional[int]:
+    cpus = sched.cpus
+    affinity = task.allowed_cpus
     best: Optional[int] = None
     best_key: Optional[Tuple[int, float]] = None
-    for cpu_id in sorted(cpus):
-        cpu = sched.cpu(cpu_id)
-        if not cpu.online or not task.can_run_on(cpu_id):
+    for cpu_id in group.sorted_cpus():
+        cpu = cpus[cpu_id]
+        if not cpu.online or (affinity is not None and cpu_id not in affinity):
             continue
         key = (cpu.rq.nr_running, cpu.rq.load(now))
         if best_key is None or key < best_key:

@@ -77,6 +77,10 @@ class System:
         #: sanity checker, ...).
         self.tick_hooks: List[Callable[[int], None]] = []
         self._phase_events: Dict[int, Event] = {}
+        #: Phase type -> handler; a subclass is added on first sight.
+        self._phase_handlers: Dict[type, Callable[..., bool]] = dict(
+            _PHASE_HANDLERS
+        )
         self._started = False
         #: All tasks ever spawned, for completion queries.
         self.spawned: List[Task] = []
@@ -338,116 +342,154 @@ class System:
 
     def _advance(self, cpu_id: int, task: Task) -> None:
         """Interpret phases for the running ``task`` until it needs the CPU
-        for a while (Run / spin) or leaves it (sleep/block/exit)."""
+        for a while (Run / spin) or leaves it (sleep/block/exit).
+
+        Each phase goes to the handler registered for its type in
+        ``_PHASE_HANDLERS``; a handler returns True when the task stops
+        interpreting and False to fetch the next phase.
+        """
         now = self.loop.now
+        handlers = self._phase_handlers
         for _ in range(_MAX_INLINE_PHASES):
             try:
                 phase = next(task.program)
             except StopIteration:
                 phase = Exit()
             task.current_phase = phase
-
-            if isinstance(phase, Run):
-                if phase.duration_us <= 0:
-                    continue
-                task.phase_left_us = phase.duration_us
-                task.phase_started_us = now
-                self._arm_phase_end(cpu_id, task, phase.duration_us)
+            handler = handlers.get(type(phase))
+            if handler is None:
+                handler = self._subclass_handler(phase, task)
+            if handler(self, cpu_id, task, phase, now):
                 return
-
-            if isinstance(phase, Sleep):
-                self._leave_cpu(cpu_id, task, TaskState.SLEEPING)
-                self.loop.schedule(
-                    max(phase.duration_us, 1),
-                    partial(self._timer_wake, task),
-                    label="wake",
-                    tag=task.tid,
-                )
-                self._dispatch(cpu_id)
-                return
-
-            if isinstance(phase, Exit):
-                self._leave_cpu(cpu_id, task, TaskState.EXITED)
-                self.scheduler.task_exited(task, now)
-                self._dispatch(cpu_id)
-                return
-
-            if isinstance(phase, LockAcquire):
-                if phase.lock.acquire(task):
-                    continue
-                if phase.lock.kind == "spin":
-                    task.spinning_on = phase.lock
-                    task.spin_started_us = now
-                    return  # spins on-CPU
-                task.blocked_on = phase.lock
-                self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
-                self._dispatch(cpu_id)
-                return
-
-            if isinstance(phase, LockRelease):
-                granted = phase.lock.release(task)
-                if granted is not None:
-                    if phase.lock.kind == "spin":
-                        self._grant_to_spinner(granted)
-                    else:
-                        granted.blocked_on = None
-                        self.scheduler.wake_task(granted, cpu_id, now)
-                continue
-
-            if isinstance(phase, BarrierWait):
-                barrier = phase.barrier
-                passed, released = barrier.arrive(task)
-                if passed:
-                    for other in released:
-                        self._release_from_barrier(other, barrier, cpu_id)
-                    continue
-                if barrier.mode == "spin":
-                    task.spinning_on = barrier
-                    task.barrier_generation = barrier.generation
-                    task.spin_started_us = now
-                    return  # spins on-CPU
-                task.blocked_on = barrier
-                self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
-                self._dispatch(cpu_id)
-                return
-
-            if isinstance(phase, FlagWait):
-                if phase.flag.wait(task, phase.threshold):
-                    continue
-                task.spinning_on = phase.flag
-                task.flag_threshold = phase.threshold
-                task.spin_started_us = now
-                return  # spins on-CPU until the flag advances
-
-            if isinstance(phase, FlagAdvance):
-                for waiter in phase.flag.advance(phase.amount):
-                    self._release_spinner(waiter)
-                continue
-
-            if isinstance(phase, WaitOn):
-                if phase.channel.get(task):
-                    continue
-                task.blocked_on = phase.channel
-                self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
-                self._dispatch(cpu_id)
-                return
-
-            if isinstance(phase, Notify):
-                waiter = phase.channel.put()
-                if waiter is not None:
-                    waiter.blocked_on = None
-                    self.scheduler.wake_task(waiter, cpu_id, now)
-                continue
-
-            if isinstance(phase, Spawn):
-                child = self._create_task(phase.spec)
-                self.scheduler.place_new_task(child, cpu_id, now)
-                continue
-
-            raise SimulationError(f"unknown phase {phase!r} from {task}")
         raise SimulationError(
             f"{task} produced {_MAX_INLINE_PHASES} zero-cost phases in a row"
         )
+
+    def _subclass_handler(
+        self, phase: object, task: Task
+    ) -> Callable[..., bool]:
+        """The handler of a phase's nearest registered base, remembered."""
+        for base in type(phase).__mro__:
+            handler = _PHASE_HANDLERS.get(base)
+            if handler is not None:
+                self._phase_handlers[type(phase)] = handler
+                return handler
+        raise SimulationError(f"unknown phase {phase!r} from {task}")
+
+    def _on_run(self, cpu_id: int, task: Task, phase: Run, now: int) -> bool:
+        if phase.duration_us <= 0:
+            return False
+        task.phase_left_us = phase.duration_us
+        task.phase_started_us = now
+        self._arm_phase_end(cpu_id, task, phase.duration_us)
+        return True
+
+    def _on_sleep(
+        self, cpu_id: int, task: Task, phase: Sleep, now: int
+    ) -> bool:
+        self._leave_cpu(cpu_id, task, TaskState.SLEEPING)
+        self.loop.schedule(
+            max(phase.duration_us, 1),
+            partial(self._timer_wake, task),
+            label="wake",
+            tag=task.tid,
+        )
+        self._dispatch(cpu_id)
+        return True
+
+    def _on_exit(self, cpu_id: int, task: Task, phase: Exit, now: int) -> bool:
+        self._leave_cpu(cpu_id, task, TaskState.EXITED)
+        self.scheduler.task_exited(task, now)
+        self._dispatch(cpu_id)
+        return True
+
+    def _on_lock_acquire(
+        self, cpu_id: int, task: Task, phase: LockAcquire, now: int
+    ) -> bool:
+        if phase.lock.acquire(task):
+            return False
+        if phase.lock.kind == "spin":
+            task.spinning_on = phase.lock
+            task.spin_started_us = now
+            return True  # spins on-CPU
+        task.blocked_on = phase.lock
+        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._dispatch(cpu_id)
+        return True
+
+    def _on_lock_release(
+        self, cpu_id: int, task: Task, phase: LockRelease, now: int
+    ) -> bool:
+        granted = phase.lock.release(task)
+        if granted is not None:
+            if phase.lock.kind == "spin":
+                self._grant_to_spinner(granted)
+            else:
+                granted.blocked_on = None
+                self.scheduler.wake_task(granted, cpu_id, now)
+        return False
+
+    def _on_barrier_wait(
+        self, cpu_id: int, task: Task, phase: BarrierWait, now: int
+    ) -> bool:
+        barrier = phase.barrier
+        passed, released = barrier.arrive(task)
+        if passed:
+            for other in released:
+                self._release_from_barrier(other, barrier, cpu_id)
+            return False
+        if barrier.mode == "spin":
+            task.spinning_on = barrier
+            task.barrier_generation = barrier.generation
+            task.spin_started_us = now
+            return True  # spins on-CPU
+        task.blocked_on = barrier
+        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._dispatch(cpu_id)
+        return True
+
+    def _on_flag_wait(
+        self, cpu_id: int, task: Task, phase: FlagWait, now: int
+    ) -> bool:
+        if phase.flag.wait(task, phase.threshold):
+            return False
+        task.spinning_on = phase.flag
+        task.flag_threshold = phase.threshold
+        task.spin_started_us = now
+        return True  # spins on-CPU until the flag advances
+
+    def _on_flag_advance(
+        self, cpu_id: int, task: Task, phase: FlagAdvance, now: int
+    ) -> bool:
+        for waiter in phase.flag.advance(phase.amount):
+            self._release_spinner(waiter)
+        return False
+
+    def _on_wait_on(
+        self, cpu_id: int, task: Task, phase: WaitOn, now: int
+    ) -> bool:
+        if phase.channel.get(task):
+            return False
+        task.blocked_on = phase.channel
+        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._dispatch(cpu_id)
+        return True
+
+    def _on_notify(
+        self, cpu_id: int, task: Task, phase: Notify, now: int
+    ) -> bool:
+        waiter = phase.channel.put()
+        if waiter is not None:
+            waiter.blocked_on = None
+            self.scheduler.wake_task(waiter, cpu_id, now)
+        return False
+
+    def _on_spawn(
+        self, cpu_id: int, task: Task, phase: Spawn, now: int
+    ) -> bool:
+        child = self._create_task(phase.spec)
+        self.scheduler.place_new_task(child, cpu_id, now)
+        return False
 
     def _leave_cpu(self, cpu_id: int, task: Task, state: TaskState) -> None:
         """Deschedule the running task without requeuing it."""
@@ -516,3 +558,22 @@ class System:
             f"System(now={self.loop.now}us, cpus={self.topology.num_cpus}, "
             f"tasks={len(self.scheduler.tasks)})"
         )
+
+
+#: Phase type -> ``System`` handler, one lookup per interpreted phase.
+#: A subclass of a phase type resolves through its MRO on first sight
+#: (``System._subclass_handler``) and is then looked up like its base.
+_PHASE_HANDLERS: Dict[type, Callable[..., bool]] = {
+    Run: System._on_run,
+    Sleep: System._on_sleep,
+    Exit: System._on_exit,
+    LockAcquire: System._on_lock_acquire,
+    LockRelease: System._on_lock_release,
+    BarrierWait: System._on_barrier_wait,
+    FlagWait: System._on_flag_wait,
+    FlagAdvance: System._on_flag_advance,
+    WaitOn: System._on_wait_on,
+    Notify: System._on_notify,
+    Spawn: System._on_spawn,
+}
+

@@ -216,8 +216,4 @@ def test_self_lint_suppressions_are_exactly_the_declared_ones(shipped_lint):
     assert suppressed == [
         ("coherence-unbumped-write", "runqueue.py"),
         ("coherence-unbumped-write", "runqueue.py"),
-        # The load-invariance convergence test reads raw util on
-        # purpose: util == target is decay-invariant, so the bypass
-        # cannot observe staleness.
-        ("perf-load-bypass", "runqueue.py"),
     ]

@@ -10,9 +10,12 @@ schedule with the fast paths on or off) lives in
 ``test_determinism_trace.py``.
 """
 
+import random
+
 import pytest
 
 from repro.sched.features import SchedFeatures
+from repro.sched.load import LoadTracker, load_sum
 from repro.sched.runqueue import RunQueue
 from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task
@@ -119,18 +122,45 @@ def _queued(rq, name, now=0, nice=0):
     return task
 
 
+def _decayed_queue(rq, spec, running):
+    """Queue one task per (nice, util) pair; dispatch the first if asked."""
+    for i, (nice, util) in enumerate(spec):
+        task = _queued(rq, f"t{i}", nice=nice)
+        task.tracker = LoadTracker(0, initial_util=util)
+    if running:
+        rq.dispatch(rq.pick_next(), 0)
+
+
 def test_load_cache_returns_exactly_the_recomputed_value():
-    cached = RunQueue(0)
-    plain = RunQueue(0, load_cache=False)
-    for rq in (cached, plain):
-        _queued(rq, "a")
-        _queued(rq, "b", nice=5)
-    now = 40_000
-    first = cached.load(now)
-    hits_before = cached.load_cache_hits
-    assert cached.load(now) == first
-    assert cached.load_cache_hits == hits_before + 1
-    assert first == plain.load(now)
+    # Queues of 3-5 tasks with decayed utilization: their loads have
+    # enough significant bits that a compensated sum (the builtin
+    # ``sum`` of floats since Python 3.12) rounds differently from the
+    # memo's left-to-right adds in about one case in four.
+    rng = random.Random(20)
+    for _ in range(200):
+        spec = [
+            (rng.choice((-5, 0, 0, 3, 10)), rng.random())
+            for _ in range(rng.randint(3, 5))
+        ]
+        running = rng.random() < 0.5
+        now = rng.randint(1, 200_000)
+        cached = RunQueue(0)
+        plain = RunQueue(0, load_cache=False)
+        for rq in (cached, plain):
+            _decayed_queue(rq, spec, running)
+        first = cached.load(now)
+        hits_before = cached.load_cache_hits
+        assert cached.load(now) is first
+        assert cached.load_cache_hits == hits_before + 1
+        want = load_sum(t.load(now) for t in plain.all_tasks())
+        assert first == plain.load(now) == want
+
+
+def test_load_sum_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16 at every step; a compensated sum
+    # would carry the lost ones and return 1e16 + 2.
+    assert load_sum([1e16, 1.0, 1.0]) == 1e16
+    assert load_sum([]) == 0 and type(load_sum([])) is int
 
 
 def test_load_cache_invalidated_by_mutation():

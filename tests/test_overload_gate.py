@@ -196,6 +196,16 @@ class OverloadCountMachine(RuleBasedStateMachine):
             if has_spare_task(cpu.rq.nr_running)
         )
 
+    @invariant()
+    def queue_counters_match_recount(self):
+        # The fields ``RunQueue.dispatch`` keeps across its one fused
+        # transition (and every other mutator keeps incrementally).
+        for cpu in self.sched.cpus:
+            tasks = cpu.rq.all_tasks()
+            assert cpu.rq._nr_running == len(tasks)
+            assert cpu.rq._total_weight == sum(t.weight for t in tasks)
+            assert cpu.is_idle == (cpu.online and not tasks)
+
 
 class ReferenceOverloadCountMachine(OverloadCountMachine):
     """The same operations on the reference path."""

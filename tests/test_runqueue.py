@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.sched.cpu import Cpu
+from repro.sched.load import LoadTracker
 from repro.sched.runqueue import RunQueue
+from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task, TaskState
 from repro.sim.timebase import SCHED_LATENCY_US
-from repro.viz.events import NrRunningEvent, TraceProbe
+from repro.topology import two_nodes
+from repro.viz.events import NrRunningEvent, Probe, TraceProbe
 
 
 def make_task(name="t", vruntime=0):
@@ -173,3 +177,84 @@ def test_probe_notified_on_changes():
 def test_repr():
     rq = RunQueue(2)
     assert "cpu=2" in repr(rq)
+
+
+# ------------------------------------------------------------- dispatch
+
+
+class _Recorder(Probe):
+    """Records every runqueue notification, load samples included."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_nr_running(self, now, cpu, nr_running):
+        self.events.append(("nr", now, cpu, nr_running))
+
+    def on_rq_load(self, now, cpu, load):
+        self.events.append(("load", now, cpu, load))
+
+
+def test_pick_next_task_on_one_task_queue_notifies_zero_then_one():
+    probe = _Recorder()
+    sched = Scheduler(two_nodes(cores_per_node=2), probe=probe)
+    task = Task("only")
+    sched.enqueue_task_on(task, 1, 0)
+    del probe.events[:]
+    assert sched.pick_next_task(1, 500) is task
+    assert probe.events == [
+        ("nr", 500, 1, 0),
+        ("load", 500, 1, 0),
+        ("nr", 500, 1, 1),
+        ("load", 500, 1, task.load(500)),
+    ]
+
+
+def _queue_of(n, load_cache, probe):
+    rq = Cpu(3, probe, load_cache=load_cache).rq
+    for i in range(n):
+        task = Task(f"t{i}", nice=i)
+        rq.enqueue(task, 0)
+        task.tracker = LoadTracker(0, initial_util=0.3 + 0.2 * i)
+    return rq
+
+
+@pytest.mark.parametrize("load_cache", [True, False])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dispatch_is_take_then_set_current(n, load_cache):
+    """The fused transition ends where the pair ended, with the same
+    notifications, but without the pair's transient idle flip."""
+    fused_probe, pair_probe = _Recorder(), _Recorder()
+    fused = _queue_of(n, load_cache, fused_probe)
+    pair = _queue_of(n, load_cache, pair_probe)
+    idle_before = fused.idle_epoch.value
+    del fused_probe.events[:], pair_probe.events[:]
+    now = 7_000
+    fused.dispatch(fused.pick_next(), now)
+    task = pair.pick_next()
+    pair.take(task, now)
+    pair.set_current(task, now)
+    assert fused_probe.events == pair_probe.events
+    for rq in (fused, pair):
+        assert rq.curr.state is TaskState.RUNNING
+        assert rq.curr.prev_cpu == rq.curr.cpu == 3
+    assert fused.curr.name == pair.curr.name
+    assert [t.name for t in fused.queued_tasks()] == [
+        t.name for t in pair.queued_tasks()
+    ]
+    assert fused._nr_running == pair._nr_running == n
+    assert fused._total_weight == pair._total_weight
+    assert fused.owner.is_idle is pair.owner.is_idle is False
+    assert fused.overload == pair.overload
+    assert fused.load(now) == pair.load(now)
+    assert fused.idle_epoch.value == idle_before
+
+
+def test_dispatch_rejects_a_busy_queue():
+    rq = RunQueue(0)
+    a, b = make_task("a", vruntime=1), make_task("b", vruntime=2)
+    rq.enqueue(a, 0)
+    rq.enqueue(b, 0)
+    rq.dispatch(a, 0)
+    with pytest.raises(ValueError):
+        rq.dispatch(b, 0)

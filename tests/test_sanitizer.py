@@ -8,10 +8,15 @@ and each seeded un-bumped mutation (the exact bug class the static
 ``coherence-unbumped-write`` rule flags) trips at the next hit.
 """
 
+import math
+
 import pytest
 
+from repro.experiments import figure2, table2
+from repro.experiments.harness import ExperimentConfig, schedule_digest
 from repro.experiments.scenarios import build_bug_scenario
 from repro.sched import balance as lb
+from repro.sched import runqueue as rq_module
 from repro.sched import wakeup as wk
 from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import FACTS, CoherenceError
@@ -145,6 +150,40 @@ def test_trips_on_unbumped_hotplug():
     sched.cpus[winner].online = True
 
 
+def _drift_queue_load(monkeypatch):
+    """Plant a one-ulp drift in the one-frame miss-path summation."""
+    real = rq_module.queue_load
+
+    def drifted(entries, curr, now, running):
+        value, invariant = real(entries, curr, now, running)
+        return (math.nextafter(value, math.inf) if value else value), invariant
+
+    monkeypatch.setattr(rq_module, "queue_load", drifted)
+
+
+def test_trips_on_drifted_miss_summation(monkeypatch):
+    """Every load-memo miss is recomputed from ``Task.load``: a drift in
+    the summation that fills the memo raises at the miss itself."""
+    _drift_queue_load(monkeypatch)
+    sched = Scheduler(two_nodes(cores_per_node=4), sanitized(SchedFeatures()))
+    sched.enqueue_task_on(Task("a"), 0, 0)
+    sched.enqueue_task_on(Task("b"), 0, 0)
+    rq = sched.cpus[0].rq
+    with pytest.raises(CoherenceError) as exc:
+        rq.load(1000)  # a miss: nothing memoized at this key yet
+    assert exc.value.accessor == "runqueue-load"
+    assert exc.value.field == "load"
+    assert rq.load_cache_hits == 0
+
+
+def test_unsanitized_miss_drift_goes_unnoticed(monkeypatch):
+    _drift_queue_load(monkeypatch)
+    sched = Scheduler(two_nodes(cores_per_node=4), SchedFeatures())
+    sched.enqueue_task_on(Task("a"), 0, 0)
+    rq = sched.cpus[0].rq
+    assert rq.load(1000) != rq.all_tasks()[0].load(1000)
+
+
 def test_trips_on_group_stats_drift():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
@@ -215,3 +254,44 @@ def test_trips_on_stale_idle_sibling():
     assert exc.value.accessor == "idle-sibling"
     assert "cpu 0" in exc.value.field
     assert (exc.value.cached, exc.value.fresh) == (3, 2)
+
+
+# ------------------------------------------------- wake- and fork-heavy
+
+
+#: Smoke scale of the report trials (the e2e benchmark's smoke size).
+TRIAL_SCALE = 0.005
+
+
+def _sanitized_digest_pair(config, run):
+    plain = run(config)
+    checked = run(config.with_features(config.features.with_sanitizer()))
+    return plain, checked
+
+
+@pytest.mark.parametrize("fixes", [(), ("overload_on_wakeup",)])
+def test_sanitized_tpch_q18_keeps_its_schedule(fixes):
+    """A wake-heavy report trial: dispatches, load-memo misses and (with
+    the wakeup fix) the longest-idle scan, all under the sanitizer."""
+    config = ExperimentConfig(
+        SchedFeatures().with_fixes(*fixes), seed=42, scale=TRIAL_SCALE
+    )
+
+    def run(cfg):
+        _seconds, system = table2._run_tpch_system(cfg, "q18", repeats=1)
+        return schedule_digest(system)
+
+    plain, checked = _sanitized_digest_pair(config, run)
+    assert checked == plain
+
+
+def test_sanitized_make_and_r_keeps_its_schedule():
+    """The Figure 2 make+R trial forks every compile job: the fork
+    descent's placement scans run under the sanitizer."""
+    config = ExperimentConfig(SchedFeatures(), seed=42, scale=TRIAL_SCALE)
+
+    def run(cfg):
+        return figure2.run_make_and_r(cfg, traced=False).schedule_digest
+
+    plain, checked = _sanitized_digest_pair(config, run)
+    assert checked == plain

@@ -1,5 +1,7 @@
 """Tests for the simulator executor (System)."""
 
+from dataclasses import dataclass
+
 import pytest
 
 from repro.sched.task import TaskState
@@ -8,7 +10,7 @@ from repro.sim.system import System
 from repro.sim.timebase import MS, SEC
 from repro.topology import single_node, two_nodes
 from repro.sched.features import SchedFeatures
-from repro.workloads.base import Exit, Run, Spawn, TaskSpec
+from repro.workloads.base import Exit, Phase, Run, Spawn, TaskSpec
 
 from tests.conftest import hog_spec, sleeper_spec
 
@@ -148,6 +150,40 @@ def test_runaway_zero_phase_program_detected(uma_system):
     with pytest.raises(SimulationError):
         # The dispatch happens during spawn's drain.
         uma_system.spawn(TaskSpec("runaway", factory))
+
+
+@dataclass(frozen=True)
+class _TimedRun(Run):
+    """A phase type the interpreter has no entry for: a Run subclass."""
+
+    label: str = "timed"
+
+
+def test_phase_subclass_runs_as_its_base(uma_system):
+    def factory():
+        def program():
+            yield _TimedRun(2 * MS)
+            yield Run(1 * MS)
+        return program()
+
+    task = uma_system.spawn(TaskSpec("subclassed", factory))
+    assert uma_system.run_until_done([task], 1 * SEC)
+    assert task.stats.total_runtime_us == 3 * MS
+
+
+def test_unknown_phase_raises(uma_system):
+    class Nap(Phase):
+        pass
+
+    def factory():
+        def program():
+            yield Run(1 * MS)
+            yield Nap()
+        return program()
+
+    uma_system.spawn(TaskSpec("napper", factory))
+    with pytest.raises(SimulationError, match="unknown phase"):
+        uma_system.run_for(10 * MS)
 
 
 def test_run_until_absolute(uma_system):
