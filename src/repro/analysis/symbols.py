@@ -388,8 +388,9 @@ class SymbolTable:
             if base is None:
                 return None
             # A method/property access types as its return annotation --
-            # that is what makes ``sched.cpu(c).rq.nr_running`` chase
-            # through the property.
+            # that is what makes ``sched.cpus[c].rq.nr_running`` chase
+            # through the property once the subscript has resolved
+            # through ``_elem_of``.
             prop = self.method(base.name, expr.attr)
             if prop is not None:
                 return self.return_type(prop)

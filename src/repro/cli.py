@@ -20,10 +20,6 @@
                            [--utilization-out FILE] [--digests-out FILE]
     python -m repro lint [paths ...] [--format json|text|sarif]
                          [--sarif FILE] [--baseline FILE]
-    python -m repro bench [--quick] [--compare] [--only NAME] [-j N]
-                          [--variant baseline|fast]
-                          [--out BENCH_sim.json] [--check-digests [FILE]]
-                          [--trend [FILE]]
     python -m repro slo run [--registry PATH] [--scenario NAME] [--scale F]
                             [-j N] [--json FILE]
     python -m repro slo check [--baseline SLO_baseline.json]
@@ -276,87 +272,6 @@ def _cmd_lint(args) -> int:
         sarif_path=args.sarif,
         jobs=args.jobs,
     )
-
-
-def _cmd_bench(args) -> int:
-    """Run the deterministic macro-benchmarks (see repro.perf)."""
-    from repro.perf import (
-        append_run,
-        benchmark_names,
-        check_digests,
-        format_results,
-        run_benchmark,
-        stored_digests,
-    )
-
-    if args.trend is not None:
-        from repro.perf import format_trend, load_trajectory
-
-        try:
-            trajectory = load_trajectory(args.trend)
-        except (OSError, ValueError) as exc:
-            print(f"cannot read trajectory {args.trend}: {exc}",
-                  file=sys.stderr)
-            return 2
-        print(format_trend(trajectory))
-        return 0
-
-    names = args.only or benchmark_names()
-    unknown = [n for n in names if n not in benchmark_names()]
-    if unknown:
-        print(f"unknown benchmark(s): {', '.join(unknown)} "
-              f"(known: {', '.join(benchmark_names())})", file=sys.stderr)
-        return 2
-    cross_check = args.check_digests is not None
-    digest_file = (
-        args.check_digests if isinstance(args.check_digests, str) else None
-    )
-    if digest_file is not None:
-        # Validate before running anything: a missing or digest-less
-        # file would otherwise "match" vacuously and disable the gate.
-        try:
-            stored_digests(digest_file)
-        except (OSError, ValueError) as exc:
-            print(f"cannot check digests against {digest_file}: {exc}",
-                  file=sys.stderr)
-            return 2
-    results = []
-    for name in names:
-        print(f"running {name}{' (quick)' if args.quick else ''} ...",
-              file=sys.stderr)
-        results.append(
-            run_benchmark(
-                name, quick=args.quick, compare=args.compare,
-                jobs=args.jobs, variant=args.variant,
-                check_digests=cross_check,
-            )
-        )
-    print(format_results(results))
-
-    status = 0
-    if any(r.digest_match is False for r in results):
-        status = 1
-    if cross_check:
-        bad = [r.name for r in results if r.digest_match is False]
-        if bad:
-            print(f"digest cross-check FAILED: {', '.join(bad)}")
-        else:
-            print("digest cross-check passed: all variants identical")
-    if digest_file is not None:
-        mismatches = check_digests(digest_file, results)
-        for name, stored, fresh in mismatches:
-            print(
-                f"DIGEST DRIFT: {name}: stored {stored[:16]}... != "
-                f"fresh {fresh[:16]}... (schedule changed since "
-                f"{digest_file})"
-            )
-            status = 1
-        if not mismatches:
-            print(f"digests match {digest_file}")
-    if args.out:
-        append_run(args.out, results, label=args.label, jobs=args.jobs)
-        print(f"appended run to {args.out}")
-    return status
 
 
 def _slo_progress(done: int, total: int, outcome) -> None:
@@ -664,62 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
         "byte-identical to a serial run",
     )
     p.set_defaults(func=_cmd_lint)
-
-    p = sub.add_parser(
-        "bench",
-        help="deterministic macro-benchmarks of the simulator fast paths",
-    )
-    p.add_argument(
-        "--quick", action="store_true",
-        help="shortened horizons for CI smoke runs",
-    )
-    p.add_argument(
-        "--compare", action="store_true",
-        help="also measure with the fast paths disabled and report the "
-        "speedup plus a fast-vs-baseline schedule-digest check",
-    )
-    p.add_argument(
-        "--only", nargs="*", default=None, metavar="NAME",
-        help="run only these benchmarks (default: all)",
-    )
-    p.add_argument(
-        "--out", default=None, metavar="FILE",
-        help="append results to this BENCH_*.json trajectory file",
-    )
-    p.add_argument(
-        "--check-digests", nargs="?", const=True, default=None,
-        metavar="FILE",
-        help="recompute every benchmark's schedule digest in both "
-        "variants (baseline, fast) and require them "
-        "identical; with FILE, additionally compare against the most "
-        "recent run stored there; exit 1 on any mismatch, exit 2 "
-        "before running anything if FILE is missing, unreadable, "
-        "corrupt, or holds no digests",
-    )
-    p.add_argument(
-        "--variant", default="fast",
-        choices=("baseline", "fast"),
-        help="the variant the primary wall-clock measurement runs: "
-        "baseline (the reference path) or fast (default)",
-    )
-    p.add_argument(
-        "--trend", nargs="?", const="BENCH_sim.json", default=None,
-        metavar="FILE",
-        help="print the per-benchmark history table (run id, variant, "
-        "wall seconds, speedup, digest_match) of a BENCH_*.json "
-        "trajectory and exit without running anything "
-        "(default FILE: BENCH_sim.json)",
-    )
-    p.add_argument(
-        "--label", default="",
-        help="label recorded with the appended run (e.g. a commit sha)",
-    )
-    p.add_argument(
-        "-j", "--jobs", type=int, default=1, metavar="N",
-        help="worker processes for the report_wall benchmark's fast "
-        "mode (1 = one per core there); recorded in --out trajectories",
-    )
-    p.set_defaults(func=_cmd_bench)
 
     def _slo_common(p, with_cache: bool = True) -> None:
         p.add_argument(

@@ -94,8 +94,8 @@ def build_bug_scenario(
     paper's patch enabled).  ``instrument`` runs after the system exists
     but before any task spawns, so observers (``ObsSession``, trace
     probes) see the run from time zero.  ``features_transform`` maps the
-    scenario's final feature set to a variant -- the bench harness uses it
-    to toggle the simulator fast paths (``with_fastpath``) without
+    scenario's final feature set to a variant -- the cross-path tests use
+    it to toggle the simulator fast path (``with_fastpath``) without
     touching the scheduling behavior under test.
     """
     bug = canonical_bug_name(bug)

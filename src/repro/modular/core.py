@@ -62,7 +62,7 @@ class InvariantGuardedScheduler(Scheduler):
 
     def _feasible(self, task: Task, suggestion: Suggestion) -> bool:
         """A suggestion must not break the work-conserving invariant."""
-        cpu = self.cpu(suggestion.cpu)
+        cpu = self.cpus[suggestion.cpu]
         if not cpu.online or not task.can_run_on(suggestion.cpu):
             return False
         if cpu.is_idle:
@@ -106,7 +106,7 @@ class InvariantGuardedScheduler(Scheduler):
         decision = self._select_wakeup_cpu(task, waker_cpu, now)
         self.decisions.append(decision)
         target = decision.cpu
-        was_idle = self.cpu(target).is_idle
+        was_idle = self.cpus[target].is_idle
         task.tracker.update(now, was_running=False)
         task.stats.wakeups += 1
         if not was_idle:

@@ -60,14 +60,14 @@ class CacheAffinityModule(OptimizationModule):
     def suggest_wakeup(self, sched, task, waker_cpu, now):
         topo = sched.topology
         prev = task.prev_cpu
-        if prev is None or not sched.cpu(prev).online:
+        if prev is None or not sched.cpus[prev].online:
             return None
         if not task.can_run_on(prev):
             return None
-        if sched.cpu(prev).is_idle:
+        if sched.cpus[prev].is_idle:
             return Suggestion(prev, "previous core idle (warm cache)", 0.9)
         for cpu_id in sorted(topo.llc_siblings(prev)):
-            cpu = sched.cpu(cpu_id)
+            cpu = sched.cpus[cpu_id]
             if cpu.online and cpu.is_idle and task.can_run_on(cpu_id):
                 return Suggestion(
                     cpu_id, "idle core sharing the previous LLC", 0.7

@@ -64,8 +64,15 @@ class ProbeTracepointBridge(Probe):
         return self._tp_rq_load.enabled
 
     def wants_balance(self) -> bool:
-        # Balance walks that cannot move a task are skipped unless their
-        # records reach a subscriber.
+        """True while the considered-cores or balance tracepoint has a
+        subscriber: balance walks that cannot move a task are skipped
+        unless their records reach one.
+
+        A subscriber also turns off ``wakeup._fast_idle_sibling`` and the
+        nothing-to-pull gate (``balance.nothing_to_pull``); a check that
+        compares the fast path with the reference path must leave both
+        tracepoints unsubscribed, or it never reaches those shortcuts.
+        """
         return self._tp_considered.enabled or self._tp_balance.enabled
 
     def on_considered(

@@ -131,7 +131,8 @@ def build_features(
     Tokens are the canonical, order-insensitive encoding trial specs use:
     ``fix:<name>`` enables one paper fix, ``no_autogroup`` disables the
     autogroup feature, ``v43`` selects the reworked load metric, and
-    ``fastpath_off`` disables the simulator fast path (bench baselines).
+    ``fastpath_off`` disables the simulator fast path (the reference path
+    every report trial is checked against in ``tests/test_cross_path.py``).
     An unknown token raises ``ValueError``.
     """
     features = base

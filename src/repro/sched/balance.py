@@ -121,11 +121,11 @@ def _fold_group_stats(
     group's CPU tuple is already sorted (cached on the group; hotplug
     rebuilds make fresh groups), leaving only the online filter per call.
     """
-    cpus = tuple(c for c in group.sorted_cpus() if sched.cpu(c).online)
+    cpus = tuple(c for c in group.sorted_cpus() if sched.cpus[c].online)
     if not cpus:
         return None
-    loads = [sched.cpu(c).rq.load(now) for c in cpus]
-    nrs = [sched.cpu(c).rq.nr_running for c in cpus]
+    loads = [sched.cpus[c].rq.load(now) for c in cpus]
+    nrs = [sched.cpus[c].rq.nr_running for c in cpus]
     return GroupStats(
         group=group,
         cpus=cpus,
@@ -223,7 +223,7 @@ def pick_busiest_cpu(
     for cpu_id in stats.cpus:
         if cpu_id in excluded:
             continue
-        rq = sched.cpu(cpu_id).rq
+        rq = sched.cpus[cpu_id].rq
         if not has_spare_task(rq.nr_running):
             continue  # a running or mid-dispatch task cannot be stolen
         key = (rq.load(now), rq.nr_running)
@@ -237,7 +237,7 @@ def detach_candidates(
     sched: "Scheduler", src_cpu: int, dst_cpu: int
 ) -> List["Task"]:
     """Queued tasks on ``src_cpu`` whose affinity allows ``dst_cpu``."""
-    rq = sched.cpu(src_cpu).rq
+    rq = sched.cpus[src_cpu].rq
     return [t for t in rq.queued_tasks() if t.can_run_on(dst_cpu)]
 
 
@@ -277,8 +277,8 @@ def move_tasks(
     if budget <= 0:
         return 0
     moved = 0
-    src_rq = sched.cpu(src_cpu).rq
-    dst_rq = sched.cpu(dst_cpu).rq
+    src_rq = sched.cpus[src_cpu].rq
+    dst_rq = sched.cpus[dst_cpu].rq
     remaining = budget
     while True:
         candidates = detach_candidates(sched, src_cpu, dst_cpu)
@@ -435,13 +435,14 @@ def _elect_designated(sched: "Scheduler", group: "SchedGroup") -> int:
 
 
 def _elect_designated_baseline(sched: "Scheduler", group: "SchedGroup") -> int:
-    # Historical implementation, kept verbatim for the fast-paths-off mode
-    # so `repro bench --compare` measures against pre-optimization costs.
+    # The reference path's election, kept as the plain scan of Algorithm 1:
+    # it is the oracle tests/test_cross_path.py and the sanitizer check the
+    # fast path's memoized election against.
     online = sorted(
-        c for c in group.balance_mask() if sched.cpu(c).online
+        c for c in group.balance_mask() if sched.cpus[c].online
     )
     for candidate in online:
-        if sched.cpu(candidate).is_idle:
+        if sched.cpus[candidate].is_idle:
             return candidate
     return online[0] if online else -1
 
@@ -633,7 +634,7 @@ def nohz_idle_balance(
     perspectives share one timestamp, so the fast path's mirror serves
     their group-stats reads from one sampling sweep.
     """
-    sched.cpu(balancer_cpu).nohz_balancer = True
+    sched.cpus[balancer_cpu].nohz_balancer = True
     moved = 0
     if bpass is not None:
         # Due-reduction: the sweep walks only the CPUs whose gate has

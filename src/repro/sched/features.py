@@ -81,8 +81,8 @@ class SchedFeatures:
 
     #: Simulator fast path.  It changes *how fast* the simulation runs,
     #: never *what* it computes: every seeded trace is byte-identical with
-    #: it on or off (pinned by regression test), and ``repro bench
-    #: --compare`` quantifies the speedup by toggling it.  On, runqueues
+    #: it on or off (pinned whole-workload by
+    #: ``tests/test_cross_path.py``).  On, runqueues
     #: memoize their load summation and keep nr_running incrementally,
     #: the event heap compacts when cancelled entries dominate, and the
     #: persistent mirror :class:`~repro.sched.vecstate.VecState` serves
@@ -133,9 +133,10 @@ class SchedFeatures:
     def with_fastpath(self, enabled: bool = True) -> "SchedFeatures":
         """A copy with the simulator fast path toggled.
 
-        ``with_fastpath(False)`` is the reference path and the bench
-        harness's baseline mode: the simulation recomputes everything
-        from scratch, as the pre-fast-path code did.
+        ``with_fastpath(False)`` is the reference path: the simulation
+        recomputes everything from scratch, as the pre-fast-path code
+        did.  It is the oracle ``tests/test_cross_path.py`` and the
+        sanitizer hold the fast path to.
         """
         return replace(self, fastpath=enabled)
 

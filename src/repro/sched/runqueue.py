@@ -139,7 +139,7 @@ class RunQueue:
         #: balancer and the tick path.
         self._nr_running = 0
         self._total_weight = 0
-        #: Cache-hit/miss accounting (bench introspection).
+        #: Cache-hit/miss accounting (read by tests).
         self.load_cache_hits = 0
         self.load_cache_misses = 0
 
@@ -150,8 +150,9 @@ class RunQueue:
         """Runnable tasks on this CPU, including the one executing."""
         if self._load_cache_enabled:
             return self._nr_running
-        # Baseline (fast path off) recounts from scratch, reproducing the
-        # pre-incremental implementation for `repro bench --compare`.
+        # The reference path (fast path off) recounts from scratch: the
+        # oracle tests/test_cross_path.py checks the incremental count
+        # against.
         return len(self._q) + (1 if self.curr is not None else 0)
 
     @property

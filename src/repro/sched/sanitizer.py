@@ -22,8 +22,7 @@ tree -- if a cached accessor grows a new dependency, both the analyzer
 and this table notice.
 
 The checks are deliberately O(recompute): the sanitizer mode exists for
-CI soaks and bug hunts, not production runs.  ``repro bench`` never
-enables it.
+CI soaks and bug hunts, not production runs; no benchmark enables it.
 """
 
 from __future__ import annotations

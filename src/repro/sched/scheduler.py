@@ -103,9 +103,6 @@ class Scheduler:
 
     # -- lookups -------------------------------------------------------------
 
-    def cpu(self, cpu_id: int) -> Cpu:
-        return self.cpus[cpu_id]
-
     def vec_pass(self, now: int) -> Optional[VecState]:
         """The sampling layer for one rebalance pass at ``now``.
 
@@ -179,7 +176,7 @@ class Scheduler:
                               TaskState.NEW):
             raise ValueError(f"cannot wake {task} in state {task.state}")
         target = wk.select_task_rq_wake(self, task, waker_cpu, now)
-        was_idle = self.cpu(target).is_idle
+        was_idle = self.cpus[target].is_idle
         task.tracker.update(now, was_running=False)
         task.stats.wakeups += 1
         if not was_idle:
@@ -298,8 +295,8 @@ class Scheduler:
         """Move a queued (not running) task between runqueues."""
         if task.state is not TaskState.RUNNABLE:
             raise ValueError(f"cannot migrate {task} in state {task.state}")
-        src = self.cpu(src_cpu)
-        dst = self.cpu(dst_cpu)
+        src = self.cpus[src_cpu]
+        dst = self.cpus[dst_cpu]
         src.rq.take(task, now)
         task.stats.migrations += 1
         self.total_migrations += 1
@@ -376,7 +373,7 @@ class Scheduler:
         tasks via :meth:`wake_task`.  A call that does not change the
         CPU's online state is a no-op.
         """
-        cpu = self.cpu(cpu_id)
+        cpu = self.cpus[cpu_id]
         evicted: List[Task] = []
         if cpu.online == online:
             return evicted
@@ -412,8 +409,8 @@ class Scheduler:
         """Algorithm 2's ``can_steal``: some waiting task may move over."""
         if idle_cpu == busy_cpu:
             return False
-        idle = self.cpu(idle_cpu)
-        busy = self.cpu(busy_cpu)
+        idle = self.cpus[idle_cpu]
+        busy = self.cpus[busy_cpu]
         if not idle.online or not busy.online:
             return False
         return any(

@@ -60,10 +60,10 @@ that coerced it to ``0.0`` would silently drop the group-metric field
 from ``BalanceEvent`` records whenever the Group Imbalance fix selects
 ``min_load``.  The fold's min/max keep the first minimal / maximal
 *element*, matching the reference fold's tie-breaking, so both paths'
-schedule digests stay byte-identical (see ``repro bench
---check-digests``).  Likewise, per-task utilization decay stays on
-scalar ``math.exp`` in :mod:`repro.sched.load`: the tracker is *read*,
-never re-derived, by this layer.
+schedule digests stay byte-identical (see ``tests/test_cross_path.py``).
+Likewise, per-task utilization decay stays on scalar ``math.exp`` in
+:mod:`repro.sched.load`: the tracker is *read*, never re-derived, by this
+layer.
 
 The vruntime floor and idle flags of the mirror are exposed via
 :meth:`snapshot`; ``min_vruntime`` advances without epoch traffic (by

@@ -40,7 +40,7 @@ def select_task_rq_wake(
     prev = _usable_prev(sched, task, waker_cpu)
 
     if _fix_active(sched):
-        prev_cpu_obj = sched.cpu(prev)
+        prev_cpu_obj = sched.cpus[prev]
         if prev_cpu_obj.online and prev_cpu_obj.is_idle:
             return prev
         idle = _longest_idle_cpu(sched, task, now)
@@ -63,7 +63,7 @@ def select_task_rq_fork(
     ``find_idlest_group`` spread them; the descent inherits whatever group
     structure (buggy or fixed) the domain builder produced.
     """
-    if not sched.cpu(parent_cpu).online:
+    if not sched.cpus[parent_cpu].online:
         parent_cpu = _any_allowed_cpu(sched, task, parent_cpu)
     target = find_idlest_cpu(
         sched, task, parent_cpu, now, numa_levels=False
@@ -93,14 +93,14 @@ def _mainline_wake(
     search happens around it -- still a single node.
     """
     topo = sched.topology
-    if waker_cpu is None or not sched.cpu(waker_cpu).online:
+    if waker_cpu is None or not sched.cpus[waker_cpu].online:
         target = prev
     elif topo.node_of(waker_cpu) == topo.node_of(prev):
         # The Overload-on-Wakeup trigger: stay on the shared node.
         target = prev
     else:
-        waker_load = sched.cpu(waker_cpu).rq.load(now)
-        prev_load = sched.cpu(prev).rq.load(now)
+        waker_load = sched.cpus[waker_cpu].rq.load(now)
+        prev_load = sched.cpus[prev].rq.load(now)
         target = waker_cpu if waker_load < prev_load else prev
         if not task.can_run_on(target):
             target = prev if task.can_run_on(prev) else target
@@ -172,26 +172,26 @@ def _scan_idle_sibling(
     candidates = [
         c
         for c in sorted(topo.llc_siblings(target))
-        if sched.cpu(c).online and task.can_run_on(c)
+        if sched.cpus[c].online and task.can_run_on(c)
     ]
     probe = sched.probe
     if probe.active:
         probe.on_considered(now, target, "select_idle_sibling", candidates)
-    if task.can_run_on(target) and sched.cpu(target).is_idle:
+    if task.can_run_on(target) and sched.cpus[target].is_idle:
         return target
     # Prefer an idle SMT sibling (shared FPU, hottest cache), then any
     # idle core in the node.
     siblings = topo.smt_siblings(target)
     for cpu_id in candidates:
-        if cpu_id in siblings and sched.cpu(cpu_id).is_idle:
+        if cpu_id in siblings and sched.cpus[cpu_id].is_idle:
             return cpu_id
     for cpu_id in candidates:
-        if sched.cpu(cpu_id).is_idle:
+        if sched.cpus[cpu_id].is_idle:
             return cpu_id
     if task.can_run_on(target):
         return target
     if candidates:
-        return min(candidates, key=lambda c: sched.cpu(c).rq.load(now))
+        return min(candidates, key=lambda c: sched.cpus[c].rq.load(now))
     return _any_allowed_cpu(sched, task, target)
 
 
@@ -365,10 +365,9 @@ def _usable_prev(
     sched: "Scheduler", task: "Task", waker_cpu: Optional[int]
 ) -> int:
     prev = task.prev_cpu
-    if prev is None or not sched.cpu(prev).online or not task.can_run_on(prev):
-        if waker_cpu is not None and task.can_run_on(waker_cpu) and sched.cpu(
-            waker_cpu
-        ).online:
+    if prev is None or not sched.cpus[prev].online or not task.can_run_on(prev):
+        if (waker_cpu is not None and task.can_run_on(waker_cpu)
+                and sched.cpus[waker_cpu].online):
             return waker_cpu
         return _any_allowed_cpu(sched, task, prev if prev is not None else 0)
     return prev

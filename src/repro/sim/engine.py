@@ -111,7 +111,7 @@ class EventLoop:
         self._lazy_cancels = 0
         #: Compact the heap when lazy cancels outnumber live entries.
         self._compact_enabled = compact
-        #: Number of compaction passes performed (bench accounting).
+        #: Number of compaction passes performed (read by tests).
         self.compactions = 0
 
     @property

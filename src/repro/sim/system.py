@@ -124,7 +124,7 @@ class System:
             root.remove(probe)
 
     def cpu(self, cpu_id: int):
-        return self.scheduler.cpu(cpu_id)
+        return self.scheduler.cpus[cpu_id]
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -210,13 +210,13 @@ class System:
         A call that does not change the core's online state is a no-op.
         """
         sched = self.scheduler
-        if sched.cpu(cpu_id).online == online:
+        if sched.cpus[cpu_id].online == online:
             return
         self.start()
         now = self.loop.now
         displaced: List[Task] = []
         if not online:
-            cpu = sched.cpu(cpu_id)
+            cpu = sched.cpus[cpu_id]
             if cpu.rq.curr is not None:
                 task = self._switch_out(cpu_id, requeue=False)
                 if task is not None:
@@ -254,12 +254,12 @@ class System:
             if not dispatch and not resched:
                 return
             for cpu_id in sorted(resched):
-                cpu = sched.cpu(cpu_id)
+                cpu = sched.cpus[cpu_id]
                 if cpu.rq.curr is not None:
                     self._switch_out(cpu_id, requeue=True)
                 self._dispatch(cpu_id)
             for cpu_id in sorted(dispatch):
-                cpu = sched.cpu(cpu_id)
+                cpu = sched.cpus[cpu_id]
                 if cpu.online and cpu.rq.curr is None and cpu.rq.nr_queued:
                     self._dispatch(cpu_id)
         raise SimulationError("drain did not quiesce after 10000 rounds")
@@ -268,7 +268,7 @@ class System:
 
     def _switch_out(self, cpu_id: int, requeue: bool) -> Optional[Task]:
         """Remove the running task from a CPU, settling phase progress."""
-        cpu = self.scheduler.cpu(cpu_id)
+        cpu = self.scheduler.cpus[cpu_id]
         task = cpu.rq.curr
         if task is None:
             return None

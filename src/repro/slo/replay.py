@@ -14,10 +14,10 @@ recording on three levels:
 File format (version 1): line 1 is a header object carrying the format
 version, the spec's canonical identity, the schedule digest, the SLO
 row, and the event count; every following line is one serialized
-scheduler event.  Events are canonicalized exactly like the bench
-digests: float-valued fields are dropped (they are derived load numbers,
-not schedule facts) and frozensets become sorted lists, so a recording
-compares bytewise across hosts.
+scheduler event.  Events are canonicalized: float-valued fields are
+dropped (they are derived load numbers, not schedule facts) and
+frozensets become sorted lists, so a recording compares bytewise across
+hosts.
 """
 
 from __future__ import annotations
@@ -51,8 +51,7 @@ _METRIC_KEYS = (
 def serialize_event(event: object) -> Dict[str, object]:
     """One trace record as a canonical JSON-able mapping.
 
-    Mirrors the bench digests (:func:`repro.perf.bench._digest_records`):
-    float fields are dropped, frozensets become sorted lists, so the
+    Float fields are dropped and frozensets become sorted lists, so the
     serialized stream is stable across float formatting and libm
     differences between hosts.
     """

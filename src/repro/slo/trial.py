@@ -165,7 +165,7 @@ def _record_probe(spec: TrialSpec) -> Optional[TraceProbe]:
     """The replay layer's trace probe, when the spec asks for a recording.
 
     Load samples are excluded (they are floats; the replay diff hashes
-    and compares integer/string fields only, like the bench digests).
+    and compares integer/string fields only).
     """
     if spec.param("record") != "1":
         return None

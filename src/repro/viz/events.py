@@ -172,6 +172,13 @@ class Probe:
         balancer asks first and skips the walk when nobody listens.  The
         default detects an override of either hook, like
         :meth:`wants_rq_load`.
+
+        A probe that answers True also turns off two fast-path shortcuts,
+        ``wakeup._fast_idle_sibling`` and the nothing-to-pull gate
+        (``balance.nothing_to_pull``), so the run takes the reference
+        scans there.  A check that compares the fast path with the
+        reference path must therefore trace with
+        ``TraceProbe(record_considered=False)``, or it never reaches them.
         """
         cls = type(self)
         return (

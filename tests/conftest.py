@@ -9,6 +9,7 @@ from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology import amd_bulldozer_64, single_node, two_nodes
 from repro.workloads.base import Run, Sleep, TaskSpec
+from repro.workloads.cpubound import periodic_task
 
 
 @pytest.fixture
@@ -71,3 +72,20 @@ def sleeper_spec(
         return program()
 
     return TaskSpec(name=name, program=factory, **kwargs)
+
+
+def build_soak64(
+    features: SchedFeatures = SchedFeatures(), seed: int = 7
+) -> System:
+    """The 64-CPU soak: 48 hogs forked from scattered parents plus 32
+    endless 1 ms run / 2 ms sleep cyclers, so balancing never settles and
+    the sleepers keep the event heap full of cancellable wakeups."""
+    system = System(amd_bulldozer_64(), features, seed=seed)
+    for i in range(48):
+        system.spawn(hog_spec(f"hog{i}"), parent_cpu=(i * 7) % 64)
+    for i in range(32):
+        system.spawn(
+            periodic_task(f"sleep{i}", 1 * MS, 2 * MS),
+            parent_cpu=(i * 5) % 64,
+        )
+    return system

@@ -20,18 +20,18 @@ def add_queued(sched, cpu_id, name=None, nice=0, allowed=None):
     """Enqueue a runnable (not running) task."""
     task = Task(name or f"q{cpu_id}", nice=nice, allowed_cpus=allowed)
     sched.register_task(task)
-    sched.cpu(cpu_id).rq.enqueue(task, 0)
+    sched.cpus[cpu_id].rq.enqueue(task, 0)
     return task
 
 
 def add_running(sched, cpu_id, name=None, nice=0):
     task = Task(name or f"r{cpu_id}", nice=nice)
     sched.register_task(task)
-    rq = sched.cpu(cpu_id).rq
+    rq = sched.cpus[cpu_id].rq
     rq.enqueue(task, 0)
     rq.take(task, 0)
     rq.set_current(task, 0)
-    sched.cpu(cpu_id).mark_busy(0)
+    sched.cpus[cpu_id].mark_busy(0)
     return task
 
 
@@ -198,7 +198,7 @@ class TestMoveTasks:
         lb.move_tasks(sched, 0, 2, 0, "test", budget=4096.0)
         # Destination never ends up busier than the source.
         assert (
-            sched.cpu(2).rq.nr_running <= sched.cpu(0).rq.nr_running + 1
+            sched.cpus[2].rq.nr_running <= sched.cpus[0].rq.nr_running + 1
         )
 
 
@@ -300,4 +300,4 @@ class TestNohz:
             add_queued(sched, 0)
         moved = lb.nohz_idle_balance(sched, 1, 10_000)
         assert moved >= 2  # spread to several idle cpus
-        assert sched.cpu(1).nohz_balancer
+        assert sched.cpus[1].nohz_balancer

@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.perf.bench import _build_soak64
 from repro.sched import domains as domains_mod
 from repro.sched.domains import TABLE_MEMO_SIZE, DomainBuilder
 from repro.sched.features import SchedFeatures
@@ -23,6 +22,7 @@ from repro.topology import (
     single_node,
     two_nodes,
 )
+from tests.conftest import build_soak64
 
 TOPOLOGIES = {
     "amd_bulldozer_64": amd_bulldozer_64,
@@ -121,7 +121,7 @@ def test_sanitizer_checks_memo_hits(monkeypatch):
 
 
 def test_long_run_leaves_shared_tables_unmutated():
-    system = _build_soak64("fast")
+    system = build_soak64()
     builder = system.scheduler.domain_builder
     table = builder._domains
     before = {

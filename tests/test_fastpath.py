@@ -201,7 +201,7 @@ def make_sched():
 def add_queued(sched, cpu_id, name):
     task = Task(name)
     sched.register_task(task)
-    sched.cpu(cpu_id).rq.enqueue(task, 0)
+    sched.cpus[cpu_id].rq.enqueue(task, 0)
     return task
 
 
@@ -233,7 +233,7 @@ def test_group_stats_signature_survives_unrelated_churn():
     # Churn on node 0 dirties the mirror; node 1's fold is still valid
     # (none of its members' samples changed) and must be reused, while
     # node 0's must be refolded.
-    sched.cpu(0).rq.enqueue(straggler, 0)
+    sched.cpus[0].rq.enqueue(straggler, 0)
     assert vstate.group_stats(node1) is stats1
     refolded = vstate.group_stats(node0)
     assert refolded is not stats0

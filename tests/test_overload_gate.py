@@ -134,7 +134,7 @@ class OverloadCountMachine(RuleBasedStateMachine):
     @rule(data=st.data(), dt=st.integers(0, 3 * MS))
     def pick(self, data, dt):
         idle = [
-            c for c in self._online() if self.sched.cpu(c).rq.curr is None
+            c for c in self._online() if self.sched.cpus[c].rq.curr is None
         ]
         if idle:
             cpu_id = data.draw(st.sampled_from(idle))

@@ -21,6 +21,8 @@ from repro.sim.timebase import MS
 from repro.slo.replay import diff_events, serialize_buffer
 from repro.topology import two_nodes
 from repro.viz.events import TraceBuffer, TraceProbe
+from repro.workloads.cpubound import periodic_task
+from tests.conftest import hog_spec
 
 def _task(tid):
     return Task(name=f"t{tid}", program=None, tid=tid)
@@ -93,12 +95,11 @@ def _traced_stream(fastpath, seed=13):
                     SchedFeatures().with_fastpath(fastpath), seed=seed)
     buffer = TraceBuffer()
     system.attach_probe(TraceProbe(buffer=buffer, record_load=False))
-    from repro.perf.bench import _hog, _sleeper
-
     for i in range(6):
-        system.spawn(_hog(f"hog{i}"), parent_cpu=(i * 3) % 8)
+        system.spawn(hog_spec(f"hog{i}"), parent_cpu=(i * 3) % 8)
     for i in range(4):
-        system.spawn(_sleeper(f"sleep{i}"), parent_cpu=(i * 5) % 8)
+        system.spawn(periodic_task(f"sleep{i}", 1 * MS, 2 * MS),
+                     parent_cpu=(i * 5) % 8)
     system.run_for(40 * MS)
     return serialize_buffer(buffer)
 
@@ -137,12 +138,11 @@ def test_pick_next_coherent_under_migration_and_hotplug():
     # queue picking its least (vruntime, tid) task.
     features = SchedFeatures().with_sanitizer(True)
     system = System(two_nodes(4, smt_width=2), features, seed=17)
-    from repro.perf.bench import _hog, _sleeper
-
     for i in range(8):
-        system.spawn(_hog(f"hog{i}"), parent_cpu=i % 8)
+        system.spawn(hog_spec(f"hog{i}"), parent_cpu=i % 8)
     for i in range(4):
-        system.spawn(_sleeper(f"sleep{i}"), parent_cpu=(i * 5) % 8)
+        system.spawn(periodic_task(f"sleep{i}", 1 * MS, 2 * MS),
+                     parent_cpu=(i * 5) % 8)
     system.run_for(10 * MS)
     system.hotplug_cpu(2, False)  # drains cpu 2's queue via take()
     system.run_for(10 * MS)

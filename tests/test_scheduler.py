@@ -90,8 +90,8 @@ class TestContextSwitch:
         b = new_task(sched, "b")
         a.vruntime = 100
         b.vruntime = 5
-        sched.cpu(0).rq.enqueue(a, 0)
-        sched.cpu(0).rq.enqueue(b, 0)
+        sched.cpus[0].rq.enqueue(a, 0)
+        sched.cpus[0].rq.enqueue(b, 0)
         picked = sched.pick_next_task(0, 0)
         assert picked is b
         assert b.state is TaskState.RUNNING
@@ -100,8 +100,8 @@ class TestContextSwitch:
     def test_pick_next_empty_marks_idle(self):
         sched = make_sched()
         assert sched.pick_next_task(0, 1000) is None
-        assert sched.cpu(0).is_idle
-        assert sched.cpu(0).idle_since_us == 0  # booted idle, stays
+        assert sched.cpus[0].is_idle
+        assert sched.cpus[0].idle_since_us == 0  # booted idle, stays
 
     def test_pick_next_requires_descheduled(self):
         sched = make_sched()
@@ -125,7 +125,7 @@ class TestContextSwitch:
         sched.pick_next_task(0, 0)
         sched.account(0, 2000)
         assert task.vruntime == 2000
-        assert sched.cpu(0).busy_time_us == 2000
+        assert sched.cpus[0].busy_time_us == 2000
 
     def test_deschedule_requeue(self):
         sched = make_sched()
@@ -136,7 +136,7 @@ class TestContextSwitch:
         assert returned is task
         assert task.state is TaskState.RUNNABLE
         assert task.stats.preemptions == 1
-        assert sched.cpu(0).rq.nr_queued == 1
+        assert sched.cpus[0].rq.nr_queued == 1
 
     def test_deschedule_blocking(self):
         sched = make_sched()
@@ -145,7 +145,7 @@ class TestContextSwitch:
         sched.pick_next_task(0, 0)
         sched.deschedule(0, 1000, requeue=False)
         assert task.cpu is None
-        assert sched.cpu(0).rq.nr_running == 0
+        assert sched.cpus[0].rq.nr_running == 0
 
     def test_deschedule_empty_cpu_is_noop(self):
         sched = make_sched()
@@ -160,7 +160,7 @@ class TestMigration:
         runner = new_task(sched, "runner")
         sched.enqueue_task_on(runner, 0, 0)
         sched.pick_next_task(0, 0)
-        moving = sched.cpu(0).rq.pick_next()
+        moving = sched.cpus[0].rq.pick_next()
         sched.migrate_task(moving, 0, 1, 0, "test")
         assert moving.cpu == 1
         assert sched.total_migrations == 1
@@ -204,7 +204,7 @@ class TestTick:
         for ms in range(1, 7):
             sched.tick(ms * 1000)
         # Idle cpus pulled the queued tasks.
-        spread = [sched.cpu(c).rq.nr_running for c in range(4)]
+        spread = [sched.cpus[c].rq.nr_running for c in range(4)]
         assert sum(spread[1:]) >= 2
 
 
@@ -216,7 +216,7 @@ class TestHotplug:
         evicted = sched.set_cpu_online(1, False, 0)
         assert evicted == [a]
         assert a.state is TaskState.BLOCKED
-        assert not sched.cpu(1).online
+        assert not sched.cpus[1].online
 
     def test_offline_with_running_task_rejected(self):
         sched = make_sched()
@@ -230,7 +230,7 @@ class TestHotplug:
         sched = make_sched()
         sched.set_cpu_online(1, False, 0)
         sched.set_cpu_online(1, True, 50)
-        cpu = sched.cpu(1)
+        cpu = sched.cpus[1]
         assert cpu.online
         assert cpu.tickless
         assert cpu.idle_since_us == 50
@@ -256,7 +256,7 @@ class TestInvariantHelpers:
         sched.enqueue_task_on(pinned, 0, 0)
         sched.pick_next_task(0, 0)
         # Which task is queued depends on tie-break; make both pinned-aware.
-        queued = list(sched.cpu(0).rq.queued_tasks())
+        queued = list(sched.cpus[0].rq.queued_tasks())
         can = sched.can_steal(1, 0)
         assert can == any(t.can_run_on(1) for t in queued)
 
@@ -269,9 +269,9 @@ class TestInvariantHelpers:
 
 def test_idle_cpus_sorted_longest_first():
     sched = make_sched(single_node(3))
-    sched.cpu(0).idle_since_us = 500
-    sched.cpu(1).idle_since_us = 100
-    sched.cpu(2).idle_since_us = 900
+    sched.cpus[0].idle_since_us = 500
+    sched.cpus[1].idle_since_us = 100
+    sched.cpus[2].idle_since_us = 900
     assert [c.cpu_id for c in sched.idle_cpus()] == [1, 0, 2]
 
 

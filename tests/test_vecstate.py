@@ -1,9 +1,9 @@
 """Tests for the vectorized array-backed core (repro.sched.vecstate).
 
-The end-to-end guarantee -- byte-identical schedule digests across
-baseline and fast -- lives in the bench harness (``repro bench
---check-digests``).  Pinned here are the layer's local obligations: the
-struct-of-arrays mirror must be exact against the queues, every
+The end-to-end guarantee -- byte-identical schedules on the reference
+and fast paths -- lives in ``tests/test_cross_path.py``.  Pinned here
+are the layer's local obligations: the struct-of-arrays mirror must be
+exact against the queues, every
 invalidation trigger (dirty marks, new timestamps, idle transitions,
 divisor bumps, hotplug) must actually drop what it claims to, the folds
 must produce the exact objects the scalar fold produces, and the layer
@@ -35,6 +35,7 @@ from repro.sched.task import Task, TaskState
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology import two_nodes
+from tests.conftest import hog_spec
 
 
 def _vec_system(seed=7):
@@ -43,10 +44,8 @@ def _vec_system(seed=7):
 
 
 def _spawn_some(system, n=6):
-    from repro.perf.bench import _hog
-
     for i in range(n):
-        system.spawn(_hog(f"hog{i}"), parent_cpu=(i * 3) % 8)
+        system.spawn(hog_spec(f"hog{i}"), parent_cpu=(i * 3) % 8)
 
 
 # ----------------------------------------------------------- construction
@@ -71,7 +70,8 @@ def test_vectorized_soak_never_imports_numpy():
     prog = (
         "import sys\n"
         "import repro\n"
-        "from repro.perf.bench import _hog, _sleeper\n"
+        "from repro.workloads.base import TaskSpec\n"
+        "from repro.workloads.cpubound import cpu_hog_program, periodic_task\n"
         "from repro.sched.features import SchedFeatures\n"
         "from repro.sim.system import System\n"
         "from repro.sim.timebase import MS\n"
@@ -79,9 +79,11 @@ def test_vectorized_soak_never_imports_numpy():
         "system = System(amd_bulldozer_64(),\n"
         "                SchedFeatures(), seed=3)\n"
         "for i in range(80):\n"
-        "    system.spawn(_hog(f'hog{i}'), parent_cpu=i % 64)\n"
+        "    system.spawn(TaskSpec(f'hog{i}', cpu_hog_program()),\n"
+        "                 parent_cpu=i % 64)\n"
         "for i in range(16):\n"
-        "    system.spawn(_sleeper(f'sleep{i}'), parent_cpu=(i * 5) % 64)\n"
+        "    system.spawn(periodic_task(f'sleep{i}', 1 * MS, 2 * MS),\n"
+        "                 parent_cpu=(i * 5) % 64)\n"
         "system.run_for(20 * MS)\n"
         "assert system.loop.events_fired > 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
@@ -449,14 +451,14 @@ class FastAnswersMachine(RuleBasedStateMachine):
         queued = self._queued()
         if queued:
             cpu_id, task = data.draw(st.sampled_from(queued))
-            self.sched.cpu(cpu_id).rq.take(task, self._advance(dt))
+            self.sched.cpus[cpu_id].rq.take(task, self._advance(dt))
             task.state = TaskState.SLEEPING
             self.parked.append(task)
 
     @rule(data=st.data(), dt=st.integers(0, 2 * MS))
     def set_current(self, data, dt):
         idle = [
-            c for c in self._online() if self.sched.cpu(c).rq.curr is None
+            c for c in self._online() if self.sched.cpus[c].rq.curr is None
         ]
         if idle:
             self.sched.pick_next_task(
@@ -492,7 +494,7 @@ class FastAnswersMachine(RuleBasedStateMachine):
     def hotplug(self, data, dt):
         now = self._advance(dt)
         cpu_id = data.draw(st.sampled_from(range(len(self.sched.cpus))))
-        cpu = self.sched.cpu(cpu_id)
+        cpu = self.sched.cpus[cpu_id]
         if not cpu.online:
             self.sched.set_cpu_online(cpu_id, True, now)
         elif len(self._online()) > 1:

@@ -23,10 +23,10 @@ def occupy(sched, cpu_id, name=None):
     """Put a running task on a CPU."""
     task = Task(name or f"occ{cpu_id}")
     sched.register_task(task)
-    sched.cpu(cpu_id).rq.enqueue(task, 0)
-    sched.cpu(cpu_id).rq.take(task, 0)
-    sched.cpu(cpu_id).rq.set_current(task, 0)
-    sched.cpu(cpu_id).mark_busy(0)
+    sched.cpus[cpu_id].rq.enqueue(task, 0)
+    sched.cpus[cpu_id].rq.take(task, 0)
+    sched.cpus[cpu_id].rq.set_current(task, 0)
+    sched.cpus[cpu_id].mark_busy(0)
     return task
 
 
@@ -95,9 +95,9 @@ class TestFixedWake:
         for cpu in range(4):
             occupy(sched, cpu)
         # Make cpu 6 the longest-idle core.
-        sched.cpu(6).idle_since_us = 0
+        sched.cpus[6].idle_since_us = 0
         for cpu in (4, 5, 7):
-            sched.cpu(cpu).idle_since_us = 50_000
+            sched.cpus[cpu].idle_since_us = 50_000
         task = sleeper(sched, prev_cpu=1)
         assert select_task_rq_wake(sched, task, waker_cpu=0, now=100_000) == 6
 
@@ -126,7 +126,7 @@ class TestFixedWake:
         sched = make_sched(FIXED)
         for cpu in range(4):
             occupy(sched, cpu)
-        sched.cpu(4).idle_since_us = 0
+        sched.cpus[4].idle_since_us = 0
         task = sleeper(sched, prev_cpu=1)
         task.set_affinity(frozenset({1, 7}))
         assert select_task_rq_wake(sched, task, waker_cpu=0, now=1000) == 7
@@ -159,7 +159,7 @@ class TestForkPlacement:
         child = Task("child")
         sched.register_task(child)
         target = select_task_rq_fork(sched, child, parent_cpu=0, now=0)
-        assert sched.cpu(target).online
+        assert sched.cpus[target].online
 
     def test_affinity_enforced_even_off_node(self):
         sched = make_sched()
