@@ -3,31 +3,28 @@
 The complement of the paper's online sanity checker (Algorithm 2): instead
 of detecting invariant violations *after* they occur at runtime, this
 package checks, before anything runs, the invariants the reproduction
-depends on -- seed determinism, the ``sched``/``sim``/``obs`` layering
-contract, tracepoint-registry consistency, and feature-flag discipline.
+depends on -- seed determinism and sequential float load sums, the
+``sched``/``sim``/``obs`` layering contract, tracepoint-registry
+consistency, feature-flag discipline, and cache coherence.
 
 Public surface:
 
 * :class:`~repro.analysis.core.Rule` -- the plugin interface;
 * :class:`~repro.analysis.core.Analyzer` -- the single-pass file walker;
 * :class:`~repro.analysis.core.Finding` -- one structured violation;
-* :class:`~repro.analysis.baseline.Baseline` -- grandfathered violations;
 * :func:`~repro.analysis.rules.default_rules` -- the shipped rule set;
 * :func:`~repro.analysis.runner.run_lint` -- the CLI entry point;
 * :func:`~repro.analysis.sarif.to_sarif` -- SARIF 2.1.0 export.
 
-Whole-program facilities (built per lint run by the rules that need
-more than one file): :class:`~repro.analysis.symbols.SymbolTable`,
-:class:`~repro.analysis.callgraph.CallGraph`, the mutation/epoch
+Whole-program facilities (built per lint run by the coherence rule):
+:class:`~repro.analysis.symbols.SymbolTable`,
+:class:`~repro.analysis.callgraph.CallGraph`, and the mutation/epoch
 dataflow pass in :mod:`repro.analysis.dataflow` feeding
-:mod:`repro.analysis.rules.coherence`, and the shared nondeterminism
-vocabulary in :mod:`repro.analysis.effects` feeding the ``det-*`` rules
-and :mod:`repro.analysis.rules.taint`.
+:mod:`repro.analysis.rules.coherence`.
 """
 
 from __future__ import annotations
 
-from repro.analysis.baseline import Baseline, BaselineError
 from repro.analysis.core import (
     Analyzer,
     FileContext,
@@ -42,8 +39,6 @@ from repro.analysis.sarif import render_sarif, to_sarif
 
 __all__ = [
     "Analyzer",
-    "Baseline",
-    "BaselineError",
     "FileContext",
     "Finding",
     "Rule",

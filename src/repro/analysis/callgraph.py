@@ -130,12 +130,8 @@ def resolve_call(
     env: Dict[str, Optional[TypeRef]],
     aliases: Dict[str, str],
 ) -> Optional[str]:
-    """The qualname one call expression resolves to, or None.
-
-    The resolver the graph builder uses, exposed so interprocedural
-    passes (the determinism taint) can resolve *specific*
-    call expressions against the same rules the graph was built with.
-    """
+    """The qualname one call expression resolves to, or None (the
+    resolver the graph builder uses for every call site)."""
     func = call.func
     if isinstance(func, ast.Name):
         info = table.resolve_class(func.id)

@@ -11,7 +11,7 @@ Design:
 
 * :class:`Finding` -- one structured violation (``file:line:col``, rule id,
   message, the offending source line) with a stable :meth:`fingerprint`
-  used by the baseline file to grandfather old violations.
+  that SARIF consumers use to track it across commits.
 * :class:`Rule` -- the plugin interface.  A rule declares a module-prefix
   ``scope``, inspects one parsed file at a time in :meth:`Rule.visit`, and
   may emit cross-file findings from :meth:`Rule.finalize` after the walk
@@ -36,7 +36,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 #: Inline suppression directive: ``# repro: noqa[rule-a,rule-b]`` silences
 #: the named rules on its line; bare ``# repro: noqa`` silences every rule.
 #: Suppressed findings are still collected (marked ``suppressed=True``) so
-#: reports can show them next to baseline-grandfathered ones.
+#: reports can list them.
 _NOQA_RE = re.compile(
     r"#\s*repro:\s*noqa(?:\[(?P<rules>[a-z0-9_,\s-]*)\])?", re.IGNORECASE
 )
@@ -60,11 +60,11 @@ class Finding:
     suppressed: bool = False
 
     def fingerprint(self) -> str:
-        """A line-number-independent identity for baseline matching.
+        """A line-number-independent identity for tracking a finding.
 
         Hashes the rule id, the file path, and the offending source text --
-        not the line number -- so a baselined violation stays suppressed
-        when unrelated edits shift it up or down the file.
+        not the line number -- so the identity survives unrelated edits
+        that shift the violation up or down the file.
         """
         digest = hashlib.sha256(
             f"{self.rule_id}|{self.path}|{self.snippet}".encode("utf-8")
@@ -171,19 +171,15 @@ def apply_noqa(
 class Rule:
     """The plugin interface of the offline checker.
 
-    Subclasses set ``rule_id`` (a short kebab-case id used in findings and
-    baselines), ``description``, and optionally ``scope`` -- a tuple of
-    dotted module prefixes the rule inspects (``None`` means every file).
+    Subclasses set ``rule_id`` (a short kebab-case id used in findings
+    and ``noqa`` directives), ``description``, and optionally ``scope`` --
+    a tuple of dotted module prefixes the rule inspects (``None`` means
+    every file).
     """
 
     rule_id: str = ""
     description: str = ""
     scope: Optional[Tuple[str, ...]] = None
-    #: True when the rule accumulates whole-program state across files
-    #: (its :meth:`finalize` findings depend on every visited file).  The
-    #: parallel runner keeps cross-file rules in the parent process and
-    #: only shards the per-file rules across workers.
-    cross_file: bool = False
 
     def wants(self, module: str) -> bool:
         """Whether :meth:`visit` should see the module at all."""

@@ -12,6 +12,7 @@ from typing import List
 from repro.analysis.core import Rule
 from repro.analysis.rules.coherence import CoherenceRule
 from repro.analysis.rules.determinism import (
+    FloatSumRule,
     SetIterationRule,
     UnseededRandomRule,
     WallClockRule,
@@ -21,7 +22,6 @@ from repro.analysis.rules.layering import LayeringRule, layering_rules
 from repro.analysis.rules.orchestrator import OrchestratorForkSafetyRule
 from repro.analysis.rules.perf import LoadBypassRule
 from repro.analysis.rules.sloreg import SloRegistryRule
-from repro.analysis.rules.taint import TaintRule
 from repro.analysis.rules.tracepoints import TracepointConsistencyRule
 
 
@@ -31,10 +31,10 @@ def default_rules() -> List[Rule]:
         UnseededRandomRule(),
         WallClockRule(),
         SetIterationRule(),
+        FloatSumRule(),
         FeatureFlagRule(),
         LoadBypassRule(),
         CoherenceRule(),
-        TaintRule(),
         TracepointConsistencyRule(),
         OrchestratorForkSafetyRule(),
         SloRegistryRule(),
@@ -43,33 +43,10 @@ def default_rules() -> List[Rule]:
     return rules
 
 
-def split_rules(rules: List[Rule]) -> "tuple[List[Rule], List[Rule]]":
-    """(per-file, cross-file) partition for the parallel runner.
-
-    Per-file rules are stateless across files and may run in worker
-    shards; cross-file rules accumulate whole-program state and must see
-    every file in one process.  A rule counts as cross-file when it
-    says so (``cross_file = True``) *or* when its class overrides
-    :meth:`Rule.finalize`: finalize-time findings depend on every file
-    the instance visited, so running such a rule inside a worker shard
-    would emit per-shard results that vary with the shard split.  The
-    attribute alone used to decide this, which silently sharded any
-    finalize-carrying rule that forgot to set it -- ``-jN`` output then
-    differed from ``-j1``.
-    """
-    per_file = [
-        r for r in rules
-        if not r.cross_file
-        and type(r).finalize is Rule.finalize
-    ]
-    cross = [r for r in rules if r not in per_file]
-    return per_file, cross
-
-
 __all__ = [
     "default_rules",
-    "split_rules",
     "CoherenceRule",
+    "FloatSumRule",
     "UnseededRandomRule",
     "WallClockRule",
     "SetIterationRule",
@@ -78,7 +55,6 @@ __all__ = [
     "LoadBypassRule",
     "OrchestratorForkSafetyRule",
     "SloRegistryRule",
-    "TaintRule",
     "layering_rules",
     "TracepointConsistencyRule",
 ]

@@ -256,7 +256,6 @@ class CoherenceRule(Rule):
         "matching epoch/mutation-counter bump on every path"
     )
     scope: Tuple[str, ...] = ("repro.sched", "repro.sim")
-    cross_file = True
 
     def __init__(self) -> None:
         self._files: List[Tuple[str, str, ast.Module]] = []

@@ -3,7 +3,7 @@
 The simulator's contract (see ``repro.sim.system``: "Everything is
 deterministic for a fixed seed") is what makes the Table/Figure
 reproductions trustworthy and the same-seed trace-equality regression test
-possible.  Three rules guard it:
+possible.  Four rules guard it:
 
 * ``det-unseeded-random`` -- module-level ``random.*`` calls draw from the
   interpreter-global generator, whose state depends on import order and on
@@ -20,6 +20,12 @@ possible.  Three rules guard it:
   between runs.  Order-insensitive reductions (``sum``, ``min``, ``max``,
   ``any``, ``all``, ``len``, ``sorted``, set construction) are allowed;
   everything else must sort first.
+* ``det-float-sum`` -- a float sum depends on the order *and* the method
+  of addition: the builtin ``sum`` of floats is compensated since
+  Python 3.12 and ``math.fsum`` is exact, so either rounds differently
+  from the sequential adds the memoized, mirrored and reference paths
+  share.  Load and utilization sums in ``repro.sched``/``repro.sim``
+  must go through :func:`repro.sched.load.load_sum`.
 
 Set-typedness is static and deliberately conservative: an expression is
 set-typed when it is a set display/comprehension, a ``set()``/``frozenset()``
@@ -33,21 +39,59 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.core import FileContext, Finding, Rule
-from repro.analysis.effects import (
-    ORDER_FREE_CONSUMERS,
-    ORDER_KEEPING_CALLS,
-    RNG_ALLOWED,
-    SET_METHODS,
-    SET_TYPE_NAMES,
-    WALL_CALLS,
-    WALL_IMPORTS,
-)
 
 #: Module prefixes whose behavior feeds simulated state.
 HOT_SCOPE = ("repro.sched", "repro.sim", "repro.core")
+
+#: Annotation/inference heads that denote unordered set types.
+SET_TYPE_NAMES = frozenset({
+    "set", "frozenset", "Set", "FrozenSet", "AbstractSet", "MutableSet",
+})
+
+#: Callables that consume an iterable order-insensitively: feeding a set
+#: into one of these erases the order dependence -- ``sorted`` by
+#: re-imposing a total order, the reductions by commutativity.  (Float
+#: addition is not associative; ``det-float-sum`` covers load sums.)
+ORDER_FREE_CONSUMERS = frozenset({
+    "sorted", "sum", "min", "max", "any", "all", "len", "set", "frozenset",
+})
+
+#: Callables whose output order mirrors (possibly nondeterministic) input
+#: order -- they launder the type but not the order.
+ORDER_KEEPING_CALLS = frozenset({"iter", "list", "tuple", "enumerate"})
+
+#: Set-algebra methods whose result is itself an unordered set.
+SET_METHODS = frozenset({
+    "union", "intersection", "difference", "symmetric_difference", "copy",
+})
+
+#: Module-level ``random`` attributes that do NOT draw from the global
+#: generator (constructors of private generators, state plumbing).
+RNG_ALLOWED = frozenset({"Random", "SystemRandom", "getstate", "setstate"})
+
+#: Dotted wall-clock calls (host time, never simulated time).
+WALL_CALLS = frozenset({
+    "time.time", "time.time_ns", "time.monotonic", "time.monotonic_ns",
+    "time.perf_counter", "time.perf_counter_ns", "time.process_time",
+    "time.process_time_ns", "datetime.now", "datetime.utcnow",
+    "datetime.today", "datetime.datetime.now", "datetime.datetime.utcnow",
+    "datetime.date.today",
+})
+
+#: Bare names importable ``from time import ...`` that read the wall clock.
+WALL_IMPORTS = frozenset({
+    "time", "time_ns", "monotonic", "monotonic_ns", "perf_counter",
+    "perf_counter_ns", "process_time", "process_time_ns",
+})
+
+#: Calls that sum floats by a method other than sequential addition.
+FSUM_CALLS = frozenset({"fsum", "math.fsum", "statistics.fsum"})
+
+#: Identifier fragments that mark a builtin ``sum`` as a float load sum.
+FLOAT_SUM_HINTS = ("load", "util")
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -72,11 +116,6 @@ class UnseededRandomRule(Rule):
     )
     scope: Optional[Tuple[str, ...]] = None  # the whole tree must reproduce
 
-    #: Constructors of private generators -- the approved idiom.  Shared
-    #: with the whole-program taint rule (one source vocabulary: see
-    #: ``repro.analysis.effects``) so the two can never drift apart.
-    _ALLOWED = RNG_ALLOWED
-
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
@@ -85,7 +124,7 @@ class UnseededRandomRule(Rule):
                     isinstance(func, ast.Attribute)
                     and isinstance(func.value, ast.Name)
                     and func.value.id == "random"
-                    and func.attr not in self._ALLOWED
+                    and func.attr not in RNG_ALLOWED
                 ):
                     yield ctx.finding(
                         self.rule_id,
@@ -97,7 +136,7 @@ class UnseededRandomRule(Rule):
                 bad = [
                     alias.name
                     for alias in node.names
-                    if alias.name not in self._ALLOWED
+                    if alias.name not in RNG_ALLOWED
                 ]
                 if bad:
                     yield ctx.finding(
@@ -119,15 +158,11 @@ class WallClockRule(Rule):
     )
     scope = HOT_SCOPE
 
-    #: Shared with the taint rule (one wall-clock list).
-    _WALL_CALLS = WALL_CALLS
-    _WALL_IMPORTS = WALL_IMPORTS
-
     def visit(self, ctx: FileContext) -> Iterator[Finding]:
         for node in ast.walk(ctx.tree):
             if isinstance(node, ast.Call):
                 dotted = _dotted(node.func)
-                if dotted in self._WALL_CALLS:
+                if dotted in WALL_CALLS:
                     yield ctx.finding(
                         self.rule_id,
                         node,
@@ -138,7 +173,7 @@ class WallClockRule(Rule):
                 bad = [
                     alias.name
                     for alias in node.names
-                    if alias.name in self._WALL_IMPORTS
+                    if alias.name in WALL_IMPORTS
                 ]
                 if bad:
                     yield ctx.finding(
@@ -148,17 +183,6 @@ class WallClockRule(Rule):
                         f"{', '.join(sorted(bad))} from time in a "
                         "simulation hot path",
                     )
-
-
-#: The shared set/order vocabulary lives in ``repro.analysis.effects``;
-#: the local aliases keep this module's historical names working.  The
-#: whole-program taint rule consumes the same frozensets, so what this
-#: rule treats as provably ordered, the taint rule sanitizes -- and vice
-#: versa.
-_SET_ANNOTATIONS = SET_TYPE_NAMES
-_SET_METHODS = SET_METHODS
-_ORDER_FREE_CONSUMERS = ORDER_FREE_CONSUMERS
-_ORDER_KEEPING_CALLS = ORDER_KEEPING_CALLS
 
 
 def _annotation_kind(annotation: Optional[ast.AST]) -> Optional[str]:
@@ -171,11 +195,11 @@ def _annotation_kind(annotation: Optional[ast.AST]) -> Optional[str]:
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         # String annotation: look at the leading identifier.
         head = node.value.split("[", 1)[0].strip().rsplit(".", 1)[-1]
-        return "set" if head in _SET_ANNOTATIONS else "other"
+        return "set" if head in SET_TYPE_NAMES else "other"
     name = _dotted(node)
     if name is None:
         return None
-    return "set" if name.rsplit(".", 1)[-1] in _SET_ANNOTATIONS else "other"
+    return "set" if name.rsplit(".", 1)[-1] in SET_TYPE_NAMES else "other"
 
 
 @dataclass
@@ -195,7 +219,6 @@ class SetIterationRule(Rule):
         "or use an ordered container"
     )
     scope = HOT_SCOPE
-    cross_file = True  # attr disambiguation needs project-wide annotations
 
     def __init__(self) -> None:
         #: attr name -> kinds seen anywhere in the project ("set"/"other").
@@ -263,7 +286,7 @@ class SetIterationRule(Rule):
             func = node.func
             if isinstance(func, ast.Name) and func.id in ("set", "frozenset"):
                 return True
-            if isinstance(func, ast.Attribute) and func.attr in _SET_METHODS:
+            if isinstance(func, ast.Attribute) and func.attr in SET_METHODS:
                 # x.union(y) etc. -- set algebra yields sets.  Guarded to
                 # receivers that are themselves set-typed to avoid str.copy
                 # style false positives.
@@ -301,7 +324,7 @@ class SetIterationRule(Rule):
                     isinstance(node, (ast.GeneratorExp, ast.ListComp))
                     and isinstance(consumer, ast.Call)
                     and isinstance(consumer.func, ast.Name)
-                    and consumer.func.id in _ORDER_FREE_CONSUMERS
+                    and consumer.func.id in ORDER_FREE_CONSUMERS
                     and len(consumer.args) >= 1
                     and consumer.args[0] is node
                 ):
@@ -318,22 +341,21 @@ class SetIterationRule(Rule):
                 func = node.func
                 if (
                     isinstance(func, ast.Name)
-                    and func.id in _ORDER_KEEPING_CALLS
+                    and func.id in ORDER_KEEPING_CALLS
                     and node.args
                 ):
                     consumer = parents.get(node)
                     if (
                         isinstance(consumer, ast.Call)
                         and isinstance(consumer.func, ast.Name)
-                        and consumer.func.id in _ORDER_FREE_CONSUMERS
+                        and consumer.func.id in ORDER_FREE_CONSUMERS
                         and len(consumer.args) >= 1
                         and consumer.args[0] is node
                     ):
                         # ``sorted(list(s))``, ``sum(tuple(s))`` -- the
                         # order-keeping wrapper feeds straight into an
                         # order-free consumer, so the laundered order
-                        # never escapes.  Same sanitizer the taint rule
-                        # applies (shared ORDER_FREE_CONSUMERS list).
+                        # never escapes.
                         continue
                     yield node.args[0], node, f"{func.id}()"
 
@@ -372,3 +394,52 @@ class SetIterationRule(Rule):
             # FrozenSet -- neither should be flagged by name alone).
             if kinds == {"set"}:
                 yield candidate.finding
+
+
+def _float_sum_hint(node: ast.AST) -> Optional[str]:
+    """The first identifier under ``node`` that names a load or util."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            name = sub.id
+        elif isinstance(sub, ast.Attribute):
+            name = sub.attr
+        else:
+            continue
+        if any(hint in name.lower() for hint in FLOAT_SUM_HINTS):
+            return name
+    return None
+
+
+class FloatSumRule(Rule):
+    """Flag float load sums that bypass ``load_sum``'s sequential adds."""
+
+    rule_id = "det-float-sum"
+    description = (
+        "float load/util sums via builtin sum() or fsum() round "
+        "differently across Python versions; use "
+        "repro.sched.load.load_sum"
+    )
+    scope = ("repro.sched", "repro.sim")
+
+    def visit(self, ctx: FileContext) -> Iterator[Finding]:
+        for node in ast.walk(ctx.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            dotted = _dotted(node.func)
+            if dotted in FSUM_CALLS:
+                yield ctx.finding(
+                    self.rule_id,
+                    node,
+                    f"{dotted}() rounds differently from sequential "
+                    "adds; use repro.sched.load.load_sum",
+                )
+            elif dotted == "sum" and node.args:
+                hint = _float_sum_hint(node.args[0])
+                if hint is not None:
+                    yield ctx.finding(
+                        self.rule_id,
+                        node,
+                        f"builtin sum() over '{hint}' is compensated "
+                        "since Python 3.12 and rounds differently from "
+                        "sequential adds; use repro.sched.load.load_sum",
+                    )

@@ -76,9 +76,6 @@ class SloRegistryRule(Rule):
     )
     #: TOML inputs, not Python -- the rule never visits source files.
     scope: Optional[Tuple[str, ...]] = ()
-    #: Finalize-driven (TOML side inputs): runs in the parent, never in
-    #: a worker shard, so the report stays identical at any job count.
-    cross_file = True
 
     def __init__(self, spec_paths: Optional[Sequence[object]] = None):
         #: None means "the shipped registry", resolved lazily so tests

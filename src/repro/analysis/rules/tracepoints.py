@@ -38,7 +38,6 @@ class TracepointConsistencyRule(Rule):
         f"{DECLARATION_MODULE}.{DECLARATION_NAME} and vice versa"
     )
     scope: Optional[Tuple[str, ...]] = None
-    cross_file = True  # pairs use sites with the registry declaration
 
     def __init__(self) -> None:
         #: name -> Finding anchored at the first use site.

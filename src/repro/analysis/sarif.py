@@ -5,19 +5,18 @@ what CI systems and code-scanning UIs ingest; emitting it makes the
 offline checker a first-class producer next to commercial analyzers.
 The document here is deliberately minimal-but-valid: one run, one tool
 driver with per-rule metadata, one result per finding with a physical
-location, and SARIF-native ``suppressions`` entries for findings excused
-by an inline ``# repro: noqa[...]`` directive (``kind: inSource``) or by
-the committed JSON baseline (``kind: external``).
+location, and a SARIF-native ``suppressions`` entry (``kind: inSource``)
+for findings excused by an inline ``# repro: noqa[...]`` directive.
 
 Fingerprints go under ``partialFingerprints`` so SARIF consumers track a
-finding across commits exactly as the baseline file does (both use the
-line-number-independent :meth:`Finding.fingerprint`).
+finding across commits (the line-number-independent
+:meth:`Finding.fingerprint`).
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Sequence
 
 from repro.analysis.core import Finding, Rule
 
@@ -51,16 +50,13 @@ def _tool_version() -> str:
 
 
 def to_sarif(
-    findings: Sequence[Finding],
-    rules: Iterable[Rule] = (),
-    baseline_fingerprints: Optional[Set[str]] = None,
+    findings: Sequence[Finding], rules: Iterable[Rule] = ()
 ) -> Dict[str, object]:
     """The findings as a SARIF 2.1.0 ``log`` object (JSON-ready).
 
     ``rules`` provides driver metadata (descriptions); rule ids that
     appear only in findings are synthesized so every result's
-    ``ruleIndex`` resolves.  ``baseline_fingerprints`` marks the
-    grandfathered findings as externally suppressed.
+    ``ruleIndex`` resolves.
     """
     descriptions: Dict[str, str] = dict(_SYNTHETIC_RULES)
     for rule in rules:
@@ -81,7 +77,6 @@ def to_sarif(
         for rule_id in rule_ids
     ]
 
-    baseline = baseline_fingerprints or set()
     results: List[Dict[str, object]] = []
     for finding in findings:
         level = (
@@ -110,19 +105,11 @@ def to_sarif(
                 "reproLintFingerprint/v1": finding.fingerprint()
             },
         }
-        suppressions: List[Dict[str, object]] = []
         if finding.suppressed:
-            suppressions.append({
+            result["suppressions"] = [{
                 "kind": "inSource",
                 "justification": "# repro: noqa directive on the line",
-            })
-        if finding.fingerprint() in baseline:
-            suppressions.append({
-                "kind": "external",
-                "justification": "grandfathered by lint-baseline.json",
-            })
-        if suppressions:
-            result["suppressions"] = suppressions
+            }]
         results.append(result)
 
     return {
@@ -149,12 +136,6 @@ def to_sarif(
 
 
 def render_sarif(
-    findings: Sequence[Finding],
-    rules: Iterable[Rule] = (),
-    baseline_fingerprints: Optional[Set[str]] = None,
+    findings: Sequence[Finding], rules: Iterable[Rule] = ()
 ) -> str:
-    return json.dumps(
-        to_sarif(findings, rules, baseline_fingerprints),
-        indent=2,
-        sort_keys=True,
-    )
+    return json.dumps(to_sarif(findings, rules), indent=2, sort_keys=True)

@@ -19,7 +19,7 @@
     python -m repro report [--quick] [-j N] [--no-cache] [--cache-dir DIR]
                            [--utilization-out FILE] [--digests-out FILE]
     python -m repro lint [paths ...] [--format json|text|sarif]
-                         [--sarif FILE] [--baseline FILE]
+                         [--sarif FILE]
     python -m repro slo run [--registry PATH] [--scenario NAME] [--scale F]
                             [-j N] [--json FILE]
     python -m repro slo check [--baseline SLO_baseline.json]
@@ -267,10 +267,7 @@ def _cmd_lint(args) -> int:
     return run_lint(
         paths=args.paths or None,
         fmt=args.format,
-        baseline_path=args.baseline,
-        write_baseline=args.write_baseline,
         sarif_path=args.sarif,
-        jobs=args.jobs,
     )
 
 
@@ -335,7 +332,7 @@ def _cmd_slo_check(args) -> int:
         return 2
     expected = None
     if not args.write_baseline:
-        # Validate before running anything, as lint --baseline does.
+        # Validate before running anything, so a bad file costs no run.
         try:
             with open(args.baseline, encoding="utf-8") as f:
                 baseline = json.load(f)
@@ -562,21 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sarif", default=None, metavar="FILE",
         help="also write a SARIF 2.1.0 log of every finding to FILE",
-    )
-    p.add_argument(
-        "--baseline", default=None,
-        help="baseline file of grandfathered findings (default: "
-        "lint-baseline.json in the working directory, if present)",
-    )
-    p.add_argument(
-        "--write-baseline", action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    p.add_argument(
-        "-j", "--jobs", type=int, default=None, metavar="N",
-        help="shard per-file rules across N worker processes (0 = one "
-        "per core; default REPRO_JOBS or serial); stdout is "
-        "byte-identical to a serial run",
     )
     p.set_defaults(func=_cmd_lint)
 

@@ -80,8 +80,14 @@ class TrialSpec:
 
     @property
     def label(self) -> str:
-        """A short human-readable identity for progress lines."""
-        return f"{self.kind_name}:{self.scenario}"
+        """A short human-readable identity for progress lines.
+
+        The sorted ``fix:*`` features are appended, so a buggy/fixed pair
+        of the same scenario gets two labels.  Not part of
+        :meth:`canonical`: fingerprints and cache keys ignore it.
+        """
+        fixes = sorted(t for t in self.features if t.startswith("fix:"))
+        return "+".join([f"{self.kind_name}:{self.scenario}", *fixes])
 
     def canonical(self) -> Dict[str, object]:
         """The identity of this trial as a plain JSON-able mapping.

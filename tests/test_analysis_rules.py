@@ -15,6 +15,7 @@ from pathlib import Path
 from repro.analysis import Analyzer, default_rules
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures" / "lint"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def lint_fixture(name, module):
@@ -102,6 +103,50 @@ def test_seeded_vs_wallclock_regression_pair():
         "det-unseeded-random",
         "det-wallclock",
     ]
+
+
+def test_float_sum_bad():
+    findings = lint_fixture(
+        "det_float_sum_bad.py", "repro.sched.det_float_sum_bad"
+    )
+    assert rule_ids(findings) == ["det-float-sum"] * 4
+    assert all("load_sum" in f.message for f in findings)
+    assert "math.fsum" in findings[-1].message
+
+
+def test_float_sum_ok():
+    findings = lint_fixture(
+        "det_float_sum_ok.py", "repro.sched.det_float_sum_ok"
+    )
+    assert findings == []
+
+
+def test_float_sum_ignored_outside_sched_and_sim():
+    findings = lint_fixture(
+        "det_float_sum_bad.py", "repro.experiments.det_float_sum_bad"
+    )
+    assert findings == []
+
+
+def test_float_sum_catches_builtin_sum_in_real_tree():
+    """A builtin ``sum`` planted back into the scheduler is flagged.
+
+    The wakeup path's group average is a float load sum; undoing its
+    ``load_sum`` call re-creates the shape that made schedules differ
+    between Python 3.11 and 3.12.
+    """
+    source = (SRC / "repro" / "sched" / "wakeup.py").read_text()
+    assert source.count("load_sum([") == 1
+    planted = source.replace("load_sum([", "sum([")
+    line = next(
+        i for i, text in enumerate(planted.splitlines(), start=1)
+        if "return sum([" in text
+    )
+    findings = Analyzer(default_rules()).check_source(
+        planted, module="repro.sched.wakeup"
+    )
+    hits = [f for f in findings if f.rule_id == "det-float-sum"]
+    assert [f.line for f in hits] == [line], [f.format() for f in findings]
 
 
 # ------------------------------------------------------------------- layering
@@ -351,33 +396,6 @@ def test_slo_registry_shipped_specs_clean():
     from repro.analysis.rules.sloreg import SloRegistryRule
 
     findings = list(SloRegistryRule().finalize())
-    assert findings == [], [f.format() for f in findings]
-
-
-# ----------------------------------------------------- nondeterminism taint
-
-
-def test_taint_bad_flows():
-    findings = lint_fixture("taint_bad.py", "repro.obs.taint_bad")
-    taint = [f for f in findings if f.rule_id == "determinism-taint"]
-    assert len(taint) == 2, [f.format() for f in findings]
-    assert all(f.severity == "error" for f in taint)
-    # Direct-return flow: wall-clock sample into a tracepoint emit.
-    assert "wallclock" in taint[0].message
-    assert "tracepoint emit" in taint[0].message
-    # Interprocedural flow: RNG into a digest through publish()'s
-    # sink-reaching parameter, flagged where the taint enters.
-    assert "rng" in taint[1].message
-    assert "sink-reaching parameter 'value'" in taint[1].message
-    # The legacy per-file rule agrees on the RNG source line (satellite:
-    # the taint sanitizer list and the legacy rules share one vocabulary).
-    legacy = [f for f in findings if f.rule_id == "det-unseeded-random"]
-    assert len(legacy) == 1
-    assert legacy[0].line == taint[1].line
-
-
-def test_taint_ok_sanitizers():
-    findings = lint_fixture("taint_ok.py", "repro.obs.taint_ok")
     assert findings == [], [f.format() for f in findings]
 
 

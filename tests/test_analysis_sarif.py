@@ -56,15 +56,12 @@ def test_sarif_result_fields():
 
 
 def test_sarif_suppressions():
-    findings = sample_findings()
-    baseline = {findings[0].fingerprint()}
-    doc = to_sarif(findings, baseline_fingerprints=baseline)
+    doc = to_sarif(sample_findings())
     first, second = doc["runs"][0]["results"]
-    assert [s["kind"] for s in first["suppressions"]] == ["external"]
+    # The active finding carries no suppressions key; the noqa'd one is
+    # suppressed in source.
+    assert "suppressions" not in first
     assert [s["kind"] for s in second["suppressions"]] == ["inSource"]
-    # Without a baseline, the active finding carries no suppressions key.
-    plain = to_sarif(findings)["runs"][0]["results"][0]
-    assert "suppressions" not in plain
 
 
 def test_run_lint_sarif_format(tmp_path):

@@ -1,7 +1,7 @@
 """Receiver-resolution edge cases of the call graph.
 
-The effect engine and the taint fixpoint are only as sound as the call
-graph underneath them, so the shapes that historically lose edges get
+The coherence rule's caller-side bump coverage is only as sound as the
+call graph underneath it, so the shapes that historically lose edges get
 pinned here: calls inside lambdas (no FunctionInfo of their own -- they
 must attribute to the enclosing def), ``super()`` dispatch (nearest
 bare-name base, not the leaf override), property chains (each hop chased

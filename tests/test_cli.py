@@ -122,3 +122,15 @@ def test_demo_commands(capsys, bug):
 def test_demo_rejects_unknown_bug():
     with pytest.raises(SystemExit):
         main(["demo", "nonexistent"])
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--baseline", "lint-baseline.json"], ["--write-baseline"], ["-j", "2"],
+     ["--jobs", "2"]],
+    ids=["baseline", "write-baseline", "j", "jobs"],
+)
+def test_lint_rejects_removed_options(option):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["lint", *option])
+    assert exc.value.code == 2

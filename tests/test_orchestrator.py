@@ -109,6 +109,16 @@ def test_spec_param_lookup_and_label():
     assert spec.label == "fixture_trial:make"
 
 
+def test_report_trial_labels_are_unique():
+    """A buggy/fixed pair of one scenario gets two labels, not one."""
+    from repro.experiments.reportgen import report_sections
+
+    specs = [spec for _, section in report_sections(0.02) for spec in section]
+    labels = [spec.label for spec in specs]
+    assert len(set(labels)) == len(labels)
+    assert any("+fix:" in label for label in labels)
+
+
 def test_resolve_kind_errors():
     assert resolve_kind(FIXTURE_KIND) is fixture_trial
     with pytest.raises(ValueError, match="module:function"):
