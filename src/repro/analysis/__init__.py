@@ -4,8 +4,8 @@ The complement of the paper's online sanity checker (Algorithm 2): instead
 of detecting invariant violations *after* they occur at runtime, this
 package checks, before anything runs, the invariants the reproduction
 depends on -- seed determinism and sequential float load sums, the
-``sched``/``sim``/``obs`` layering contract, tracepoint-registry
-consistency, feature-flag discipline, and cache coherence.
+``sched``/``sim``/``obs`` layering contract, feature-flag discipline,
+fork safety, SLO scenario references, and cache coherence.
 
 Public surface:
 

@@ -4,8 +4,8 @@ The paper's Algorithm 2 checker is *online*: it watches invariants while a
 simulation runs and can only report violations after the fact.  This module
 is the complementary *offline* half -- a small AST-lint framework that
 checks the invariants the codebase itself depends on (seed determinism,
-the ``sched``/``sim`` layering contract, tracepoint-registry consistency,
-feature-flag discipline) before anything executes.
+the ``sched``/``sim`` layering contract, feature-flag discipline) before
+anything executes.
 
 Design:
 
@@ -15,7 +15,7 @@ Design:
 * :class:`Rule` -- the plugin interface.  A rule declares a module-prefix
   ``scope``, inspects one parsed file at a time in :meth:`Rule.visit`, and
   may emit cross-file findings from :meth:`Rule.finalize` after the walk
-  (the tracepoint-consistency rule needs the whole project).
+  (the coherence rule needs the whole project).
 * :class:`Analyzer` -- the single-pass walker: each file is read and parsed
   exactly once, then offered to every rule whose scope matches.
 

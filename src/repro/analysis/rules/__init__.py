@@ -22,7 +22,6 @@ from repro.analysis.rules.layering import LayeringRule, layering_rules
 from repro.analysis.rules.orchestrator import OrchestratorForkSafetyRule
 from repro.analysis.rules.perf import LoadBypassRule
 from repro.analysis.rules.sloreg import SloRegistryRule
-from repro.analysis.rules.tracepoints import TracepointConsistencyRule
 
 
 def default_rules() -> List[Rule]:
@@ -35,7 +34,6 @@ def default_rules() -> List[Rule]:
         FeatureFlagRule(),
         LoadBypassRule(),
         CoherenceRule(),
-        TracepointConsistencyRule(),
         OrchestratorForkSafetyRule(),
         SloRegistryRule(),
     ]
@@ -56,5 +54,4 @@ __all__ = [
     "OrchestratorForkSafetyRule",
     "SloRegistryRule",
     "layering_rules",
-    "TracepointConsistencyRule",
 ]

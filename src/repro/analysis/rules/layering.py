@@ -3,12 +3,12 @@
 The ``Scheduler`` docstring promises the scheduler is *simulation-agnostic*
 ("it never touches the event loop"), which in import terms means
 ``repro.sched`` must never import ``repro.sim``.  Likewise the scheduler
-reports events through the :class:`repro.viz.events.Probe` protocol and the
-obs bus listens via :class:`repro.obs.bridge.ProbeTracepointBridge` -- so
-``repro.sched`` must not import ``repro.obs`` directly either; the bridge
-(which lives on the obs side) is the only coupling point.  A third rule
-keeps ``repro.obs`` from importing scheduler internals, which would create
-cycles with ``repro.sim.engine`` (a bus producer).
+reports events through the :class:`repro.viz.events.Probe` protocol and
+the obs consumers (:class:`repro.obs.MetricsRecorder`,
+:class:`repro.obs.ChromeTraceBuilder`) are probes -- so ``repro.sched``
+must not import ``repro.obs`` directly either; the ``Probe`` protocol is
+the only coupling point.  A third rule keeps ``repro.obs`` from importing
+scheduler internals: obs sees the scheduler only through probe hooks.
 
 Violations here are how "just one constant" imports quietly invert a
 dependency: before this checker existed, ``repro.sched.features`` and
@@ -104,7 +104,7 @@ def layering_rules() -> List[LayeringRule]:
             forbidden="repro.obs",
             rationale=(
                 "the scheduler reports through the Probe protocol only; "
-                "obs listens via ProbeTracepointBridge, never the reverse"
+                "obs consumers are probes, never the reverse"
             ),
         ),
         LayeringRule(
@@ -112,9 +112,8 @@ def layering_rules() -> List[LayeringRule]:
             source="repro.obs",
             forbidden="repro.sched",
             rationale=(
-                "obs is a pure consumer of Probe hooks and tracepoints; "
-                "importing scheduler internals would cycle through "
-                "repro.sim.engine"
+                "obs is a pure consumer of Probe hooks; it must not "
+                "reach into scheduler internals"
             ),
         ),
     ]

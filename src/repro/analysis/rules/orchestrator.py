@@ -11,9 +11,9 @@ state silently breaks the orchestrator's determinism contract:
   ``spawn`` its state diverges from the serial run entirely.  Trials must
   rebuild their generator from the spec (seed or fingerprint) inside the
   worker.
-* a module-level obs registry/session (``MetricsRegistry``, ``ObsSession``,
-  ``TracepointRegistry``, ...) created at import time is bumped inside the
-  worker process and dies with it; the parent never sees the counts.
+* a module-level obs registry/session (``MetricsRegistry``,
+  ``ObsSession``, ...) created at import time is bumped inside the worker
+  process and dies with it; the parent never sees the counts.
   Registries must be constructed inside the trial function so results ride
   back through the :class:`~repro.perf.orchestrator.TrialResult`.
 * a module-level dict/list/set that trial code *mutates* (a memo table, an
@@ -48,7 +48,6 @@ _REGISTRY_CLASSES = {
     "MetricsRegistry",
     "MetricsRecorder",
     "ObsSession",
-    "TracepointRegistry",
     "TraceBuffer",
     "ResultCache",
 }

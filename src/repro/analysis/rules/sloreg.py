@@ -1,23 +1,22 @@
 """Scenario-registry rule: SLO spec files must reference real code.
 
 The ``repro.slo`` registry is deliberately declarative -- a scenario TOML
-names its trial function, workload factories, topology preset, and
-tracepoints as *strings*.  Nothing imports those strings until the
-orchestrator resolves them inside a pool worker, so a typo
-(``repro.slo.trial:hogg``, a renamed tracepoint, a deleted topology
-preset) survives every static import check and only explodes at run
-time, deep inside ``repro slo run``.
+names its trial function, workload factories and topology preset as
+*strings*.  Nothing imports those strings until the orchestrator
+resolves them inside a pool worker, so a typo
+(``repro.slo.trial:hogg``, a deleted topology preset) survives every
+static import check and only explodes at run time, deep inside
+``repro slo run``.
 
 This rule closes that gap offline: it loads every scenario file (the
 shipped registry by default; tests inject fixture paths) and verifies
 
 * the file parses and passes :func:`repro.slo.registry.load_scenario`'s
-  structural validation (including SLO threshold names);
+  structural validation (no unknown ``[scenario]`` keys, known SLO
+  threshold names);
 * the ``trial`` kind and every ``[[scenario.workload]]`` ``spec`` resolve
   to an importable ``module:function``;
-* ``topology`` names a preset in :data:`repro.slo.trial.TOPOLOGIES`;
-* every listed tracepoint is declared in
-  :data:`repro.obs.tracepoints.TRACEPOINT_NAMES`.
+* ``topology`` names a preset in :data:`repro.slo.trial.TOPOLOGIES`.
 
 Unlike the AST rules, the inputs are TOML, not Python, so everything
 happens in :meth:`Rule.finalize` -- the rule visits no source files and
@@ -71,8 +70,7 @@ class SloRegistryRule(Rule):
     rule_id = "slo-registry"
     description = (
         "scenario-registry specs must reference resolvable module:function "
-        "trial/workload kinds, known topology presets, and declared "
-        "tracepoint names"
+        "trial/workload kinds and known topology presets"
     )
     #: TOML inputs, not Python -- the rule never visits source files.
     scope: Optional[Tuple[str, ...]] = ()
@@ -115,7 +113,6 @@ class SloRegistryRule(Rule):
         )
 
     def _check_file(self, path: Path) -> Iterator[Finding]:
-        from repro.obs.tracepoints import TRACEPOINT_NAMES
         from repro.slo.registry import load_scenario
         from repro.slo.trial import TOPOLOGIES
 
@@ -165,10 +162,3 @@ class SloRegistryRule(Rule):
                 f"unknown topology preset {scenario.topology!r} "
                 f"(known: {', '.join(sorted(TOPOLOGIES))})",
             )
-        for name in scenario.tracepoints:
-            if name not in TRACEPOINT_NAMES:
-                yield self._finding(
-                    path, lines, name,
-                    f"tracepoint {name!r} is not declared in "
-                    "repro.obs.tracepoints.TRACEPOINT_NAMES",
-                )

@@ -22,20 +22,11 @@ from typing import TYPE_CHECKING, List, Optional
 
 from repro.core.invariant import Violation, find_violations, has_violation
 from repro.core.profiler import BalanceProfiler
-from repro.obs.tracepoints import TRACEPOINTS
 from repro.sim.timebase import MS, SEC
 from repro.viz.events import Probe
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.system import System
-
-#: The checker's detection funnel on the obs bus: every check, each
-#: violation that opens a monitoring window, and the window's verdict.
-_TP_CHECK = TRACEPOINTS.tracepoint("checker.check")
-_TP_DETECTED = TRACEPOINTS.tracepoint("checker.violation_detected")
-_TP_TRANSIENT = TRACEPOINTS.tracepoint("checker.transient")
-_TP_CONFIRMED = TRACEPOINTS.tracepoint("checker.bug_confirmed")
-_TP_PROFILE_DONE = TRACEPOINTS.tracepoint("checker.profile_done")
 
 
 @dataclass
@@ -169,19 +160,19 @@ class SanityChecker:
         assert self._system is not None
         self.checks_performed += 1
         violations = find_violations(self._system.scheduler, now)
-        if _TP_CHECK.enabled:
-            _TP_CHECK.emit(now, violations=len(violations))
+        probe = self._system.probe
+        if probe.active:
+            probe.on_checker(now, "check", {"violations": len(violations)})
         if not violations:
             return
         self.violations_seen += 1
-        if _TP_DETECTED.enabled:
+        if probe.active:
             pairs = sorted({(v.idle_cpu, v.busy_cpu) for v in violations})
-            _TP_DETECTED.emit(
-                now,
-                violations=len(violations),
-                pairs=tuple(pairs[:8]),
-                window_us=self.monitor_window_us,
-            )
+            probe.on_checker(now, "violation_detected", {
+                "violations": len(violations),
+                "pairs": tuple(pairs[:8]),
+                "window_us": self.monitor_window_us,
+            })
         # Open the monitoring window: is this a legal transient state?
         self._state = self.MONITORING
         self._detected_at_us = now
@@ -207,14 +198,15 @@ class SanityChecker:
         # Window over: decide.
         monitor = self._monitor_probe.summary
         self._teardown_window()
+        probe = self._system.probe
         if self._cleared_during_window:
             # The scheduler recovered at least once: a legal short-term
             # violation, not a bug.
             self.transient_violations += 1
             self._state = self.IDLE
-            if _TP_TRANSIENT.enabled:
-                _TP_TRANSIENT.emit(
-                    now, detected_at_us=self._detected_at_us
+            if probe.active:
+                probe.on_checker(
+                    now, "transient", {"detected_at_us": self._detected_at_us}
                 )
             return
         report = BugReport(
@@ -223,16 +215,15 @@ class SanityChecker:
             violations=violations,
             monitor=monitor,
         )
-        if _TP_CONFIRMED.enabled:
-            _TP_CONFIRMED.emit(
-                now,
-                detected_at_us=self._detected_at_us,
-                violations=len(violations),
-                migrations=monitor.migrations,
-                forks=monitor.forks,
-                exits=monitor.exits,
-                wakeups=monitor.wakeups,
-            )
+        if probe.active:
+            probe.on_checker(now, "bug_confirmed", {
+                "detected_at_us": self._detected_at_us,
+                "violations": len(violations),
+                "migrations": monitor.migrations,
+                "forks": monitor.forks,
+                "exits": monitor.exits,
+                "wakeups": monitor.wakeups,
+            })
         self.reports.append(report)
         self._pending_report = report
         self._start_profile(now)
@@ -256,12 +247,12 @@ class SanityChecker:
             self._pending_report.profile_failed_fraction = (
                 self._profiler.failed_fraction()
             )
-            if _TP_PROFILE_DONE.enabled and self._system is not None:
-                _TP_PROFILE_DONE.emit(
-                    self._system.now,
-                    failed_fraction=(
-                        self._pending_report.profile_failed_fraction
-                    ),
+            if self._system is not None and self._system.probe.active:
+                self._system.probe.on_checker(
+                    self._system.now, "profile_done", {
+                        "failed_fraction":
+                            self._pending_report.profile_failed_fraction,
+                    },
                 )
             self._pending_report = None
         self._profiler = None

@@ -67,13 +67,8 @@ class ExperimentConfig:
         )
         if self.obs:
             from repro.obs import ObsSession
-            from repro.obs.tracepoints import TracepointRegistry
 
-            # A private registry per run: concurrent experiment systems
-            # must not hear each other's scheduler events.
-            system.obs = ObsSession.attach_to(
-                system, trace=False, registry=TracepointRegistry()
-            )
+            system.obs = ObsSession.attach_to(system)
         return system
 
 

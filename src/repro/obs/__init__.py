@@ -1,23 +1,25 @@
-"""Unified observability: tracepoints, metrics, and trace export.
+"""Unified observability: metrics and trace export.
 
 The paper's diagnosis chapter is an argument that the bugs stayed
 invisible for years because the standard tools (``htop``, ``sar``,
 ``perf``) aggregate away short-lived invariant violations.  This package
-is the repo's answer -- one bus, three consumers:
+is the repo's answer.  Its consumers are probes
+(:class:`repro.viz.events.Probe`): each attaches to one system's probe
+fanout, which carries the scheduler's hooks and that system's event-loop
+callbacks, sanity-checker events and idle-overload sampler ticks.
 
-* :mod:`repro.obs.tracepoints` -- named tracepoints with a kernel-style
-  ``enabled`` fast path (one branch when nobody listens);
 * :mod:`repro.obs.metrics` -- counters, gauges, and log-bucketed
   histograms (wakeup-to-run latency, idle-gap lengths, migrations by
   reason, balance outcomes by domain);
+* :mod:`repro.obs.recorder` -- :class:`MetricsRecorder`, the probe that
+  folds the event stream into those metrics;
 * :mod:`repro.obs.trace_export` -- Chrome trace-event / Perfetto JSON
   with per-CPU tracks, migration flow arrows, and sanity-checker
   violation instants;
 * :mod:`repro.obs.session` -- :class:`ObsSession`, the one-call wiring
-  of all of the above onto a simulated system.
+  of the recorder and the trace builder onto a simulated system.
 """
 
-from repro.obs.bridge import SCHED_TRACEPOINTS, ProbeTracepointBridge
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -28,14 +30,6 @@ from repro.obs.metrics import (
 from repro.obs.recorder import MetricsRecorder
 from repro.obs.session import ObsSession
 from repro.obs.trace_export import ChromeTraceBuilder
-from repro.obs.tracepoints import (
-    TRACEPOINT_NAMES,
-    TRACEPOINTS,
-    Span,
-    Tracepoint,
-    TracepointRegistry,
-    span,
-)
 
 __all__ = [
     "ChromeTraceBuilder",
@@ -46,12 +40,4 @@ __all__ = [
     "MetricsRegistry",
     "MetricsSnapshot",
     "ObsSession",
-    "ProbeTracepointBridge",
-    "SCHED_TRACEPOINTS",
-    "Span",
-    "TRACEPOINT_NAMES",
-    "TRACEPOINTS",
-    "Tracepoint",
-    "TracepointRegistry",
-    "span",
 ]

@@ -1,7 +1,7 @@
-"""Tracepoint consumer that folds the event stream into metrics.
+"""Probe that folds a system's event stream into metrics.
 
-The recorder subscribes to the obs bus and maintains exactly the numbers
-the paper says standard tools throw away:
+The recorder is attached to one system's probe fanout and maintains
+exactly the numbers the paper says standard tools throw away:
 
 * ``sched_wakeup_to_run_latency_us`` -- histogram of the gap between a
   task's wakeup and its next switch-in, labeled by the CPU it ran on.
@@ -21,22 +21,17 @@ the paper says standard tools throw away:
   violations seen, transients, confirmed bugs).
 * ``engine_callbacks_total`` by event-loop label class, attributing heap
   callbacks (``tick``, ``phase-end``, ``wake``) in one counter.
+
+It consumes no load samples, so attaching it never makes the runqueues
+sum their loads.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
-from repro.obs.tracepoints import TRACEPOINTS, TracepointRegistry
-
-#: Tracepoint patterns the recorder listens to.
-_SUBSCRIPTIONS = (
-    "sched.*",
-    "checker.*",
-    "engine.callback",
-    "stats.violation_tick",
-)
+from repro.viz.events import Probe
 
 
 def _label_class(label: str) -> str:
@@ -46,12 +41,11 @@ def _label_class(label: str) -> str:
     return label.split(":", 1)[0]
 
 
-class MetricsRecorder:
-    """Subscribes to the tracepoint bus and updates a metrics registry."""
+class MetricsRecorder(Probe):
+    """A probe that updates a metrics registry."""
 
-    def __init__(self, metrics: Optional[MetricsRegistry] = None):
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._registry: Optional[TracepointRegistry] = None
+    def __init__(self) -> None:
+        self.metrics = MetricsRegistry()
         #: Pending wakeups by tid: wakeup time, waiting for switch-in.
         self._wakeup_pending: Dict[int, int] = {}
         #: Per-CPU timestamp the runqueue last went empty; None while busy.
@@ -99,102 +93,89 @@ class MetricsRecorder:
             "ticks the idle-overload sampler saw a violation",
         )
 
-    # -- wiring --------------------------------------------------------------
+    # -- probe hooks ---------------------------------------------------------
 
-    def attach(self, registry: Optional[TracepointRegistry] = None) -> None:
-        """Subscribe to the bus (``TRACEPOINTS`` by default)."""
-        if self._registry is not None:
-            raise RuntimeError("recorder is already attached")
-        reg = registry if registry is not None else TRACEPOINTS
-        self._registry = reg
-        for pattern in _SUBSCRIPTIONS:
-            reg.subscribe(pattern, self._on_event)
-
-    def detach(self) -> None:
-        if self._registry is None:
-            return
-        for pattern in _SUBSCRIPTIONS:
-            self._registry.unsubscribe(pattern, self._on_event)
-        self._registry = None
-
-    # -- event handling ------------------------------------------------------
-
-    def _on_event(
-        self, name: str, now: int, fields: Mapping[str, object]
+    def on_wakeup(
+        self,
+        now: int,
+        tid: int,
+        cpu: int,
+        waker_cpu: Optional[int],
+        was_idle: bool,
     ) -> None:
-        handler = self._HANDLERS.get(name)
-        if handler is not None:
-            handler(self, now, fields)
-        elif name.startswith("checker."):
-            self._checker.inc(event=name.split(".", 1)[1])
+        self._wakeup_pending[tid] = now
+        self._wakeups.inc(landing="idle_core" if was_idle else "busy_core")
 
-    def _on_wakeup(self, now: int, fields: Mapping[str, object]) -> None:
-        tid = fields["tid"]
-        self._wakeup_pending[tid] = now  # type: ignore[index]
-        self._wakeups.inc(
-            landing="idle_core" if fields["was_idle"] else "busy_core"
-        )
-
-    def _on_switch(self, now: int, fields: Mapping[str, object]) -> None:
-        next_tid = fields["next_tid"]
-        cpu = fields["cpu"]
+    def on_sched_switch(
+        self,
+        now: int,
+        cpu: int,
+        prev_tid: Optional[int],
+        next_tid: Optional[int],
+        next_name: str = "",
+    ) -> None:
         if next_tid is not None:
             self._switches.inc(cpu=cpu)
-            woken_at = self._wakeup_pending.pop(next_tid, None)  # type: ignore[arg-type]
+            woken_at = self._wakeup_pending.pop(next_tid, None)
             if woken_at is not None:
                 self._wakeup_latency.observe(now - woken_at, cpu=cpu)
-            prev_run = self._last_switch_in.get(next_tid)  # type: ignore[arg-type]
+            prev_run = self._last_switch_in.get(next_tid)
             if prev_run is not None and now > prev_run:
                 self._slice_interarrival.observe(now - prev_run)
-            self._last_switch_in[next_tid] = now  # type: ignore[index]
+            self._last_switch_in[next_tid] = now
 
-    def _on_nr_running(self, now: int, fields: Mapping[str, object]) -> None:
-        cpu = fields["cpu"]
-        if fields["nr_running"] == 0:
-            self._idle_since.setdefault(cpu, now)  # type: ignore[arg-type]
+    def on_nr_running(self, now: int, cpu: int, nr_running: int) -> None:
+        if nr_running == 0:
+            self._idle_since.setdefault(cpu, now)
         else:
-            since = self._idle_since.pop(cpu, None)  # type: ignore[arg-type]
+            since = self._idle_since.pop(cpu, None)
             if since is not None and now > since:
                 self._idle_gap.observe(now - since, cpu=cpu)
 
-    def _on_migration(self, now: int, fields: Mapping[str, object]) -> None:
-        self._migrations.inc(reason=fields["reason"])
+    def on_migration(
+        self, now: int, tid: int, src_cpu: int, dst_cpu: int, reason: str
+    ) -> None:
+        self._migrations.inc(reason=reason)
 
-    def _on_balance(self, now: int, fields: Mapping[str, object]) -> None:
-        outcome = str(fields["outcome"]).split(":", 1)[0]
-        self._balance.inc(domain=fields["domain"], outcome=outcome)
+    def on_balance(
+        self,
+        now: int,
+        cpu: int,
+        domain: str,
+        local_metric: float,
+        busiest_metric: Optional[float],
+        outcome: str,
+    ) -> None:
+        self._balance.inc(domain=domain, outcome=outcome.split(":", 1)[0])
 
-    def _on_considered(self, now: int, fields: Mapping[str, object]) -> None:
-        self._considered.inc(op=fields["op"])
+    def on_considered(
+        self, now: int, cpu: int, op: str, considered: Iterable[int]
+    ) -> None:
+        self._considered.inc(op=op)
 
-    def _on_lifecycle(self, now: int, fields: Mapping[str, object]) -> None:
-        if fields["kind"] == "fork":
+    def on_lifecycle(
+        self, now: int, tid: int, kind: str, cpu: Optional[int]
+    ) -> None:
+        if kind == "fork":
             self._forks.inc()
             # A fork is also a placement: its first switch-in closes a
             # wakeup-to-run sample, like the kernel's sched_wakeup_new.
-            self._wakeup_pending[fields["tid"]] = now  # type: ignore[index]
-        elif fields["kind"] == "exit":
+            self._wakeup_pending[tid] = now
+        elif kind == "exit":
             self._exits.inc()
-            self._wakeup_pending.pop(fields["tid"], None)  # type: ignore[arg-type]
-            self._last_switch_in.pop(fields["tid"], None)  # type: ignore[arg-type]
+            self._wakeup_pending.pop(tid, None)
+            self._last_switch_in.pop(tid, None)
 
-    def _on_engine(self, now: int, fields: Mapping[str, object]) -> None:
-        self._engine.inc(label=_label_class(str(fields.get("label", ""))))
+    def on_callback(self, now: int, label: str) -> None:
+        self._engine.inc(label=_label_class(label))
 
-    def _on_sampler(self, now: int, fields: Mapping[str, object]) -> None:
+    def on_checker(
+        self, now: int, event: str, fields: Mapping[str, object]
+    ) -> None:
+        self._checker.inc(event=event)
+
+    def on_violation_tick(self, now: int) -> None:
         self._sampler.inc()
-
-    _HANDLERS = {
-        "sched.wakeup": _on_wakeup,
-        "sched.switch": _on_switch,
-        "sched.nr_running": _on_nr_running,
-        "sched.migration": _on_migration,
-        "sched.balance": _on_balance,
-        "sched.considered": _on_considered,
-        "sched.lifecycle": _on_lifecycle,
-        "engine.callback": _on_engine,
-        "stats.violation_tick": _on_sampler,
-    }
 
     # -- conveniences --------------------------------------------------------
 

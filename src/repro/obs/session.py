@@ -1,8 +1,8 @@
-"""One-call wiring of the obs subsystem onto a simulated system.
+"""One-call wiring of the obs consumers onto a simulated system.
 
-:class:`ObsSession` owns the three moving parts -- the probe-to-tracepoint
-bridge, the metrics recorder, and (optionally) the Chrome trace builder --
-and attaches/detaches them as a unit:
+:class:`ObsSession` owns the metrics recorder and (optionally) the Chrome
+trace builder, and attaches/detaches them to one system's probe fanout
+as a unit:
 
 .. code-block:: python
 
@@ -16,50 +16,32 @@ and attaches/detaches them as a unit:
 
 Sessions are observation-only: attaching one must not perturb the
 schedule (``tests/test_obs_overhead.py`` asserts identical migration
-counts with and without a session).  Like kernel tracepoints, the bus is
-global by default (``TRACEPOINTS``) -- that is how the session also hears
-the event loop, the sanity checker and the stats sampler, which emit
-directly rather than through the scheduler's probe.  :meth:`close` always
-unsubscribes, so sequential sessions never cross-talk; pass a private
-:class:`~repro.obs.tracepoints.TracepointRegistry` for full isolation
-when scheduler-probe events are all you need.
+counts with and without a session).  The probe carries the scheduler's
+hooks and the system's event-loop callbacks, sanity-checker events and
+idle-overload sampler ticks, so a session hears exactly its own system:
+two systems in one process never hear each other.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.obs.bridge import ProbeTracepointBridge
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot
 from repro.obs.recorder import MetricsRecorder
 from repro.obs.trace_export import ChromeTraceBuilder
-from repro.obs.tracepoints import TRACEPOINTS, TracepointRegistry
 
-if TYPE_CHECKING:  # the engine imports the bus, so avoid a runtime cycle
+if TYPE_CHECKING:  # keep importing repro.obs free of the simulator
     from repro.sim.system import System
 
 
 class ObsSession:
-    """Bundles bridge + recorder (+ trace builder) for one observed run."""
+    """Bundles recorder (+ trace builder) for one observed run."""
 
-    def __init__(
-        self,
-        num_cpus: int,
-        trace: bool = False,
-        metrics: Optional[MetricsRegistry] = None,
-        registry: Optional[TracepointRegistry] = None,
-        max_trace_events: int = 2_000_000,
-    ):
-        self.registry = registry if registry is not None else TRACEPOINTS
-        self.bridge = ProbeTracepointBridge(self.registry)
-        self.recorder = MetricsRecorder(metrics)
-        self.recorder.attach(self.registry)
-        self.trace_builder: Optional[ChromeTraceBuilder] = None
-        if trace:
-            self.trace_builder = ChromeTraceBuilder(
-                num_cpus, max_events=max_trace_events
-            )
-            self.trace_builder.attach(self.registry)
+    def __init__(self, num_cpus: int, trace: bool = False):
+        self.recorder = MetricsRecorder()
+        self.trace_builder: Optional[ChromeTraceBuilder] = (
+            ChromeTraceBuilder(num_cpus) if trace else None
+        )
         self._system: Optional["System"] = None
 
     @property
@@ -69,26 +51,24 @@ class ObsSession:
     # -- wiring --------------------------------------------------------------
 
     @classmethod
-    def attach_to(
-        cls, system: "System", trace: bool = False, **kwargs: Any
-    ) -> "ObsSession":
+    def attach_to(cls, system: "System", trace: bool = False) -> "ObsSession":
         """Create a session and plug it into a system's probe fanout."""
-        session = cls(system.topology.num_cpus, trace=trace, **kwargs)
-        system.attach_probe(session.bridge)
+        session = cls(system.topology.num_cpus, trace=trace)
+        system.attach_probe(session.recorder)
+        if session.trace_builder is not None:
+            system.attach_probe(session.trace_builder)
         session._system = system
         return session
 
     def close(self) -> None:
         """Detach everything; idempotent.  Call before reading results."""
-        if self._system is not None:
-            end = self._system.now
-            self._system.detach_probe(self.bridge)
-            self._system = None
-            if self.trace_builder is not None:
-                self.trace_builder.finish(end)
-        self.recorder.detach()
+        if self._system is None:
+            return
+        system, self._system = self._system, None
+        system.detach_probe(self.recorder)
         if self.trace_builder is not None:
-            self.trace_builder.detach()
+            system.detach_probe(self.trace_builder)
+            self.trace_builder.finish(system.now)
 
     # -- results -------------------------------------------------------------
 

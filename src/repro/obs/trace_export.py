@@ -8,7 +8,7 @@ run in the `Chrome trace-event format
 loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
 
 * one **process track per CPU** ("cpu 0" ... "cpu N-1") carrying the
-  running-task slices reconstructed from ``sched.switch`` events and a
+  running-task slices reconstructed from ``on_sched_switch`` calls and a
   ``nr_running`` counter track (the runqueue depth over time);
 * **migrations as flow arrows** (``s``/``f`` pairs) from source to
   destination CPU, named by reason;
@@ -18,11 +18,11 @@ loadable in ``chrome://tracing`` or https://ui.perfetto.dev:
   "sanity-checker" track -- the violation markers to read against the
   runqueue tracks;
 * **event-loop callbacks** as instants on an "engine" track, labeled with
-  each heap callback's ``label`` so simulator activity is attributable;
-* **obs spans** (``obs.span`` begin/end) as slices on the engine track.
+  each heap callback's ``label`` so simulator activity is attributable.
 
 Timestamps are simulator microseconds, which is exactly the unit the
-trace-event format expects.
+trace-event format expects.  The builder is a probe: attach it to one
+system's probe fanout (usually through :class:`repro.obs.ObsSession`).
 """
 
 from __future__ import annotations
@@ -30,64 +30,33 @@ from __future__ import annotations
 import json
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from repro.obs.tracepoints import TRACEPOINTS, TracepointRegistry
+from repro.viz.events import Probe
 
 #: Synthetic pids for the non-CPU tracks (CPU n uses pid n).
 ENGINE_PID = 100_000
 CHECKER_PID = 100_001
 
-_SUBSCRIPTIONS = (
-    "sched.switch",
-    "sched.migration",
-    "sched.wakeup",
-    "sched.nr_running",
-    "checker.*",
-    "stats.violation_tick",
-    "engine.callback",
-    "obs.*",
-)
+#: Instant-event name and scope (global or track) per checker event.
+_CHECKER_INSTANTS = {
+    "violation_detected": ("invariant violation detected", "g"),
+    "bug_confirmed": ("BUG CONFIRMED (survived monitoring window)", "g"),
+    "transient": ("transient violation (recovered in window)", "t"),
+    "profile_done": ("post-detection profile complete", "t"),
+}
 
 
-class ChromeTraceBuilder:
-    """Collects tracepoint events and renders trace-event JSON."""
+class ChromeTraceBuilder(Probe):
+    """A probe that collects a run's events and renders trace-event JSON."""
 
-    def __init__(
-        self,
-        num_cpus: int,
-        include_engine: bool = True,
-        include_counters: bool = True,
-        max_events: int = 2_000_000,
-    ):
+    def __init__(self, num_cpus: int, max_events: int = 2_000_000):
         self.num_cpus = num_cpus
-        self.include_engine = include_engine
-        self.include_counters = include_counters
         self.max_events = max_events
         self.dropped = 0
         self._events: List[Dict[str, object]] = []
-        self._registry: Optional[TracepointRegistry] = None
         #: Open running-task slice per CPU: (start_us, tid, name).
         self._open_slices: Dict[int, Tuple[int, object, str]] = {}
-        #: Open obs spans keyed by span name: start time.
-        self._open_spans: Dict[str, int] = {}
         self._flow_id = 0
         self._emit_metadata()
-
-    # -- wiring --------------------------------------------------------------
-
-    def attach(self, registry: Optional[TracepointRegistry] = None) -> None:
-        if self._registry is not None:
-            raise RuntimeError("trace builder is already attached")
-        reg = registry if registry is not None else TRACEPOINTS
-        self._registry = reg
-        for pattern in _SUBSCRIPTIONS:
-            reg.subscribe(pattern, self._on_event)
-
-    def detach(self) -> None:
-        if self._registry is None:
-            return
-        for pattern in _SUBSCRIPTIONS:
-            self._registry.unsubscribe(pattern, self._on_event)
-        self._registry = None
 
     # -- event intake --------------------------------------------------------
 
@@ -128,52 +97,17 @@ class ChromeTraceBuilder:
                 }
             )
 
-    def _on_event(
-        self, name: str, now: int, fields: Mapping[str, object]
+    def on_sched_switch(
+        self,
+        now: int,
+        cpu: int,
+        prev_tid: Optional[int],
+        next_tid: Optional[int],
+        next_name: str = "",
     ) -> None:
-        if name == "sched.switch":
-            self._on_switch(now, fields)
-        elif name == "sched.migration":
-            self._on_migration(now, fields)
-        elif name == "sched.wakeup":
-            self._on_wakeup(now, fields)
-        elif name == "sched.nr_running":
-            if self.include_counters:
-                self._add(
-                    {
-                        "ph": "C", "pid": fields["cpu"], "tid": 0,
-                        "ts": now, "name": "nr_running",
-                        "args": {"nr": fields["nr_running"]},
-                    }
-                )
-        elif name == "stats.violation_tick":
-            self._add(
-                {
-                    "ph": "i", "s": "t", "pid": CHECKER_PID, "tid": 0,
-                    "ts": now, "name": "idle-while-overloaded tick",
-                    "cat": "sampler",
-                }
-            )
-        elif name.startswith("checker."):
-            self._on_checker(name, now, fields)
-        elif name == "engine.callback":
-            if self.include_engine:
-                label = str(fields.get("label", "")) or "callback"
-                self._add(
-                    {
-                        "ph": "i", "s": "t", "pid": ENGINE_PID, "tid": 0,
-                        "ts": now, "name": label, "cat": "engine",
-                    }
-                )
-        elif name.startswith("obs."):
-            self._on_span(name, now, fields)
-
-    def _on_switch(self, now: int, fields: Mapping[str, object]) -> None:
-        cpu = int(fields["cpu"])  # type: ignore[arg-type]
-        next_tid = fields["next_tid"]
         self._close_slice(cpu, now)
         if next_tid is not None:
-            name = str(fields.get("next_name", "")) or f"tid {next_tid}"
+            name = next_name or f"tid {next_tid}"
             self._open_slices[cpu] = (now, next_tid, name)
 
     def _close_slice(self, cpu: int, now: int) -> None:
@@ -189,45 +123,61 @@ class ChromeTraceBuilder:
             }
         )
 
-    def _on_migration(self, now: int, fields: Mapping[str, object]) -> None:
-        self._flow_id += 1
-        name = f"migrate:{fields['reason']}"
-        common = {
-            "name": name, "cat": "migration", "id": self._flow_id, "tid": 0,
-            "args": {"tid": fields["tid"], "reason": fields["reason"]},
-        }
-        self._add({"ph": "s", "pid": fields["src_cpu"], "ts": now, **common})
+    def on_nr_running(self, now: int, cpu: int, nr_running: int) -> None:
         self._add(
             {
-                "ph": "f", "bp": "e", "pid": fields["dst_cpu"],
-                "ts": now + 1, **common,
+                "ph": "C", "pid": cpu, "tid": 0, "ts": now,
+                "name": "nr_running", "args": {"nr": nr_running},
             }
         )
 
-    def _on_wakeup(self, now: int, fields: Mapping[str, object]) -> None:
-        landing = "idle" if fields["was_idle"] else "busy"
+    def on_migration(
+        self, now: int, tid: int, src_cpu: int, dst_cpu: int, reason: str
+    ) -> None:
+        self._flow_id += 1
+        common = {
+            "name": f"migrate:{reason}", "cat": "migration",
+            "id": self._flow_id, "tid": 0,
+            "args": {"tid": tid, "reason": reason},
+        }
+        self._add({"ph": "s", "pid": src_cpu, "ts": now, **common})
+        self._add(
+            {"ph": "f", "bp": "e", "pid": dst_cpu, "ts": now + 1, **common}
+        )
+
+    def on_wakeup(
+        self,
+        now: int,
+        tid: int,
+        cpu: int,
+        waker_cpu: Optional[int],
+        was_idle: bool,
+    ) -> None:
+        landing = "idle" if was_idle else "busy"
         self._add(
             {
-                "ph": "i", "s": "t", "pid": fields["cpu"], "tid": 0,
-                "ts": now, "name": f"wakeup tid {fields['tid']} ({landing})",
+                "ph": "i", "s": "t", "pid": cpu, "tid": 0,
+                "ts": now, "name": f"wakeup tid {tid} ({landing})",
                 "cat": "wakeup",
             }
         )
 
-    def _on_checker(
-        self, name: str, now: int, fields: Mapping[str, object]
+    def on_violation_tick(self, now: int) -> None:
+        self._add(
+            {
+                "ph": "i", "s": "t", "pid": CHECKER_PID, "tid": 0,
+                "ts": now, "name": "idle-while-overloaded tick",
+                "cat": "sampler",
+            }
+        )
+
+    def on_checker(
+        self, now: int, event: str, fields: Mapping[str, object]
     ) -> None:
-        kind = name.split(".", 1)[1]
-        if kind == "check":
+        if event == "check":
             return  # one instant per second adds noise, metrics count them
-        scope = "g" if kind in ("violation_detected", "bug_confirmed") else "t"
-        text = {
-            "violation_detected": "invariant violation detected",
-            "bug_confirmed": "BUG CONFIRMED (survived monitoring window)",
-            "transient": "transient violation (recovered in window)",
-            "profile_done": "post-detection profile complete",
-        }.get(kind, kind)
-        event: Dict[str, object] = {
+        text, scope = _CHECKER_INSTANTS.get(event, (event, "t"))
+        record: Dict[str, object] = {
             "ph": "i", "s": scope, "pid": CHECKER_PID, "tid": 0,
             "ts": now, "name": text, "cat": "checker",
         }
@@ -238,26 +188,16 @@ class ChromeTraceBuilder:
         if "pairs" in fields:
             args["pairs"] = str(fields["pairs"])
         if args:
-            event["args"] = args
-        self._add(event)
+            record["args"] = args
+        self._add(record)
 
-    def _on_span(
-        self, tp_name: str, now: int, fields: Mapping[str, object]
-    ) -> None:
-        ph = fields.get("ph")
-        name = str(fields.get("name", "")) or tp_name
-        if ph == "B":
-            self._open_spans[name] = now
-        elif ph == "E":
-            start = self._open_spans.pop(name, None)
-            if start is not None:
-                self._add(
-                    {
-                        "ph": "X", "pid": ENGINE_PID, "tid": 1, "ts": start,
-                        "dur": max(now - start, 1), "name": name,
-                        "cat": "obs",
-                    }
-                )
+    def on_callback(self, now: int, label: str) -> None:
+        self._add(
+            {
+                "ph": "i", "s": "t", "pid": ENGINE_PID, "tid": 0,
+                "ts": now, "name": label or "callback", "cat": "engine",
+            }
+        )
 
     # -- output --------------------------------------------------------------
 

@@ -23,13 +23,6 @@ import heapq
 import itertools
 from typing import Callable, Optional
 
-from repro.obs.tracepoints import TRACEPOINTS
-
-#: Fired once per executed callback with its ``label``, so obs traces can
-#: attribute heap activity (tick vs phase-end vs wake).  Kernel-style
-#: static tracepoint: one ``enabled`` branch when nobody listens.
-_TP_CALLBACK = TRACEPOINTS.tracepoint("engine.callback")
-
 #: Heaps smaller than this are never compacted: rebuilding them costs more
 #: than the dead entries do.
 _COMPACT_MIN_HEAP = 64
@@ -48,9 +41,10 @@ class Event:
     so heapq compares plain ints in C (the unique ``seq`` guarantees the
     event object is never reached by a compare).
 
-    The ``engine.callback`` label is ``label``, or ``label:tag`` when a
-    ``tag`` is given; it is formatted only when the tracepoint fires
-    enabled, so untraced runs never build label strings.
+    The label the loop reports is ``label``, or ``label:tag`` when a
+    ``tag`` is given; it is formatted only while
+    :attr:`EventLoop.on_callback` is set, so untraced runs never build
+    label strings.
     """
 
     __slots__ = (
@@ -88,7 +82,7 @@ class Event:
         self._loop._note_cancel()
 
     def full_label(self) -> str:
-        """The label the ``engine.callback`` tracepoint reports."""
+        """The label :attr:`EventLoop.on_callback` is handed."""
         if self.tag is None:
             return self.label
         return f"{self.label}:{self.tag}"
@@ -113,6 +107,10 @@ class EventLoop:
         self._compact_enabled = compact
         #: Number of compaction passes performed (read by tests).
         self.compactions = 0
+        #: Called as ``on_callback(now, label)`` before each callback runs,
+        #: so traces can attribute heap activity (tick vs phase-end vs
+        #: wake); ``None`` when nobody listens (one test per event).
+        self.on_callback: Optional[Callable[[int, str], None]] = None
 
     @property
     def events_fired(self) -> int:
@@ -250,8 +248,8 @@ class EventLoop:
                 self._live -= 1
                 self.now = event.when
                 self._events_fired += 1
-                if _TP_CALLBACK.enabled:
-                    _TP_CALLBACK.emit(self.now, label=event.full_label())
+                if self.on_callback is not None:
+                    self.on_callback(self.now, event.full_label())
                 event.callback()
                 if condition is not None and (
                     check_interval is None or self.now >= next_check

@@ -72,6 +72,7 @@ class System:
             # attach and detach mid-run like the paper's on-demand profiler.
             probe = FanoutProbe()
         self.scheduler = Scheduler(topology, features, probe)
+        self._sync_on_callback()
         self.rng = random.Random(seed)
         #: Hooks invoked after every tick with the current time (stats,
         #: sanity checker, ...).
@@ -115,13 +116,24 @@ class System:
                 "system was built with a custom probe; pass a FanoutProbe "
                 "to attach more consumers"
             )
+        if probe in root.probes:
+            raise RuntimeError("probe is already attached")
         root.add(probe)
+        self._sync_on_callback()
 
     def detach_probe(self, probe: Probe) -> None:
         """Remove a consumer previously attached with :meth:`attach_probe`."""
         root = self.scheduler.probe
         if isinstance(root, FanoutProbe):
             root.remove(probe)
+            self._sync_on_callback()
+
+    def _sync_on_callback(self) -> None:
+        """Route event-loop callbacks to the probe while one consumes them."""
+        probe = self.scheduler.probe
+        self.loop.on_callback = (
+            probe.on_callback if probe.wants_callback() else None
+        )
 
     def cpu(self, cpu_id: int):
         return self.scheduler.cpus[cpu_id]

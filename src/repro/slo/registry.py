@@ -10,7 +10,6 @@ A scenario file describes one SLO scenario as data::
     seeds = [42, 1051]
     duration_ms = 1000
     features = []
-    tracepoints = ["sched.wakeup", "sched.switch"]
 
     [scenario.params]
     bug = "overload-on-wakeup"
@@ -70,6 +69,12 @@ PathLike = Union[str, Path]
 #: Variants a bug-scenario file may request.
 _BUG_VARIANTS = ("buggy", "fixed")
 
+#: Every key ``[scenario]`` may hold; any other is a typo and rejected.
+_SCENARIO_KEYS = frozenset({
+    "name", "title", "trial", "variants", "seeds", "duration_ms", "scale",
+    "features", "params", "workload", "topology",
+})
+
 
 @dataclass(frozen=True)
 class WorkloadEntry:
@@ -99,7 +104,6 @@ class ScenarioSpec:
     params: Tuple[Tuple[str, str], ...]
     workloads: Tuple[WorkloadEntry, ...]
     topology: Optional[str]
-    tracepoints: Tuple[str, ...]
     thresholds: SLOThresholds
     source: str = ""
 
@@ -165,6 +169,9 @@ def load_scenario(path: PathLike) -> ScenarioSpec:
     table = doc.get("scenario")
     if not isinstance(table, dict):
         raise ValueError(f"{source}: missing [scenario] table")
+    for key in table:
+        if key not in _SCENARIO_KEYS:
+            raise ValueError(f"{source}: [scenario] has unknown key {key!r}")
 
     name = str(_require(table, "name", source))
     trial = str(_require(table, "trial", source))
@@ -218,9 +225,6 @@ def load_scenario(path: PathLike) -> ScenarioSpec:
         ),
         workloads=workloads,
         topology=topology,
-        tracepoints=_str_list(
-            table.get("tracepoints", []), "tracepoints", source
-        ),
         thresholds=thresholds,
         source=source,
     )

@@ -135,10 +135,9 @@ def collect_slo_metrics(
 ) -> SLOMetrics:
     """Fold a finished run's recorder into one :class:`SLOMetrics`.
 
-    The idle-overload density comes in as a plain float because the
-    sampler publishes on the *global* tracepoint bus while per-trial
-    recorders listen on private registries -- the trial hands the
-    sampler's own ``violation_fraction`` over directly.
+    The idle-overload density comes in as a plain float: it is the
+    sampler's own ``violation_fraction``, a share of every sampled tick,
+    while the recorder only counts the violating ones.
     """
     latency = recorder.wakeup_latency
     return SLOMetrics(

@@ -25,7 +25,6 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 from repro.experiments.harness import schedule_digest, system_stats
 from repro.experiments.scenarios import build_bug_scenario
 from repro.obs.session import ObsSession
-from repro.obs.tracepoints import TracepointRegistry
 from repro.perf.orchestrator import TrialResult, TrialSpec, build_features
 from repro.sim.system import System
 from repro.sim.timebase import MS
@@ -213,9 +212,7 @@ def bug_slo_trial(spec: TrialSpec) -> TrialResult:
     holder: Dict[str, ObsSession] = {}
 
     def instrument(system: System) -> None:
-        holder["obs"] = ObsSession.attach_to(
-            system, trace=False, registry=TracepointRegistry()
-        )
+        holder["obs"] = ObsSession.attach_to(system)
         if probe is not None:
             system.attach_probe(probe)
 
@@ -259,9 +256,7 @@ def mix_slo_trial(spec: TrialSpec) -> TrialResult:
     system = System(topology, features, seed=spec.seed)
     sampler = IdleOverloadSampler()
     sampler.attach(system)
-    obs = ObsSession.attach_to(
-        system, trace=False, registry=TracepointRegistry()
-    )
+    obs = ObsSession.attach_to(system)
     probe = _record_probe(spec)
     if probe is not None:
         system.attach_probe(probe)

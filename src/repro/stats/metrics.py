@@ -12,16 +12,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional
 
 from repro.core.invariant import has_violation
-from repro.obs.tracepoints import TRACEPOINTS
 from repro.sim.timebase import TICK_US
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.task import Task
     from repro.sim.system import System
-
-#: Fired for every sampled tick that sees the invariant violated, so obs
-#: traces show the violation density the paper's heatmaps plot.
-_TP_VIOLATION_TICK = TRACEPOINTS.tracepoint("stats.violation_tick")
 
 
 class IdleOverloadSampler:
@@ -59,8 +54,10 @@ class IdleOverloadSampler:
         if violated:
             self.violating_samples += 1
             self.violation_time_us += TICK_US
-            if _TP_VIOLATION_TICK.enabled:
-                _TP_VIOLATION_TICK.emit(now)
+            # Reported to the system's probe so traces show the violation
+            # density the paper's heatmaps plot.
+            if sched.probe.active:
+                sched.probe.on_violation_tick(now)
             idle = queued = 0
             for c in sched.cpus:
                 if c.is_idle:

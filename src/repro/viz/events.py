@@ -1,6 +1,8 @@
 """Scheduler event records, probes, and the fixed-size trace buffer.
 
-The scheduler reports into a :class:`Probe`.  ``Probe`` itself is a no-op
+The scheduler reports into a :class:`Probe`, and so do the event loop,
+the sanity checker and the idle-overload sampler of the same system: the
+probe is a system's one observer channel.  ``Probe`` itself is a no-op
 (zero overhead when profiling is off, like the paper's tool);
 :class:`TraceProbe` appends records to a :class:`TraceBuffer`;
 :class:`FanoutProbe` multiplexes to several consumers (e.g. a trace buffer
@@ -17,7 +19,7 @@ offline analyzer uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Mapping, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class SchedSwitchEvent:
 
 
 class Probe:
-    """No-op probe: the scheduler's instrumentation hooks.
+    """No-op probe: a system's instrumentation hooks.
 
     Subclasses override the calls they care about.  All hooks must stay
     cheap; they run on the simulator's hottest paths.
@@ -226,6 +228,31 @@ class Probe:
         next_name: str = "",
     ) -> None:
         """A CPU switched what it executes (either tid may be ``None``)."""
+
+    def on_callback(self, now: int, label: str) -> None:
+        """The event loop is about to run the callback labelled ``label``."""
+
+    def wants_callback(self) -> bool:
+        """True when :meth:`on_callback` consumes its labels.
+
+        The system hands the event loop this probe's :meth:`on_callback`
+        only while this answers True, so runs nobody traces never format
+        an event label.  The default detects an override, like
+        :meth:`wants_rq_load`.
+        """
+        return type(self).on_callback is not Probe.on_callback
+
+    def on_checker(
+        self, now: int, event: str, fields: Mapping[str, object]
+    ) -> None:
+        """The sanity checker ran a check or changed state.
+
+        ``event`` is ``check``, ``violation_detected``, ``transient``,
+        ``bug_confirmed`` or ``profile_done``; ``fields`` describe it.
+        """
+
+    def on_violation_tick(self, now: int) -> None:
+        """The idle-overload sampler saw the invariant violated."""
 
 
 class TraceBuffer:
@@ -472,3 +499,23 @@ class FanoutProbe(Probe):
     ) -> None:
         for probe in self.probes:
             probe.on_sched_switch(now, cpu, prev_tid, next_tid, next_name)
+
+    def on_callback(self, now: int, label: str) -> None:
+        for probe in self.probes:
+            probe.on_callback(now, label)
+
+    def wants_callback(self) -> bool:
+        for probe in self.probes:
+            if probe.wants_callback():
+                return True
+        return False
+
+    def on_checker(
+        self, now: int, event: str, fields: Mapping[str, object]
+    ) -> None:
+        for probe in self.probes:
+            probe.on_checker(now, event, fields)
+
+    def on_violation_tick(self, now: int) -> None:
+        for probe in self.probes:
+            probe.on_violation_tick(now)

@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.experiments.scenarios import build_bug_scenario
 from repro.obs import ObsSession
-from repro.obs.tracepoints import TracepointRegistry
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology.presets import single_node, two_nodes
@@ -24,9 +24,7 @@ def _sleeper(name, rounds=5, run_us=2 * MS, sleep_us=1 * MS):
 
 def _run_observed(trace=False, tasks=6, duration_us=200 * MS):
     system = System(single_node(cores=4))
-    obs = ObsSession.attach_to(
-        system, trace=trace, registry=TracepointRegistry()
-    )
+    obs = ObsSession.attach_to(system, trace=trace)
     for i in range(tasks):
         system.spawn(_sleeper(f"t{i}"))
     system.run_for(duration_us)
@@ -52,17 +50,33 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError):
             obs.write_chrome_trace("/tmp/never-written.json")
 
-    def test_private_registries_do_not_cross_talk(self):
-        system_a = System(single_node(cores=2))
-        system_b = System(single_node(cores=2))
-        obs_a = ObsSession.attach_to(system_a, registry=TracepointRegistry())
-        obs_b = ObsSession.attach_to(system_b, registry=TracepointRegistry())
-        system_a.spawn(_sleeper("a"))
-        system_a.run_for(50 * MS)
-        obs_a.close()
-        obs_b.close()
-        assert obs_a.metrics.get("sched_forks_total").total() == 1
-        assert obs_b.metrics.get("sched_forks_total").total() == 0
+    def test_sessions_are_isolated_per_system(self):
+        # Two bug scenarios in one process, each with its own session:
+        # running B must reach A's session through none of the channels
+        # that bypass the scheduler (engine, checker, sampler).
+        sessions = {}
+
+        def build(key):
+            def instrument(system):
+                sessions[key] = ObsSession.attach_to(system)
+
+            return build_bug_scenario(
+                "group-imbalance", "buggy", instrument=instrument
+            )
+
+        build("a")
+        scenario_b = build("b")
+        scenario_b.run(300 * MS)
+        for obs in sessions.values():
+            obs.close()
+        quiet, heard = sessions["a"].metrics, sessions["b"].metrics
+        for name in (
+            "engine_callbacks_total",
+            "checker_events_total",
+            "stats_violation_ticks_total",
+        ):
+            assert quiet.get(name).total() == 0, name
+            assert heard.get(name).total() > 0, name
 
 
 class TestRecorderMetrics:
@@ -90,7 +104,7 @@ class TestRecorderMetrics:
 
     def test_balance_outcomes_by_domain(self):
         system = System(two_nodes(cores_per_node=2))
-        obs = ObsSession.attach_to(system, registry=TracepointRegistry())
+        obs = ObsSession.attach_to(system)
         for i in range(8):
             system.spawn(_sleeper(f"t{i}", rounds=20))
         system.run_for(300 * MS)
@@ -113,14 +127,14 @@ class TestRecorderMetrics:
     def test_double_attach_rejected(self):
         from repro.obs.recorder import MetricsRecorder
 
+        system = System(single_node(cores=2))
         recorder = MetricsRecorder()
-        reg = TracepointRegistry()
-        recorder.attach(reg)
+        system.attach_probe(recorder)
         with pytest.raises(RuntimeError):
-            recorder.attach(reg)
-        recorder.detach()
-        recorder.attach(reg)  # re-attach after detach is fine
-        recorder.detach()
+            system.attach_probe(recorder)
+        system.detach_probe(recorder)
+        system.attach_probe(recorder)  # re-attach after detach is fine
+        system.detach_probe(recorder)
 
 
 class TestHarnessObsPath:

@@ -5,19 +5,16 @@ import json
 import pytest
 
 from repro.obs.trace_export import CHECKER_PID, ENGINE_PID, ChromeTraceBuilder
-from repro.obs.tracepoints import TRACEPOINTS, TracepointRegistry, span
 from repro.sched.features import SchedFeatures
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.topology import single_node
+from repro.viz.events import Probe
 from repro.workloads.base import Exit, Run, Sleep, TaskSpec
 
 
 def _builder(num_cpus=2, **kwargs):
-    reg = TracepointRegistry()
-    builder = ChromeTraceBuilder(num_cpus, **kwargs)
-    builder.attach(reg)
-    return reg, builder
+    return ChromeTraceBuilder(num_cpus, **kwargs)
 
 
 def _events(builder):
@@ -26,7 +23,7 @@ def _events(builder):
 
 class TestBuilderUnits:
     def test_metadata_names_every_cpu_track(self):
-        _, builder = _builder(num_cpus=3)
+        builder = _builder(num_cpus=3)
         names = {
             e["args"]["name"]
             for e in _events(builder)
@@ -36,20 +33,18 @@ class TestBuilderUnits:
                 "engine"} <= names
 
     def test_switch_pair_produces_complete_slice(self):
-        reg, builder = _builder()
-        tp = reg.tracepoint("sched.switch")
-        tp.emit(100, cpu=0, prev_tid=None, next_tid=7, next_name="lu-0")
-        tp.emit(400, cpu=0, prev_tid=7, next_tid=None, next_name="")
+        builder = _builder()
+        builder.on_sched_switch(100, 0, None, 7, "lu-0")
+        builder.on_sched_switch(400, 0, 7, None, "")
         (slice_,) = [e for e in _events(builder) if e.get("cat") == "task"]
         assert slice_["ph"] == "X"
         assert slice_["ts"] == 100 and slice_["dur"] == 300
         assert slice_["name"] == "lu-0" and slice_["pid"] == 0
 
     def test_back_to_back_switch_closes_previous_slice(self):
-        reg, builder = _builder()
-        tp = reg.tracepoint("sched.switch")
-        tp.emit(0, cpu=0, prev_tid=None, next_tid=1, next_name="a")
-        tp.emit(50, cpu=0, prev_tid=1, next_tid=2, next_name="b")
+        builder = _builder()
+        builder.on_sched_switch(0, 0, None, 1, "a")
+        builder.on_sched_switch(50, 0, 1, 2, "b")
         builder.finish(80)
         slices = [e for e in _events(builder) if e.get("cat") == "task"]
         assert [(s["name"], s["ts"], s["dur"]) for s in slices] == [
@@ -57,8 +52,8 @@ class TestBuilderUnits:
         ]
 
     def test_migration_emits_flow_pair(self):
-        reg, builder = _builder()
-        reg.tracepoint("sched.migration").emit(
+        builder = _builder()
+        builder.on_migration(
             10, tid=3, src_cpu=0, dst_cpu=1, reason="balance:MC"
         )
         flows = [e for e in _events(builder) if e.get("cat") == "migration"]
@@ -69,14 +64,14 @@ class TestBuilderUnits:
         assert "balance:MC" in start["name"]
 
     def test_checker_events_become_instants(self):
-        reg, builder = _builder()
-        reg.tracepoint("checker.violation_detected").emit(
-            1000, violations=2, pairs=((0, 1),), window_us=50_000
-        )
-        reg.tracepoint("checker.bug_confirmed").emit(
-            2000, detected_at_us=1000, violations=2, migrations=0,
-            forks=0, exits=0, wakeups=3,
-        )
+        builder = _builder()
+        builder.on_checker(1000, "violation_detected", {
+            "violations": 2, "pairs": ((0, 1),), "window_us": 50_000,
+        })
+        builder.on_checker(2000, "bug_confirmed", {
+            "detected_at_us": 1000, "violations": 2, "migrations": 0,
+            "forks": 0, "exits": 0, "wakeups": 3,
+        })
         instants = [e for e in _events(builder) if e.get("cat") == "checker"]
         assert len(instants) == 2
         assert all(e["ph"] == "i" and e["pid"] == CHECKER_PID
@@ -84,20 +79,20 @@ class TestBuilderUnits:
         assert all(e["s"] == "g" for e in instants)  # global scope
 
     def test_checker_check_tracepoint_not_rendered(self):
-        reg, builder = _builder()
-        reg.tracepoint("checker.check").emit(1000, violations=0)
+        builder = _builder()
+        builder.on_checker(1000, "check", {"violations": 0})
         assert not [e for e in _events(builder) if e.get("cat") == "checker"]
 
     def test_engine_labels_surface_as_instants(self):
-        reg, builder = _builder()
-        reg.tracepoint("engine.callback").emit(5, label="phase-end:17")
-        reg.tracepoint("engine.callback").emit(6, label="")
+        builder = _builder()
+        builder.on_callback(5, "phase-end:17")
+        builder.on_callback(6, "")
         instants = [e for e in _events(builder) if e.get("cat") == "engine"]
         assert [e["name"] for e in instants] == ["phase-end:17", "callback"]
         assert all(e["pid"] == ENGINE_PID for e in instants)
 
     def test_real_run_emits_tick_phase_end_and_wake_labels(self):
-        """The labels a real System run hands ``engine.callback``,
+        """The labels a real System run hands ``Probe.on_callback``,
         including for events scheduled before tracing was enabled."""
 
         def program():
@@ -108,17 +103,19 @@ class TestBuilderUnits:
 
         labels = []
 
-        def sink(name, now, fields):
-            labels.append((now, fields["label"]))
+        class Sink(Probe):
+            def on_callback(self, now, label):
+                labels.append((now, label))
 
         system = System(single_node(2), SchedFeatures(), seed=1)
         task = system.spawn(TaskSpec("worker", program))
         system.run_for(MS // 2)  # the first phase-end is already queued
-        TRACEPOINTS.subscribe("engine.callback", sink)
-        try:
-            system.run_for(10 * MS - MS // 2)
-        finally:
-            TRACEPOINTS.unsubscribe("engine.callback", sink)
+        assert system.loop.on_callback is None
+        sink = Sink()
+        system.attach_probe(sink)
+        system.run_for(10 * MS - MS // 2)
+        system.detach_probe(sink)
+        assert system.loop.on_callback is None
         tid = task.tid
         assert [entry for entry in labels if entry[1] != "tick"] == [
             (1500, f"phase-end:{tid}"),
@@ -130,42 +127,29 @@ class TestBuilderUnits:
         ]
 
     def test_nr_running_becomes_counter_track(self):
-        reg, builder = _builder()
-        reg.tracepoint("sched.nr_running").emit(7, cpu=1, nr_running=3)
+        builder = _builder()
+        builder.on_nr_running(7, cpu=1, nr_running=3)
         (counter,) = [e for e in _events(builder) if e["ph"] == "C"]
         assert counter["args"]["nr"] == 3 and counter["pid"] == 1
 
-    def test_spans_render_as_slices(self):
-        reg, builder = _builder()
-        s = span("obs.experiment", 100, registry=reg, bug="gi")
-        s.end(900)
-        (slice_,) = [e for e in _events(builder) if e.get("cat") == "obs"]
-        assert slice_["name"] == "obs.experiment"
-        assert slice_["ts"] == 100 and slice_["dur"] == 800
-
     def test_finish_closes_open_slices(self):
-        reg, builder = _builder()
-        reg.tracepoint("sched.switch").emit(
-            0, cpu=1, prev_tid=None, next_tid=9, next_name="hog"
-        )
+        builder = _builder()
+        builder.on_sched_switch(0, 1, None, 9, "hog")
         builder.finish(500)
         (slice_,) = [e for e in _events(builder) if e.get("cat") == "task"]
         assert slice_["dur"] == 500
 
     def test_max_events_drops_and_counts(self):
-        reg, builder = _builder(max_events=10)  # metadata already uses 8
-        tp = reg.tracepoint("sched.nr_running")
+        builder = _builder(max_events=10)  # metadata already uses 8
         for t in range(5):
-            tp.emit(t, cpu=0, nr_running=1)
+            builder.on_nr_running(t, cpu=0, nr_running=1)
         data = builder.to_json()
         assert len(data["traceEvents"]) == 10
         assert data["otherData"]["dropped_events"] == 3
 
     def test_write_produces_valid_json(self, tmp_path):
-        reg, builder = _builder()
-        reg.tracepoint("sched.switch").emit(
-            0, cpu=0, prev_tid=None, next_tid=1, next_name="t"
-        )
+        builder = _builder()
+        builder.on_sched_switch(0, 0, None, 1, "t")
         path = tmp_path / "trace.json"
         count = builder.write(str(path), end_us=100)
         data = json.loads(path.read_text())
@@ -173,9 +157,11 @@ class TestBuilderUnits:
         assert len(data["traceEvents"]) == count
 
     def test_double_attach_rejected(self):
-        reg, builder = _builder()
+        system = System(single_node(2), SchedFeatures(), seed=1)
+        builder = _builder()
+        system.attach_probe(builder)
         with pytest.raises(RuntimeError):
-            builder.attach(reg)
+            system.attach_probe(builder)
 
 
 class TestCliAcceptance:

@@ -23,8 +23,7 @@ from hypothesis.stateful import (
 )
 
 from repro.experiments.scenarios import build_bug_scenario
-from repro.obs import ProbeTracepointBridge
-from repro.obs.tracepoints import TracepointRegistry
+from repro.obs import ChromeTraceBuilder, MetricsRecorder
 from repro.sched import balance as lb
 from repro.sched.domains import SchedDomain
 from repro.sched.features import SchedFeatures
@@ -440,21 +439,16 @@ def test_wants_balance_defaults():
     assert OutcomesOnly().wants_balance()
 
 
-def test_bridge_wants_balance_follows_subscriptions():
-    registry = TracepointRegistry()
-    bridge = ProbeTracepointBridge(registry)
-    fanout = FanoutProbe([_Listener(), bridge])
-    assert not bridge.wants_balance() and not fanout.wants_balance()
-
-    def sink(name, now, fields):
-        pass
-
-    for name in ("sched.balance", "sched.considered"):
-        registry.subscribe(name, sink)
-        assert bridge.wants_balance() and fanout.wants_balance()
-        registry.unsubscribe(name, sink)
-    registry.subscribe("sched.migration", sink)
-    assert not bridge.wants_balance()
+def test_obs_consumers_want_balance_as_they_record():
+    # The recorder counts balance outcomes and considered-core reports;
+    # the trace builder draws neither, so alone it keeps the gate shut.
+    recorder, builder = MetricsRecorder(), ChromeTraceBuilder(2)
+    assert recorder.wants_balance()
+    assert not builder.wants_balance()
+    assert FanoutProbe([_Listener(), recorder]).wants_balance()
+    assert not FanoutProbe([_Listener(), builder]).wants_balance()
+    # Neither consumes load samples.
+    assert not FanoutProbe([recorder, builder]).wants_rq_load()
 
 
 def test_sanitizer_catches_a_drifted_count():

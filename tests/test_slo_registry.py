@@ -89,6 +89,17 @@ def test_load_scenario_validates_structure(tmp_path):
         load_scenario(bad)
 
 
+def test_load_scenario_rejects_unknown_keys(tmp_path):
+    # A typo'd key (or a key the loader no longer reads) must not be
+    # silently ignored.
+    for key, value in (("duraton_ms", "50"), ("tracepoints", "[]")):
+        path = tmp_path / f"{key}.toml"
+        extra = f"duration_ms = 50\n{key} = {value}"
+        path.write_text(TINY.replace("duration_ms = 50", extra))
+        with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+            load_scenario(path)
+
+
 def test_load_registry_rejects_duplicate_names(tmp_path, tiny_path):
     twin = tmp_path / "twin.toml"
     twin.write_text(TINY)
