@@ -5,7 +5,9 @@ of detecting invariant violations *after* they occur at runtime, this
 package checks, before anything runs, the invariants the reproduction
 depends on -- seed determinism and sequential float load sums, the
 ``sched``/``sim``/``obs`` layering contract, feature-flag discipline,
-fork safety, SLO scenario references, and cache coherence.
+fork safety, SLO scenario references, and load reads that bypass the
+runqueue memo.  Cache coherence is checked at runtime instead, by the
+``--sanitize`` mode (:mod:`repro.sched.sanitizer`).
 
 Public surface:
 
@@ -15,12 +17,6 @@ Public surface:
 * :func:`~repro.analysis.rules.default_rules` -- the shipped rule set;
 * :func:`~repro.analysis.runner.run_lint` -- the CLI entry point;
 * :func:`~repro.analysis.sarif.to_sarif` -- SARIF 2.1.0 export.
-
-Whole-program facilities (built per lint run by the coherence rule):
-:class:`~repro.analysis.symbols.SymbolTable`,
-:class:`~repro.analysis.callgraph.CallGraph`, and the mutation/epoch
-dataflow pass in :mod:`repro.analysis.dataflow` feeding
-:mod:`repro.analysis.rules.coherence`.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ Design:
   that SARIF consumers use to track it across commits.
 * :class:`Rule` -- the plugin interface.  A rule declares a module-prefix
   ``scope``, inspects one parsed file at a time in :meth:`Rule.visit`, and
-  may emit cross-file findings from :meth:`Rule.finalize` after the walk
-  (the coherence rule needs the whole project).
+  may emit cross-file findings from :meth:`Rule.finalize` after the walk.
 * :class:`Analyzer` -- the single-pass walker: each file is read and parsed
   exactly once, then offered to every rule whose scope matches.
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from repro.analysis.core import Rule
-from repro.analysis.rules.coherence import CoherenceRule
 from repro.analysis.rules.determinism import (
     FloatSumRule,
     SetIterationRule,
@@ -33,7 +32,6 @@ def default_rules() -> List[Rule]:
         FloatSumRule(),
         FeatureFlagRule(),
         LoadBypassRule(),
-        CoherenceRule(),
         OrchestratorForkSafetyRule(),
         SloRegistryRule(),
     ]
@@ -43,7 +41,6 @@ def default_rules() -> List[Rule]:
 
 __all__ = [
     "default_rules",
-    "CoherenceRule",
     "FloatSumRule",
     "UnseededRandomRule",
     "WallClockRule",

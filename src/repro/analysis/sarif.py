@@ -33,10 +33,6 @@ _LEVELS = ("error", "warning", "note")
 #: Rule ids the framework itself can emit without a Rule instance.
 _SYNTHETIC_RULES = {
     "parse-error": "the file could not be read or parsed",
-    "coherence-unguarded-dependency": (
-        "a cached accessor depends on a field outside the coherence "
-        "contract"
-    ),
 }
 
 

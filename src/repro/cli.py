@@ -547,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="offline static invariant checker (determinism, layering, "
-        "coherence, flag discipline)",
+        "flag discipline, fork safety, SLO specs)",
     )
     p.add_argument(
         "paths", nargs="*", default=None,

@@ -109,25 +109,19 @@ class CGroupManager:
         self.root = CGroup("root", is_root=True, metric=metric)
         self._autogroups: Dict[str, Autogroup] = {}
         self._groups: Dict[str, CGroup] = {"root": self.root}
-        #: Load-epoch counter shared with the scheduler's runqueues, if
+        #: Divisor-epoch counter shared with the scheduler's runqueues, if
         #: bound.  Membership changes move the group divisor of *every*
         #: member thread without touching any runqueue, so they must
         #: invalidate the cached queue loads too.
-        self._load_epoch: Optional[LoadEpoch] = None
         self._divisor_epoch: Optional[LoadEpoch] = None
 
-    def bind_load_epoch(
-        self,
-        epoch: LoadEpoch,
-        divisor_epoch: Optional[LoadEpoch] = None,
-    ) -> None:
-        """Share the scheduler's dirty counters (called at scheduler init).
+    def bind_divisor_epoch(self, epoch: LoadEpoch) -> None:
+        """Share the scheduler's divisor counter (called at scheduler init).
 
-        ``divisor_epoch`` is the finer-grained counter the per-queue load
-        caches key on; membership changes bump both.
+        The per-queue load caches key on it; every membership change
+        bumps it.
         """
-        self._load_epoch = epoch
-        self._divisor_epoch = divisor_epoch
+        self._divisor_epoch = epoch
 
     def create_group(self, name: str) -> CGroup:
         """An explicit (non-auto) cgroup; raises on duplicate names."""
@@ -166,8 +160,6 @@ class CGroupManager:
             task.cgroup.discard(task)
         target.add(task)
         task.cgroup = target
-        if self._load_epoch is not None:
-            self._load_epoch.bump()
         if self._divisor_epoch is not None:
             self._divisor_epoch.bump()
 
@@ -176,7 +168,5 @@ class CGroupManager:
         if task.cgroup is not None:
             task.cgroup.discard(task)
             task.cgroup = None
-            if self._load_epoch is not None:
-                self._load_epoch.bump()
             if self._divisor_epoch is not None:
                 self._divisor_epoch.bump()

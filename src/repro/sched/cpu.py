@@ -24,18 +24,16 @@ class Cpu:
         self,
         cpu_id: int,
         probe: Optional["Probe"] = None,
-        load_epoch: Optional[LoadEpoch] = None,
         load_cache: bool = True,
-        idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
         overload: Optional[Set[int]] = None,
     ):
         self.cpu_id = cpu_id
         self.rq = RunQueue(
-            cpu_id, probe, load_epoch=load_epoch, load_cache=load_cache,
-            idle_epoch=idle_epoch, divisor_epoch=divisor_epoch,
-            sanitize=sanitize, overload=overload,
+            cpu_id, probe, load_cache=load_cache,
+            divisor_epoch=divisor_epoch, sanitize=sanitize,
+            overload=overload,
         )
         self.rq.owner = self
         #: Hotplug state; offline CPUs host no tasks and join no domain.

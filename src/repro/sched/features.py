@@ -95,9 +95,8 @@ class SchedFeatures:
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the
     #: value from scratch and raises
     #: :class:`~repro.sched.sanitizer.CoherenceError` naming the divergent
-    #: field on any drift.  The runtime twin of the static
-    #: ``coherence-unbumped-write`` analyzer rule; meant for CI soaks,
-    #: never benchmarks (it makes every cache as slow as a miss).
+    #: field on any drift.  Meant for CI soaks, never benchmarks (it
+    #: makes every cache as slow as a miss).
     sanitize_coherence: bool = False
 
     def with_fixes(self, *names: str) -> "SchedFeatures":

@@ -29,19 +29,15 @@ UTIL_TAU_US = UTIL_HALFLIFE_US / math.log(2.0)
 
 
 class LoadEpoch:
-    """A shared dirty counter for everything that can change a task's load.
+    """A shared dirty counter: the scheduler's cgroup *divisor epoch*.
 
     One instance is shared by every runqueue of a scheduler and by its
-    cgroup manager.  Any mutation that can alter any queue's load -- a task
-    enqueued, dequeued, migrated, its running state flipped, or a cgroup
-    membership change (which moves the autogroup divisor of *every* member
-    thread, with no runqueue event at all) -- bumps the counter.
-
-    Caches key themselves by ``(now, epoch.value)``: a hit is guaranteed
-    fresh because nothing load-affecting happened since the cached
-    computation.  Invalidation is deliberately global and conservative; the
-    win comes from balance passes that read every queue several times at the
-    same timestamp between mutations.
+    cgroup manager, which bumps it on every membership change: an attach
+    or detach moves the autogroup divisor of *every* member thread with
+    no runqueue event at all.  Each queue's load memo keys on its value
+    next to the queue's private ``mutations`` counter (which covers the
+    queue's own enqueues, takes and running-state flips), so a hit is
+    guaranteed fresh.
     """
 
     __slots__ = ("value",)

@@ -67,9 +67,7 @@ class RunQueue:
         self,
         cpu_id: int,
         probe: Optional["Probe"] = None,
-        load_epoch: Optional[LoadEpoch] = None,
         load_cache: bool = True,
-        idle_epoch: Optional[LoadEpoch] = None,
         divisor_epoch: Optional[LoadEpoch] = None,
         sanitize: bool = False,
         overload: Optional[Set[int]] = None,
@@ -77,19 +75,12 @@ class RunQueue:
         self.cpu_id = cpu_id
         self.probe = probe
         #: Waiting tasks as (vruntime, tid, task), ascending: the pick is
-        #: index 0.  Written only through ``insert``/``pop`` calls, which
-        #: the coherence lint rule sees as writes to ``_q``.
+        #: index 0.
         self._q: List[QueueEntry] = []
         #: Task currently on the CPU (not in the queue), if any.
         self.curr: Optional[Task] = None
         #: Monotonic floor for newcomers' vruntime.
         self.min_vruntime = 0
-        #: Shared dirty counter; every mutation bumps it (invalidating the
-        #: balance-pass memos of *all* queues sharing it, conservatively).
-        self.load_epoch = load_epoch if load_epoch is not None else LoadEpoch()
-        #: Shared counter bumped only on idle<->busy transitions (and
-        #: hotplug); the designated-balancer memo keys off it.
-        self.idle_epoch = idle_epoch if idle_epoch is not None else LoadEpoch()
         #: Shared counter bumped when any cgroup divisor changes (an attach
         #: or detach re-weights member loads without any runqueue event).
         self.divisor_epoch = (
@@ -104,15 +95,15 @@ class RunQueue:
         #: Coherence sanitizer: cross-check every load-memo hit against a
         #: from-scratch recompute (see ``repro.sched.sanitizer``).
         self._sanitize = sanitize
-        #: This queue's own mutation counter: unlike ``load_epoch`` it is
-        #: private, so one CPU's churn does not dirty its siblings' caches.
+        #: This queue's own mutation counter: it is private, so one CPU's
+        #: churn does not dirty its siblings' caches.
         self.mutations = 0
         #: Fast-path mirror (repro.sched.vecstate.VecState), set by the
         #: scheduler when the fast path is on; every mutation that bumps
         #: ``mutations`` also marks this queue's mirror slot dirty.
-        #: ``requeue``/``put_prev`` deliberately bump neither (the task
-        #: *set* is unchanged), so the mirror's coherence contract is
-        #: exactly the memo contract.
+        #: ``put_prev`` deliberately bumps neither (the task *set* is
+        #: unchanged), so the mirror's coherence contract is exactly the
+        #: memo contract.
         self.vec = None
         #: The CPU this queue belongs to (set by :class:`Cpu`), whose
         #: ``is_idle`` flag every idle<->busy flip below rewrites.
@@ -128,10 +119,10 @@ class RunQueue:
         #: convergence shortcut): the summation is then a constant of
         #: time until the task set or some member's running state
         #: changes, and the fast-path mirror may carry the sample
-        #: across timestamps.  Cleared by the two non-bumping mutators
-        #: (``put_prev``/``requeue``) whose state flips are invisible to
-        #: the memo key; every bumping mutator forces a recompute (and
-        #: thus a re-derivation) through the key itself.
+        #: across timestamps.  Cleared by the one non-bumping mutator
+        #: (``put_prev``), whose state flip is invisible to the memo
+        #: key; every bumping mutator forces a recompute (and thus a
+        #: re-derivation) through the key itself.
         self._cached_load_invariant = False
         #: Incrementally-maintained mirrors of the queue + curr aggregates
         #: (task weights are fixed at construction, so integer bookkeeping
@@ -185,53 +176,13 @@ class RunQueue:
         if self.vec is not None:
             self.vec.mark_dirty(self.cpu_id)
         if self._nr_running == 1:
-            self.idle_epoch.bump()
             if self.owner is not None:
                 self.owner.is_idle = False
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING:
             self.overload.add(self.cpu_id)
-        self.load_epoch.bump()
         self._notify(now)
-
-    def dequeue(self, task: Task, now: int) -> None:
-        """Remove a queued (not running) task from the queue."""
-        self._q.pop(self._index(task))
-        self._nr_running -= 1
-        self._total_weight -= task.weight
-        self.mutations += 1
-        if self.vec is not None:
-            self.vec.mark_dirty(self.cpu_id)
-        if self._nr_running == 0:
-            self.idle_epoch.bump()
-            if self.owner is not None:
-                self.owner.is_idle = self.owner.online
-            if self.vec is not None:
-                self.vec.mark_idle_change(self.cpu_id)
-        elif self._nr_running == SPARE_NR_RUNNING - 1:
-            self.overload.discard(self.cpu_id)
-        self.load_epoch.bump()
-        self._notify(now)
-
-    def requeue(self, task: Task, new_vruntime: int, now: int) -> None:
-        """Re-sort a queued task to ``new_vruntime``.
-
-        A queued task's vruntime *is* its sort key, so the move must be
-        keyed by the old value and the attribute updated in between --
-        callers pass the new vruntime instead of mutating the task
-        first.  The task *set* is unchanged -- the entry merely moves to
-        its new sort position -- so load, nr_running, and idleness are
-        all exactly what every cache already holds: no epoch or mutation
-        bump, by design (hence the inline coherence suppressions).
-        """
-        self._q.pop(self._index(task))  # repro: noqa[coherence-unbumped-write]
-        task.vruntime = new_vruntime
-        i = bisect_left(self._q, (new_vruntime, task.tid))
-        self._q.insert(i, (new_vruntime, task.tid, task))  # repro: noqa[coherence-unbumped-write]
-        # Not a load-affecting change, but the invariance flag is keyed
-        # to the summation the memo last saw; drop it conservatively.
-        self._cached_load_invariant = False
 
     def set_current(self, task: Optional[Task], now: int) -> None:
         """Install (or clear) the task executing on this CPU."""
@@ -252,7 +203,6 @@ class RunQueue:
         if self.vec is not None:
             self.vec.mark_dirty(self.cpu_id)
         if was_empty != (self._nr_running == 0):
-            self.idle_epoch.bump()
             if self.owner is not None:
                 self.owner.is_idle = (
                     self.owner.online and self._nr_running == 0
@@ -264,7 +214,6 @@ class RunQueue:
                 self.overload.discard(self.cpu_id)
             else:
                 self.overload.add(self.cpu_id)
-        self.load_epoch.bump()
         self._notify(now)
 
     def put_prev(self, task: Task, now: int) -> None:
@@ -276,8 +225,8 @@ class RunQueue:
         task.stats.last_enqueue_us = now
         self._insert(task)
         # The task set (and therefore load, nr_running, idleness) is
-        # unchanged -- curr merely moved into the queue -- so no epoch or
-        # mutation bump: every cached aggregate stays exactly valid.
+        # unchanged -- curr merely moved into the queue -- so no mutation
+        # bump: every cached aggregate stays exactly valid.
         # The *time-invariance* of the load summation is not: the task's
         # running-state target flipped without a memo-key event, so the
         # flag (and only the flag) is dropped here.
@@ -331,14 +280,12 @@ class RunQueue:
         if self.vec is not None:
             self.vec.mark_dirty(self.cpu_id)
         if self._nr_running == 0:
-            self.idle_epoch.bump()
             if self.owner is not None:
                 self.owner.is_idle = self.owner.online
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
         elif self._nr_running == SPARE_NR_RUNNING - 1:
             self.overload.discard(self.cpu_id)
-        self.load_epoch.bump()
         self._notify(now)
         return task
 
@@ -366,13 +313,6 @@ class RunQueue:
         self.mutations += 1
         if self.vec is not None:
             self.vec.mark_dirty(self.cpu_id)
-        if self._nr_running == 0:
-            # The idle-transition guard every write to ``curr`` answers
-            # to; a dispatch never crosses it (the task was counted).
-            self.idle_epoch.bump()
-            if self.vec is not None:
-                self.vec.mark_idle_change(self.cpu_id)
-        self.load_epoch.bump()
         probe = self.probe
         if probe is None or not probe.active:
             return
@@ -432,12 +372,13 @@ class RunQueue:
     def load(self, now: Optional[int] = None) -> float:
         """Combined load of every task on this queue (Figure 2b's metric).
 
-        O(1) on a cache hit: the summation is memoized per ``(now, epoch)``
-        and every load-affecting mutation bumps the shared epoch.  Misses
-        recompute the exact same per-task sum the uncached path uses, so
-        the returned floats are identical either way.  With the
-        sanitizer on, every hit and every miss is checked against that
-        per-task sum.
+        O(1) on a cache hit: the summation is memoized per ``(now,
+        mutations, divisor epoch)``; every load-affecting mutation of this
+        queue bumps ``mutations``, and every cgroup attach/detach bumps
+        the shared divisor epoch.  Misses recompute the exact same
+        per-task sum the uncached path uses, so the returned floats are
+        identical either way.  With the sanitizer on, every hit and
+        every miss is checked against that per-task sum.
         """
         if now is None or not self._load_cache_enabled:
             return load_sum(task.load(now) for task in self.all_tasks())
@@ -450,8 +391,8 @@ class RunQueue:
                 # Time-invariance carry-across: the memoized summation
                 # found every member exactly converged, so it is a
                 # constant of time until the next mutation (key above)
-                # or running-state flip (flag cleared by put_prev/
-                # requeue) -- re-stamp the timestamp and keep the value.
+                # or running-state flip (flag cleared by put_prev) --
+                # re-stamp the timestamp and keep the value.
                 # The sanitizer cross-checks this against a fresh
                 # recompute at the new timestamp on every such hit.
                 or self._cached_load_invariant

@@ -1,25 +1,20 @@
 """Runtime cross-checks of the fast-path coherence contract.
 
-The static half of this contract lives in
-``repro.analysis.rules.coherence``: a whole-program pass derives, for each
-cached accessor, the fields its memoized value depends on, and proves every
-write to those fields is dominated by the matching epoch/mutation bump.
-This module is the *dynamic* half, generated from the same dependency
-facts: with ``SchedFeatures.sanitize_coherence`` on, every memo **hit**
+Every fast-path cache stays valid only while each mutator invalidates
+it: the runqueue load memo keys on the queue's ``mutations`` counter
+and the divisor epoch, and the ``VecState`` mirror hears every change
+through ``mark_dirty`` / ``mark_idle_change`` / ``on_topology_change``.
+With ``SchedFeatures.sanitize_coherence`` on, every memo **hit**
 recomputes the value from first principles and raises
 :class:`CoherenceError` naming the divergent field if the cached copy
-drifted.  A hit is exactly the moment a missing bump becomes observable --
-on a miss the caches are refilled and any staleness is silently healed.
-The runqueue load memo is also checked on every miss: its misses add
-through the one-frame ``repro.sched.load.queue_load``, which must agree
-with the per-task ``Task.load`` chain it replaces.
+drifted.  A hit is exactly the moment a missing invalidation becomes
+observable -- on a miss the caches are refilled and any staleness is
+silently healed.  The runqueue load memo is also checked on every miss:
+its misses add through the one-frame ``repro.sched.load.queue_load``,
+which must agree with the per-task ``Task.load`` chain it replaces.
 
-``FACTS`` pins the analyzer's derived dependency sets.  The ``sched``
-layer must not import ``repro.analysis`` (layering contract), so the facts
-are restated here and a test asserts they equal
-``repro.analysis.rules.coherence.derived_facts()`` run over the shipped
-tree -- if a cached accessor grows a new dependency, both the analyzer
-and this table notice.
+Which tier-1 tests catch each missing invalidation is recorded, as
+planted faults, in ``tests/census/plants.py``.
 
 The checks are deliberately O(recompute): the sanitizer mode exists for
 CI soaks and bug hunts, not production runs; no benchmark enables it.
@@ -27,15 +22,7 @@ CI soaks and bug hunts, not production runs; no benchmark enables it.
 
 from __future__ import annotations
 
-from typing import (
-    TYPE_CHECKING,
-    AbstractSet,
-    Dict,
-    FrozenSet,
-    Iterable,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional, Tuple
 
 from repro.sched.load import load_sum
 
@@ -43,37 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.balance import GroupStats
     from repro.sched.domains import DomainTable, SchedGroup
     from repro.sched.runqueue import RunQueue
-
-#: (class, field) dependency sets of each cached accessor, as derived by
-#: the static analyzer (``derived_facts`` in the coherence rule).  Keys
-#: match the analyzer's accessor labels.
-FACTS: Dict[str, FrozenSet[Tuple[str, str]]] = {
-    "runqueue-load": frozenset(
-        {
-            ("RunQueue", "_q"),
-            ("RunQueue", "curr"),
-            ("CGroup", "_members"),
-            ("CGroup", "_avg_threads"),
-        }
-    ),
-    "group-stats": frozenset(
-        {
-            ("RunQueue", "_q"),
-            ("RunQueue", "curr"),
-            ("RunQueue", "_nr_running"),
-            ("CGroup", "_members"),
-            ("CGroup", "_avg_threads"),
-            ("Cpu", "online"),
-        }
-    ),
-    "designated-balancer": frozenset(
-        {
-            ("Cpu", "online"),
-            ("RunQueue", "_nr_running"),
-        }
-    ),
-    "overload-gate": frozenset({("RunQueue", "_nr_running")}),
-}
 
 
 class CoherenceError(AssertionError):

@@ -51,14 +51,6 @@ class Scheduler:
             autogroup_enabled=self.features.autogroup_enabled,
             metric=self.features.load_metric,
         )
-        #: Machine-wide dirty counter for cached runqueue loads; shared by
-        #: every runqueue and the cgroup manager (divisor changes dirty
-        #: member loads without any runqueue event).
-        self.load_epoch = LoadEpoch()
-        #: Bumped only on idle<->busy transitions (and hotplug): the
-        #: designated-balancer election reads nothing else, so its memo
-        #: survives ordinary load churn.
-        self.idle_epoch = LoadEpoch()
         #: Bumped when a cgroup divisor changes (attach/detach), dirtying
         #: per-queue load caches without any runqueue event.
         self.divisor_epoch = LoadEpoch()
@@ -68,14 +60,12 @@ class Scheduler:
         #: outside its local group can move nothing, so the balancers
         #: skip it (see ``repro.sched.balance.nothing_to_pull``).
         self.overload: Set[int] = set()
-        self.cgroups.bind_load_epoch(self.load_epoch, self.divisor_epoch)
+        self.cgroups.bind_divisor_epoch(self.divisor_epoch)
         self.cpus: List[Cpu] = [
             Cpu(
                 cpu_id,
                 self.probe,
-                load_epoch=self.load_epoch,
                 load_cache=self.features.fastpath,
-                idle_epoch=self.idle_epoch,
                 divisor_epoch=self.divisor_epoch,
                 sanitize=self.features.sanitize_coherence,
                 overload=self.overload,
@@ -394,8 +384,6 @@ class Scheduler:
             cpu.idle_since_us = now
             cpu.tickless = True
         self.domain_builder.set_cpu_online(cpu_id, online)
-        # Online-state changes alter designated-balancer elections.
-        self.idle_epoch.bump()
         if self.vec is not None:
             # The rebuild swapped in another (possibly shared, previously
             # seen) domain table; the mirror's id-keyed gather plans and

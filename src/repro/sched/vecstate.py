@@ -4,7 +4,7 @@
 re-reading every queue for every rebalance pass, one scheduler-lifetime
 instance keeps flat (load, nr_running) mirrors -- the loads as the exact
 objects the queues returned (see "Object exactness" below) -- and keeps
-them coherent through the existing epoch-bump protocol:
+them coherent through the runqueues' write-through invalidations:
 
 * each slot carries the timestamp it was sampled at; a sample is valid
   only at that timestamp (loads are a function of ``now``);
@@ -267,10 +267,10 @@ class VecState:
     def mark_idle_change(self, cpu_id: int) -> None:
         """This CPU crossed the idle<->busy boundary.
 
-        Wired next to the queue's ``idle_epoch.bump()`` sites.  The flip
-        is only queued; the next election or gate query reconciles the
-        queue (:meth:`_reconcile`), so a flip undone before then costs
-        nothing.
+        Wired into every runqueue mutator that moves ``nr_running``
+        across zero.  The flip is only queued; the next election or gate
+        query reconciles the queue (:meth:`_reconcile`), so a flip undone
+        before then costs nothing.
         """
         if not self._idle_queued[cpu_id]:
             self._idle_queued[cpu_id] = True
@@ -877,8 +877,6 @@ class VecState:
             "idle": [c.online and n == 0 for c, n in zip(sched.cpus, nrs)],
             "online": [c.online for c in sched.cpus],
             "epochs": {
-                "load": sched.load_epoch.value,
-                "idle": sched.idle_epoch.value,
                 "divisor": self._div_epoch,
                 "version": self._version,
             },

@@ -266,44 +266,6 @@ def test_orchestrator_fork_safety_out_of_scope():
     assert findings == []
 
 
-# ------------------------------------------------------- mutation coherence
-
-
-def test_coherence_unbumped_writes():
-    findings = lint_fixture("coherence_bad.py", "repro.sched.coherence_bad")
-    assert rule_ids(findings) == ["coherence-unbumped-write"] * 6
-    assert all(f.severity == "error" for f in findings)
-    # sneaky_insert: both writes fully unbumped.
-    assert "_q" in findings[0].message
-    assert "_nr_running" in findings[1].message
-    # half_bumped: only the missing counter is named.
-    assert "load_epoch" in findings[2].message
-    assert "mutations" not in findings[2].message.split("bump of")[1]
-    # sneaky_sorted_insert: ``self._q.insert`` and ``insort(self._q, x)``;
-    # sneaky_alias_pop: ``q = self._q; q.pop(0)``.
-    assert [f.snippet.split("(")[0] for f in findings[3:]] == [
-        "self._q.insert", "bisect.insort", "q.pop",
-    ]
-    assert all("RunQueue._q" in f.message for f in findings[3:])
-
-
-def test_coherence_ok_disciplines():
-    findings = lint_fixture("coherence_ok.py", "repro.sched.coherence_ok")
-    active = [f for f in findings if not f.suppressed]
-    assert active == [], [f.format() for f in active]
-    # The explicit opt-out in rotate() is still reported, as suppressed
-    # (finalize-phase findings honor inline noqa directives too).
-    assert rule_ids(findings) == ["coherence-unbumped-write"]
-    assert findings[0].suppressed
-
-
-def test_coherence_out_of_scope():
-    findings = lint_fixture(
-        "coherence_bad.py", "repro.experiments.coherence_bad"
-    )
-    assert findings == []
-
-
 # ----------------------------------------------------------- slo registry
 
 
@@ -349,25 +311,4 @@ def test_slo_registry_shipped_specs_clean():
     from repro.analysis.rules.sloreg import SloRegistryRule
 
     findings = list(SloRegistryRule().finalize())
-    assert findings == [], [f.format() for f in findings]
-
-
-# ------------------------------------------------ coherence: vec pairing
-
-
-def test_coherence_vec_pairing_bad():
-    findings = lint_fixture(
-        "coherence_vec_bad.py", "repro.sched.coherence_vec_bad"
-    )
-    assert rule_ids(findings) == ["coherence-unbumped-write"] * 2
-    # One finding per unpaired bump: mutations without mark_dirty,
-    # idle_epoch without mark_idle_change/on_topology_change.
-    assert "mark_dirty" in findings[0].message
-    assert "mark_idle_change" in findings[1].message
-
-
-def test_coherence_vec_pairing_ok():
-    findings = lint_fixture(
-        "coherence_vec_ok.py", "repro.sched.coherence_vec_ok"
-    )
     assert findings == [], [f.format() for f in findings]

@@ -95,9 +95,9 @@ def test_noqa_excuses_only_its_own_line(tmp_path):
 def test_repository_tree_is_lint_clean(shipped_lint):
     """Acceptance: ``repro lint`` runs clean on the shipped source tree.
 
-    "Clean" means zero *active* findings; the tree's own deliberate
-    ``# repro: noqa[...]`` exemptions (e.g. ``RunQueue.requeue``) are
-    reported as inline-suppressed and never fail the run.
+    "Clean" means zero *active* findings; a deliberate
+    ``# repro: noqa[...]`` exemption would be reported as
+    inline-suppressed and never fail the run.
     """
     code, lines, report = shipped_lint
     assert code == 0, "\n".join(lines)
@@ -118,7 +118,4 @@ def test_self_lint_suppressions_are_exactly_the_declared_ones(shipped_lint):
     suppressed = sorted(
         (f["rule"], Path(f["path"]).name) for f in report["noqa"]
     )
-    assert suppressed == [
-        ("coherence-unbumped-write", "runqueue.py"),
-        ("coherence-unbumped-write", "runqueue.py"),
-    ]
+    assert suppressed == []

@@ -20,8 +20,8 @@ def sample_findings():
             "unseeded random", snippet="jitter = random.random()",
         ),
         Finding(
-            "coherence-unbumped-write", "pkg/b.py", 0, 0,
-            "unbumped write", snippet="self._tree.remove(k)",
+            "perf-load-bypass", "pkg/b.py", 0, 0,
+            "raw load read", snippet="rq._cached_load",
             severity="error", suppressed=True,
         ),
     ]

@@ -65,29 +65,24 @@ def test_equal_vruntime_drain_matches_rbtree_order(n, ties):
     assert len(order) == n
 
 
-def test_requeue_moves_tie_position_exactly_like_tree():
-    # A requeue (vruntime change of a queued task) re-sorts the tree.
+def test_put_prev_lands_back_in_tie_order():
+    # A put_prev / set_current round trip re-inserts the task at its
+    # (vruntime, tid) position among equal-vruntime ties.
     rq = RunQueue(cpu_id=0)
     tasks = [_task(tid) for tid in (3, 1, 2, 5, 4)]
     for task in tasks:
         task.vruntime = 10
         rq.enqueue(task, now=0)
     assert rq.pick_next() is tasks[1]  # tid 1 wins the 5-way tie
-    # Push tid 1 to the back, pull tid 4 to the front, re-tie tid 5.
-    rq.requeue(tasks[1], 20, now=0)
-    rq.requeue(tasks[4], 1, now=0)
-    assert rq.pick_next() is tasks[4]
-    rq.take(tasks[4], now=0)
-    assert rq.pick_next() is tasks[2]  # the (10, 2) tie resumes
-    # put_prev / set_current round trip lands back in tie order too.
-    rq.take(tasks[2], now=0)
-    rq.set_current(tasks[2], now=0)
-    rq.put_prev(tasks[2], now=0)
-    assert rq.pick_next() is tasks[2]
+    rq.take(tasks[1], now=0)
+    rq.set_current(tasks[1], now=0)
+    assert rq.pick_next() is tasks[2]  # the (10, 2) tie is next
+    rq.put_prev(tasks[1], now=0)
+    assert rq.pick_next() is tasks[1]  # back in front of tid 2
     drained = []
     while rq.pick_next() is not None:
         drained.append(rq.take(rq.pick_next(), now=0).tid)
-    assert drained == [2, 3, 5, 1]
+    assert drained == [1, 2, 3, 4, 5]
 
 
 def _traced_stream(fastpath, seed=13):

@@ -113,7 +113,7 @@ def test_dequeue_and_take():
     b = make_task("b", vruntime=2)
     rq.enqueue(a, 0)
     rq.enqueue(b, 0)
-    rq.dequeue(a, 0)
+    assert rq.take(a, 0) is a
     assert rq.pick_next() is b
     assert rq.take(b, 0) is b
     assert rq.nr_running == 0
@@ -123,7 +123,7 @@ def test_requeue_after_vruntime_change():
     rq = RunQueue(0)
     a = make_task("a", vruntime=1)
     rq.enqueue(a, 0)
-    rq.dequeue(a, 0)
+    rq.take(a, 0)
     a.vruntime = 999
     rq.enqueue(a, 0)
     assert rq.leftmost_vruntime() == 999
@@ -135,7 +135,7 @@ def test_min_vruntime_monotonic():
     rq.enqueue(a, 0)
     rq.update_min_vruntime()
     assert rq.min_vruntime == 50
-    rq.dequeue(a, 0)
+    rq.take(a, 0)
     a.vruntime = 10  # lower than floor
     rq.update_min_vruntime()
     assert rq.min_vruntime == 50  # never goes backward
@@ -210,6 +210,19 @@ def test_pick_next_task_on_one_task_queue_notifies_zero_then_one():
     ]
 
 
+class _VecSpy:
+    """Stands in for the fast-path mirror; records the idle flips."""
+
+    def __init__(self):
+        self.idle_flips = []
+
+    def mark_dirty(self, cpu_id):
+        pass
+
+    def mark_idle_change(self, cpu_id):
+        self.idle_flips.append(cpu_id)
+
+
 def _queue_of(n, load_cache, probe):
     rq = Cpu(3, probe, load_cache=load_cache).rq
     for i in range(n):
@@ -227,7 +240,7 @@ def test_dispatch_is_take_then_set_current(n, load_cache):
     fused_probe, pair_probe = _Recorder(), _Recorder()
     fused = _queue_of(n, load_cache, fused_probe)
     pair = _queue_of(n, load_cache, pair_probe)
-    idle_before = fused.idle_epoch.value
+    fused.vec = _VecSpy()
     del fused_probe.events[:], pair_probe.events[:]
     now = 7_000
     fused.dispatch(fused.pick_next(), now)
@@ -247,7 +260,7 @@ def test_dispatch_is_take_then_set_current(n, load_cache):
     assert fused.owner.is_idle is pair.owner.is_idle is False
     assert fused.overload == pair.overload
     assert fused.load(now) == pair.load(now)
-    assert fused.idle_epoch.value == idle_before
+    assert fused.vec.idle_flips == []  # nothing queued for reconcile
 
 
 def test_dispatch_rejects_a_busy_queue():

@@ -54,7 +54,7 @@ def test_take_returns_task_and_rejects_absent():
     with pytest.raises(KeyError):
         rq.take(task, now=0)
     with pytest.raises(KeyError):
-        rq.dequeue(_task(5, 2), now=0)
+        rq.take(_task(5, 2), now=0)
 
 
 def test_tuple_keys():

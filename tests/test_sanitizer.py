@@ -1,11 +1,10 @@
 """Runtime coherence-sanitizer tests: clean soaks and seeded drift.
 
-The sanitizer (``SchedFeatures.sanitize_coherence``) is the dynamic half
-of the fast-path coherence contract: every memo hit recomputes the value
-from scratch and raises :class:`CoherenceError` naming the divergent
-field.  These tests prove both directions -- real scenarios soak clean,
-and each seeded un-bumped mutation (the exact bug class the static
-``coherence-unbumped-write`` rule flags) trips at the next hit.
+The sanitizer (``SchedFeatures.sanitize_coherence``) checks the
+fast-path coherence contract at runtime: every memo hit recomputes the
+value from scratch and raises :class:`CoherenceError` naming the
+divergent field.  These tests prove both directions -- real scenarios
+soak clean, and each seeded un-bumped mutation trips at the next hit.
 """
 
 import math
@@ -19,7 +18,7 @@ from repro.sched import balance as lb
 from repro.sched import runqueue as rq_module
 from repro.sched import wakeup as wk
 from repro.sched.features import SchedFeatures
-from repro.sched.sanitizer import FACTS, CoherenceError
+from repro.sched.sanitizer import CoherenceError
 from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task
 from repro.topology import two_nodes
@@ -53,15 +52,6 @@ def test_with_sanitizer_flag():
     off = f.with_sanitizer(False)
     assert not off.sanitize_coherence
     assert not SchedFeatures().sanitize_coherence
-
-
-def test_facts_cover_every_accessor():
-    assert set(FACTS) == {
-        "runqueue-load", "group-stats", "designated-balancer",
-        "overload-gate",
-    }
-    for deps in FACTS.values():
-        assert deps  # an accessor with no dependencies caches a constant
 
 
 # -------------------------------------------------------------- clean soaks

@@ -25,6 +25,7 @@ import repro
 from repro.sched import wakeup as wk
 from repro.sched.balance import (
     _elect_designated,
+    _elect_designated_baseline,
     _fold_group_stats,
     find_busiest_group,
 )
@@ -186,6 +187,34 @@ def test_dirty_mark_resamples_only_after_mutation():
     rq.take(task, now)  # restore
 
 
+@pytest.mark.parametrize(
+    "mutator", ["enqueue", "take", "dispatch", "set_current"]
+)
+def test_every_mutator_stales_its_own_slot(mutator):
+    """Each runqueue mutator marks its mirror slot dirty, and only it."""
+    sched = _occupied_sched(SchedFeatures(), idle=(2,))
+    now = MS
+    rq = sched.cpus[2].rq
+    task = Task("mover")
+    if mutator != "enqueue":
+        rq.enqueue(task, now)
+    if mutator == "set_current":
+        rq.dispatch(task, now)
+    vstate = sched.vec.begin(now)
+    vstate._sample(range(len(sched.cpus)))
+    version = vstate._version
+    if mutator == "enqueue":
+        rq.enqueue(task, now)
+    elif mutator == "take":
+        rq.take(task, now)
+    elif mutator == "dispatch":
+        rq.dispatch(task, now)
+    else:
+        rq.set_current(None, now)
+    assert [i for i, at in enumerate(vstate._at) if at != now] == [2]
+    assert vstate._version > version
+
+
 def test_new_timestamp_stales_every_load_slot():
     """A new timestamp stales every slot; only the slots read resample."""
     system, sched = _vec_system()
@@ -279,6 +308,41 @@ def test_designated_memo_tracks_election_on_idle_change():
     # A bare mark without a real change re-elects nothing new.
     vstate.mark_idle_change(group.sorted_balance_mask()[0])
     assert vstate.designated_for(group) == _elect_designated(sched, group)
+
+
+@pytest.mark.parametrize("leave", ["take", "migrate", "deschedule"])
+def test_cpu_going_idle_is_reelected(leave):
+    """The last task leaving a CPU makes it idle, and every memoized
+    election over it must see that flip."""
+    sched = _occupied_sched(SchedFeatures(), idle=(2,))
+    vec = sched.vec.begin(0)
+    groups = []
+    for domain in sched.domain_builder.domains_of(2):
+        group = domain.local_group(2)
+        if len(group.sorted_balance_mask()) > 1:
+            groups.append(group)
+    assert groups
+    for group in groups:
+        assert vec.designated_for(group) == 2  # the only idle CPU
+    rq = sched.cpus[2].rq
+    task = Task("mover")
+    sched.enqueue_task_on(task, 2, 0)  # queued, not dispatched
+    if leave == "deschedule":
+        rq.dispatch(task, 0)
+    for group in groups:
+        assert vec.designated_for(group) != 2  # busy now
+    if leave == "take":
+        rq.take(task, 0)
+    elif leave == "migrate":
+        sched.migrate_task(task, 2, 0, 0, "test")
+    else:
+        rq.set_current(None, 0)
+    assert sched.cpus[2].is_idle
+    for group in groups:
+        assert vec.designated_for(group) == 2
+        assert vec.designated_for(group) == _elect_designated_baseline(
+            sched, group
+        )
 
 
 def test_hotplug_drops_interned_indices_and_balance_plans():
