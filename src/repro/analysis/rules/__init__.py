@@ -20,7 +20,6 @@ from repro.analysis.rules.flags import FeatureFlagRule
 from repro.analysis.rules.layering import LayeringRule, layering_rules
 from repro.analysis.rules.orchestrator import OrchestratorForkSafetyRule
 from repro.analysis.rules.perf import LoadBypassRule
-from repro.analysis.rules.sloreg import SloRegistryRule
 
 
 def default_rules() -> List[Rule]:
@@ -33,7 +32,6 @@ def default_rules() -> List[Rule]:
         FeatureFlagRule(),
         LoadBypassRule(),
         OrchestratorForkSafetyRule(),
-        SloRegistryRule(),
     ]
     rules.extend(layering_rules())
     return rules
@@ -49,6 +47,5 @@ __all__ = [
     "LayeringRule",
     "LoadBypassRule",
     "OrchestratorForkSafetyRule",
-    "SloRegistryRule",
     "layering_rules",
 ]

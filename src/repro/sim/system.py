@@ -399,7 +399,8 @@ class System:
     def _on_sleep(
         self, cpu_id: int, task: Task, phase: Sleep, now: int
     ) -> bool:
-        self._leave_cpu(cpu_id, task, TaskState.SLEEPING)
+        self._switch_out(cpu_id, requeue=False)
+        task.state = TaskState.SLEEPING
         self.loop.schedule(
             max(phase.duration_us, 1),
             partial(self._timer_wake, task),
@@ -410,7 +411,8 @@ class System:
         return True
 
     def _on_exit(self, cpu_id: int, task: Task, phase: Exit, now: int) -> bool:
-        self._leave_cpu(cpu_id, task, TaskState.EXITED)
+        self._switch_out(cpu_id, requeue=False)
+        task.state = TaskState.EXITED
         self.scheduler.task_exited(task, now)
         self._dispatch(cpu_id)
         return True
@@ -425,7 +427,8 @@ class System:
             task.spin_started_us = now
             return True  # spins on-CPU
         task.blocked_on = phase.lock
-        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._switch_out(cpu_id, requeue=False)
+        task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
         return True
 
@@ -456,7 +459,8 @@ class System:
             task.spin_started_us = now
             return True  # spins on-CPU
         task.blocked_on = barrier
-        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._switch_out(cpu_id, requeue=False)
+        task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
         return True
 
@@ -483,7 +487,8 @@ class System:
         if phase.channel.get(task):
             return False
         task.blocked_on = phase.channel
-        self._leave_cpu(cpu_id, task, TaskState.BLOCKED)
+        self._switch_out(cpu_id, requeue=False)
+        task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
         return True
 
@@ -502,17 +507,6 @@ class System:
         child = self._create_task(phase.spec)
         self.scheduler.place_new_task(child, cpu_id, now)
         return False
-
-    def _leave_cpu(self, cpu_id: int, task: Task, state: TaskState) -> None:
-        """Deschedule the running task without requeuing it."""
-        now = self.loop.now
-        self.scheduler.account(cpu_id, now)
-        handle = self._phase_events.pop(cpu_id, None)
-        if handle is not None:
-            handle.cancel()
-        self.scheduler.deschedule(cpu_id, now, requeue=False)
-        task.state = state
-        task.phase_started_us = None
 
     def _grant_to_spinner(self, task: Task) -> None:
         """A running spinner just received lock ownership: resume it."""

@@ -53,6 +53,7 @@ from repro.perf.orchestrator import (
     OrchestratorRun,
     ResultCache,
     TrialSpec,
+    resolve_kind,
     run_trials,
 )
 from repro.slo._toml import TOMLError, load_toml
@@ -62,7 +63,7 @@ from repro.slo.report import (
     SLOReport,
     SLOThresholds,
 )
-from repro.slo.trial import MixEntry, encode_mix
+from repro.slo.trial import TOPOLOGIES, MixEntry, encode_mix
 
 PathLike = Union[str, Path]
 
@@ -160,7 +161,12 @@ def _parse_workloads(
 
 
 def load_scenario(path: PathLike) -> ScenarioSpec:
-    """Parse and structurally validate one scenario TOML file."""
+    """Parse and validate one scenario TOML file.
+
+    Besides the structure, every reference must resolve: the ``trial``
+    kind and each workload ``spec`` import as ``module:function``, and
+    ``topology`` names a :data:`~repro.slo.trial.TOPOLOGIES` preset.
+    """
     source = str(path)
     try:
         doc = load_toml(path)
@@ -175,14 +181,20 @@ def load_scenario(path: PathLike) -> ScenarioSpec:
 
     name = str(_require(table, "name", source))
     trial = str(_require(table, "trial", source))
-    if ":" not in trial:
-        raise ValueError(
-            f"{source}: trial must be 'module:function', got {trial!r}"
-        )
     workloads = _parse_workloads(table.get("workload", []), source)
+    refs = [("trial", trial)] + [("workload spec", w.spec) for w in workloads]
+    for what, ref in refs:
+        try:
+            resolve_kind(ref)
+        except (ImportError, ValueError) as exc:
+            raise ValueError(
+                f"{source}: {what} {ref!r} does not resolve: {exc}"
+            ) from None
     topology = table.get("topology")
     if topology is not None and not isinstance(topology, str):
         raise ValueError(f"{source}: topology must be a string")
+    if topology is not None and topology not in TOPOLOGIES:
+        raise ValueError(f"{source}: unknown topology {topology!r}")
     default_variants = (
         _BUG_VARIANTS if not workloads else ("base",)
     )
@@ -197,12 +209,6 @@ def load_scenario(path: PathLike) -> ScenarioSpec:
     params_table = table.get("params", {})
     if not isinstance(params_table, dict):
         raise ValueError(f"{source}: scenario.params must be a table")
-    for ref in [w.spec for w in workloads]:
-        if ":" not in ref:
-            raise ValueError(
-                f"{source}: workload spec must be 'module:function', "
-                f"got {ref!r}"
-            )
     slo_table = doc.get("slo", {})
     if not isinstance(slo_table, dict):
         raise ValueError(f"{source}: [slo] must be a table")

@@ -1,11 +1,13 @@
-"""The census of planted invalidation faults.
+"""The census of planted faults.
 
 Every cache the fast path keeps (the runqueue load memo, the
 ``VecState`` load mirror and designated-balancer memo, the spare set)
 stays coherent only because each mutator invalidates it at the right
-place.  Each :class:`Plant` below disables one of those invalidations
-and names the tier-1 tests that must fail once it is in, so a deletion
-that leaves one of them unguarded shows up as a plant that got through.
+place, and a scenario file is only as good as the loader's checks of
+the references it names.  Each :class:`Plant` below disables one of
+those invalidations or checks and names the tier-1 tests that must fail
+once it is in, so a deletion that leaves one of them unguarded shows up
+as a plant that got through.
 
 ``python -m tests.census.run`` applies every plant to a fresh copy of
 the tree; ``tests/test_census.py`` checks in tier-1 that every planted
@@ -64,6 +66,15 @@ ZERO_COUNT = (
 )
 GROUP_STATS_DRIFT = SANITIZER + "test_trips_on_group_stats_drift"
 DISPATCH_PAIR = "tests/test_runqueue.py::test_dispatch_is_take_then_set_current"
+MEMBERSHIP = (
+    "tests/test_fastpath.py::"
+    "test_load_memo_sees_group_membership_change_on_another_cpu"
+)
+DANGLING = (
+    "tests/test_slo_registry.py::"
+    "test_load_scenario_rejects_dangling_reference"
+)
+LOAD_SCENARIO = "src/repro/slo/registry.py::load_scenario"
 
 
 def _stales(mutator: str) -> str:
@@ -160,17 +171,34 @@ PLANTS: Tuple[Plant, ...] = (
     )),
     Plant(
         "src/repro/sched/cgroup.py::CGroupManager.attach",
-        "self._divisor_epoch.bump()", "pass", (MAKE_AND_R,),
+        "self._divisor_epoch.bump()", "pass", (
+            MEMBERSHIP + "[attach]",
+            MAKE_AND_R,
+        ),
     ),
     Plant(
         "src/repro/sched/cgroup.py::CGroupManager.detach",
-        "self._divisor_epoch.bump()", "pass", (TPCH + "[fixes0]",),
+        "self._divisor_epoch.bump()", "pass", (
+            MEMBERSHIP + "[detach]",
+            TPCH + "[fixes0]",
+        ),
     ),
     Plant(
         "src/repro/sched/scheduler.py::Scheduler.set_cpu_online",
         "self.vec.on_topology_change()", "pass", (
+            VECSTATE + "test_hotplug_cycle_reelects_over_the_new_domain_table",
             VECSTATE + "test_hotplug_drops_interned_indices_and_balance_plans",
             VECSTATE + "TestFastAnswers::runTest",
         ),
+    ),
+    Plant(LOAD_SCENARIO, "resolve_kind(ref)", "pass", (
+        DANGLING + "[trial]",
+        DANGLING + "[workload-spec]",
+    )),
+    Plant(
+        LOAD_SCENARIO,
+        'raise ValueError(f"{source}: unknown topology {topology!r}")',
+        "pass",
+        (DANGLING + "[topology]",),
     ),
 )

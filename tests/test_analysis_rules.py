@@ -264,51 +264,3 @@ def test_orchestrator_fork_safety_out_of_scope():
         "repro.workloads.orchestrator_fork_bad",
     )
     assert findings == []
-
-
-# ----------------------------------------------------------- slo registry
-
-
-def test_slo_registry_bad():
-    from repro.analysis.rules.sloreg import SloRegistryRule
-
-    path = FIXTURES / "slo_registry_bad.toml"
-    assert path.exists(), f"missing fixture {path}"
-    findings = sorted(
-        SloRegistryRule(spec_paths=[path]).finalize(),
-        key=lambda f: f.sort_key(),
-    )
-    assert rule_ids(findings) == ["slo-registry"] * 3
-    messages = " ".join(f.message for f in findings)
-    assert "no_such_trial" in messages
-    assert "no_such_workload" in messages
-    assert "no_such_topology" in messages
-    # Findings anchor on the offending line of the TOML file.
-    assert all(f.line > 0 for f in findings)
-
-
-def test_slo_registry_ok():
-    from repro.analysis.rules.sloreg import SloRegistryRule
-
-    path = FIXTURES / "slo_registry_ok.toml"
-    findings = list(SloRegistryRule(spec_paths=[path]).finalize())
-    assert findings == [], [f.format() for f in findings]
-
-
-def test_slo_registry_structural_error(tmp_path):
-    from repro.analysis.rules.sloreg import SloRegistryRule
-
-    path = tmp_path / "broken.toml"
-    path.write_text('[scenario]\nname = "x"\n')  # no trial key
-    findings = list(SloRegistryRule(spec_paths=[path]).finalize())
-    assert len(findings) == 1
-    assert "invalid scenario spec" in findings[0].message
-
-
-def test_slo_registry_shipped_specs_clean():
-    # default_rules() ships the rule pointed at the packaged registry;
-    # the shipped scenario files must therefore always lint clean.
-    from repro.analysis.rules.sloreg import SloRegistryRule
-
-    findings = list(SloRegistryRule().finalize())
-    assert findings == [], [f.format() for f in findings]

@@ -189,6 +189,30 @@ def test_load_cache_invalidated_by_divisor_epoch():
     assert rq.load_cache_hits == hits
 
 
+@pytest.mark.parametrize("change", ["attach", "detach"])
+def test_load_memo_sees_group_membership_change_on_another_cpu(change):
+    """A member joining or leaving an autogroup changes every member's
+    divisor, so a queue's memoized load goes stale even when the member
+    that moved sits on another CPU."""
+    sched = Scheduler(two_nodes(cores_per_node=4), SchedFeatures())
+    group = sched.cgroups.autogroup_for_tty("pts/1")
+    members = [Task(f"m{i}") for i in range(3)]
+    for task, cpu_id in zip(members, (0, 0, 1)):
+        sched.cgroups.attach(task, group)
+        sched.enqueue_task_on(task, cpu_id, 0)
+    rq = sched.cpus[0].rq
+    now = 10_000
+    rq.load(now)
+    if change == "attach":
+        joiner = Task("joiner")
+        sched.cgroups.attach(joiner, group)
+        sched.enqueue_task_on(joiner, 1, now)
+    else:
+        sched.cpus[1].rq.take(members[2], now)
+        sched.cgroups.detach(members[2])
+    assert rq.load(now) == load_sum(t.load(now) for t in rq.all_tasks())
+
+
 # ------------------------------------------------------ balance-mirror memos
 
 

@@ -34,6 +34,23 @@ max_idle_overload = 1.0
 """
 
 
+MIX = """
+[scenario]
+name = "mix"
+trial = "repro.slo.trial:mix_slo_trial"
+seeds = [1]
+duration_ms = 10
+topology = "two_nodes_4"
+
+[[scenario.workload]]
+spec = "repro.slo.trial:hog"
+count = 2
+
+[slo]
+max_p99_us = 1000
+"""
+
+
 @pytest.fixture
 def tiny_path(tmp_path):
     path = tmp_path / "tiny.toml"
@@ -98,6 +115,37 @@ def test_load_scenario_rejects_unknown_keys(tmp_path):
         path.write_text(TINY.replace("duration_ms = 50", extra))
         with pytest.raises(ValueError, match=f"unknown key '{key}'"):
             load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "template, good, bad",
+    [
+        pytest.param(
+            TINY, "repro.slo.trial:bug_slo_trial",
+            "repro.slo.trial:no_such_trial", id="trial",
+        ),
+        pytest.param(
+            MIX, "repro.slo.trial:hog",
+            "repro.slo.trial:no_such_workload", id="workload-spec",
+        ),
+        pytest.param(MIX, "two_nodes_4", "no_such_topology", id="topology"),
+    ],
+)
+def test_load_scenario_rejects_dangling_reference(
+    tmp_path, template, good, bad
+):
+    # The loader every run goes through resolves each reference, so a
+    # typo fails when the file loads, not inside a pool worker.
+    path = tmp_path / "dangling.toml"
+    path.write_text(template)
+    load_scenario(path)
+    assert template.count(f'"{good}"') == 1
+    path.write_text(template.replace(f'"{good}"', f'"{bad}"'))
+    with pytest.raises(ValueError) as excinfo:
+        load_scenario(path)
+    message = str(excinfo.value)
+    assert message.startswith(f"{path}: ")
+    assert repr(bad) in message
 
 
 def test_load_registry_rejects_duplicate_names(tmp_path, tiny_path):

@@ -371,6 +371,38 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
     system.hotplug_cpu(1, True)
 
 
+def test_hotplug_cycle_reelects_over_the_new_domain_table():
+    """An offline/online cycle swaps the domain table -- here back to the
+    very same interned one, so the old memo keys match again.  CPU 2
+    goes idle and its flip is reconciled while it is offline, where the
+    incremental update skips it; only the hotplug reset can bring the
+    elections over it up to date."""
+    sched = _occupied_sched(
+        SchedFeatures().with_fixes("missing_domains"), idle=()
+    )
+    table = sched.domain_builder._domains
+
+    def elect_all():
+        vec = sched.vec.begin(0)
+        for cpu in sched.cpus:
+            if not cpu.online:
+                continue
+            for domain in sched.domain_builder.domains_of(cpu.cpu_id):
+                group = domain.local_group(cpu.cpu_id)
+                yield group, vec.designated_for(group)
+
+    before = {id(group): winner for group, winner in elect_all()}
+    sched.deschedule(2, 0, requeue=False)
+    sched.set_cpu_online(2, False, 0)
+    list(elect_all())
+    sched.set_cpu_online(2, True, 0)
+    assert sched.domain_builder._domains is table
+    elections = list(elect_all())
+    assert any(before[id(group)] != winner for group, winner in elections)
+    for group, winner in elections:
+        assert winner == _elect_designated_baseline(sched, group)
+
+
 # ----------------------------------------------- periodic-balance gates
 
 
@@ -619,7 +651,8 @@ class FastAnswersMachine(RuleBasedStateMachine):
 
 
 FastAnswersMachine.TestCase.settings = settings(
-    max_examples=60, stateful_step_count=40, deadline=None
+    max_examples=60, stateful_step_count=40, deadline=None,
+    derandomize=True,
 )
 TestFastAnswers = FastAnswersMachine.TestCase
 
