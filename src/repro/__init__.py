@@ -20,62 +20,33 @@ the workload models (NAS, kernel make, R, a TPC-H database) and one
 experiment driver per table/figure in ``repro.experiments``.
 """
 
-from repro.core.bugs import BUGS, Bug
-from repro.core.invariant import Violation, find_violations
-from repro.core.offline import find_trace_violations, load_trace, save_trace
-from repro.core.sanity_checker import BugReport, SanityChecker
-from repro.obs import MetricsRegistry, ObsSession
-from repro.sched.features import ALL_FIXED, MAINLINE, SchedFeatures
-from repro.sched.task import Task, TaskState
-from repro.sim.system import System
-from repro.sim.timebase import MS, SEC, TICK_US, US
-from repro.stats.metrics import IdleOverloadSampler, summarize_tasks
-from repro.topology import (
-    Interconnect,
-    MachineTopology,
-    amd_bulldozer_64,
-    single_node,
-    two_nodes,
-)
-from repro.viz.events import TraceBuffer, TraceProbe
-from repro.viz.heatmap import HeatmapBuilder, render_ascii_heatmap
-from repro.workloads.base import TaskSpec
+from repro._exports import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ALL_FIXED",
-    "BUGS",
-    "Bug",
-    "BugReport",
-    "HeatmapBuilder",
-    "IdleOverloadSampler",
-    "Interconnect",
-    "MAINLINE",
-    "MS",
-    "MachineTopology",
-    "MetricsRegistry",
-    "ObsSession",
-    "SEC",
-    "SanityChecker",
-    "SchedFeatures",
-    "System",
-    "TICK_US",
-    "Task",
-    "TaskSpec",
-    "TaskState",
-    "TraceBuffer",
-    "TraceProbe",
-    "US",
-    "Violation",
-    "amd_bulldozer_64",
-    "find_trace_violations",
-    "find_violations",
-    "load_trace",
-    "render_ascii_heatmap",
-    "save_trace",
-    "single_node",
-    "summarize_tasks",
-    "two_nodes",
-    "__version__",
-]
+_EXPORTS = {
+    "repro.core.bugs": ("BUGS", "Bug"),
+    "repro.core.invariant": ("Violation", "find_violations"),
+    "repro.core.offline": (
+        "find_trace_violations",
+        "load_trace",
+        "save_trace",
+    ),
+    "repro.core.sanity_checker": ("BugReport", "SanityChecker"),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.session": ("ObsSession",),
+    "repro.sched.features": ("ALL_FIXED", "MAINLINE", "SchedFeatures"),
+    "repro.sched.task": ("Task", "TaskState"),
+    "repro.sim.system": ("System",),
+    "repro.sim.timebase": ("MS", "SEC", "TICK_US", "US"),
+    "repro.stats.metrics": ("IdleOverloadSampler", "summarize_tasks"),
+    "repro.topology.interconnect": ("Interconnect",),
+    "repro.topology.machine": ("MachineTopology",),
+    "repro.topology.presets": ("amd_bulldozer_64", "single_node", "two_nodes"),
+    "repro.viz.events": ("TraceBuffer", "TraceProbe"),
+    "repro.viz.heatmap": ("HeatmapBuilder", "render_ascii_heatmap"),
+    "repro.workloads.base": ("TaskSpec",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)
+__all__ += ["__version__"]

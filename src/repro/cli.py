@@ -676,10 +676,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Commands that run trials through the orchestrator, and so read the
+#: worker count (``-j`` or ``REPRO_JOBS``) and ``REPRO_START_METHOD``.
+_TRIAL_COMMANDS = frozenset({
+    _cmd_table1, _cmd_table2, _cmd_table3, _cmd_figure2, _cmd_figure3,
+    _cmd_figure5, _cmd_overhead, _cmd_report, _cmd_slo_run, _cmd_slo_check,
+})
+
+
+def check_workers(args: argparse.Namespace) -> Optional[str]:
+    """Why a trial command's worker settings are unusable, or None.
+
+    Resolves the worker count and start method the orchestrator will use
+    with its own resolvers, so a bad value stops the command before any
+    work instead of failing inside the run.
+    """
+    if args.func not in _TRIAL_COMMANDS:
+        return None
+    from repro.perf.orchestrator import resolve_jobs, resolve_start_method
+
+    try:
+        resolve_jobs(getattr(args, "jobs", None))
+        resolve_start_method()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    error = check_workers(args)
+    if error is not None:
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     try:
         return int(args.func(args))
     except BrokenPipeError:

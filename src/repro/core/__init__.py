@@ -13,29 +13,19 @@
 * :mod:`~repro.core.bugs` -- the bug registry behind Table 4.
 """
 
-from repro.core.bugs import BUGS, Bug, bug_by_name
-from repro.core.invariant import Violation, find_violations, has_violation
-from repro.core.offline import (
-    OfflineViolation,
-    find_trace_violations,
-    load_trace,
-    save_trace,
-)
-from repro.core.profiler import BalanceProfiler
-from repro.core.sanity_checker import BugReport, SanityChecker
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BUGS",
-    "BalanceProfiler",
-    "Bug",
-    "BugReport",
-    "OfflineViolation",
-    "SanityChecker",
-    "Violation",
-    "bug_by_name",
-    "find_trace_violations",
-    "find_violations",
-    "has_violation",
-    "load_trace",
-    "save_trace",
-]
+_EXPORTS = {
+    "repro.core.bugs": ("BUGS", "Bug", "bug_by_name"),
+    "repro.core.invariant": ("Violation", "find_violations", "has_violation"),
+    "repro.core.offline": (
+        "OfflineViolation",
+        "find_trace_violations",
+        "load_trace",
+        "save_trace",
+    ),
+    "repro.core.profiler": ("BalanceProfiler",),
+    "repro.core.sanity_checker": ("BugReport", "SanityChecker"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

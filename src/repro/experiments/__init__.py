@@ -10,13 +10,15 @@ suite runs in minutes.  Factors and percentages are scale-invariant (they
 compare two configurations of the same workload).
 """
 
-from repro.experiments.harness import ExperimentConfig, averaged, quick_scale
-from repro.experiments.report import Table, format_table
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "Table",
-    "averaged",
-    "format_table",
-    "quick_scale",
-]
+_EXPORTS = {
+    "repro.experiments.harness": (
+        "ExperimentConfig",
+        "averaged",
+        "quick_scale",
+    ),
+    "repro.experiments.report": ("Table", "format_table"),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

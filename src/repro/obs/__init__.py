@@ -20,24 +20,19 @@ callbacks, sanity-checker events and idle-overload sampler ticks.
   of the recorder and the trace builder onto a simulated system.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-)
-from repro.obs.recorder import MetricsRecorder
-from repro.obs.session import ObsSession
-from repro.obs.trace_export import ChromeTraceBuilder
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ChromeTraceBuilder",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRecorder",
-    "MetricsRegistry",
-    "MetricsSnapshot",
-    "ObsSession",
-]
+_EXPORTS = {
+    "repro.obs.metrics": (
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "MetricsRegistry",
+        "MetricsSnapshot",
+    ),
+    "repro.obs.recorder": ("MetricsRecorder",),
+    "repro.obs.session": ("ObsSession",),
+    "repro.obs.trace_export": ("ChromeTraceBuilder",),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

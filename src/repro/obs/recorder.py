@@ -19,7 +19,7 @@ exactly the numbers the paper says standard tools throw away:
   (domain, outcome), ``sched_wakeups_total`` by idle/busy landing.
 * ``checker_*_total`` -- the sanity checker's detection funnel (checks,
   violations seen, transients, confirmed bugs).
-* ``engine_callbacks_total`` by event-loop label class, attributing heap
+* ``engine_callbacks_total`` by event-loop label, attributing heap
   callbacks (``tick``, ``phase-end``, ``wake``) in one counter.
 
 It consumes no load samples, so attaching it never makes the runqueues
@@ -32,13 +32,6 @@ from typing import Dict, Iterable, Mapping, Optional
 
 from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.viz.events import Probe
-
-
-def _label_class(label: str) -> str:
-    """Collapse per-task labels (``phase-end:17``) to their class."""
-    if not label:
-        return "unlabeled"
-    return label.split(":", 1)[0]
 
 
 class MetricsRecorder(Probe):
@@ -166,8 +159,8 @@ class MetricsRecorder(Probe):
             self._wakeup_pending.pop(tid, None)
             self._last_switch_in.pop(tid, None)
 
-    def on_callback(self, now: int, label: str) -> None:
-        self._engine.inc(label=_label_class(label))
+    def on_callback(self, now: int, label: str, tag: Optional[int]) -> None:
+        self._engine.inc(label=label or "unlabeled")
 
     def on_checker(
         self, now: int, event: str, fields: Mapping[str, object]

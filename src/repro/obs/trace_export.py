@@ -191,11 +191,12 @@ class ChromeTraceBuilder(Probe):
             record["args"] = args
         self._add(record)
 
-    def on_callback(self, now: int, label: str) -> None:
+    def on_callback(self, now: int, label: str, tag: Optional[int]) -> None:
+        name = label if tag is None else f"{label}:{tag}"
         self._add(
             {
                 "ph": "i", "s": "t", "pid": ENGINE_PID, "tid": 0,
-                "ts": now, "name": label or "callback", "cat": "engine",
+                "ts": now, "name": name or "callback", "cat": "engine",
             }
         )
 

@@ -22,7 +22,6 @@ Worker determinism (both ``fork`` and ``spawn`` start methods):
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import random
 import time
@@ -45,6 +44,7 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     default keeps existing behavior unchanged); 0 means "one worker per
     available core"; negative counts are rejected.
     """
+    source = "jobs"
     if jobs is None:
         raw = os.environ.get(JOBS_ENV)
         if raw is None or raw.strip() == "":
@@ -55,8 +55,9 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
             raise ValueError(
                 f"{JOBS_ENV} must be an integer, got {raw!r}"
             ) from None
+        source = JOBS_ENV
     if jobs < 0:
-        raise ValueError(f"jobs must be >= 0, got {jobs}")
+        raise ValueError(f"{source} must be >= 0, got {jobs}")
     if jobs == 0:
         return os.cpu_count() or 1
     return jobs
@@ -73,6 +74,8 @@ def resolve_start_method(method: Optional[str] = None) -> Optional[str]:
         method = os.environ.get(START_METHOD_ENV) or None
     if method is None:
         return None
+    import multiprocessing
+
     available = multiprocessing.get_all_start_methods()
     if method not in available:
         raise ValueError(
@@ -104,19 +107,26 @@ def _scrub_global_rng(spec: TrialSpec) -> None:
     random.setstate(random.Random(derived).getstate())
 
 
-def _execute_one(item: Tuple[int, TrialSpec]) -> ExecutedTrial:
-    """Run one spec in the current process (worker entry point)."""
+def _execute_one(
+    item: Tuple[int, TrialSpec], worker: Optional[str] = None
+) -> ExecutedTrial:
+    """Run one spec in the current process (the pool's worker entry point).
+
+    The record names ``worker``, or the pool worker's process name when
+    none is given.
+    """
     index, spec = item
     _scrub_global_rng(spec)
     fn = resolve_kind(spec.kind)
     start = time.perf_counter()
     result = fn(spec)
     wall = time.perf_counter() - start
+    if worker is None:
+        import multiprocessing
+
+        worker = multiprocessing.current_process().name
     return ExecutedTrial(
-        index=index,
-        result=result,
-        wall_seconds=wall,
-        worker=multiprocessing.current_process().name,
+        index=index, result=result, wall_seconds=wall, worker=worker
     )
 
 
@@ -142,17 +152,13 @@ def run_pool(
     executed: Dict[int, ExecutedTrial] = {}
     if jobs <= 1 or len(items) <= 1:
         for item in items:
-            record = _execute_one(item)
-            record = ExecutedTrial(
-                index=record.index,
-                result=record.result,
-                wall_seconds=record.wall_seconds,
-                worker="serial",
-            )
+            record = _execute_one(item, worker="serial")
             executed[record.index] = record
             if on_result is not None:
                 on_result(record)
     else:
+        import multiprocessing
+
         ctx = multiprocessing.get_context(resolve_start_method(start_method))
         workers = min(jobs, len(items))
         with ctx.Pool(processes=workers) as pool:

@@ -11,11 +11,10 @@ ever thinking about concurrency.  The flow per spec:
 3. fresh results are written back to the cache (unless the spec opted
    out) and merged into the outcome list at their original index.
 
-Progress and utilization are reported through ``repro.obs`` metrics --
-``orchestrator_trials`` (by status and worker), and the
-``orchestrator_trial_us`` per-trial wall-time histogram -- plus a
-:class:`PoolStats` summary with per-worker busy time and the pool's
-overall utilization (busy-time / (jobs x wall-time)).
+Progress is reported per finished trial through the optional
+``progress`` hook, and utilization as a :class:`PoolStats` summary:
+executed and cached trials, per-worker busy time and the pool's overall
+utilization (busy-time / (jobs x wall-time)).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.obs.metrics import MetricsRegistry
 from repro.perf.orchestrator.cache import ResultCache
 from repro.perf.orchestrator.pool import (
     ExecutedTrial,
@@ -140,26 +138,15 @@ def run_trials(
     cache: Optional[ResultCache] = None,
     start_method: Optional[str] = None,
     progress: Optional[Progress] = None,
-    metrics: Optional[MetricsRegistry] = None,
 ) -> OrchestratorRun:
     """Execute a spec list; outcomes come back in spec order.
 
     ``jobs=None`` defers to ``REPRO_JOBS`` and then to serial execution,
     so callers that never pass the parameter behave exactly as the
     pre-orchestrator drivers did.  ``cache=None`` disables caching.
-    The optional ``metrics`` registry receives the orchestrator's
-    counters; a private one is created (and carried on the returned
-    stats' behalf) otherwise.
     """
     resolved_jobs = resolve_jobs(jobs)
     method = resolve_start_method(start_method)
-    registry = metrics if metrics is not None else MetricsRegistry()
-    trials_counter = registry.counter(
-        "orchestrator_trials", "trials by status and worker"
-    )
-    wall_histogram = registry.histogram(
-        "orchestrator_trial_us", "per-trial execution wall time"
-    )
 
     started = time.perf_counter()
     outcomes: List[Optional[TrialOutcome]] = [None] * len(specs)
@@ -179,7 +166,6 @@ def run_trials(
             worker="cache",
         )
         outcomes[index] = outcome
-        trials_counter.inc(status="hit", worker="cache")
         completed += 1
         if progress is not None:
             progress(completed, len(specs), outcome)
@@ -200,10 +186,6 @@ def run_trials(
         stats = workers.setdefault(record.worker, WorkerStats())
         stats.trials += 1
         stats.busy_seconds += record.wall_seconds
-        trials_counter.inc(status="executed", worker=record.worker)
-        wall_histogram.observe(
-            record.wall_seconds * 1e6, worker=record.worker
-        )
         if cache is not None and spec.cache:
             cache.put(spec, record.result, record.wall_seconds)
         completed += 1

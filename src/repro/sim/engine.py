@@ -41,10 +41,10 @@ class Event:
     so heapq compares plain ints in C (the unique ``seq`` guarantees the
     event object is never reached by a compare).
 
-    The label the loop reports is ``label``, or ``label:tag`` when a
-    ``tag`` is given; it is formatted only while
-    :attr:`EventLoop.on_callback` is set, so untraced runs never build
-    label strings.
+    The loop reports ``label`` and ``tag`` (an int, or ``None``) to
+    :attr:`EventLoop.on_callback` as they are; a consumer that wants one
+    string formats ``label:tag`` itself, so no run builds label strings
+    it does not keep.
     """
 
     __slots__ = (
@@ -81,12 +81,6 @@ class Event:
         self.cancelled = True
         self._loop._note_cancel()
 
-    def full_label(self) -> str:
-        """The label :attr:`EventLoop.on_callback` is handed."""
-        if self.tag is None:
-            return self.label
-        return f"{self.label}:{self.tag}"
-
 
 class EventLoop:
     """A discrete-event loop over integer-microsecond virtual time."""
@@ -107,10 +101,12 @@ class EventLoop:
         self._compact_enabled = compact
         #: Number of compaction passes performed (read by tests).
         self.compactions = 0
-        #: Called as ``on_callback(now, label)`` before each callback runs,
-        #: so traces can attribute heap activity (tick vs phase-end vs
-        #: wake); ``None`` when nobody listens (one test per event).
-        self.on_callback: Optional[Callable[[int, str], None]] = None
+        #: Called as ``on_callback(now, label, tag)`` before each callback
+        #: runs, so traces can attribute heap activity (tick vs phase-end
+        #: vs wake); ``None`` when nobody listens (one test per event).
+        self.on_callback: Optional[
+            Callable[[int, str, Optional[int]], None]
+        ] = None
 
     @property
     def events_fired(self) -> int:
@@ -249,7 +245,7 @@ class EventLoop:
                 self.now = event.when
                 self._events_fired += 1
                 if self.on_callback is not None:
-                    self.on_callback(self.now, event.full_label())
+                    self.on_callback(self.now, event.label, event.tag)
                 event.callback()
                 if condition is not None and (
                     check_interval is None or self.now >= next_check

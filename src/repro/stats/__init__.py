@@ -1,27 +1,21 @@
 """Run metrics: utilization, idle-while-overloaded time, energy, tasks."""
 
-from repro.stats.energy import (
-    EnergyReport,
-    PowerModel,
-    energy_waste_vs,
-    measure_energy,
-)
-from repro.stats.metrics import (
-    IdleOverloadSampler,
-    TaskSummary,
-    machine_utilization,
-    node_busy_times,
-    summarize_tasks,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "EnergyReport",
-    "IdleOverloadSampler",
-    "PowerModel",
-    "TaskSummary",
-    "energy_waste_vs",
-    "machine_utilization",
-    "measure_energy",
-    "node_busy_times",
-    "summarize_tasks",
-]
+_EXPORTS = {
+    "repro.stats.energy": (
+        "EnergyReport",
+        "PowerModel",
+        "energy_waste_vs",
+        "measure_energy",
+    ),
+    "repro.stats.metrics": (
+        "IdleOverloadSampler",
+        "TaskSummary",
+        "machine_utilization",
+        "node_busy_times",
+        "summarize_tasks",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -13,35 +13,31 @@ fixed-size in-memory array.  This package is the equivalent:
 * :mod:`~repro.viz.timeline` -- per-core execution timelines.
 """
 
-from repro.viz.events import (
-    ConsideredEvent,
-    FanoutProbe,
-    LoadEvent,
-    MigrationEvent,
-    NrRunningEvent,
-    Probe,
-    TraceBuffer,
-    TraceProbe,
-    WakeupEvent,
-)
-from repro.viz.gaps import ActivityGap, GapReport, analyze_gaps, find_gaps
-from repro.viz.heatmap import HeatmapBuilder, render_ascii_heatmap, render_svg_heatmap
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ActivityGap",
-    "ConsideredEvent",
-    "GapReport",
-    "analyze_gaps",
-    "find_gaps",
-    "FanoutProbe",
-    "HeatmapBuilder",
-    "LoadEvent",
-    "MigrationEvent",
-    "NrRunningEvent",
-    "Probe",
-    "TraceBuffer",
-    "TraceProbe",
-    "WakeupEvent",
-    "render_ascii_heatmap",
-    "render_svg_heatmap",
-]
+_EXPORTS = {
+    "repro.viz.events": (
+        "ConsideredEvent",
+        "FanoutProbe",
+        "LoadEvent",
+        "MigrationEvent",
+        "NrRunningEvent",
+        "Probe",
+        "TraceBuffer",
+        "TraceProbe",
+        "WakeupEvent",
+    ),
+    "repro.viz.gaps": (
+        "ActivityGap",
+        "GapReport",
+        "analyze_gaps",
+        "find_gaps",
+    ),
+    "repro.viz.heatmap": (
+        "HeatmapBuilder",
+        "render_ascii_heatmap",
+        "render_svg_heatmap",
+    ),
+}
+
+__all__, __getattr__, __dir__ = lazy_exports(globals(), _EXPORTS)

@@ -229,15 +229,16 @@ class Probe:
     ) -> None:
         """A CPU switched what it executes (either tid may be ``None``)."""
 
-    def on_callback(self, now: int, label: str) -> None:
-        """The event loop is about to run the callback labelled ``label``."""
+    def on_callback(self, now: int, label: str, tag: Optional[int]) -> None:
+        """The event loop is about to run the callback labelled ``label``
+        (``tag`` is the event's int tag, such as a tid, or ``None``)."""
 
     def wants_callback(self) -> bool:
         """True when :meth:`on_callback` consumes its labels.
 
         The system hands the event loop this probe's :meth:`on_callback`
-        only while this answers True, so runs nobody traces never format
-        an event label.  The default detects an override, like
+        only while this answers True, so runs nobody traces make no call
+        per event.  The default detects an override, like
         :meth:`wants_rq_load`.
         """
         return type(self).on_callback is not Probe.on_callback
@@ -500,9 +501,9 @@ class FanoutProbe(Probe):
         for probe in self.probes:
             probe.on_sched_switch(now, cpu, prev_tid, next_tid, next_name)
 
-    def on_callback(self, now: int, label: str) -> None:
+    def on_callback(self, now: int, label: str, tag: Optional[int]) -> None:
         for probe in self.probes:
-            probe.on_callback(now, label)
+            probe.on_callback(now, label, tag)
 
     def wants_callback(self) -> bool:
         for probe in self.probes:

@@ -8,12 +8,12 @@ Usage (from the repository root)::
 For each plant in :mod:`tests.census.plants` the runner copies ``src/``
 and ``tests/`` into a fresh temporary directory, runs the plant's tests
 there (they must pass), applies the plant and runs them again.  The plant
-is *caught* only when that run fails with pytest's exit code 1; the
-named tests that still passed are listed next to the verdict.  A planted
-run that passes is a miss.  Exit codes 2-5 (a node id that no longer
-exists, a usage or collection error) are census errors, as are an
-unplanted run that does not pass and a planted line that is not exactly
-once in its function.
+is *caught* only when that run fails with pytest's exit code 1 and every
+named test is among the failures; a named test that still passes with
+the plant in makes the plant a miss, as does a planted run that passes.
+Exit codes 2-5 (a node id that no longer exists, a usage or collection
+error) are census errors, as are an unplanted run that does not pass and
+a planted line that is not exactly once in its function.
 
 Exit status: 0 when every plant is caught, 1 when some plant got
 through, 2 on any census error.
@@ -129,13 +129,26 @@ def check(plant: Plant) -> Tuple[str, str]:
             return ERROR, f"unplanted run exited {code}\n{out}"
         apply(root, plant)
         code, failed, out = _pytest(root, plant.tests)
+    return verdict(code, failed, plant.tests, out)
+
+
+def verdict(
+    code: int, failed: Set[str], tests: Sequence[str], out: str = ""
+) -> Tuple[str, str]:
+    """The census verdict on a planted run of ``tests``: (verdict, detail).
+
+    ``code`` is pytest's exit code and ``failed`` the node ids it
+    reported as failed.  Caught means exit 1 with every named test
+    failed; a named test that still passes makes the plant a miss.
+    """
     if code == 0:
         return MISSED, "every named test passed with the plant in"
     if code != 1:
         return ERROR, f"planted run exited {code}\n{out}"
-    passed = [t for t in plant.tests if t not in failed]
-    note = f"; still passing: {', '.join(passed)}" if passed else ""
-    return CAUGHT, f"{len(plant.tests) - len(passed)} failed{note}"
+    passed = [t for t in tests if t not in failed]
+    if passed:
+        return MISSED, f"still passing: {', '.join(passed)}"
+    return CAUGHT, f"{len(tests)} failed"
 
 
 def main(argv: Sequence[str] = ()) -> int:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from tests.census.plants import PLANTS
-from tests.census.run import site_lines
+from tests.census.run import CAUGHT, ERROR, MISSED, site_lines, verdict
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -55,3 +55,32 @@ def test_every_named_test_is_collected(request):
     assert all(plant.tests for plant in PLANTS)
     named = {t for plant in PLANTS for t in plant.tests}
     assert sorted(named - _collected(request.session, named)) == []
+
+
+NAMED = ("tests/test_a.py::test_one", "tests/test_b.py::test_two[x]")
+
+
+@pytest.mark.parametrize(
+    "code, failed, expected",
+    [
+        (1, set(NAMED), CAUGHT),
+        (1, set(NAMED) | {"tests/test_c.py::test_other"}, CAUGHT),
+        # Exit 1 with one named test still passing: that test no longer
+        # catches the plant, so the plant is a miss.
+        (1, {NAMED[0]}, MISSED),
+        (1, set(), MISSED),
+        (0, set(), MISSED),
+        (2, set(), ERROR),
+        (4, set(NAMED), ERROR),
+    ],
+    ids=["all-failed", "extra-failure", "one-still-passing",
+         "only-unnamed-failed", "all-passed", "interrupted", "usage-error"],
+)
+def test_verdict_is_caught_only_when_every_named_test_fails(
+    code, failed, expected
+):
+    got, detail = verdict(code, failed, NAMED)
+    assert got == expected, detail
+    if expected == MISSED and code == 1:
+        missing = [t for t in NAMED if t not in failed]
+        assert detail == f"still passing: {', '.join(missing)}"

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, check_workers, main
 
 
 def test_parser_requires_command():
@@ -134,3 +134,51 @@ def test_lint_rejects_removed_options(option):
     with pytest.raises(SystemExit) as exc:
         build_parser().parse_args(["lint", *option])
     assert exc.value.code == 2
+
+
+WORKER_ENV = ("REPRO_JOBS", "REPRO_START_METHOD")
+
+
+@pytest.mark.parametrize(
+    "argv, env, error",
+    [
+        (["report", "-j", "-1"], {}, "jobs must be >= 0, got -1"),
+        (["report"], {"REPRO_JOBS": "-3"}, "REPRO_JOBS must be >= 0, got -3"),
+        (["report", "-j2"], {"REPRO_START_METHOD": "bogus"},
+         "start method 'bogus' not available"),
+        (["slo", "run", "-j", "-1"], {}, "jobs must be >= 0, got -1"),
+        (["table1"], {"REPRO_JOBS": "many"},
+         "REPRO_JOBS must be an integer, got 'many'"),
+    ],
+    ids=["report-j-1", "env-jobs-3", "env-start-bogus", "slo-j-1",
+         "table1-env-jobs-many"],
+)
+def test_bad_worker_settings_fail_closed(monkeypatch, capsys, argv, env,
+                                         error):
+    for name in WORKER_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and error in line, line
+
+
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["report", "-j", "0"], {}),
+        (["report"], {"REPRO_JOBS": "2", "REPRO_START_METHOD": "spawn"}),
+        (["bugs"], {"REPRO_JOBS": "-3"}),  # runs no trials
+        (["lint"], {"REPRO_START_METHOD": "bogus"}),
+    ],
+    ids=["report-j0", "env-valid", "bugs-ignores-env", "lint-ignores-env"],
+)
+def test_usable_worker_settings_pass(monkeypatch, argv, env):
+    for name in WORKER_ENV:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert check_workers(build_parser().parse_args(argv)) is None

@@ -102,6 +102,13 @@ class TestRecorderMetrics:
         landings = {k for key in wakeups.label_keys() for k in dict(key)}
         assert landings == {"landing"}
 
+    def test_engine_callbacks_counted_by_event_label(self):
+        system, obs = _run_observed()
+        engine = obs.metrics.get("engine_callbacks_total")
+        assert engine.total() == system.loop.events_fired
+        labels = {dict(key)["label"] for key in engine.label_keys()}
+        assert labels == {"tick", "phase-end", "wake"}
+
     def test_balance_outcomes_by_domain(self):
         system = System(two_nodes(cores_per_node=2))
         obs = ObsSession.attach_to(system)

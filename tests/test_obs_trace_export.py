@@ -85,15 +85,16 @@ class TestBuilderUnits:
 
     def test_engine_labels_surface_as_instants(self):
         builder = _builder()
-        builder.on_callback(5, "phase-end:17")
-        builder.on_callback(6, "")
+        builder.on_callback(5, "phase-end", 17)
+        builder.on_callback(6, "", None)
         instants = [e for e in _events(builder) if e.get("cat") == "engine"]
         assert [e["name"] for e in instants] == ["phase-end:17", "callback"]
         assert all(e["pid"] == ENGINE_PID for e in instants)
 
     def test_real_run_emits_tick_phase_end_and_wake_labels(self):
-        """The labels a real System run hands ``Probe.on_callback``,
-        including for events scheduled before tracing was enabled."""
+        """The labels and tags a real System run hands
+        ``Probe.on_callback``, including for events scheduled before
+        tracing was enabled."""
 
         def program():
             yield Run(1500)
@@ -104,8 +105,8 @@ class TestBuilderUnits:
         labels = []
 
         class Sink(Probe):
-            def on_callback(self, now, label):
-                labels.append((now, label))
+            def on_callback(self, now, label, tag):
+                labels.append((now, label, tag))
 
         system = System(single_node(2), SchedFeatures(), seed=1)
         task = system.spawn(TaskSpec("worker", program))
@@ -118,12 +119,12 @@ class TestBuilderUnits:
         assert system.loop.on_callback is None
         tid = task.tid
         assert [entry for entry in labels if entry[1] != "tick"] == [
-            (1500, f"phase-end:{tid}"),
-            (3500, f"wake:{tid}"),
-            (4000, f"phase-end:{tid}"),
+            (1500, "phase-end", tid),
+            (3500, "wake", tid),
+            (4000, "phase-end", tid),
         ]
-        assert [now for now, label in labels if label == "tick"] == [
-            k * MS for k in range(1, 11)
+        assert [(now, tag) for now, label, tag in labels if label == "tick"] == [
+            (k * MS, None) for k in range(1, 11)
         ]
 
     def test_nr_running_becomes_counter_track(self):
