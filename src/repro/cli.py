@@ -53,10 +53,12 @@ def _cmd_topology(args) -> int:
         format_figure4,
         format_table5,
     )
+    from repro.topology import amd_bulldozer_64
 
-    print(format_table5())
+    machine = amd_bulldozer_64()
+    print(format_table5(machine))
     print()
-    print(format_figure4())
+    print(format_figure4(machine))
     print()
     print(format_figure1())
     print()
@@ -438,6 +440,25 @@ def _version() -> str:
         return __version__
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: resolves the version only when the flag is given.
+
+    argparse's own ``version=`` string is built with the parser, which
+    would pay for :func:`_version` (an ``importlib.metadata`` lookup) on
+    every invocation.
+    """
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS):
+        super().__init__(
+            option_strings, dest=dest, default=argparse.SUPPRESS, nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sys.stdout.write(f"{parser.prog} {_version()}\n")
+        parser.exit()
+
+
 def _bug_name(value: str) -> str:
     """argparse type: normalize/validate a bug name (either spelling)."""
     from repro.experiments.scenarios import canonical_bug_name
@@ -457,9 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(EuroSys 2016)"
         ),
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {_version()}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("bugs", help="Table 4: the bug registry").set_defaults(

@@ -51,6 +51,8 @@ class Figure3Run:
     """One traced database run and its wakeup/violation statistics."""
 
     label: str
+    #: Runqueue-size and wakeup events only: no migration or switch
+    #: events, so a migration count read from it is zero by construction.
     trace: TraceBuffer
     span_us: int
     num_cpus: int
@@ -72,9 +74,12 @@ def run_database_traced(
     """One traced database run (Q18 x ``queries``) under ``config``."""
     system = config.build_system()
     topo = system.topology
+    # Only what the heatmap, the violation scan and the busy-wakeup
+    # fraction read: runqueue sizes and wakeups.
     probe = TraceProbe(
         record_considered=False, record_load=False,
-        record_lifecycle=False, record_migrations=True,
+        record_lifecycle=False, record_migrations=False,
+        record_switches=False,
     )
     system.attach_probe(probe)
     db = Database(containers=CONTAINERS, seed=config.seed,

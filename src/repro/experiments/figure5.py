@@ -71,9 +71,14 @@ def run_hotplug_traced(
     topo = system.topology
     system.hotplug_cpu(HOTPLUGGED_CPU, False)
     system.hotplug_cpu(HOTPLUGGED_CPU, True)
+    # The considered-core stream and the runqueue sizes the SVG heatmap
+    # draws under it.  The considered stream keeps the balancer walking
+    # (``wants_balance()`` is True), so the coverage is what a full trace
+    # would show.
     probe = TraceProbe(
         record_load=False, record_wakeups=False,
         record_migrations=False, record_lifecycle=False,
+        record_switches=False,
     )
     system.attach_probe(probe)
     # A 16-thread compute application forked from node 1 (the paper's

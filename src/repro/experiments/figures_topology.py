@@ -8,20 +8,34 @@ one-hop neighborhoods (Figure 4).
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.sched.domains import DomainBuilder, describe_domains
 from repro.sched.features import SchedFeatures
-from repro.topology import amd_bulldozer_64, paper_figure1_machine
+from repro.topology import (
+    MachineTopology,
+    amd_bulldozer_64,
+    paper_figure1_machine,
+)
 from repro.topology.interconnect import hop_levels
 
 
-def format_table5() -> str:
-    """The hardware description (paper Table 5)."""
-    return amd_bulldozer_64().describe()
+def format_table5(topo: Optional[MachineTopology] = None) -> str:
+    """The hardware description (paper Table 5).
+
+    ``topo`` defaults to a fresh :func:`amd_bulldozer_64`; a caller that
+    also renders Figure 4 passes one machine to both.
+    """
+    return (topo if topo is not None else amd_bulldozer_64()).describe()
 
 
-def format_figure4() -> str:
-    """The interconnect: links and one-hop neighborhoods (paper Figure 4)."""
-    topo = amd_bulldozer_64()
+def format_figure4(topo: Optional[MachineTopology] = None) -> str:
+    """The interconnect: links and one-hop neighborhoods (paper Figure 4).
+
+    ``topo`` defaults to a fresh :func:`amd_bulldozer_64`.
+    """
+    if topo is None:
+        topo = amd_bulldozer_64()
     ic = topo.interconnect
     lines = ["Figure 4: topology of the 8-node AMD Bulldozer machine"]
     lines.append(f"links: {ic.links()}")

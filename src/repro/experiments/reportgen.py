@@ -93,6 +93,7 @@ def generate_report(
     from repro.experiments.table2 import format_table2, table2_rows
     from repro.experiments.table3 import format_table3, table3_rows
     from repro.experiments.table4 import format_table4
+    from repro.topology import amd_bulldozer_64
 
     sections = report_sections(scale, seed=seed)
     flat: List[TrialSpec] = [s for _, specs in sections for s in specs]
@@ -111,10 +112,12 @@ def generate_report(
     out.append("# wastedcores reproduction report\n")
     out.append(f"(scale = {scale}; all times are simulator times)\n")
 
+    # One machine for both descriptions; it is not kept past this call.
+    machine = amd_bulldozer_64()
     out.append("## Machine\n```")
-    out.append(format_table5())
+    out.append(format_table5(machine))
     out.append("")
-    out.append(format_figure4())
+    out.append(format_figure4(machine))
     out.append("```\n")
 
     out.append("## Table 1\n```")

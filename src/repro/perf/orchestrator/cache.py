@@ -126,9 +126,12 @@ class ResultCache:
         A corrupt or schema-incompatible entry counts as a miss (it will
         be overwritten by the next :meth:`put`), never an error.
         """
+        # One unbuffered binary read, then a str parse: no text wrapper,
+        # and ``json.loads`` skips its encoding sniff.  Bytes that are not
+        # UTF-8 raise ``UnicodeDecodeError``, a ``ValueError``: a miss.
         try:
-            with open(self._entry_file(spec), encoding="utf-8") as fh:
-                data = json.load(fh)
+            with open(self._entry_file(spec), "rb", buffering=0) as fh:
+                data = json.loads(fh.readall().decode("utf-8"))
         except (OSError, ValueError):
             self.misses += 1
             return None

@@ -28,6 +28,12 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sched.features import SchedFeatures
 
+#: The one canonical encoder every fingerprint uses.  ``json.dumps(...,
+#: sort_keys=True)`` would build a fresh ``JSONEncoder`` per call; this
+#: one has the same settings, so it emits the same bytes and every cache
+#: key and scrub seed stays what it was.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass
 class TrialResult:
@@ -107,7 +113,7 @@ class TrialSpec:
 
     def fingerprint(self) -> str:
         """SHA-256 over the canonical form; the cache key's spec half."""
-        payload = json.dumps(self.canonical(), sort_keys=True)
+        payload = _CANONICAL.encode(self.canonical())
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -3,6 +3,9 @@
 A compact textual rendering of "which task ran where", useful when reading
 traces of the Overload-on-Wakeup bug: straggler threads hop between busy
 cores while an idle core sits untouched (the paper's Figure 3 narrative).
+The trace must record migrations (``TraceProbe(record_migrations=True)``):
+the Figure 3 experiment's own trace holds only runqueue-size and wakeup
+events, so its migration counts here read zero.
 """
 
 from __future__ import annotations

@@ -12,6 +12,28 @@ def test_parser_requires_command():
         build_parser().parse_args([])
 
 
+def test_build_parser_does_not_resolve_the_version(monkeypatch):
+    # The metadata lookup costs tens of milliseconds in a fresh process;
+    # only ``--version`` needs it.
+    import importlib.metadata
+
+    calls = []
+    monkeypatch.setattr(
+        importlib.metadata, "version", lambda name: calls.append(name)
+    )
+    build_parser()
+    assert calls == []
+
+
+def test_version_flag_prints_the_package_version(capsys):
+    from repro.cli import _version
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"repro {_version()}\n"
+
+
 def test_bugs_command(capsys):
     assert main(["bugs"]) == 0
     out = capsys.readouterr().out

@@ -93,6 +93,20 @@ def test_open_violation_closed_at_horizon():
     assert violations[0].end_us == 1_000_000
 
 
+def test_equal_timestamps_keep_each_cpus_largest_value():
+    # Two values of cpu0 at t=0: the sort puts 2 last, so cpu0 is
+    # overloaded (not idle) from the start.
+    trace = trace_of(
+        NrRunningEvent(0, 0, 2),
+        NrRunningEvent(0, 0, 0),
+        NrRunningEvent(0, 1, 0),
+        NrRunningEvent(10, 0, 1),
+    )
+    violations = find_trace_violations(trace, 2, min_duration_us=1)
+    assert [(v.start_us, v.end_us, v.idle_cpus, v.overloaded_cpus)
+            for v in violations] == [(0, 10, (1,), (0,))]
+
+
 def test_violation_time_fraction():
     trace = trace_of(
         NrRunningEvent(0, 0, 2),

@@ -119,6 +119,91 @@ def test_report_trial_labels_are_unique():
     assert any("+fix:" in label for label in labels)
 
 
+def test_report_spec_fingerprint_is_pinned():
+    """The cache key of one report trial, as the parent encoder wrote it.
+
+    Every ``.repro-cache`` entry and every worker's scrubbed RNG seed is
+    derived from this digest; an encoder change that moves it orphans
+    every cache on disk.
+    """
+    spec = TrialSpec(
+        kind="repro.experiments.table1:nas_pinned_trial",
+        scenario="table1:bt",
+        seed=42,
+        features=("no_autogroup",),
+        scale=0.02,
+        deadline_us=600_000_000,
+        params=(("app", "bt"),),
+    )
+    assert spec.fingerprint() == (
+        "6532c093b93ef2b1a0ff0cdd3dddfd9bfbbef90f4b0edeb999843a501327ee34"
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        TrialSpec(kind=FIXTURE_KIND, scenario="plain", seed=0),
+        TrialSpec(
+            kind=FIXTURE_KIND, scenario="caf\u00e9 \"quoted\"\n", seed=-7,
+            features=("v43", "fix:group_imbalance"), scale=1e-7,
+            deadline_us=1, params=(("z", "1"), ("a", "\u2603")),
+        ),
+    ],
+    ids=["plain", "escapes"],
+)
+def test_fingerprint_is_sorted_key_json_dumps(spec):
+    payload = json.dumps(spec.canonical(), sort_keys=True)
+    assert spec.fingerprint() == hashlib.sha256(
+        payload.encode("utf-8")
+    ).hexdigest()
+
+
+def test_warm_report_reads_each_entry_once_and_builds_one_machine(
+    tmp_path, monkeypatch
+):
+    """A warm report opens each of its entries once and builds the
+    64-core machine once, for Table 5 and Figure 4 together."""
+    from repro import topology
+    from repro.experiments import figures_topology
+    from repro.experiments.reportgen import generate_report, report_sections
+    from repro.perf.orchestrator import cache as cache_module
+
+    specs = [s for _, section in report_sections(0.02) for s in section]
+    cold = generate_report(scale=0.02, jobs=1, cache=_cache(tmp_path))
+
+    opened = []
+    real_open = open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    machines = []
+    real_machine = topology.amd_bulldozer_64
+
+    def counting_machine():
+        machines.append(1)
+        return real_machine()
+
+    monkeypatch.setattr(cache_module, "open", counting_open, raising=False)
+    monkeypatch.setattr(topology, "amd_bulldozer_64", counting_machine)
+    monkeypatch.setattr(
+        figures_topology, "amd_bulldozer_64", counting_machine
+    )
+    cache = _cache(tmp_path)
+    warm = generate_report(scale=0.02, jobs=1, cache=cache)
+
+    assert len(specs) == 50
+    assert cache.hits == 50 and cache.misses == 0
+    assert sorted(opened) == sorted(
+        str(cache.entry_path(spec)) for spec in specs
+    )
+    assert len(machines) == 1
+    assert warm.markdown == cold.markdown
+    assert warm.digests == cold.digests
+
+
 def test_resolve_kind_errors():
     assert resolve_kind(FIXTURE_KIND) is fixture_trial
     with pytest.raises(ValueError, match="module:function"):
@@ -257,19 +342,42 @@ def test_cache_code_digest_invalidates(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payload", ["{torn write", "[]", "null", "3"],
-    ids=["torn-write", "list", "null", "int"],
+    "payload",
+    ["{torn write", "[]", "null", "3", b"\xff\xfe{",
+     '{"schedule_digest": "d"}', '{"row": {}, "schedule_digest": 1}'],
+    ids=["torn-write", "list", "null", "int", "not-utf8", "no-row",
+         "bad-digest"],
 )
 def test_cache_corrupt_entry_is_a_miss(tmp_path, payload):
-    # Valid JSON that is not an object is as corrupt as a torn write.
+    # Valid JSON that is not an object is as corrupt as a torn write, and
+    # so are bytes that do not decode as UTF-8.
     cache = _cache(tmp_path)
     spec = fixture_specs(1)[0]
     run_trials([spec], jobs=1, cache=cache)
-    cache.entry_path(spec).write_text(payload, encoding="utf-8")
+    if isinstance(payload, bytes):
+        cache.entry_path(spec).write_bytes(payload)
+    else:
+        cache.entry_path(spec).write_text(payload, encoding="utf-8")
     fresh = _cache(tmp_path)
     assert fresh.get(spec) is None  # no exception, just re-executed
     rerun = run_trials([spec], jobs=1, cache=_cache(tmp_path))
     assert not rerun.outcomes[0].cached
+
+
+def test_cache_hit_keeps_only_integer_stats(tmp_path):
+    # Booleans are ints to ``isinstance``: they are kept, as they always
+    # were; floats, strings and nulls are dropped.
+    cache = _cache(tmp_path)
+    spec = fixture_specs(1)[0]
+    run_trials([spec], jobs=1, cache=cache)
+    path = cache.entry_path(spec)
+    entry = json.loads(path.read_text(encoding="utf-8"))
+    entry["stats"] = {"n": 3, "flag": True, "f": 1.5, "s": "7", "z": None}
+    path.write_text(json.dumps(entry), encoding="utf-8")
+    hit = _cache(tmp_path).get(spec)
+    assert hit is not None
+    assert hit.stats == {"n": 3, "flag": True}
+    assert hit.row == entry["row"]
 
 
 def test_source_tree_digest_tracks_code_not_docs(tmp_path):
