@@ -722,11 +722,57 @@ def check_workers(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+def check_inputs(args: argparse.Namespace) -> Optional[str]:
+    """Why a command's values or files are unusable, or None.
+
+    Checked before any work, so a bad input exits 2 instead of running
+    on a meaningless value or failing after trials have run: every
+    ``--scale`` is a positive finite number, ``--duration-us`` a
+    positive integer, each ``replay diff`` recording readable, and the
+    result-cache directory exists or can be created.  Nothing is
+    written.
+    """
+    try:
+        if getattr(args, "scale", None) is not None:
+            from repro.experiments.harness import positive_scale
+
+            positive_scale(args.scale, "--scale")
+        duration = getattr(args, "duration_us", None)
+        if duration is not None and duration <= 0:
+            raise ValueError(
+                f"--duration-us must be a positive integer, got {duration}"
+            )
+        for path in getattr(args, "traces", ()):
+            from repro.slo.replay import read_trace
+
+            try:
+                read_trace(path)
+            except OSError as exc:
+                return f"cannot read recording {path}: {exc.strerror or exc}"
+        if hasattr(args, "cache_dir") and not args.no_cache:
+            from repro.perf.orchestrator.cache import cache_root
+
+            root = cache_root(args.cache_dir)
+            existing = root.absolute()
+            while not existing.exists():
+                existing = existing.parent
+            if not existing.is_dir() or not os.access(
+                existing, os.W_OK | os.X_OK
+            ):
+                return (
+                    f"cannot create cache directory {root}: {existing} "
+                    f"is not a writable directory"
+                )
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    error = check_workers(args)
+    error = check_workers(args) or check_inputs(args)
     if error is not None:
         print(f"error: {error}", file=sys.stderr)
         return 2

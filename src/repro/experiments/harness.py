@@ -21,22 +21,31 @@ from repro.topology.machine import MachineTopology
 SEED_STRIDE = 1009
 
 
+def positive_scale(value: object, name: str) -> float:
+    """``value`` as a scale factor, or ``ValueError`` naming ``name``.
+
+    The one rule for ``REPRO_SCALE`` and every ``--scale``: a positive
+    finite number.  The message echoes the input as given.
+    """
+    try:
+        scale = float(value)  # type: ignore[arg-type]
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"{name} must be a number such as 0.25, got {value!r}"
+        ) from None
+    if not math.isfinite(scale) or scale <= 0:
+        raise ValueError(
+            f"{name} must be a positive finite number, got {value!r}"
+        )
+    return scale
+
+
 def quick_scale(default: float = 1.0) -> float:
     """Experiment scale factor; ``REPRO_SCALE`` overrides (e.g. 0.25)."""
     value = os.environ.get("REPRO_SCALE")
     if value is None or value.strip() == "":
         return default
-    try:
-        scale = float(value)
-    except ValueError:
-        raise ValueError(
-            f"REPRO_SCALE must be a number such as 0.25, got {value!r}"
-        ) from None
-    if not math.isfinite(scale) or scale <= 0:
-        raise ValueError(
-            f"REPRO_SCALE must be a positive finite number, got {value!r}"
-        )
-    return scale
+    return positive_scale(value, "REPRO_SCALE")
 
 
 @dataclass(frozen=True)

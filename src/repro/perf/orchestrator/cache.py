@@ -90,6 +90,14 @@ def source_tree_digest(
     return hasher.hexdigest()
 
 
+def cache_root(root: Optional[PathLike] = None) -> Path:
+    """The cache directory: ``root``, else ``REPRO_CACHE_DIR``, else
+    :data:`DEFAULT_CACHE_DIR`."""
+    if root is None:
+        root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
+    return Path(root)
+
+
 class ResultCache:
     """Content-addressed store of trial rows keyed by spec + source digest."""
 
@@ -98,9 +106,7 @@ class ResultCache:
         root: Optional[PathLike] = None,
         code_digest: Optional[str] = None,
     ):
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-        self.root = Path(root)
+        self.root = cache_root(root)
         self.code_digest = (
             code_digest if code_digest is not None else source_tree_digest()
         )

@@ -110,16 +110,18 @@ def group_metric(sched: "Scheduler", stats: GroupStats) -> float:
     return stats.avg_load
 
 
-def _fold_group_stats(
+def compute_group_stats(
     sched: "Scheduler", group: "SchedGroup", now: int
 ) -> Optional[GroupStats]:
-    """Fold per-CPU samples into one group's statistics.
+    """Fold per-CPU samples into one group's statistics; None if no CPU
+    of the group is online.
 
     The reference fold: :class:`~repro.sched.vecstate.VecState` reproduces
     it expression for expression (same float-op order), and the coherence
-    sanitizer refolds through it to check the mirror's memo hits.  The
-    group's CPU tuple is already sorted (cached on the group; hotplug
-    rebuilds make fresh groups), leaving only the online filter per call.
+    sanitizer refolds through it to check every fold the mirror's
+    selection read.  The group's CPU tuple is already sorted (cached on
+    the group; hotplug rebuilds make fresh groups), leaving only the
+    online filter per call.
     """
     cpus = tuple(c for c in group.sorted_cpus() if sched.cpus[c].online)
     if not cpus:
@@ -139,13 +141,6 @@ def _fold_group_stats(
     )
 
 
-def compute_group_stats(
-    sched: "Scheduler", group: "SchedGroup", now: int
-) -> Optional[GroupStats]:
-    """Per-CPU loads folded into group statistics; None if no CPU is online."""
-    return _fold_group_stats(sched, group, now)
-
-
 def find_busiest_group(
     sched: "Scheduler",
     domain: "SchedDomain",
@@ -162,9 +157,10 @@ def find_busiest_group(
     """
     if bpass is not None:
         # Bulk path: folds and the three-tier selection run over the
-        # persistent array mirror; decision-identical to the loop below
-        # (the digest gate holds it to that).  The probe sees the same
-        # examined set, in the same group order.
+        # persistent array mirror; decision-identical to
+        # reference_busiest_group (the digest gate and the sanitizer
+        # hold it to that).  The probe sees the same examined set, in
+        # the same group order.
         probe = sched.probe
         active = probe.active
         busiest, local_stats, examined_t = bpass.find_busiest(
@@ -173,6 +169,24 @@ def find_busiest_group(
         if active:
             probe.on_considered(now, dst_cpu, "load_balance", examined_t)
         return busiest, local_stats
+    busiest, local_stats, examined = reference_busiest_group(
+        sched, domain, dst_cpu, now
+    )
+    if sched.probe.active:
+        sched.probe.on_considered(now, dst_cpu, "load_balance", examined)
+    return busiest, local_stats
+
+
+def reference_busiest_group(
+    sched: "Scheduler", domain: "SchedDomain", dst_cpu: int, now: int
+) -> Tuple[Optional[GroupStats], Optional[GroupStats], List[int]]:
+    """The reference path's (busiest, local, examined) decision.
+
+    Folds every group afresh and runs the selection of
+    :func:`find_busiest_group`; emits nothing, so the coherence
+    sanitizer can hold the fast path's answer against it without adding
+    a record to the schedule.
+    """
     local_stats = None
     others: List[GroupStats] = []
     examined: List[int] = []
@@ -185,10 +199,8 @@ def find_busiest_group(
             local_stats = stats
         else:
             others.append(stats)
-    if sched.probe.active:
-        sched.probe.on_considered(now, dst_cpu, "load_balance", examined)
     if local_stats is None or not others:
-        return None, local_stats
+        return None, local_stats, examined
 
     def best_of(candidates: Sequence[GroupStats]) -> Optional[GroupStats]:
         return max(
@@ -201,14 +213,14 @@ def find_busiest_group(
     if busiest is None:
         busiest = best_of(others)
     if busiest is None:
-        return None, local_stats
+        return None, local_stats, examined
     # The busiest group must exceed the local one by the domain's
     # imbalance percentage, or migrating is not worth the disturbance
     # (and integer task counts would ping-pong forever).
     threshold = group_metric(sched, local_stats) * domain.imbalance_ratio
     if group_metric(sched, busiest) <= threshold:
-        return None, local_stats
-    return busiest, local_stats
+        return None, local_stats, examined
+    return busiest, local_stats, examined
 
 
 def pick_busiest_cpu(
@@ -417,27 +429,10 @@ def balance_domain(
 
 
 def _elect_designated(sched: "Scheduler", group: "SchedGroup") -> int:
-    # Fast-path election: the mask is pre-sorted on the group (no per-call
-    # sort); one walk finds the first idle candidate and remembers the
-    # first online one.  Reads the incremental nr_running counter directly
-    # (exact in every mode) instead of chaining two properties.
-    cpus = sched.cpus
-    first_online = -1
-    for candidate in group.sorted_balance_mask():
-        cpu = cpus[candidate]
-        if not cpu.online:
-            continue
-        if cpu.rq._nr_running == 0:
-            return candidate
-        if first_online < 0:
-            first_online = candidate
-    return first_online
-
-
-def _elect_designated_baseline(sched: "Scheduler", group: "SchedGroup") -> int:
-    # The reference path's election, kept as the plain scan of Algorithm 1:
-    # it is the oracle tests/test_cross_path.py and the sanitizer check the
-    # fast path's memoized election against.
+    # The designated-balancer election, the plain scan of Algorithm 1:
+    # the reference path elects through it, and the fast path's memo
+    # (VecState.designated_for) fills its misses from it and is checked
+    # against it by tests/test_cross_path.py and the sanitizer.
     online = sorted(
         c for c in group.balance_mask() if sched.cpus[c].online
     )
@@ -465,7 +460,7 @@ def designated_cpu(
         local = domain.local_group(cpu_id)
     except ValueError:
         return -1
-    return _elect_designated_baseline(sched, local)
+    return _elect_designated(sched, local)
 
 
 def periodic_balance(

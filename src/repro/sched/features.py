@@ -84,19 +84,20 @@ class SchedFeatures:
     #: it on or off (pinned whole-workload by
     #: ``tests/test_cross_path.py``).  On, runqueues
     #: memoize their load summation and keep nr_running incrementally,
-    #: the event heap compacts when cancelled entries dominate, and the
-    #: persistent mirror :class:`~repro.sched.vecstate.VecState` serves
-    #: balance sampling, folding and busiest-group selection.  Off is the
-    #: reference path: per-call folds and the plain designated-balancer
-    #: election, reading like the paper's Algorithm 1.  Both paths pick
-    #: from the same sorted runqueue.
+    #: and the persistent mirror :class:`~repro.sched.vecstate.VecState`
+    #: serves balance sampling, folding, busiest-group selection and a
+    #: memo of designated-balancer elections.  Off is the reference path:
+    #: per-call folds and elections, reading like the paper's Algorithm
+    #: 1.  Both paths pick from the same sorted runqueue and elect with
+    #: the same rule.
     fastpath: bool = True
 
     #: Coherence sanitizer: every fast-path memo *hit* recomputes the
-    #: value from scratch and raises
+    #: value from scratch, and every busiest-group selection the fast path
+    #: answers is held against the reference path's; any drift raises
     #: :class:`~repro.sched.sanitizer.CoherenceError` naming the divergent
-    #: field on any drift.  Meant for CI soaks, never benchmarks (it
-    #: makes every cache as slow as a miss).
+    #: field.  Meant for CI soaks, never benchmarks (it makes every cache
+    #: as slow as a miss).
     sanitize_coherence: bool = False
 
     def with_fixes(self, *names: str) -> "SchedFeatures":

@@ -22,8 +22,9 @@ with the cache on or off.
 Every queue also keeps the scheduler's shared *spare set* exact: the ids of
 the CPUs whose queue passes :func:`has_spare_task` (the kernel's
 ``rd->overload`` flag, refined per CPU; its ``len`` is the count of
-overloaded queues).  The four mutators that change ``nr_running`` add or
-discard the queue's id whenever it crosses that boundary.
+overloaded queues).  The three mutators that change ``nr_running``
+(``enqueue``, ``take`` and ``clear_current``) add or discard the queue's
+id whenever it crosses that boundary.
 """
 
 from __future__ import annotations
@@ -184,36 +185,29 @@ class RunQueue:
             self.overload.add(self.cpu_id)
         self._notify(now)
 
-    def set_current(self, task: Optional[Task], now: int) -> None:
-        """Install (or clear) the task executing on this CPU."""
+    def clear_current(self, now: int) -> None:
+        """Take the running task off this CPU (it sleeps, blocks or exits).
+
+        The task leaves the queue's task set: one mutation bump, and the
+        idle flip or spare-set discard when the count crosses zero or
+        the spare boundary.  Installing a task is :meth:`dispatch`.
+        """
         prev = self.curr
-        was_empty = self._nr_running == 0
-        had_spare = has_spare_task(self._nr_running)
-        if prev is not None:
-            self._nr_running -= 1
-            self._total_weight -= prev.weight
-        self.curr = task
-        if task is not None:
-            self._nr_running += 1
-            self._total_weight += task.weight
-            task.state = TaskState.RUNNING
-            task.cpu = self.cpu_id
-            task.prev_cpu = self.cpu_id
+        if prev is None:
+            raise ValueError(f"cpu {self.cpu_id} runs no task to clear")
+        self.curr = None
+        self._nr_running -= 1
+        self._total_weight -= prev.weight
         self.mutations += 1
         if self.vec is not None:
             self.vec.mark_dirty(self.cpu_id)
-        if was_empty != (self._nr_running == 0):
+        if self._nr_running == 0:
             if self.owner is not None:
-                self.owner.is_idle = (
-                    self.owner.online and self._nr_running == 0
-                )
+                self.owner.is_idle = self.owner.online
             if self.vec is not None:
                 self.vec.mark_idle_change(self.cpu_id)
-        if had_spare != has_spare_task(self._nr_running):
-            if had_spare:
-                self.overload.discard(self.cpu_id)
-            else:
-                self.overload.add(self.cpu_id)
+        elif self._nr_running == SPARE_NR_RUNNING - 1:
+            self.overload.discard(self.cpu_id)
         self._notify(now)
 
     def put_prev(self, task: Task, now: int) -> None:
@@ -292,14 +286,12 @@ class RunQueue:
     def dispatch(self, task: Task, now: int) -> None:
         """Install a waiting task as the running one (the switch-in).
 
-        One transition for what ``take`` + ``set_current`` did in two.
         ``nr_running`` counts the task before (queued) and after
         (running), so the queue neither goes idle nor crosses the spare
         boundary: no idle flip, no spare-set churn, one mutation bump.
-        An attached probe still sees the two notifications of the pair,
-        in order and with their values: the count without the task and
-        the load of the queue left behind, then the count and load with
-        the task running.
+        An attached probe sees two notifications, in order and with their
+        values: the count without the task and the load of the queue left
+        behind, then the count and load with the task running.
         """
         if self.curr is not None:
             raise ValueError(

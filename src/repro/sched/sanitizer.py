@@ -13,6 +13,13 @@ silently healed.  The runqueue load memo is also checked on every miss:
 its misses add through the one-frame ``repro.sched.load.queue_load``,
 which must agree with the per-task ``Task.load`` chain it replaces.
 
+The busiest-group selection is checked as it runs, not through a copy of
+it: with the sanitizer on, the scheduler's mirror is a
+``SanitizedVecState``, whose ``find_busiest`` runs the fast path's own
+selection and then compares every fold it read, the CPUs it examined and
+the groups it returned with the reference path's answer
+(:func:`verify_selection`).
+
 Which tier-1 tests catch each missing invalidation is recorded, as
 planted faults, in ``tests/census/plants.py``.
 
@@ -22,7 +29,14 @@ CI soaks and bug hunts, not production runs; no benchmark enables it.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, AbstractSet, Iterable, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.sched.load import load_sum
 
@@ -31,13 +45,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import DomainTable, SchedGroup
     from repro.sched.runqueue import RunQueue
 
+#: A busiest-group decision: ``(busiest, local, examined)``.
+Selection = Tuple[
+    Optional["GroupStats"], Optional["GroupStats"], Sequence[int]
+]
+
 
 class CoherenceError(AssertionError):
-    """A cached value diverged from its from-scratch recomputation.
+    """A fast-path value diverged from its from-scratch recomputation.
 
-    Raised only in sanitizer mode, at the memo hit that exposed the
-    drift.  ``field`` names the stale quantity; ``cached`` and ``fresh``
-    carry both values for the failure report.
+    Raised only in sanitizer mode, at the memo hit or fast answer that
+    exposed the drift.  ``field`` names the divergent quantity;
+    ``cached`` and ``fresh`` carry both values for the failure report.
     """
 
     def __init__(
@@ -49,8 +68,9 @@ class CoherenceError(AssertionError):
         self.fresh = fresh
         super().__init__(
             f"coherence violation in {accessor}: {field} cached as "
-            f"{cached!r} but recomputes to {fresh!r} -- some write to a "
-            f"dependency of {accessor} skipped its epoch/mutation bump"
+            f"{cached!r} but recomputes to {fresh!r} -- a write skipped "
+            f"its invalidation, or the fast path disagrees with the "
+            f"reference"
         )
 
 
@@ -80,13 +100,13 @@ def verify_rq_load(rq: "RunQueue", now: int, cached: float) -> None:
 
 
 def verify_group_stats(
-    group: "SchedGroup",
     cached: Optional["GroupStats"],
     fresh: Optional["GroupStats"],
+    accessor: str = "group-stats",
 ) -> None:
-    """Cross-check a group-stats memo hit against a memo-free refold."""
+    """Cross-check a fold the fast path read against a memo-free refold."""
     if (cached is None) != (fresh is None):
-        raise CoherenceError("group-stats", "stats", cached, fresh)
+        raise CoherenceError(accessor, "stats", cached, fresh)
     if cached is None or fresh is None:
         return
     for field in (
@@ -102,7 +122,28 @@ def verify_group_stats(
         got = getattr(cached, field)
         want = getattr(fresh, field)
         if got != want:
-            raise CoherenceError("group-stats", field, got, want)
+            raise CoherenceError(accessor, field, got, want)
+
+
+def verify_selection(
+    where: str, cached: Selection, fresh: Selection, need_local: bool
+) -> None:
+    """Cross-check a fast busiest-group decision against the reference.
+
+    Without ``need_local`` the fast path may leave out the local group
+    of a balanced answer, so the local group is compared only when it is
+    needed or a busiest group was found.
+    """
+    busiest, local, examined = cached
+    ref_busiest, ref_local, ref_examined = fresh
+    accessor = f"busiest-group ({where})"
+    if tuple(examined) != tuple(ref_examined):
+        raise CoherenceError(
+            accessor, "examined", tuple(examined), tuple(ref_examined)
+        )
+    verify_group_stats(busiest, ref_busiest, accessor + " busiest")
+    if busiest is not None or need_local:
+        verify_group_stats(local, ref_local, accessor + " local")
 
 
 def verify_designated(

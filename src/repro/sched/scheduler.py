@@ -29,7 +29,7 @@ from repro.sched.domains import DomainBuilder
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadEpoch
 from repro.sched.task import Task, TaskState
-from repro.sched.vecstate import VecState
+from repro.sched.vecstate import SanitizedVecState, VecState
 from repro.topology.machine import MachineTopology
 from repro.viz.events import Probe
 
@@ -76,9 +76,14 @@ class Scheduler:
         #: Persistent array-backed sampling layer: the fast path's
         #: balancer (None on the reference path).  Every runqueue gets a
         #: write-through hook so mutations mark their mirror slot dirty.
+        #: The sanitizer's mirror checks every selection it answers.
         self.vec: Optional[VecState] = None
         if self.features.fastpath:
-            self.vec = VecState(self)
+            self.vec = (
+                SanitizedVecState(self)
+                if self.features.sanitize_coherence
+                else VecState(self)
+            )
             for cpu in self.cpus:
                 cpu.rq.vec = self.vec
         #: Live tasks by tid.
@@ -273,7 +278,7 @@ class Scheduler:
             cpu.rq.put_prev(curr, now)
             curr.stats.preemptions += 1
         else:
-            cpu.rq.set_current(None, now)
+            cpu.rq.clear_current(now)
             curr.cpu = None
         curr.exec_start_us = None
         self.probe.on_sched_switch(now, cpu_id, curr.tid, None)

@@ -65,11 +65,11 @@ Likewise, per-task utilization decay stays on scalar ``math.exp`` in
 :mod:`repro.sched.load`: the tracker is *read*, never re-derived, by this
 layer.
 
-The vruntime floor and idle flags of the mirror are exposed via
-:meth:`snapshot`; ``min_vruntime`` advances without epoch traffic (by
-design -- see ``RunQueue.update_min_vruntime``), so the floor is sampled
-on read rather than pretending an incremental mirror could stay
-coherent.  No balancing decision consumes it.
+**Sanitizer.**  With ``sanitize_coherence`` on, the scheduler builds a
+:class:`SanitizedVecState`: its :meth:`~VecState.find_busiest` runs the
+same fast selection, then holds every fold it read and the decision it
+returns against the reference path
+(:func:`~repro.sched.balance.reference_busiest_group`).
 """
 
 from __future__ import annotations
@@ -79,9 +79,14 @@ from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple
 from repro.sched.balance import (
     GroupStats,
     _elect_designated,
-    _fold_group_stats,
+    compute_group_stats,
+    reference_busiest_group,
 )
-from repro.sched.sanitizer import verify_designated, verify_group_stats
+from repro.sched.sanitizer import (
+    verify_designated,
+    verify_group_stats,
+    verify_selection,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
@@ -301,8 +306,8 @@ class VecState:
         there.  Either way a group's winner changes at most once per
         reconcile, to the winner a full re-election would pick, so the
         disarms are exactly those of re-electing every touched group.
-        The sanitizer re-elects through the original on every memo hit
-        and gated skip.
+        The sanitizer re-elects through ``_elect_designated`` on every
+        memo hit and gated skip.
         """
         cpus = self.sched.cpus
         idle = self._idle
@@ -376,16 +381,6 @@ class VecState:
             self._gate_ep[i] += 1
         self._disarms += 1
 
-    def _check_epochs(self) -> None:
-        # Re-checked per lookup: divisor bumps re-weight loads without
-        # runqueue events (idle traffic is handled precisely, per CPU, by
-        # mark_idle_change).
-        div = self._div_ref.value
-        if div != self._div_epoch:
-            self._div_epoch = div
-            self._at = [-1] * self._n
-            self._version += 1
-
     def _sample(self, members: Iterable[int]) -> None:
         """Bring the (load, nr) slots of ``members`` current for ``now``.
 
@@ -456,42 +451,12 @@ class VecState:
 
     # -- sampling interface ------------------------------------------------
 
-    def group_stats(self, group: "SchedGroup") -> Optional[GroupStats]:
-        """Memoized bulk fold of one group's statistics at ``now``."""
-        self._check_epochs()
-        now = self.now
-        m = self._gstats.get(id(group))
-        if m is not None and m[1] == now and m[2] == self._version:
-            stats = self._materialize(m)
-            if self._sanitize:
-                verify_group_stats(
-                    group,
-                    stats,
-                    _fold_group_stats(self.sched, group, now),
-                )
-            return stats
-        entry = self._group_entry(group)
-        if not entry[1]:
-            return None
-        self._sample(entry[1])
-        # The fold carries its own cross-timestamp second chance (the
-        # dirty-count probe in _fold_entry), so this "miss" may be a
-        # revalidated memo; the sanitizer cross-checks it either way.
-        stats = self._materialize(self._fold_entry(entry))
-        if self._sanitize:
-            verify_group_stats(
-                group,
-                stats,
-                _fold_group_stats(self.sched, group, now),
-            )
-        return stats
-
     def _fold_entry(self, entry: _GroupEntry) -> List[object]:
         """Fold one (nonempty) group into a fresh memo entry.
 
         The six reductions use the exact expressions -- and, for the
         float side, the exact sequential op order and element-object
-        results -- of ``_fold_group_stats``; the leading ``0 +`` of
+        results -- of ``compute_group_stats``; the leading ``0 +`` of
         ``load_sum`` is dropped, which is value- *and type*-exact
         because queue loads are never negative zero.  Every width folds
         in-frame: one pass, no helper frames.
@@ -545,7 +510,7 @@ class VecState:
         stats = m[_F_STATS]
         if stats is None:
             k = m[11]
-            # Same expressions (and float-op order) as _fold_group_stats.
+            # Same expressions (and float-op order) as compute_group_stats.
             stats = GroupStats(
                 group=m[0],  # type: ignore[arg-type]
                 cpus=m[10],  # type: ignore[arg-type]
@@ -699,8 +664,9 @@ class VecState:
         selection compares raw memo slots and materializes GroupStats
         objects only for the (at most two) groups actually returned.
         """
-        # Inline _check_epochs (divisor only; idle invalidation is
-        # per-CPU via mark_idle_change).
+        # Divisor epoch (idle invalidation is per-CPU via
+        # mark_idle_change): a cgroup attach/detach re-weights loads
+        # without any runqueue event, so every slot goes stale.
         div = self._div_ref.value
         if div != self._div_epoch:
             self._div_epoch = div
@@ -709,11 +675,6 @@ class VecState:
         cache = self._domains.get(id(domain))
         if cache is None:
             cache = self._domain_cache(domain)
-        if self._sanitize:
-            busiest, local = self._select_checked(
-                cache, cache.local_slot.get(dst_cpu, -1)
-            )
-            return busiest, local, cache.examined
         now = self.now
         use_min = self._use_min
         loads = self._loads
@@ -818,72 +779,61 @@ class VecState:
             cache.examined,
         )
 
-    def _select_checked(
-        self, cache: _DomainCache, local_idx: int
-    ) -> Tuple[Optional[GroupStats], Optional[GroupStats]]:
-        """Sanitizer-mode selection: every fold verified via group_stats.
+    def _folds_read(
+        self, domain: "SchedDomain", dst_cpu: int
+    ) -> List[GroupStats]:
+        """The group folds the last :meth:`find_busiest` call read.
 
-        Runs the same three tiers over materialized GroupStats so each
-        group passes through :meth:`group_stats`' cross-check against a
-        from-scratch fold.
+        One per nonempty group, in declaration order: the fold-memo
+        entries it gathered, or the two singletons of the closed form
+        (none when ``dst_cpu`` is outside the pair, which samples
+        nothing).  Valid until the next selection.
         """
-        stats_list = [self.group_stats(entry[0]) for entry in cache.entries]
-        if local_idx < 0:
-            return None, None
-        local = stats_list[local_idx]
-        if len(stats_list) < 2:
-            return None, local
-        use_min = self._use_min
-        best: Optional[GroupStats] = None
-        best_metric = 0.0
-        for tier in (0, 1, 2):
-            for i, stats in enumerate(stats_list):
-                if i == local_idx or stats is None:
-                    continue
-                if tier == 0 and not stats.overloaded:
-                    continue
-                if tier == 1 and not stats.imbalanced:
-                    continue
-                metric = stats.min_load if use_min else stats.avg_load
-                if best is None or metric > best_metric:
-                    best = stats
-                    best_metric = metric
-            if best is not None:
-                break
-        if best is None or local is None:
-            return None, local
-        local_metric = local.min_load if use_min else local.avg_load
-        if best_metric <= local_metric * cache.ratio:
-            return None, local
-        return best, local
-
-    # -- introspection -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, object]:
-        """The refreshed struct-of-arrays mirror, as plain lists.
-
-        The vruntime floor is sampled here (it advances without epoch
-        traffic, by design); loads/nr come from the coherent buffers.
-        """
-        self._check_epochs()
-        self._sample(range(self._n))
-        sched = self.sched
-        nrs = list(self._nrs)
-        return {
-            "now": self.now,
-            "load": [float(v) for v in self._loads],
-            "nr_running": nrs,
-            "vruntime_floor": [c.rq.min_vruntime for c in sched.cpus],
-            "idle": [c.online and n == 0 for c, n in zip(sched.cpus, nrs)],
-            "online": [c.online for c in sched.cpus],
-            "epochs": {
-                "divisor": self._div_epoch,
-                "version": self._version,
-            },
-        }
+        cache = self._domains[id(domain)]
+        if cache.pair is None:
+            return [self._materialize(m) for m in self._scratch_folds]
+        if dst_cpu not in cache.pair:
+            return []
+        return [self._singleton_stats(e, e[1][0]) for e in cache.entries]
 
     def __repr__(self) -> str:
         return (
             f"VecState(cpus={self._n}, now={self.now}us, "
             f"version={self._version})"
         )
+
+
+class SanitizedVecState(VecState):
+    """The mirror in sanitizer mode: every selection checked.
+
+    :meth:`find_busiest` runs the fast selection unchanged -- the
+    two-singleton closed form or the fold memo and three-tier loop --
+    and then holds its answer against the reference path: every fold it
+    read against :func:`~repro.sched.balance.compute_group_stats`, and
+    the examined CPUs and returned groups against
+    :func:`~repro.sched.balance.reference_busiest_group`, which emits no
+    record.  Any difference raises
+    :class:`~repro.sched.sanitizer.CoherenceError`.
+    """
+
+    __slots__ = ()
+
+    def find_busiest(
+        self, domain: "SchedDomain", dst_cpu: int, need_local: bool = True
+    ) -> Tuple[Optional[GroupStats], Optional[GroupStats], Tuple[int, ...]]:
+        busiest, local, examined = VecState.find_busiest(
+            self, domain, dst_cpu, need_local
+        )
+        sched = self.sched
+        now = self.now
+        for stats in self._folds_read(domain, dst_cpu):
+            verify_group_stats(
+                stats, compute_group_stats(sched, stats.group, now)
+            )
+        verify_selection(
+            f"cpu {dst_cpu}, {domain.name}",
+            (busiest, local, examined),
+            reference_busiest_group(sched, domain, dst_cpu, now),
+            need_local,
+        )
+        return busiest, local, examined

@@ -4,13 +4,11 @@ Events firing at the same microsecond run in scheduling order (a
 monotonically increasing sequence number breaks ties), so a simulation with
 a fixed seed is fully reproducible.
 
-Cancellation is lazy (an entry is flagged, not removed), but the loop keeps
-itself honest about it: a live-event counter makes :meth:`EventLoop.pending`
-O(1), and when more than half of the heap is cancelled entries the heap is
-compacted in one pass.  Long NOHZ-heavy runs -- which cancel timer after
-timer -- therefore stop degrading as garbage accumulates.  Compaction only
-reorganizes the heap around the same ``(when, seq)`` total order, so the
-firing sequence is byte-identical with compaction on or off.
+Cancellation is lazy: an entry is flagged, not removed, and the drain
+loop drops it when it reaches the top of the heap.  A live-event counter
+makes :meth:`EventLoop.pending` O(1).  Simulations keep small heaps (one
+phase end per busy CPU plus sleeper timers), so the heap is never
+compacted: a dead entry costs one pop.
 
 :meth:`EventLoop.run_until` and :meth:`EventLoop.run_while` share one
 event-at-a-time drain loop, so every variant fires events through the
@@ -22,10 +20,6 @@ from __future__ import annotations
 import heapq
 import itertools
 from typing import Callable, Optional
-
-#: Heaps smaller than this are never compacted: rebuilding them costs more
-#: than the dead entries do.
-_COMPACT_MIN_HEAP = 64
 
 
 class SimulationError(RuntimeError):
@@ -79,13 +73,13 @@ class Event:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        self._loop._note_cancel()
+        self._loop._live -= 1
 
 
 class EventLoop:
     """A discrete-event loop over integer-microsecond virtual time."""
 
-    def __init__(self, start_time: int = 0, compact: bool = True):
+    def __init__(self, start_time: int = 0):
         #: Current virtual time (microseconds).  A plain attribute: the
         #: simulator reads it on every event.
         self.now = start_time
@@ -95,12 +89,6 @@ class EventLoop:
         self._running = False
         #: Live (scheduled, not cancelled, not fired) events.
         self._live = 0
-        #: Cancelled entries still sitting in the heap (lazy deletes).
-        self._lazy_cancels = 0
-        #: Compact the heap when lazy cancels outnumber live entries.
-        self._compact_enabled = compact
-        #: Number of compaction passes performed (read by tests).
-        self.compactions = 0
         #: Called as ``on_callback(now, label, tag)`` before each callback
         #: runs, so traces can attribute heap activity (tick vs phase-end
         #: vs wake); ``None`` when nobody listens (one test per event).
@@ -148,41 +136,6 @@ class EventLoop:
                 f"cannot schedule at {when}us, now is {self.now}us"
             )
         return self.schedule(when - self.now, callback, label, tag)
-
-    def _note_cancel(self) -> None:
-        """Account one cancellation; compact when garbage dominates.
-
-        Compaction triggers when lazy cancels outnumber live heap entries
-        *and* the heap has at least ``_COMPACT_MIN_HEAP`` (64) entries --
-        rebuilding a smaller heap costs more than its dead entries do.
-        Steady-state simulations keep small heaps (one phase-end per busy
-        CPU plus sleeper timers) and pop cancelled entries within
-        microseconds, so the benchmarks legitimately report
-        ``heap_compactions == 0``; see test_engine.py for a workload
-        shaped to force one.
-        """
-        self._live -= 1
-        self._lazy_cancels += 1
-        if (
-            self._compact_enabled
-            and len(self._heap) >= _COMPACT_MIN_HEAP
-            and self._lazy_cancels * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop every cancelled entry and re-heapify the survivors.
-
-        The heap invariant is rebuilt over the same ``(when, seq)`` keys,
-        so subsequent pops produce exactly the order lazy deletion would
-        have -- compaction is invisible to the simulation.  The list is
-        rebuilt in place: a drain loop running the cancelling callback
-        holds it by reference.
-        """
-        self._heap[:] = [t for t in self._heap if not t[2].cancelled]
-        heapq.heapify(self._heap)
-        self._lazy_cancels = 0
-        self.compactions += 1
 
     def run_until(self, deadline: int) -> None:
         """Fire events in order until ``deadline`` (inclusive) or exhaustion.
@@ -238,7 +191,6 @@ class EventLoop:
             while heap and heap[0][0] <= deadline:
                 event = heappop(heap)[2]
                 if event.cancelled:
-                    self._lazy_cancels -= 1
                     continue
                 event.fired = True
                 self._live -= 1
@@ -262,10 +214,6 @@ class EventLoop:
     def pending(self) -> int:
         """Number of live (non-cancelled) events still queued.  O(1)."""
         return self._live
-
-    def heap_size(self) -> int:
-        """Heap entries including lazy-cancelled garbage (introspection)."""
-        return len(self._heap)
 
     def __repr__(self) -> str:
         return (

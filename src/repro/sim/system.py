@@ -65,8 +65,7 @@ class System:
         # Tid allocation is process-global; restart it per system so two
         # same-seed runs in one process replay byte-identical traces.
         reset_tid_counter()
-        resolved = features if features is not None else SchedFeatures()
-        self.loop = EventLoop(compact=resolved.fastpath)
+        self.loop = EventLoop()
         if probe is None:
             # A fanout by default, so tools (sanity checker, tracers) can
             # attach and detach mid-run like the paper's on-demand profiler.

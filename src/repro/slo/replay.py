@@ -148,11 +148,23 @@ class RecordedTrace:
 
 
 def read_trace(path: PathLike) -> RecordedTrace:
-    """Parse a recording, validating format name and version."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Parse a recording, validating format name and version.
+
+    Raises ``OSError`` when the file cannot be read, and ``ValueError``
+    naming the file when it is not a recording this build reads.
+    """
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise ValueError(f"{path}: empty trace file")
-    header = json.loads(lines[0])
+    try:
+        header = json.loads(lines[0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: header is not JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if header.get("format") != FORMAT_NAME:
         raise ValueError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:

@@ -3,9 +3,11 @@
 Every cache the fast path keeps (the runqueue load memo, the
 ``VecState`` load mirror and designated-balancer memo, the spare set)
 stays coherent only because each mutator invalidates it at the right
-place, and a scenario file is only as good as the loader's checks of
-the references it names.  Each :class:`Plant` below disables one of
-those invalidations or checks and names the tier-1 tests that must fail
+place, the fast busiest-group selection is right only while the
+sanitizer holds it against the reference, and a scenario file is only
+as good as the loader's checks of the references it names.  Each
+:class:`Plant` below disables one of those invalidations or checks, or
+bends the fast selection, and names the tier-1 tests that must fail
 once it is in, so a deletion that leaves one of them unguarded shows up
 as a plant that got through.
 
@@ -65,7 +67,10 @@ ZERO_COUNT = (
     "test_zero_count_means_no_walk_can_move[mixed]"
 )
 GROUP_STATS_DRIFT = SANITIZER + "test_trips_on_group_stats_drift"
-DISPATCH_PAIR = "tests/test_runqueue.py::test_dispatch_is_take_then_set_current"
+CLEAR_RECOUNT = (
+    "tests/test_runqueue.py::"
+    "test_clear_current_matches_a_from_scratch_recount"
+)
 MEMBERSHIP = (
     "tests/test_fastpath.py::"
     "test_load_memo_sees_group_membership_change_on_another_cpu"
@@ -143,32 +148,40 @@ PLANTS: Tuple[Plant, ...] = (
         GROUP_STATS_DRIFT,
         MAKE_AND_R,
     )),
-    Plant(RUNQUEUE + "set_current", MUTATIONS, "pass", (
-        DISPATCH_PAIR + "[1-True]",
+    Plant(RUNQUEUE + "clear_current", MUTATIONS, "pass", (
+        CLEAR_RECOUNT,
         "tests/test_determinism_trace.py::"
         "test_fastpath_caching_does_not_change_the_schedule"
         "[buggy-overload-on-wakeup]",
         TPCH + "[fixes0]",
     )),
-    Plant(RUNQUEUE + "set_current", MARK_DIRTY, "pass", (
-        _stales("set_current"),
+    Plant(RUNQUEUE + "clear_current", MARK_DIRTY, "pass", (
+        _stales("clear_current"),
         PICK_PATHS,
     )),
-    Plant(RUNQUEUE + "set_current", MARK_IDLE, "pass", (
+    Plant(RUNQUEUE + "clear_current", MARK_IDLE, "pass", (
         _reelected("deschedule"),
+        CLEAR_RECOUNT,
         PICK_PATHS,
         MAKE_AND_R,
     )),
-    Plant(RUNQUEUE + "set_current", SPARE_ADD, "pass", (
-        DISPATCH_PAIR + "[2-True]",
-        DISPATCH_PAIR + "[2-False]",
-    )),
-    Plant(RUNQUEUE + "set_current", SPARE_DISCARD, "pass", (
+    Plant(RUNQUEUE + "clear_current", SPARE_DISCARD, "pass", (
         ZERO_COUNT,
+        CLEAR_RECOUNT,
         "tests/test_pick_tiebreak.py::"
         "test_pick_next_coherent_under_migration_and_hotplug",
         TPCH + "[fixes1]",
     )),
+    Plant(
+        "src/repro/sched/vecstate.py::VecState.find_busiest",
+        "if m[6] <= m[11]:  # not overloaded",
+        "if m[6] < m[11]:  # not overloaded",
+        (
+            SANITIZER + "test_sanitizer_soak_clean[fixed-group-imbalance]",
+            TPCH + "[fixes0]",
+            MAKE_AND_R,
+        ),
+    ),
     Plant(
         "src/repro/sched/cgroup.py::CGroupManager.attach",
         "self._divisor_epoch.bump()", "pass", (

@@ -29,8 +29,7 @@ def add_running(sched, cpu_id, name=None, nice=0):
     sched.register_task(task)
     rq = sched.cpus[cpu_id].rq
     rq.enqueue(task, 0)
-    rq.take(task, 0)
-    rq.set_current(task, 0)
+    rq.dispatch(task, 0)
     sched.cpus[cpu_id].mark_busy(0)
     return task
 

@@ -90,7 +90,8 @@ def test_tick_preempt_when_slice_consumed():
     curr = Task("curr")
     waiter = Task("w")
     rq = queue_with(waiter)
-    rq.set_current(curr, 0)
+    rq.enqueue(curr, 0)
+    rq.dispatch(curr, 0)
     slice_us = cfs.timeslice_us(FEATURES, curr, rq)
     assert cfs.should_preempt_at_tick(FEATURES, rq, curr, ran_us=slice_us)
     assert not cfs.should_preempt_at_tick(FEATURES, rq, curr, ran_us=0)
@@ -99,7 +100,8 @@ def test_tick_preempt_when_slice_consumed():
 def test_tick_no_preempt_without_waiters():
     curr = Task("curr")
     rq = RunQueue(0)
-    rq.set_current(curr, 0)
+    rq.enqueue(curr, 0)
+    rq.dispatch(curr, 0)
     assert not cfs.should_preempt_at_tick(
         FEATURES, rq, curr, ran_us=10**9
     )
@@ -111,7 +113,8 @@ def test_tick_preempt_on_vruntime_gap():
     waiter = Task("w")
     waiter.vruntime = 0
     rq = queue_with(waiter)
-    rq.set_current(curr, 0)
+    rq.enqueue(curr, 0)
+    rq.dispatch(curr, 0)
     # Gap is huge, but min granularity protects very short runs.
     assert not cfs.should_preempt_at_tick(FEATURES, rq, curr, ran_us=10)
     assert cfs.should_preempt_at_tick(

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, check_workers, main
+from repro.cli import build_parser, check_inputs, check_workers, main
 
 
 def test_parser_requires_command():
@@ -186,6 +186,68 @@ def test_bad_worker_settings_fail_closed(monkeypatch, capsys, argv, env,
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith("error: ") and error in line, line
+
+
+def _corrupt(tmp_path, name, text):
+    (tmp_path / name).write_text(text, encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "argv, setup, error",
+    [
+        (["report", "--scale", "-1"], None,
+         "--scale must be a positive finite number, got -1.0"),
+        (["table1", "--scale", "0"], None,
+         "--scale must be a positive finite number, got 0.0"),
+        (["metrics", "group-imbalance", "--duration-us", "-5"], None,
+         "--duration-us must be a positive integer, got -5"),
+        (["replay", "diff", "missing.trace.jsonl"], None,
+         "cannot read recording missing.trace.jsonl"),
+        (["replay", "diff", "junk.trace.jsonl"],
+         lambda d: _corrupt(d, "junk.trace.jsonl", "not json\n"),
+         "junk.trace.jsonl: header is not JSON"),
+        (["replay", "diff", "bytes.trace.jsonl"],
+         lambda d: (d / "bytes.trace.jsonl").write_bytes(b"\xff\xfe{\n"),
+         "bytes.trace.jsonl: not UTF-8 text"),
+        (["replay", "diff", "list.trace.jsonl"],
+         lambda d: _corrupt(d, "list.trace.jsonl", "[1, 2]\n"),
+         "list.trace.jsonl: header is not a JSON object"),
+        (["report", "--cache-dir", "blocker/cache"],
+         lambda d: _corrupt(d, "blocker", "a file, not a directory"),
+         "cannot create cache directory blocker/cache"),
+    ],
+    ids=["report-scale-neg", "table1-scale-0", "metrics-duration-neg",
+         "replay-missing", "replay-not-json", "replay-not-utf8",
+         "replay-header-not-object",
+         "report-cache-dir-uncreatable"],
+)
+def test_bad_inputs_fail_closed(monkeypatch, tmp_path, capsys, argv, setup,
+                                error):
+    for name in WORKER_ENV:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.chdir(tmp_path)
+    if setup is not None:
+        setup(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and error in line, line
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--scale", "0.02", "--no-cache"],
+        ["metrics", "group-imbalance", "--duration-us", "1"],
+        ["slo", "run", "--cache-dir", "fresh/cache"],
+    ],
+    ids=["report-scale", "metrics-duration", "slo-cache-dir-creatable"],
+)
+def test_usable_inputs_pass(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    assert check_inputs(build_parser().parse_args(argv)) is None
+    assert list(tmp_path.iterdir()) == []  # checking creates nothing
 
 
 @pytest.mark.parametrize(

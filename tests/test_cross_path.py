@@ -216,14 +216,20 @@ def test_call_counts(untraced):
 def test_reference_only_change_is_caught(monkeypatch):
     # Elect the last idle candidate instead of the first, on the
     # reference path only: part 1 must see the schedules part.
-    def last_idle(sched, group):
+    def last_idle_cpu(sched, domain, cpu_id):
+        try:
+            group = domain.local_group(cpu_id)
+        except ValueError:
+            return -1
         online = sorted(
             c for c in group.balance_mask() if sched.cpus[c].online
         )
         idle = [c for c in online if sched.cpus[c].is_idle]
         return idle[-1] if idle else (online[0] if online else -1)
 
-    monkeypatch.setattr(balance, "_elect_designated_baseline", last_idle)
+    # designated_cpu is the reference walk's election; the fast path
+    # elects through VecState's memo and never calls it.
+    monkeypatch.setattr(balance, "designated_cpu", last_idle_cpu)
     for workload in SCENARIOS:
         divergence = stream_divergence(workload)
         if divergence is not None:

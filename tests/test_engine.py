@@ -180,47 +180,13 @@ def test_format_time():
     assert format_time(-1500) == "-1.500ms"
 
 
-# --------------------------------------------------- compaction accounting
+# ------------------------------------------------- cancellation mid-drain
 
 
-def test_timer_churn_workload_forces_one_compaction():
-    """The workload shape ``EventLoop._note_cancel``'s threshold note
-    points at: a sleeper population whose wake timers are mostly
-    cancelled before firing (early wakeups racing the timeout).
-
-    The committed benchmarks legitimately report ``heap_compactions ==
-    0`` -- their steady-state heaps stay small (one phase-end per busy
-    CPU plus sleeper timers) and cancelled entries are popped within
-    microseconds, so lazy cancels never outnumber live entries at the
-    64-entry floor.  This test builds the heap past the floor and
-    cancels a two-thirds majority *before* any pop, which must trigger
-    the compaction pass -- and compaction must be invisible to the
-    schedule.
-    """
-    loop = EventLoop()
-    fired = []
-    timers = [
-        loop.schedule(1_000 + i, lambda i=i: fired.append(i), label="timer")
-        for i in range(96)
-    ]
-    assert loop.heap_size() >= 64  # past the _COMPACT_MIN_HEAP floor
-    for i, handle in enumerate(timers):
-        if i % 3 != 0:  # two of every three sleepers wake early
-            handle.cancel()
-    assert loop.compactions >= 1
-    assert loop.pending() == 32
-    # The compacted heap dropped the garbage (some sub-threshold
-    # remainder is legal -- compaction fires at majority, not at one).
-    assert loop.heap_size() - loop.pending() <= loop.pending()
-    loop.run_until(2_000)
-    assert fired == [i for i in range(96) if i % 3 == 0]
-    assert loop.events_fired == 32
-
-
-def test_compaction_inside_a_callback_keeps_the_drain_exact():
-    # A callback cancels enough timers to compact the heap mid-drain,
-    # then schedules zero-delay work.  The running drain must see the
-    # compacted heap: the follow-on fires in this run, and no surviving
+def test_cancelling_inside_a_callback_keeps_the_drain_exact():
+    # A callback cancels most of the queued timers mid-drain, then
+    # schedules zero-delay work.  The running drain skips every
+    # cancelled entry: the follow-on fires in this run, and no surviving
     # timer fires twice.
     loop = EventLoop()
     fired = []
@@ -236,7 +202,6 @@ def test_compaction_inside_a_callback_keeps_the_drain_exact():
 
     loop.schedule(1, burst)
     loop.run_until(300)
-    assert loop.compactions >= 1
     assert fired == ["follow-on"] + list(range(80, 96))
     assert loop.pending() == 0
     loop.run_until(400)

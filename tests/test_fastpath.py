@@ -59,60 +59,6 @@ def test_cancel_after_fire_is_a_noop():
     assert loop.pending() == 1
 
 
-def test_compaction_evicts_cancelled_garbage():
-    loop = EventLoop()
-    handles = [loop.schedule(1000 + i, lambda: None) for i in range(100)]
-    for handle in handles[:60]:
-        handle.cancel()
-    assert loop.compactions >= 1
-    assert loop.pending() == 40
-    # Compaction keeps garbage a strict minority of the heap (it fires as
-    # soon as lazy cancels outnumber live entries, so some sub-threshold
-    # garbage may legitimately remain).
-    garbage = loop.heap_size() - loop.pending()
-    assert garbage <= loop.pending()
-    assert loop.heap_size() < 100
-
-
-def test_small_heaps_are_never_compacted():
-    loop = EventLoop()
-    handles = [loop.schedule(1000 + i, lambda: None) for i in range(20)]
-    for handle in handles:
-        handle.cancel()
-    assert loop.compactions == 0
-    assert loop.heap_size() == 20
-
-
-def test_compaction_can_be_disabled():
-    loop = EventLoop(compact=False)
-    handles = [loop.schedule(1000 + i, lambda: None) for i in range(100)]
-    for handle in handles:
-        handle.cancel()
-    assert loop.compactions == 0
-    assert loop.heap_size() == 100
-    assert loop.pending() == 0
-
-
-def test_firing_order_identical_with_and_without_compaction():
-    def run(compact):
-        loop = EventLoop(compact=compact)
-        fired = []
-        handles = []
-        for i in range(200):
-            handles.append(
-                loop.schedule(10 + i, lambda i=i: fired.append(i))
-            )
-        for i in range(0, 200, 2):
-            handles[i].cancel()
-        loop.run_until(300)
-        return fired, loop.events_fired
-
-    with_compaction = run(True)
-    without_compaction = run(False)
-    assert with_compaction == without_compaction
-    assert with_compaction[0] == list(range(1, 200, 2))
-
-
 # --------------------------------------------------------- runqueue cache
 
 
@@ -235,9 +181,12 @@ def test_group_stats_memo_hits_within_a_pass():
     add_queued(sched, 1, "t1")
     domain = sched.domain_builder.domains_of(0)[-1]
     vstate = sched.vec_pass(1000)
-    group = domain.groups[0]
-    first = vstate.group_stats(group)
-    assert vstate.group_stats(group) is first
+    _, local, _ = vstate.find_busiest(domain, 0)
+    fold = vstate._gstats[id(local.group)]
+    # A second selection at the same timestamp folds nothing: it reads
+    # the same memo entry and hands out the same GroupStats.
+    assert vstate.find_busiest(domain, 0)[1] is local
+    assert vstate._gstats[id(local.group)] is fold
 
 
 def test_group_stats_signature_survives_unrelated_churn():
@@ -249,17 +198,16 @@ def test_group_stats_signature_survives_unrelated_churn():
     straggler = Task("t0b")
     sched.register_task(straggler)
     domain = sched.domain_builder.domains_of(0)[-1]
-    node0 = next(g for g in domain.groups if 0 in g.cpus)
     node1 = next(g for g in domain.groups if 0 not in g.cpus)
     vstate = sched.vec_pass(1000)
-    stats0 = vstate.group_stats(node0)
-    stats1 = vstate.group_stats(node1)
+    _, stats0, _ = vstate.find_busiest(domain, 0)
+    fold1 = vstate._gstats[id(node1)]
     # Churn on node 0 dirties the mirror; node 1's fold is still valid
     # (none of its members' samples changed) and must be reused, while
     # node 0's must be refolded.
     sched.cpus[0].rq.enqueue(straggler, 0)
-    assert vstate.group_stats(node1) is stats1
-    refolded = vstate.group_stats(node0)
+    _, refolded, _ = vstate.find_busiest(domain, 0)
+    assert vstate._gstats[id(node1)] is fold1
     assert refolded is not stats0
     assert refolded.nr_running == stats0.nr_running + 1
 

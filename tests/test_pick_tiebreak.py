@@ -66,7 +66,7 @@ def test_equal_vruntime_drain_matches_rbtree_order(n, ties):
 
 
 def test_put_prev_lands_back_in_tie_order():
-    # A put_prev / set_current round trip re-inserts the task at its
+    # A dispatch / put_prev round trip re-inserts the task at its
     # (vruntime, tid) position among equal-vruntime ties.
     rq = RunQueue(cpu_id=0)
     tasks = [_task(tid) for tid in (3, 1, 2, 5, 4)]
@@ -74,8 +74,7 @@ def test_put_prev_lands_back_in_tie_order():
         task.vruntime = 10
         rq.enqueue(task, now=0)
     assert rq.pick_next() is tasks[1]  # tid 1 wins the 5-way tie
-    rq.take(tasks[1], now=0)
-    rq.set_current(tasks[1], now=0)
+    rq.dispatch(tasks[1], now=0)
     assert rq.pick_next() is tasks[2]  # the (10, 2) tie is next
     rq.put_prev(tasks[1], now=0)
     assert rq.pick_next() is tasks[1]  # back in front of tid 2

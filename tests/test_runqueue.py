@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sched.cpu import Cpu
-from repro.sched.load import LoadTracker
-from repro.sched.runqueue import RunQueue
+from repro.sched.load import LoadTracker, load_sum
+from repro.sched.runqueue import RunQueue, has_spare_task
 from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task, TaskState
 from repro.sim.timebase import SCHED_LATENCY_US
@@ -82,11 +82,11 @@ def test_wakeup_enqueue_does_not_rewind_vruntime():
 
 
 def test_set_current_and_put_prev():
+    """``dispatch`` sets the current task; ``put_prev`` queues it again."""
     rq = RunQueue(0)
     task = make_task()
     rq.enqueue(task, 0)
-    rq.take(task, 0)
-    rq.set_current(task, 0)
+    rq.dispatch(task, 0)
     assert task.state is TaskState.RUNNING
     assert task.prev_cpu == 0
     assert rq.nr_running == 1
@@ -101,8 +101,7 @@ def test_put_prev_wrong_task_rejected():
     rq = RunQueue(0)
     a, b = make_task("a"), make_task("b")
     rq.enqueue(a, 0)
-    rq.take(a, 0)
-    rq.set_current(a, 0)
+    rq.dispatch(a, 0)
     with pytest.raises(ValueError):
         rq.put_prev(b, 0)
 
@@ -155,8 +154,7 @@ def test_all_tasks_includes_current():
     a, b = make_task("a"), make_task("b")
     rq.enqueue(a, 0)
     rq.enqueue(b, 0)
-    rq.take(a, 0)
-    rq.set_current(a, 0)
+    rq.dispatch(a, 0)
     assert set(rq.all_tasks()) == {a, b}
     assert list(rq.queued_tasks()) == [b]
 
@@ -234,33 +232,54 @@ def _queue_of(n, load_cache, probe):
 
 @pytest.mark.parametrize("load_cache", [True, False])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_dispatch_is_take_then_set_current(n, load_cache):
-    """The fused transition ends where the pair ended, with the same
-    notifications, but without the pair's transient idle flip."""
-    fused_probe, pair_probe = _Recorder(), _Recorder()
-    fused = _queue_of(n, load_cache, fused_probe)
-    pair = _queue_of(n, load_cache, pair_probe)
-    fused.vec = _VecSpy()
-    del fused_probe.events[:], pair_probe.events[:]
+def test_dispatch_matches_a_from_scratch_recount(n, load_cache):
+    """Every aggregate dispatch keeps incrementally equals a recount of
+    the queue it leaves behind, and the probe sees the count and load
+    without the task, then with it running."""
+    probe = _Recorder()
+    rq = _queue_of(n, load_cache, probe)
+    rq.vec = _VecSpy()
+    del probe.events[:]
     now = 7_000
-    fused.dispatch(fused.pick_next(), now)
-    task = pair.pick_next()
-    pair.take(task, now)
-    pair.set_current(task, now)
-    assert fused_probe.events == pair_probe.events
-    for rq in (fused, pair):
-        assert rq.curr.state is TaskState.RUNNING
-        assert rq.curr.prev_cpu == rq.curr.cpu == 3
-    assert fused.curr.name == pair.curr.name
-    assert [t.name for t in fused.queued_tasks()] == [
-        t.name for t in pair.queued_tasks()
+    mutations = rq.mutations
+    task = rq.pick_next()
+    rq.dispatch(task, now)
+    tasks = rq.all_tasks()
+    assert rq.curr is task and task not in rq.queued_tasks()
+    assert task.state is TaskState.RUNNING
+    assert task.prev_cpu == task.cpu == 3
+    assert rq._nr_running == len(tasks) == n
+    assert rq._total_weight == sum(t.weight for t in tasks)
+    assert rq.owner.is_idle is False
+    assert rq.overload == ({3} if has_spare_task(len(tasks)) else set())
+    assert rq.mutations == mutations + 1
+    assert rq.vec.idle_flips == []  # nothing queued for reconcile
+    assert probe.events == [
+        ("nr", now, 3, n - 1),
+        ("load", now, 3, load_sum(t.load(now) for t in rq.queued_tasks())),
+        ("nr", now, 3, n),
+        ("load", now, 3, load_sum(t.load(now) for t in tasks)),
     ]
-    assert fused._nr_running == pair._nr_running == n
-    assert fused._total_weight == pair._total_weight
-    assert fused.owner.is_idle is pair.owner.is_idle is False
-    assert fused.overload == pair.overload
-    assert fused.load(now) == pair.load(now)
-    assert fused.vec.idle_flips == []  # nothing queued for reconcile
+
+
+def test_clear_current_matches_a_from_scratch_recount():
+    rq = _queue_of(2, True, None)
+    rq.vec = _VecSpy()
+    first = rq.pick_next()
+    rq.dispatch(first, 0)
+    assert rq.overload == {3}
+    mutations = rq.mutations
+    rq.clear_current(10)
+    assert rq.curr is None and rq.mutations == mutations + 1
+    assert rq._nr_running == 1 and rq._total_weight == rq.all_tasks()[0].weight
+    assert rq.overload == set()
+    assert rq.owner.is_idle is False and rq.vec.idle_flips == []
+    rq.dispatch(rq.pick_next(), 20)
+    rq.clear_current(30)
+    assert rq._nr_running == 0 and rq._total_weight == 0
+    assert rq.owner.is_idle is True and rq.vec.idle_flips == [3]
+    with pytest.raises(ValueError):
+        rq.clear_current(40)
 
 
 def test_dispatch_rejects_a_busy_queue():

@@ -21,6 +21,7 @@ from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import CoherenceError
 from repro.sched.scheduler import Scheduler
 from repro.sched.task import Task
+from repro.sched.vecstate import VecState
 from repro.topology import two_nodes
 
 ALL_BUGS = (
@@ -174,19 +175,53 @@ def test_unsanitized_miss_drift_goes_unnoticed(monkeypatch):
     assert rq.load(1000) != rq.all_tasks()[0].load(1000)
 
 
+def _top_domain(scenario):
+    sched = scenario.system.scheduler
+    vstate = sched.vec_pass(scenario.system.now)
+    return sched, vstate, sched.domain_builder.domains_of(0)[-1]
+
+
 def test_trips_on_group_stats_drift():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
-    sched = scenario.system.scheduler
-    vstate = sched.vec_pass(scenario.system.now)
-    domains = sched.domain_builder.domains_of(0)
-    group = domains[-1].local_group(0)
-    vstate.group_stats(group)  # prime the fold memo
-    victim = sched.cpus[group.sorted_cpus()[0]].rq
+    sched, vstate, domain = _top_domain(scenario)
+    vstate.find_busiest(domain, 0)  # prime the fold memo
+    victim = sched.cpus[domain.local_group(0).sorted_cpus()[0]].rq
     victim._nr_running += 1  # un-bumped: no dirty mark, memo stays keyed
     with pytest.raises(CoherenceError):
-        vstate.group_stats(group)
+        vstate.find_busiest(domain, 0)
     victim._nr_running -= 1
+
+
+def test_trips_on_a_drifted_fold():
+    """A fold-memo entry that no longer matches its group's queues trips
+    at the next selection that reads it."""
+    scenario = build("group-imbalance")
+    scenario.run(SOAK_US // 2)
+    _sched, vstate, domain = _top_domain(scenario)
+    vstate.find_busiest(domain, 0)
+    fold = vstate._gstats[id(domain.local_group(0))]
+    fold[6] += 1  # the memoized nr_running sum
+    fold[9] = None  # and its materialized GroupStats
+    with pytest.raises(CoherenceError) as exc:
+        vstate.find_busiest(domain, 0)
+    assert exc.value.accessor == "group-stats"
+    assert exc.value.field == "nr_running"
+
+
+def test_trips_on_a_wrong_selection(monkeypatch):
+    """The fast selection's answer itself is checked: a fast path that
+    drops the busiest group it found trips on the reference decision."""
+    real = VecState.find_busiest
+
+    def forgetful(self, domain, dst_cpu, need_local=True):
+        busiest, local, examined = real(self, domain, dst_cpu, need_local)
+        return None, local, examined
+
+    monkeypatch.setattr(VecState, "find_busiest", forgetful)
+    with pytest.raises(CoherenceError) as exc:
+        build("group-imbalance").run(SOAK_US)
+    assert exc.value.accessor.startswith("busiest-group")
 
 
 def test_trips_on_stale_balance_gate():

@@ -25,8 +25,7 @@ import repro
 from repro.sched import wakeup as wk
 from repro.sched.balance import (
     _elect_designated,
-    _elect_designated_baseline,
-    _fold_group_stats,
+    compute_group_stats,
     find_busiest_group,
 )
 from repro.sched.features import SchedFeatures
@@ -104,31 +103,20 @@ def test_vectorized_soak_never_imports_numpy():
 # ------------------------------------------------------------ mirror sync
 
 
-def test_snapshot_mirror_is_exact_against_queues():
-    system, sched = _vec_system()
-    _spawn_some(system)
-    system.run_for(20 * MS)
-    snap = sched.vec.begin(system.now).snapshot()
-    now = system.now
-    for cpu in sched.cpus:
-        i = cpu.cpu_id
-        assert snap["load"][i] == float(cpu.rq.load(now))
-        assert snap["nr_running"][i] == cpu.rq.nr_running
-        assert snap["idle"][i] == (cpu.rq.nr_running == 0)
-        assert snap["vruntime_floor"][i] == cpu.rq.min_vruntime
-        assert snap["online"][i] == cpu.online
-    assert snap["now"] == now
-
-
 def _assert_folds_match(sched, now):
+    """Every fold find_busiest reads is the reference fold, exactly."""
     vstate = sched.vec.begin(now)
     for domain in sched.domain_builder.domains_of(0):
-        for group in domain.groups:
-            got = vstate.group_stats(group)
-            want = _fold_group_stats(sched, group, now)
-            if want is None:
-                assert got is None
-                continue
+        vstate.find_busiest(domain, 0)
+        folded = [
+            (group, compute_group_stats(sched, group, now))
+            for group in domain.groups
+        ]
+        folded = [(group, want) for group, want in folded if want is not None]
+        read = vstate._folds_read(domain, 0)
+        assert len(read) == len(folded)
+        for (group, want), got in zip(folded, read):
+            assert got.group is group
             # Exact equality, field by field -- including int-vs-float
             # type (the digest distinguishes them).
             for field in (
@@ -188,7 +176,7 @@ def test_dirty_mark_resamples_only_after_mutation():
 
 
 @pytest.mark.parametrize(
-    "mutator", ["enqueue", "take", "dispatch", "set_current"]
+    "mutator", ["enqueue", "take", "dispatch", "clear_current"]
 )
 def test_every_mutator_stales_its_own_slot(mutator):
     """Each runqueue mutator marks its mirror slot dirty, and only it."""
@@ -198,7 +186,7 @@ def test_every_mutator_stales_its_own_slot(mutator):
     task = Task("mover")
     if mutator != "enqueue":
         rq.enqueue(task, now)
-    if mutator == "set_current":
+    if mutator == "clear_current":
         rq.dispatch(task, now)
     vstate = sched.vec.begin(now)
     vstate._sample(range(len(sched.cpus)))
@@ -210,7 +198,7 @@ def test_every_mutator_stales_its_own_slot(mutator):
     elif mutator == "dispatch":
         rq.dispatch(task, now)
     else:
-        rq.set_current(None, now)
+        rq.clear_current(now)
     assert [i for i, at in enumerate(vstate._at) if at != now] == [2]
     assert vstate._version > version
 
@@ -336,11 +324,11 @@ def test_cpu_going_idle_is_reelected(leave):
     elif leave == "migrate":
         sched.migrate_task(task, 2, 0, 0, "test")
     else:
-        rq.set_current(None, 0)
+        rq.clear_current(0)
     assert sched.cpus[2].is_idle
     for group in groups:
         assert vec.designated_for(group) == 2
-        assert vec.designated_for(group) == _elect_designated_baseline(
+        assert vec.designated_for(group) == _elect_designated(
             sched, group
         )
 
@@ -351,7 +339,11 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
     system.run_for(10 * MS)
     vstate = sched.vec.begin(system.now)
     group = _wide_group(sched)
-    vstate.group_stats(group)
+    domain = next(
+        d for d in sched.domain_builder.domains_of(0)
+        if d.local_group(0) is group
+    )
+    vstate.find_busiest(domain, 0)
     vstate.designated_for(group)
     assert vstate._gidx and vstate._gstats
     gen_before = sched.domain_builder.generation
@@ -400,7 +392,7 @@ def test_hotplug_cycle_reelects_over_the_new_domain_table():
     elections = list(elect_all())
     assert any(before[id(group)] != winner for group, winner in elections)
     for group, winner in elections:
-        assert winner == _elect_designated_baseline(sched, group)
+        assert winner == _elect_designated(sched, group)
 
 
 # ----------------------------------------------- periodic-balance gates
@@ -425,16 +417,6 @@ def _run_on(sched, cpu_id, now):
 def _tick_to(sched, until_us):
     for now in range(MS, until_us + 1, MS):
         sched.tick(now)
-
-
-def test_snapshot_reports_offline_cpu_not_idle():
-    sched = _occupied_sched(SchedFeatures(), idle=(2, 6))
-    sched.set_cpu_online(6, False, 0)
-    snap = sched.vec.begin(0).snapshot()
-    assert snap["online"][6] is False
-    assert snap["idle"][6] is False  # nr_running is 0, but it is offline
-    assert snap["idle"][2] is True
-    assert snap["idle"] == [cpu.is_idle for cpu in sched.cpus]
 
 
 def test_transient_take_set_current_pair_disarms_no_gate():

@@ -24,8 +24,7 @@ def occupy(sched, cpu_id, name=None):
     task = Task(name or f"occ{cpu_id}")
     sched.register_task(task)
     sched.cpus[cpu_id].rq.enqueue(task, 0)
-    sched.cpus[cpu_id].rq.take(task, 0)
-    sched.cpus[cpu_id].rq.set_current(task, 0)
+    sched.cpus[cpu_id].rq.dispatch(task, 0)
     sched.cpus[cpu_id].mark_busy(0)
     return task
 
