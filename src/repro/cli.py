@@ -403,15 +403,15 @@ def _cmd_replay_record(args) -> int:
     scenarios = _load_slo_registry(args)
     if scenarios is None:
         return 2
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     count = 0
     for scenario in scenarios:
         for spec in compile_specs(scenario, scale=args.scale, record=True):
-            path = os.path.join(args.out, trace_filename(spec))
+            path = os.path.join(args.out_dir, trace_filename(spec))
             record_trace(spec, path)
             print(f"recorded {path}")
             count += 1
-    print(f"{count} recording(s) written to {args.out}")
+    print(f"{count} recording(s) written to {args.out_dir}")
     return 0
 
 
@@ -651,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _slo_common(p, with_cache=False)
     p.add_argument(
-        "--out", default="slo-traces", metavar="DIR",
+        "--out", dest="out_dir", default="slo-traces", metavar="DIR",
         help="directory for the .trace.jsonl recordings",
     )
     p.set_defaults(func=_cmd_replay_record)
@@ -722,15 +722,57 @@ def check_workers(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+#: Output files, as (attribute, flag): each is written after the run,
+#: so its directory must already exist and be writable.
+_OUTPUT_FILES = (
+    ("out", "--out"),
+    ("output", "--output"),
+    ("utilization_out", "--utilization-out"),
+    ("digests_out", "--digests-out"),
+    ("json", "--json"),
+    ("sarif", "--sarif"),
+)
+
+#: Output directories, created by the run when missing.
+_OUTPUT_DIRS = (("svg_dir", "--svg-dir"), ("out_dir", "--out"))
+
+
+def _blocker(path: str) -> Optional[str]:
+    """Why the directory ``path`` cannot be created, or None.
+
+    Its nearest existing ancestor (``path`` itself, when it exists) must
+    be a writable directory.
+    """
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if os.path.isdir(existing) and os.access(existing, os.W_OK | os.X_OK):
+        return None
+    return f"{existing} is not a writable directory"
+
+
+def _unwritable(path: str) -> Optional[str]:
+    """Why the file ``path`` cannot be written, or None."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(folder):
+        return f"directory {folder} does not exist"
+    if not os.access(folder, os.W_OK | os.X_OK):
+        return f"directory {folder} is not writable"
+    if os.path.isdir(path):
+        return "it is a directory"
+    return None
+
+
 def check_inputs(args: argparse.Namespace) -> Optional[str]:
     """Why a command's values or files are unusable, or None.
 
     Checked before any work, so a bad input exits 2 instead of running
     on a meaningless value or failing after trials have run: every
     ``--scale`` is a positive finite number, ``--duration-us`` a
-    positive integer, each ``replay diff`` recording readable, and the
-    result-cache directory exists or can be created.  Nothing is
-    written.
+    positive integer, each ``replay diff`` recording readable, each
+    output file's directory exists and is writable, and each output
+    directory (the result cache included) exists or can be created.
+    Nothing is written.
     """
     try:
         if getattr(args, "scale", None) is not None:
@@ -749,20 +791,23 @@ def check_inputs(args: argparse.Namespace) -> Optional[str]:
                 read_trace(path)
             except OSError as exc:
                 return f"cannot read recording {path}: {exc.strerror or exc}"
+        for attr, flag in _OUTPUT_FILES:
+            path = getattr(args, attr, None)
+            why = _unwritable(path) if path else None
+            if why is not None:
+                return f"cannot write {flag} {path}: {why}"
+        for attr, flag in _OUTPUT_DIRS:
+            path = getattr(args, attr, None)
+            why = _blocker(path) if path else None
+            if why is not None:
+                return f"cannot create {flag} {path}: {why}"
         if hasattr(args, "cache_dir") and not args.no_cache:
             from repro.perf.orchestrator.cache import cache_root
 
             root = cache_root(args.cache_dir)
-            existing = root.absolute()
-            while not existing.exists():
-                existing = existing.parent
-            if not existing.is_dir() or not os.access(
-                existing, os.W_OK | os.X_OK
-            ):
-                return (
-                    f"cannot create cache directory {root}: {existing} "
-                    f"is not a writable directory"
-                )
+            why = _blocker(str(root))
+            if why is not None:
+                return f"cannot create cache directory {root}: {why}"
     except ValueError as exc:
         return str(exc)
     return None

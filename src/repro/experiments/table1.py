@@ -133,15 +133,6 @@ def nas_pinned_trial(spec: TrialSpec) -> TrialResult:
     )
 
 
-def run_nas_pinned(
-    config: ExperimentConfig,
-    app_name: str,
-    nr_threads: Optional[int] = None,
-) -> float:
-    """One NAS run pinned to ``PINNED_NODES``; returns completion seconds."""
-    return run_nas_pinned_result(config, app_name, nr_threads).seconds
-
-
 def table1_specs(
     scale: float = 0.25,
     apps: Optional[Sequence[str]] = None,

@@ -48,9 +48,6 @@ class InvariantGuardedScheduler(Scheduler):
         self.guard_overrides = 0
         self.module_placements = 0
 
-    def add_module(self, module: OptimizationModule) -> None:
-        self.modules.append(module)
-
     # -- the core module's placement logic ---------------------------------
 
     def _idle_allowed_cpu(self, task: Task) -> Optional[int]:

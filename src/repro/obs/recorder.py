@@ -177,11 +177,6 @@ class MetricsRecorder(Probe):
         """The wakeup-to-run latency histogram (acceptance metric)."""
         return self._wakeup_latency
 
-    @property
-    def slice_interarrival(self) -> Histogram:
-        """Per-task switch-in inter-arrival histogram (jitter source)."""
-        return self._slice_interarrival
-
     def jitter_us(self) -> float:
         """Scheduling jitter: exact stddev of switch-in inter-arrivals."""
         return self._slice_interarrival.stddev()

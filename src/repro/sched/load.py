@@ -146,8 +146,8 @@ def queue_load(
     curr: Optional["Task"],
     now: int,
     running: object,
-) -> Tuple[float, bool]:
-    """(load, time-invariant) of a runqueue: its waiting tasks, then curr.
+) -> float:
+    """The load of a runqueue at ``now``: its waiting tasks, then curr.
 
     One frame for what ``Task.load(now)`` computes per task through
     ``CGroup.load_divisor``, ``LoadTracker.peek`` and :func:`task_load`:
@@ -155,16 +155,12 @@ def queue_load(
     ``RunQueue.all_tasks()`` order, so the value is the very float
     ``load_sum(t.load(now) for t in rq.all_tasks())`` returns.
     ``running`` is ``TaskState.RUNNING`` (this module sits below
-    ``repro.sched.task``).
-
-    The flag is True when every member tracker sits exactly on its
-    state's target (1.0 running, 0.0 waiting): a converged average
-    decays to itself, so the sum is a constant of time until the task
-    set or some member's running state changes.  The raw ``util`` reads
-    are that test and the decay itself, which this module owns.
+    ``repro.sched.task``).  The value is for ``now`` alone; the
+    ``RunQueue.load`` memo that stores it is keyed by that timestamp.
+    A tracker already on its state's target skips the ``exp()``, as
+    ``LoadTracker.peek`` does.
     """
     value: float = 0
-    invariant = True
     n = len(entries)
     for i in range(n + 1):
         task: "Task"
@@ -190,7 +186,6 @@ def queue_load(
         util = tracker.util
         target = 1.0 if task.state is running else 0.0
         if util != target:
-            invariant = False
             delta = now - tracker.last_update_us
             if delta > 0:
                 util = target + (util - target) * math.exp(
@@ -209,4 +204,4 @@ def queue_load(
         elif util > 1.0:
             util = 1.0
         value = value + weight * util / divisor
-    return value, invariant
+    return value

@@ -10,14 +10,15 @@ The queue reports every ``nr_running`` and load change to an optional probe,
 mirroring the paper's instrumentation of ``add_nr_running`` /
 ``sub_nr_running`` and ``account_entity_enqueue``.
 
-``load(now)`` memoizes its per-task summation, keyed by ``(now, mutations,
-divisor epoch)``: the queue's private mutation counter is bumped by every
-local load-affecting change, and the shared divisor epoch by cgroup
+``load(now)`` memoizes its per-task summation, keyed by exactly ``(now,
+mutations, divisor epoch)``: the queue's private mutation counter is bumped
+by every local load-affecting change, and the shared divisor epoch by cgroup
 attach/detach (which re-weights member loads without any runqueue event).
-One CPU's churn therefore never dirties its siblings' caches.  A cache hit
-returns the *same float object* the miss produced -- the cached value is the
-plain summation, never a closed-form shortcut -- so traces are byte-identical
-with the cache on or off.
+A memoized value holds for its own timestamp only -- loads decay with
+time, so any other ``now`` recomputes.  One CPU's churn never dirties its
+siblings' caches.  A cache hit returns the *same float object* the miss
+produced -- the cached value is the plain summation, never a closed-form
+shortcut -- so traces are byte-identical with the cache on or off.
 
 Every queue also keeps the scheduler's shared *spare set* exact: the ids of
 the CPUs whose queue passes :func:`has_spare_task` (the kernel's
@@ -115,16 +116,6 @@ class RunQueue:
         self._cached_load_mut = -1
         self._cached_load_div = -1
         self._cached_load = 0.0
-        #: True when the last load summation found every member tracker
-        #: exactly converged to its state's target (see LoadTracker's
-        #: convergence shortcut): the summation is then a constant of
-        #: time until the task set or some member's running state
-        #: changes, and the fast-path mirror may carry the sample
-        #: across timestamps.  Cleared by the one non-bumping mutator
-        #: (``put_prev``), whose state flip is invisible to the memo
-        #: key; every bumping mutator forces a recompute (and thus a
-        #: re-derivation) through the key itself.
-        self._cached_load_invariant = False
         #: Incrementally-maintained mirrors of the queue + curr aggregates
         #: (task weights are fixed at construction, so integer bookkeeping
         #: is exact).  ``nr_running`` and ``total_weight`` are hot in the
@@ -220,11 +211,8 @@ class RunQueue:
         self._insert(task)
         # The task set (and therefore load, nr_running, idleness) is
         # unchanged -- curr merely moved into the queue -- so no mutation
-        # bump: every cached aggregate stays exactly valid.
-        # The *time-invariance* of the load summation is not: the task's
-        # running-state target flipped without a memo-key event, so the
-        # flag (and only the flag) is dropped here.
-        self._cached_load_invariant = False
+        # bump: every cached aggregate stays exactly valid at its own
+        # timestamp.
         self._notify(now)
 
     # -- selection -------------------------------------------------------------
@@ -316,7 +304,7 @@ class RunQueue:
             # The queue without its new curr: the same left-to-right
             # adds, so the value is the one ``take`` reported.
             if self._load_cache_enabled:
-                left = queue_load(self._q, None, now, TaskState.RUNNING)[0]
+                left = queue_load(self._q, None, now, TaskState.RUNNING)
             else:
                 left = load_sum(t.load(now) for t in self.queued_tasks())
             probe.on_rq_load(now, cpu_id, left)
@@ -365,45 +353,32 @@ class RunQueue:
         """Combined load of every task on this queue (Figure 2b's metric).
 
         O(1) on a cache hit: the summation is memoized per ``(now,
-        mutations, divisor epoch)``; every load-affecting mutation of this
-        queue bumps ``mutations``, and every cgroup attach/detach bumps
-        the shared divisor epoch.  Misses recompute the exact same
-        per-task sum the uncached path uses, so the returned floats are
-        identical either way.  With the sanitizer on, every hit and
-        every miss is checked against that per-task sum.
+        mutations, divisor epoch)`` and reused at that key alone; every
+        load-affecting mutation of this queue bumps ``mutations``, and
+        every cgroup attach/detach bumps the shared divisor epoch.
+        Misses recompute the exact same per-task sum the uncached path
+        uses, so the returned floats are identical either way.  With the
+        sanitizer on, every hit and every miss is checked against that
+        per-task sum.
         """
         if now is None or not self._load_cache_enabled:
             return load_sum(task.load(now) for task in self.all_tasks())
         div = self.divisor_epoch.value
         if (
-            self._cached_load_mut == self.mutations
+            self._cached_load_now == now
+            and self._cached_load_mut == self.mutations
             and self._cached_load_div == div
-            and (
-                self._cached_load_now == now
-                # Time-invariance carry-across: the memoized summation
-                # found every member exactly converged, so it is a
-                # constant of time until the next mutation (key above)
-                # or running-state flip (flag cleared by put_prev) --
-                # re-stamp the timestamp and keep the value.
-                # The sanitizer cross-checks this against a fresh
-                # recompute at the new timestamp on every such hit.
-                or self._cached_load_invariant
-            )
         ):
-            self._cached_load_now = now
             self.load_cache_hits += 1
             if self._sanitize:
                 verify_rq_load(self, now, self._cached_load)
             return self._cached_load
         # One call for the whole queue: ``queue_load`` adds the per-task
         # loads in ``all_tasks()`` order with ``Task.load``'s exact
-        # expressions, and derives the time-invariance flag.
-        value, invariant = queue_load(
-            self._q, self.curr, now, TaskState.RUNNING
-        )
+        # expressions.
+        value = queue_load(self._q, self.curr, now, TaskState.RUNNING)
         if self._sanitize:
             verify_rq_load(self, now, value)
-        self._cached_load_invariant = invariant
         self._cached_load_now = now
         self._cached_load_mut = self.mutations
         self._cached_load_div = div

@@ -4,6 +4,11 @@ Every fast-path cache stays valid only while each mutator invalidates
 it: the runqueue load memo keys on the queue's ``mutations`` counter
 and the divisor epoch, and the ``VecState`` mirror hears every change
 through ``mark_dirty`` / ``mark_idle_change`` / ``on_topology_change``.
+The load memo and the mirror's samples and folds follow one rule: a
+value is reused only at the timestamp it was computed for, under the
+same mutation counters and divisor epoch -- nothing is carried to a
+later timestamp -- so a hit can be stale only when a mutator skipped
+its invalidation.
 With ``SchedFeatures.sanitize_coherence`` on, every memo **hit**
 recomputes the value from first principles and raises
 :class:`CoherenceError` naming the divergent field if the cached copy

@@ -323,8 +323,8 @@ class Scheduler:
         overloaded = False
         # One stats pass serves every CPU balanced this tick (and the NOHZ
         # sweep below): they all observe the same timestamp, so per-CPU
-        # samples and folded group stats carry across until a migration
-        # dirties the load epoch.
+        # samples and folded group stats are reused until a migration
+        # dirties them.
         bpass = self.vec_pass(now)
         sanitize = self.features.sanitize_coherence
         for cpu in self.cpus:

@@ -94,8 +94,6 @@ class Task:
         self.phase_left_us = 0
         #: Synchronization object the task is spinning on, if any.
         self.spinning_on: Any = None
-        #: Synchronization object the task is blocked on, if any.
-        self.blocked_on: Any = None
         #: Timestamp execution last (re)started, for runtime accounting.
         self.exec_start_us: Optional[int] = None
         #: Timestamp the current Run phase last (re)started on a CPU.

@@ -7,7 +7,9 @@ objects the queues returned (see "Object exactness" below) -- and keeps
 them coherent through the runqueues' write-through invalidations:
 
 * each slot carries the timestamp it was sampled at; a sample is valid
-  only at that timestamp (loads are a function of ``now``);
+  only at that timestamp (loads are a function of ``now``), and so is
+  every fold over it: a fold memo is reused only at its own ``(now,
+  version)``, never carried to another timestamp;
 * every load-affecting runqueue mutation calls :meth:`mark_dirty` (wired
   next to the queue's own ``mutations`` bump), which stales that slot
   alone and advances the private fold version;
@@ -97,18 +99,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: id can never be recycled while the entry exists.
 _GroupEntry = Tuple["SchedGroup", Tuple[int, ...], int]
 
-#: Flat fold-memo entry (a list, for in-place re-stamping):
-#: [group, now, version, load_sum, load_min, load_max,
-#:  nr_sum, nr_min, nr_max, stats-or-None, cpus, member count,
-#:  group dirty count].
+#: Flat fold-memo entry (a list, so the GroupStats slot can be filled
+#: in place): [group, now, version, load_sum, load_min, load_max,
+#:  nr_sum, nr_min, nr_max, stats-or-None, cpus, member count].
 #: Slots 3..8 are the six reductions in the exact objects the scalar
 #: fold produces; slot 9 caches the lazily-materialized GroupStats.
-#: Slot 12 is the group's dirty counter at fold time: the counter only
-#: moves when a member slot's mirrored value actually changed, so a
-#: matching count revalidates the fold across timestamps in O(1) (and
-#: the entry is re-stamped in place).
 _F_STATS = 9
-_F_DIRTY = 12
 
 
 class _DomainCache:
@@ -173,8 +169,7 @@ class VecState:
         "sched", "now", "_n", "_loads", "_nrs", "_at", "_version",
         "_div_ref", "_div_epoch", "_gidx", "_gstats", "_designated",
         "_desig_by_cpu", "_domains", "_sanitize", "_use_min",
-        "_scratch_folds",
-        "_grp_dirty", "_slot_grps", "_gate", "_gate_ep", "_disarms",
+        "_scratch_folds", "_gate", "_gate_ep", "_disarms",
         "_idle", "_idle_queued", "_idle_q",
     )
 
@@ -218,20 +213,6 @@ class VecState:
         #: entry owned by ``_gstats`` or a fresh fold that ``_fold_entry``
         #: already registered there.
         self._scratch_folds: List[List[object]] = []
-        #: Per-group dirty counter: ``id(group) -> count``, bumped by
-        #: every mirror rewrite of any member slot (identity check --
-        #: the queues' load memo returns the *same object* while nothing
-        #: changed).  Fold memos record the count at fold time (slot
-        #: ``_F_DIRTY``); counts never decrease, so an equal count at a
-        #: later (now, version) proves every input object unchanged and
-        #: revalidates the fold in O(1) -- the old per-member
-        #: generation-sum probe paid O(group) per probe, which was the
-        #: costliest fold-path line on soak64.
-        self._grp_dirty: Dict[int, int] = {}
-        #: Reverse index for the counters: every registered group
-        #: containing the slot (built with the gather plans, dropped on
-        #: hotplug with them).
-        self._slot_grps: List[List["SchedGroup"]] = [[] for _ in range(n)]
         #: Per-CPU periodic-balance gate: the earliest ``next_balance``
         #: deadline among the levels this CPU currently wins at its
         #: cached plan.  ``gate > now`` proves the whole domain walk is
@@ -372,9 +353,6 @@ class VecState:
         self._domains.clear()
         self._at = [-1] * self._n
         self._version += 1
-        self._grp_dirty.clear()
-        for lst in self._slot_grps:
-            del lst[:]
         # The plans and elections every gate was computed from are gone.
         for i in range(self._n):
             self._gate[i] = 0
@@ -386,8 +364,7 @@ class VecState:
 
         Only slots not yet sampled at ``now`` are read, through the
         queues' own memoized ``load(now)`` -- the exact objects the
-        scalar path reads.  A slot whose mirrored object or count
-        changed bumps the dirty counter of every group holding it.
+        scalar path reads.
         """
         now = self.now
         at = self._at
@@ -399,18 +376,8 @@ class VecState:
                 continue
             at[i] = now
             rq = cpus[i].rq
-            # Identity check: the queue's load memo carries its value
-            # across timestamps while provably time-invariant, so a slot
-            # whose mirrored *object* is unchanged dirties no fold memo
-            # over it.
-            v = rq.load(now)
-            nr = rq._nr_running
-            if v is not loads[i] or nr != nrs[i]:
-                loads[i] = v
-                nrs[i] = nr
-                grp_dirty = self._grp_dirty
-                for g in self._slot_grps[i]:
-                    grp_dirty[id(g)] += 1
+            loads[i] = rq.load(now)
+            nrs[i] = rq._nr_running
 
     # -- gather plans ------------------------------------------------------
 
@@ -422,13 +389,6 @@ class VecState:
             )
             entry = (group, cpus, len(cpus))
             self._gidx[id(group)] = entry
-            # Register the group with each member slot's reverse index
-            # so mirror rewrites bump its dirty counter; id reuse is
-            # safe because the index holds the group itself (and _gidx
-            # keeps it alive until hotplug clears both maps together).
-            self._grp_dirty[id(group)] = 0
-            for c in cpus:
-                self._slot_grps[c].append(group)
         return entry
 
     def _domain_cache(self, domain: "SchedDomain") -> _DomainCache:
@@ -454,27 +414,15 @@ class VecState:
     def _fold_entry(self, entry: _GroupEntry) -> List[object]:
         """Fold one (nonempty) group into a fresh memo entry.
 
-        The six reductions use the exact expressions -- and, for the
-        float side, the exact sequential op order and element-object
-        results -- of ``compute_group_stats``; the leading ``0 +`` of
-        ``load_sum`` is dropped, which is value- *and type*-exact
-        because queue loads are never negative zero.  Every width folds
-        in-frame: one pass, no helper frames.
+        The entry is stamped ``(now, version)`` and is reused at that
+        stamp alone.  The six reductions use the exact expressions --
+        and, for the float side, the exact sequential op order and
+        element-object results -- of ``compute_group_stats``; the
+        leading ``0 +`` of ``load_sum`` is dropped, which is value- *and
+        type*-exact because queue loads are never negative zero.  Every
+        width folds in-frame: one pass, no helper frames.
         """
         group, cpus, k = entry
-        d = self._grp_dirty[id(group)]
-        prev = self._gstats.get(id(group))
-        if prev is not None:
-            # Second chance across timestamps: the (now, version) stamp
-            # went stale, but the group's dirty counter is monotone, so
-            # an equal count -- taken after the members were sampled at
-            # ``now`` -- proves every input object unchanged and the
-            # memoized reductions still exact.  Re-stamp the entry in
-            # place instead of refolding.
-            if d == prev[_F_DIRTY]:
-                prev[1] = self.now
-                prev[2] = self._version
-                return prev
         loads = self._loads
         nrs = self._nrs
         c = cpus[0]
@@ -500,7 +448,7 @@ class VecState:
             j += 1
         m: List[object] = [
             group, self.now, self._version,
-            ls, lmn, lmx, ns, nmn, nmx, None, cpus, k, d,
+            ls, lmn, lmx, ns, nmn, nmx, None, cpus, k,
         ]
         self._gstats[id(group)] = m
         return m
@@ -724,9 +672,7 @@ class VecState:
             if m is not None and m[1] == now and m[2] == version:
                 append(m)
             else:
-                # Sample just this group's stale members; the fold may
-                # still revalidate in place (_fold_entry's dirty-count
-                # probe) before paying for a refold.
+                # Sample just this group's stale members and refold.
                 self._sample(entry[1])
                 append(self._fold_entry(entry))
         local_idx = cache.local_slot.get(dst_cpu, -1)

@@ -425,7 +425,6 @@ class System:
             task.spinning_on = phase.lock
             task.spin_started_us = now
             return True  # spins on-CPU
-        task.blocked_on = phase.lock
         self._switch_out(cpu_id, requeue=False)
         task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
@@ -439,7 +438,6 @@ class System:
             if phase.lock.kind == "spin":
                 self._grant_to_spinner(granted)
             else:
-                granted.blocked_on = None
                 self.scheduler.wake_task(granted, cpu_id, now)
         return False
 
@@ -457,7 +455,6 @@ class System:
             task.barrier_generation = barrier.generation
             task.spin_started_us = now
             return True  # spins on-CPU
-        task.blocked_on = barrier
         self._switch_out(cpu_id, requeue=False)
         task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
@@ -485,7 +482,6 @@ class System:
     ) -> bool:
         if phase.channel.get(task):
             return False
-        task.blocked_on = phase.channel
         self._switch_out(cpu_id, requeue=False)
         task.state = TaskState.BLOCKED
         self._dispatch(cpu_id)
@@ -496,7 +492,6 @@ class System:
     ) -> bool:
         waiter = phase.channel.put()
         if waiter is not None:
-            waiter.blocked_on = None
             self.scheduler.wake_task(waiter, cpu_id, now)
         return False
 
@@ -549,7 +544,6 @@ class System:
             # A preempted spinner passes the generation check when it next
             # runs (_begin_run).
             return
-        task.blocked_on = None
         self.scheduler.wake_task(task, waker_cpu, now)
 
     def _timer_wake(self, task: Task) -> None:

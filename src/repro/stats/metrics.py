@@ -28,7 +28,6 @@ class IdleOverloadSampler:
     """
 
     def __init__(self) -> None:
-        self.violation_time_us = 0
         self.wasted_core_time_us = 0
         self.samples = 0
         self.violating_samples = 0
@@ -53,7 +52,6 @@ class IdleOverloadSampler:
         violated = has_violation(sched, now)
         if violated:
             self.violating_samples += 1
-            self.violation_time_us += TICK_US
             # Reported to the system's probe so traces show the violation
             # density the paper's heatmaps plot.
             if sched.probe.active:

@@ -126,7 +126,6 @@ class Database:
         self._shutdown = False
         #: Per-round work durations, re-rolled by the driver per round.
         self._round_work: Dict[int, int] = {}
-        self._round_no = 0
 
     # -- programs ---------------------------------------------------------
 
@@ -175,7 +174,6 @@ class Database:
             for query in queries:
                 start = self._clock()
                 for _ in range(query.rounds):
-                    self._round_no += 1
                     for rank in range(self.nr_workers):
                         self._round_work[rank] = jittered(
                             self.rng, query.work_us, query.jitter

@@ -3,11 +3,13 @@
 Every cache the fast path keeps (the runqueue load memo, the
 ``VecState`` load mirror and designated-balancer memo, the spare set)
 stays coherent only because each mutator invalidates it at the right
-place, the fast busiest-group selection is right only while the
-sanitizer holds it against the reference, and a scenario file is only
-as good as the loader's checks of the references it names.  Each
-:class:`Plant` below disables one of those invalidations or checks, or
-bends the fast selection, and names the tier-1 tests that must fail
+place and each memo is reused only at its own key (timestamp, mutation
+counters, divisor epoch), the fast busiest-group selection is right
+only while the sanitizer holds it against the reference, and a scenario
+file is only as good as the loader's checks of the references it names.
+Each :class:`Plant` below disables one of those invalidations or checks,
+drops a term of a memo key, or bends the fast selection, and names the
+tier-1 tests that must fail
 once it is in, so a deletion that leaves one of them unguarded shows up
 as a plant that got through.
 
@@ -75,6 +77,9 @@ MEMBERSHIP = (
     "tests/test_fastpath.py::"
     "test_load_memo_sees_group_membership_change_on_another_cpu"
 )
+OWN_TIMESTAMP = (
+    "tests/test_fastpath.py::test_load_memo_holds_for_its_own_timestamp_only"
+)
 DANGLING = (
     "tests/test_slo_registry.py::"
     "test_load_scenario_rejects_dangling_reference"
@@ -100,7 +105,7 @@ PLANTS: Tuple[Plant, ...] = (
         _stales("enqueue"),
         VECSTATE + "test_dirty_mark_resamples_only_after_mutation",
         "tests/test_fastpath.py::"
-        "test_group_stats_signature_survives_unrelated_churn",
+        "test_a_mutation_refolds_at_the_same_timestamp",
         CROSS_BUGGY,
     )),
     Plant(RUNQUEUE + "enqueue", MARK_IDLE, "pass", (
@@ -150,9 +155,7 @@ PLANTS: Tuple[Plant, ...] = (
     )),
     Plant(RUNQUEUE + "clear_current", MUTATIONS, "pass", (
         CLEAR_RECOUNT,
-        "tests/test_determinism_trace.py::"
-        "test_fastpath_caching_does_not_change_the_schedule"
-        "[buggy-overload-on-wakeup]",
+        PICK_PATHS,
         TPCH + "[fixes0]",
     )),
     Plant(RUNQUEUE + "clear_current", MARK_DIRTY, "pass", (
@@ -182,6 +185,26 @@ PLANTS: Tuple[Plant, ...] = (
             MAKE_AND_R,
         ),
     ),
+    Plant(
+        "src/repro/sched/vecstate.py::VecState.find_busiest",
+        "if m is not None and m[1] == now and m[2] == version:",
+        "if m is not None and m[1] == now:",
+        (
+            "tests/test_fastpath.py::"
+            "test_a_mutation_refolds_at_the_same_timestamp",
+            GROUP_STATS_DRIFT,
+            SANITIZER + "test_sanitizer_soak_clean[fixed-group-imbalance]",
+            CROSS_BUGGY,
+        ),
+    ),
+    Plant(RUNQUEUE + "load", "self._cached_load_now == now", "True", (
+        OWN_TIMESTAMP + "[0.5]",
+        OWN_TIMESTAMP + "[1.0]",
+        SOAK_GI,
+        "tests/test_determinism_trace.py::"
+        "test_fastpath_caching_does_not_change_the_schedule"
+        "[buggy-overload-on-wakeup]",
+    )),
     Plant(
         "src/repro/sched/cgroup.py::CGroupManager.attach",
         "self._divisor_epoch.bump()", "pass", (

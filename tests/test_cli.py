@@ -215,11 +215,44 @@ def _corrupt(tmp_path, name, text):
         (["report", "--cache-dir", "blocker/cache"],
          lambda d: _corrupt(d, "blocker", "a file, not a directory"),
          "cannot create cache directory blocker/cache"),
+        (["trace", "group-imbalance", "--duration-us", "1000",
+          "--out", "missing/t.json"], None,
+         "cannot write --out missing/t.json: directory"),
+        (["report", "--quick", "--no-cache", "--output", "missing/r.md"],
+         None, "cannot write --output missing/r.md: directory"),
+        (["report", "--quick", "--no-cache", "--output", "."], None,
+         "cannot write --output .: it is a directory"),
+        (["report", "--quick", "--no-cache", "--digests-out",
+          "missing/d.txt"], None,
+         "cannot write --digests-out missing/d.txt: directory"),
+        (["report", "--quick", "--no-cache", "--utilization-out",
+          "missing/u.json"], None,
+         "cannot write --utilization-out missing/u.json: directory"),
+        (["slo", "run", "--scale", "0.05", "--no-cache", "--json",
+          "missing/s.json"], None,
+         "cannot write --json missing/s.json: directory"),
+        (["slo", "check", "--scale", "0.05", "--no-cache", "--baseline",
+          "base.json", "--json", "missing/s.json"],
+         lambda d: _corrupt(d, "base.json", "{}"),
+         "cannot write --json missing/s.json: directory"),
+        (["lint", "--sarif", "missing/l.sarif"], None,
+         "cannot write --sarif missing/l.sarif: directory"),
+        (["figure5", "--svg-dir", "blocker/svg"],
+         lambda d: _corrupt(d, "blocker", "a file, not a directory"),
+         "cannot create --svg-dir blocker/svg"),
+        (["replay", "record", "--scale", "0.05", "--out", "blocker/traces"],
+         lambda d: _corrupt(d, "blocker", "a file, not a directory"),
+         "cannot create --out blocker/traces"),
     ],
     ids=["report-scale-neg", "table1-scale-0", "metrics-duration-neg",
          "replay-missing", "replay-not-json", "replay-not-utf8",
          "replay-header-not-object",
-         "report-cache-dir-uncreatable"],
+         "report-cache-dir-uncreatable", "trace-out-missing-dir",
+         "report-output-missing-dir", "report-output-is-a-dir",
+         "report-digests-out-missing-dir",
+         "report-utilization-out-missing-dir", "slo-run-json-missing-dir",
+         "slo-check-json-missing-dir", "lint-sarif-missing-dir",
+         "figure5-svg-dir-uncreatable", "replay-record-out-uncreatable"],
 )
 def test_bad_inputs_fail_closed(monkeypatch, tmp_path, capsys, argv, setup,
                                 error):
@@ -241,8 +274,15 @@ def test_bad_inputs_fail_closed(monkeypatch, tmp_path, capsys, argv, setup,
         ["report", "--scale", "0.02", "--no-cache"],
         ["metrics", "group-imbalance", "--duration-us", "1"],
         ["slo", "run", "--cache-dir", "fresh/cache"],
+        ["report", "--no-cache", "--output", "r.md", "--digests-out",
+         "d.txt", "--utilization-out", "u.json"],
+        ["trace", "group-imbalance", "--out", "t.json"],
+        ["figure2", "--svg-dir", "fresh/svg"],
+        ["replay", "record", "--out", "fresh/traces"],
     ],
-    ids=["report-scale", "metrics-duration", "slo-cache-dir-creatable"],
+    ids=["report-scale", "metrics-duration", "slo-cache-dir-creatable",
+         "report-outputs-writable", "trace-out-writable",
+         "figure2-svg-dir-creatable", "replay-record-out-creatable"],
 )
 def test_usable_inputs_pass(monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)

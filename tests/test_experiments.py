@@ -7,7 +7,11 @@ qualitative shape, and render a report.
 import pytest
 
 from repro.experiments.figure2 import render_figure2, run_figure2
-from repro.experiments.figure3 import render_figure3, run_figure3
+from repro.experiments.figure3 import (
+    figure3_specs,
+    render_figure3,
+    run_figure3,
+)
 from repro.experiments.figure5 import render_figure5, run_figure5
 from repro.experiments.figures_topology import (
     format_bulldozer_domains,
@@ -29,6 +33,7 @@ from repro.experiments.table1 import format_table1, run_table1
 from repro.experiments.table2 import format_table2, run_table2
 from repro.experiments.table3 import format_table3, run_table3
 from repro.experiments.table4 import bug_descriptions, format_table4
+from repro.perf.orchestrator import run_trials
 from repro.sched.features import SchedFeatures
 from repro.topology import two_nodes
 
@@ -173,6 +178,18 @@ def test_figure3_smoke(tmp_path):
     text = render_figure3(result, bins=24, svg_dir=str(tmp_path))
     assert "Figure 3" in text
     assert "wakeups on busy cores" in text
+
+
+@pytest.mark.parametrize("seed", [42, 1729])
+def test_figure3_violation_time_separates_the_variants(seed):
+    """The report's Figure 3 pair (no artifact, scale 0.1) measures
+    more invariant-violation time under the wakeup bug than with its
+    fix; every episode is shorter than 2 ms, so this reads 0 for both
+    variants if the scan keeps a duration floor."""
+    run = run_trials(figure3_specs(scale=0.1, seed=seed, artifact=False))
+    buggy, fixed = (o.result.row for o in run.outcomes)
+    assert buggy["violation_episodes"] > 0
+    assert buggy["violation_time_ms"] > fixed["violation_time_ms"]
 
 
 def test_figure5_smoke(tmp_path):

@@ -2,9 +2,10 @@
 
 Every optimization here has a correctness obligation stated in its
 docstring -- the O(1) pending counter must agree with the heap, the
-runqueue load memo must return exactly what a recompute would, the
-balance mirror's fold memos must survive exactly the events that cannot
-change their answer, and group interning must never outlive a topology rebuild.
+runqueue load memo must return exactly what a recompute would, every
+memo (the load memo and the balance mirror's fold memos) must hold for
+its own timestamp and mutation counters only, and group interning must
+never outlive a topology rebuild.
 These tests pin each obligation directly; the end-to-end guarantee (same
 schedule with the fast paths on or off) lives in
 ``test_determinism_trace.py``.
@@ -135,6 +136,25 @@ def test_load_cache_invalidated_by_divisor_epoch():
     assert rq.load_cache_hits == hits
 
 
+@pytest.mark.parametrize("util", [0.5, 1.0])
+def test_load_memo_holds_for_its_own_timestamp_only(util):
+    """Loads decay with time, so a memoized sum answers its own ``now``
+    alone: a later timestamp recomputes with no mutation in between,
+    even when the tracker has converged (1.0 while running) and the
+    value cannot move."""
+    rq = RunQueue(0)
+    task = _queued(rq, "a")
+    task.tracker = LoadTracker(0, initial_util=util)
+    rq.dispatch(task, 0)
+    first = rq.load(10_000)
+    misses = rq.load_cache_misses
+    later = rq.load(20_000)
+    assert rq.load_cache_misses == misses + 1
+    assert later == load_sum(t.load(20_000) for t in rq.all_tasks())
+    if util < 1.0:
+        assert later > first
+
+
 @pytest.mark.parametrize("change", ["attach", "detach"])
 def test_load_memo_sees_group_membership_change_on_another_cpu(change):
     """A member joining or leaving an autogroup changes every member's
@@ -189,7 +209,10 @@ def test_group_stats_memo_hits_within_a_pass():
     assert vstate._gstats[id(local.group)] is fold
 
 
-def test_group_stats_signature_survives_unrelated_churn():
+def test_a_mutation_refolds_at_the_same_timestamp():
+    """A fold is reused only at its own ``(now, version)``: any mutation
+    bumps the version, so even a group none of whose members changed is
+    refolded into a fresh entry -- with the same values."""
     sched = make_sched()
     add_queued(sched, 0, "t0")
     # Registered up front: registration touches cgroup state (divisor
@@ -202,12 +225,14 @@ def test_group_stats_signature_survives_unrelated_churn():
     vstate = sched.vec_pass(1000)
     _, stats0, _ = vstate.find_busiest(domain, 0)
     fold1 = vstate._gstats[id(node1)]
-    # Churn on node 0 dirties the mirror; node 1's fold is still valid
-    # (none of its members' samples changed) and must be reused, while
-    # node 0's must be refolded.
+    version = vstate._version
     sched.cpus[0].rq.enqueue(straggler, 0)
+    assert vstate._version > version
     _, refolded, _ = vstate.find_busiest(domain, 0)
-    assert vstate._gstats[id(node1)] is fold1
+    fresh1 = vstate._gstats[id(node1)]
+    assert fresh1 is not fold1
+    assert fresh1[1:3] == [1000, vstate._version]
+    assert fresh1[3:9] == fold1[3:9]
     assert refolded is not stats0
     assert refolded.nr_running == stats0.nr_running + 1
 

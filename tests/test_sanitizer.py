@@ -146,8 +146,8 @@ def _drift_queue_load(monkeypatch):
     real = rq_module.queue_load
 
     def drifted(entries, curr, now, running):
-        value, invariant = real(entries, curr, now, running)
-        return (math.nextafter(value, math.inf) if value else value), invariant
+        value = real(entries, curr, now, running)
+        return math.nextafter(value, math.inf) if value else value
 
     monkeypatch.setattr(rq_module, "queue_load", drifted)
 
