@@ -566,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="offline static invariant checker (determinism, layering, "
-        "flag discipline, fork safety, SLO specs)",
+        "flag discipline, load-memo bypass, fork safety)",
     )
     p.add_argument(
         "paths", nargs="*", default=None,
@@ -736,6 +736,13 @@ _OUTPUT_FILES = (
 #: Output directories, created by the run when missing.
 _OUTPUT_DIRS = (("svg_dir", "--svg-dir"), ("out_dir", "--out"))
 
+#: Counts that must be positive integers, as (attribute, flag).
+_POSITIVE_COUNTS = (
+    ("duration_us", "--duration-us"),
+    ("runs", "--runs"),
+    ("threads", "--threads"),
+)
+
 
 def _blocker(path: str) -> Optional[str]:
     """Why the directory ``path`` cannot be created, or None.
@@ -768,10 +775,11 @@ def check_inputs(args: argparse.Namespace) -> Optional[str]:
 
     Checked before any work, so a bad input exits 2 instead of running
     on a meaningless value or failing after trials have run: every
-    ``--scale`` is a positive finite number, ``--duration-us`` a
-    positive integer, each ``replay diff`` recording readable, each
-    output file's directory exists and is writable, and each output
-    directory (the result cache included) exists or can be created.
+    ``--scale`` is a positive finite number, ``--duration-us``,
+    ``--runs`` and ``--threads`` positive integers, each ``replay diff``
+    recording readable, each output file's directory exists and is
+    writable, and each output directory (the result cache included)
+    exists or can be created.
     Nothing is written.
     """
     try:
@@ -779,11 +787,12 @@ def check_inputs(args: argparse.Namespace) -> Optional[str]:
             from repro.experiments.harness import positive_scale
 
             positive_scale(args.scale, "--scale")
-        duration = getattr(args, "duration_us", None)
-        if duration is not None and duration <= 0:
-            raise ValueError(
-                f"--duration-us must be a positive integer, got {duration}"
-            )
+        for attr, flag in _POSITIVE_COUNTS:
+            count = getattr(args, attr, None)
+            if count is not None and count <= 0:
+                raise ValueError(
+                    f"{flag} must be a positive integer, got {count}"
+                )
         for path in getattr(args, "traces", ()):
             from repro.slo.replay import read_trace
 

@@ -72,9 +72,11 @@ def run_hotplug_traced(
     system.hotplug_cpu(HOTPLUGGED_CPU, False)
     system.hotplug_cpu(HOTPLUGGED_CPU, True)
     # The considered-core stream and the runqueue sizes the SVG heatmap
-    # draws under it.  The considered stream keeps the balancer walking
-    # (``wants_balance()`` is True), so the coverage is what a full trace
-    # would show.
+    # draws under it.  The considered stream keeps every balancing
+    # attempt that would otherwise be skipped as unable to move a task
+    # (``wants_balance`` is True), so the coverage is what a full trace
+    # would show; it switches no search: wakeups take the same path
+    # untraced.
     probe = TraceProbe(
         record_load=False, record_wakeups=False,
         record_migrations=False, record_lifecycle=False,

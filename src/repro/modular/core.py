@@ -99,21 +99,13 @@ class InvariantGuardedScheduler(Scheduler):
 
     # -- scheduler hook ------------------------------------------------------
 
-    def wake_task(self, task: Task, waker_cpu: Optional[int], now: int) -> int:
+    def wake_target(
+        self, task: Task, waker_cpu: Optional[int], now: int
+    ) -> int:
+        """The guarded placement, recorded as a :class:`PlacementDecision`."""
         decision = self._select_wakeup_cpu(task, waker_cpu, now)
         self.decisions.append(decision)
-        target = decision.cpu
-        was_idle = self.cpus[target].is_idle
-        task.tracker.update(now, was_running=False)
-        task.stats.wakeups += 1
-        if not was_idle:
-            task.stats.wakeups_on_busy_core += 1
-        if task.prev_cpu is not None and task.prev_cpu != target:
-            task.stats.migrations += 1
-            self.total_migrations += 1
-        self.probe.on_wakeup(now, task.tid, target, waker_cpu, was_idle)
-        self._enqueue_on(task, target, now, wakeup=True)
-        return target
+        return decision.cpu
 
     def decision_summary(self) -> str:
         total = len(self.decisions)

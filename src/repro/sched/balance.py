@@ -22,16 +22,18 @@ Also here: ``newidle_balance`` ("emergency" balancing when a core is about
 to idle) and the NOHZ machinery that lets tickless idle cores be balanced on
 behalf of (Section 2.2.2).
 
-Every entry point runs one of two paths.  The reference path
-(``bpass=None``, the ``with_fastpath(False)`` features) recomputes each
-CPU's (load, nr_running) once per domain level per group and reads like
-Algorithm 1.  The fast path passes the scheduler's persistent
-:class:`~repro.sched.vecstate.VecState` mirror as ``bpass``: it samples
-each CPU once per timestamp, memoizes group folds until a member queue
-mutates, and selects the busiest group in bulk.  Its folds use the
+Every entry point runs one of two paths, picked by the scheduler's
+features alone.  The reference path (``with_fastpath(False)``, where
+``Scheduler.vec`` is None) recomputes each CPU's (load, nr_running) once
+per domain level per group and reads like Algorithm 1.  The fast path
+reads the scheduler's persistent
+:class:`~repro.sched.vecstate.VecState` mirror (``Scheduler.vec``): it
+samples each CPU once per timestamp, memoizes group folds until a member
+queue mutates, and selects the busiest group in bulk.  Its folds use the
 identical expressions (and float-op order) as the reference path, so
 balancing decisions -- and therefore traces -- are byte-identical on
-either path.
+either path.  An attached probe decides what is recorded, never which
+path runs.
 
 On both paths an attempt first consults the spare set
 (``Scheduler.overload``): an attempt whose domain holds no CPU with a
@@ -69,7 +71,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sched.domains import SchedDomain, SchedGroup
     from repro.sched.scheduler import Scheduler
     from repro.sched.task import Task
-    from repro.sched.vecstate import VecState
 
 
 @dataclass
@@ -146,7 +147,6 @@ def find_busiest_group(
     domain: "SchedDomain",
     dst_cpu: int,
     now: int,
-    bpass: Optional["VecState"] = None,
 ) -> Tuple[Optional[GroupStats], Optional[GroupStats]]:
     """(busiest, local) group stats for a balancing attempt.
 
@@ -155,23 +155,20 @@ def find_busiest_group(
     highest metric -- the paper's Line 13.  Returns ``(None, local)`` when
     the domain is already balanced from ``dst_cpu``'s point of view.
     """
-    if bpass is not None:
+    vec = sched.vec
+    if vec is not None:
         # Bulk path: folds and the three-tier selection run over the
         # persistent array mirror; decision-identical to
         # reference_busiest_group (the digest gate and the sanitizer
-        # hold it to that).  The probe sees the same examined set, in
-        # the same group order.
-        probe = sched.probe
-        active = probe.active
-        busiest, local_stats, examined_t = bpass.find_busiest(
-            domain, dst_cpu, active
+        # hold it to that), the same examined set in the same group
+        # order included.
+        busiest, local_stats, examined = vec.find_busiest(
+            domain, dst_cpu, now
         )
-        if active:
-            probe.on_considered(now, dst_cpu, "load_balance", examined_t)
-        return busiest, local_stats
-    busiest, local_stats, examined = reference_busiest_group(
-        sched, domain, dst_cpu, now
-    )
+    else:
+        busiest, local_stats, examined = reference_busiest_group(
+            sched, domain, dst_cpu, now
+        )
     if sched.probe.active:
         sched.probe.on_considered(now, dst_cpu, "load_balance", examined)
     return busiest, local_stats
@@ -343,7 +340,7 @@ def nothing_to_pull(
     if spare if reach is None else not spare.isdisjoint(reach):
         return False
     probe = sched.probe
-    if probe.active and probe.wants_balance():
+    if probe.active and probe.wants_balance:
         return False
     if sched.features.sanitize_coherence:
         verify_overload(spare, overloaded_rqs(sched))
@@ -355,14 +352,13 @@ def _check_nothing_found(
     domain: "SchedDomain",
     dst_cpu: int,
     now: int,
-    bpass: Optional["VecState"],
 ) -> None:
     """Sanitizer: a skipped attempt, run for real, finds no source CPU.
 
     Only probes that ignore balance records are attached when an attempt
     is skipped, so the dry run's records go unobserved.
     """
-    busiest, _local = find_busiest_group(sched, domain, dst_cpu, now, bpass)
+    busiest, _local = find_busiest_group(sched, domain, dst_cpu, now)
     src_cpu = (
         None if busiest is None
         else pick_busiest_cpu(sched, busiest, frozenset(), now)
@@ -375,7 +371,6 @@ def balance_domain(
     domain: "SchedDomain",
     dst_cpu: int,
     now: int,
-    bpass: Optional["VecState"] = None,
 ) -> int:
     """One balancing attempt at one domain level (Lines 10-23).
 
@@ -384,9 +379,9 @@ def balance_domain(
     """
     if nothing_to_pull(sched, domain.remote_cpus(dst_cpu)):
         if sched.features.sanitize_coherence:
-            _check_nothing_found(sched, domain, dst_cpu, now, bpass)
+            _check_nothing_found(sched, domain, dst_cpu, now)
         return 0
-    busiest, local = find_busiest_group(sched, domain, dst_cpu, now, bpass)
+    busiest, local = find_busiest_group(sched, domain, dst_cpu, now)
     probe = sched.probe
     active = probe.active
     if busiest is None:
@@ -468,7 +463,6 @@ def periodic_balance(
     cpu_id: int,
     now: int,
     force: bool = False,
-    bpass: Optional["VecState"] = None,
 ) -> int:
     """Run Algorithm 1 for one CPU across all its domains, bottom-up.
 
@@ -482,7 +476,8 @@ def periodic_balance(
     """
     moved = 0
     cpu = sched.cpus[cpu_id]
-    if bpass is not None:
+    vec = sched.vec
+    if vec is not None:
         # The gate: the mirror records, per CPU, the earliest
         # next-balance deadline among the levels the CPU currently wins,
         # and a caller skips the CPU while that sits in the future.  The
@@ -491,7 +486,7 @@ def periodic_balance(
         # so the gate stays early).  set_gate refuses the stamp if the
         # CPU's arming epoch moved under the walk (its own migrations
         # flip idle states that may re-elect this very CPU).
-        gate_tok = bpass.gate_token(cpu_id)
+        gate_tok = vec.gate_token(cpu_id)
         # Fast path: the per-level (domain, local group, solo
         # winner) triple never changes between topology rebuilds, so it
         # is planned once per domain generation and cached on the Cpu.
@@ -532,7 +527,7 @@ def periodic_balance(
             if solo >= 0:
                 winner = solo if cpus[solo].online else -1
             else:
-                winner = bpass.designated_for(local)
+                winner = vec.designated_for(local)
             if cpu_id != winner:
                 continue
             stamp = next_balance[domain.level]
@@ -544,9 +539,9 @@ def periodic_balance(
             next_balance[domain.level] = stamp
             if stamp < gate:
                 gate = stamp
-            moved += balance_domain(sched, domain, cpu_id, now, bpass)
+            moved += balance_domain(sched, domain, cpu_id, now)
         if not force:
-            bpass.set_gate(cpu_id, gate, gate_tok)
+            vec.set_gate(cpu_id, gate, gate_tok)
         return moved
     domains = sched.domain_builder.domains_of(cpu_id)
     while len(cpu.next_balance_us) < len(domains):
@@ -594,14 +589,13 @@ def newidle_balance(sched: "Scheduler", cpu_id: int, now: int) -> int:
     Walks the domains bottom-up and stops at the first level that yields
     work.  Uses the same ``find_busiest_group`` logic -- and therefore
     inherits the same bugs.  Like the kernel it returns at once when no
-    runqueue has a task to spare, before even building the sampling pass.
+    runqueue has a task to spare, before sampling anything.
     """
     if nothing_to_pull(sched):
         return 0
-    bpass = sched.vec_pass(now)
     moved = 0
     for domain in sched.domain_builder.domains_of(cpu_id):
-        moved += balance_domain(sched, domain, cpu_id, now, bpass)
+        moved += balance_domain(sched, domain, cpu_id, now)
         if moved:
             break
     return moved
@@ -619,7 +613,6 @@ def nohz_idle_balance(
     sched: "Scheduler",
     balancer_cpu: int,
     now: int,
-    bpass: Optional["VecState"] = None,
 ) -> int:
     """Periodic balancing run by the NOHZ balancer for all tickless cores.
 
@@ -631,7 +624,8 @@ def nohz_idle_balance(
     """
     sched.cpus[balancer_cpu].nohz_balancer = True
     moved = 0
-    if bpass is not None:
+    vec = sched.vec
+    if vec is not None:
         # Due-reduction: the sweep walks only the CPUs whose gate has
         # expired (``balance_due``, one array reduction), in ascending id
         # order like the reference sweep; a gated CPU's walk would
@@ -645,8 +639,8 @@ def nohz_idle_balance(
         # CPU the sweep passes over.
         cpus = sched.cpus
         sanitize = sched.features.sanitize_coherence
-        tok = bpass.disarm_token()
-        due = bpass.balance_due(now)
+        tok = vec.disarm_token()
+        due = vec.balance_due(now)
         skipped_from = 0
         i = 0
         while i < len(due):
@@ -657,11 +651,11 @@ def nohz_idle_balance(
                 skipped_from = cpu_id + 1
             if not cpus[cpu_id].is_idle:
                 continue
-            moved += periodic_balance(sched, cpu_id, now, bpass=bpass)
-            fresh = bpass.disarm_token()
+            moved += periodic_balance(sched, cpu_id, now)
+            fresh = vec.disarm_token()
             if fresh != tok:
                 tok = fresh
-                due = [c for c in bpass.balance_due(now) if c > cpu_id]
+                due = [c for c in vec.balance_due(now) if c > cpu_id]
                 i = 0
         if sanitize:
             _check_swept_past(sched, skipped_from, len(cpus), now)

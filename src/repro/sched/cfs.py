@@ -14,6 +14,7 @@ from typing import Optional
 from repro.sched.features import SchedFeatures
 from repro.sched.runqueue import RunQueue
 from repro.sched.task import Task
+from repro.sched.timebase import WAKEUP_GRANULARITY_US
 from repro.sched.weights import vruntime_delta
 
 
@@ -81,14 +82,10 @@ def should_preempt_at_tick(
         return True
     if ran_us < features.min_granularity_us:
         return False
-    return curr.vruntime > waiting.vruntime + features.wakeup_granularity_us
+    return curr.vruntime > waiting.vruntime + WAKEUP_GRANULARITY_US
 
 
-def should_preempt_on_wakeup(
-    features: SchedFeatures,
-    curr: Optional[Task],
-    woken: Task,
-) -> bool:
+def should_preempt_on_wakeup(curr: Optional[Task], woken: Task) -> bool:
     """Wakeup preemption check (``check_preempt_wakeup``).
 
     A freshly-woken thread preempts the running one when its vruntime is
@@ -96,4 +93,4 @@ def should_preempt_on_wakeup(
     """
     if curr is None:
         return True
-    return curr.vruntime > woken.vruntime + features.wakeup_granularity_us
+    return curr.vruntime > woken.vruntime + WAKEUP_GRANULARITY_US

@@ -31,6 +31,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.sched.features import SchedFeatures
 from repro.sched.sanitizer import verify_domain_table
+from repro.sched.timebase import BALANCE_INTERVAL_GROWTH
 from repro.topology.interconnect import hop_levels
 from repro.topology.machine import MachineTopology
 
@@ -256,7 +257,6 @@ class DomainBuilder:
             tuple(topo.interconnect.links()),
             self.features.fix_group_construction,
             self.features.balance_base_us,
-            self.features.balance_interval_growth,
             frozenset(self._online),
             self.hotplug_happened and not self.features.fix_missing_domains,
         )
@@ -366,8 +366,7 @@ class DomainBuilder:
 
     def _interval(self, level: int) -> int:
         base = self.features.balance_base_us
-        growth = self.features.balance_interval_growth
-        return base * (growth ** level)
+        return base * (BALANCE_INTERVAL_GROWTH ** level)
 
     def _online_in(self, cpus: Sequence[int]) -> FrozenSet[int]:
         return frozenset(c for c in cpus if c in self._online)

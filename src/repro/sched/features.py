@@ -14,7 +14,6 @@ from repro.sched.timebase import (
     BALANCE_BASE_US,
     MIN_GRANULARITY_US,
     SCHED_LATENCY_US,
-    WAKEUP_GRANULARITY_US,
 )
 
 
@@ -62,8 +61,6 @@ class SchedFeatures:
     sched_latency_us: int = SCHED_LATENCY_US
     #: Minimum preemption granularity, microseconds.
     min_granularity_us: int = MIN_GRANULARITY_US
-    #: Wakeup preemption granularity, microseconds.
-    wakeup_granularity_us: int = WAKEUP_GRANULARITY_US
     #: Periodic balance interval at the lowest domain level, microseconds.
     balance_base_us: int = BALANCE_BASE_US
     #: Kernel ``sysctl_sched_migration_cost``: a CPU whose average idle
@@ -76,8 +73,6 @@ class SchedFeatures:
     nohz_idle_balance_enabled: bool = True
     newidle_balance_enabled: bool = True
     wakeup_preemption_enabled: bool = True
-    #: Each domain level doubles the balance interval of the previous one.
-    balance_interval_growth: int = 2
 
     #: Simulator fast path.  It changes *how fast* the simulation runs,
     #: never *what* it computes: every seeded trace is byte-identical with

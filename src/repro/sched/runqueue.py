@@ -298,7 +298,7 @@ class RunQueue:
             return
         cpu_id = self.cpu_id
         nr = self.nr_running
-        sample = not self._load_cache_enabled or probe.wants_rq_load()
+        sample = probe.wants_rq_load
         probe.on_nr_running(now, cpu_id, nr - 1)
         if sample:
             # The queue without its new curr: the same left-to-right
@@ -401,10 +401,8 @@ class RunQueue:
         probe.on_nr_running(now, self.cpu_id, self.nr_running)
         # The load summation is the expensive part of a notification;
         # skip it entirely when no attached probe consumes load samples.
-        # Baseline mode computes it eagerly like the pre-fast-path code
-        # did; probes that ignore the sample produce the same trace, so
-        # the two modes stay byte-identical.
-        if not self._load_cache_enabled or probe.wants_rq_load():
+        # A load sum is pure, so skipping it changes no trace.
+        if probe.wants_rq_load:
             probe.on_rq_load(now, self.cpu_id, self.load(now))
 
     def __repr__(self) -> str:

@@ -130,15 +130,9 @@ def verify_group_stats(
             raise CoherenceError(accessor, field, got, want)
 
 
-def verify_selection(
-    where: str, cached: Selection, fresh: Selection, need_local: bool
-) -> None:
-    """Cross-check a fast busiest-group decision against the reference.
-
-    Without ``need_local`` the fast path may leave out the local group
-    of a balanced answer, so the local group is compared only when it is
-    needed or a busiest group was found.
-    """
+def verify_selection(where: str, cached: Selection, fresh: Selection) -> None:
+    """Cross-check a fast busiest-group decision against the reference:
+    the examined CPUs, the busiest group and the local group."""
     busiest, local, examined = cached
     ref_busiest, ref_local, ref_examined = fresh
     accessor = f"busiest-group ({where})"
@@ -147,8 +141,7 @@ def verify_selection(
             accessor, "examined", tuple(examined), tuple(ref_examined)
         )
     verify_group_stats(busiest, ref_busiest, accessor + " busiest")
-    if busiest is not None or need_local:
-        verify_group_stats(local, ref_local, accessor + " local")
+    verify_group_stats(local, ref_local, accessor + " local")
 
 
 def verify_designated(

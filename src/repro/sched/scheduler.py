@@ -98,17 +98,6 @@ class Scheduler:
 
     # -- lookups -------------------------------------------------------------
 
-    def vec_pass(self, now: int) -> Optional[VecState]:
-        """The sampling layer for one rebalance pass at ``now``.
-
-        The persistent mirror on the fast path (one instance, so the
-        synchronized newidle bursts sharing a timestamp hit its memos),
-        else None (the reference recompute-everything path).
-        """
-        if self.vec is not None:
-            return self.vec.begin(now)
-        return None
-
     def online_cpus(self) -> List[Cpu]:
         return [c for c in self.cpus if c.online]
 
@@ -170,7 +159,7 @@ class Scheduler:
         if task.state not in (TaskState.SLEEPING, TaskState.BLOCKED,
                               TaskState.NEW):
             raise ValueError(f"cannot wake {task} in state {task.state}")
-        target = wk.select_task_rq_wake(self, task, waker_cpu, now)
+        target = self.wake_target(task, waker_cpu, now)
         was_idle = self.cpus[target].is_idle
         task.tracker.update(now, was_running=False)
         task.stats.wakeups += 1
@@ -182,6 +171,17 @@ class Scheduler:
         self.probe.on_wakeup(now, task.tid, target, waker_cpu, was_idle)
         self._enqueue_on(task, target, now, wakeup=True)
         return target
+
+    def wake_target(
+        self, task: Task, waker_cpu: Optional[int], now: int
+    ) -> int:
+        """The CPU :meth:`wake_task` enqueues a woken task on.
+
+        ``select_task_rq``; a scheduler with another placement policy
+        overrides this method alone, so every wakeup keeps the state
+        check and bookkeeping of :meth:`wake_task`.
+        """
+        return wk.select_task_rq_wake(self, task, waker_cpu, now)
 
     def task_exited(self, task: Task, now: int) -> None:
         """Tear down an exiting task (must not be enqueued anywhere)."""
@@ -205,7 +205,7 @@ class Scheduler:
         elif (
             wakeup
             and self.features.wakeup_preemption_enabled
-            and cfs.should_preempt_on_wakeup(self.features, cpu.rq.curr, task)
+            and cfs.should_preempt_on_wakeup(cpu.rq.curr, task)
         ):
             self.pending_resched.add(cpu_id)
 
@@ -321,11 +321,11 @@ class Scheduler:
         level of each skipped CPU.
         """
         overloaded = False
-        # One stats pass serves every CPU balanced this tick (and the NOHZ
-        # sweep below): they all observe the same timestamp, so per-CPU
-        # samples and folded group stats are reused until a migration
-        # dirties them.
-        bpass = self.vec_pass(now)
+        # Every CPU balanced this tick (and the NOHZ sweep below)
+        # observes the same timestamp, so the mirror's per-CPU samples
+        # and folded group stats are reused until a migration dirties
+        # them.
+        vec = self.vec
         sanitize = self.features.sanitize_coherence
         for cpu in self.cpus:
             if not cpu.online:
@@ -343,20 +343,20 @@ class Scheduler:
                 if cfs.should_preempt_at_tick(self.features, rq, curr, ran):
                     self.pending_resched.add(cpu_id)
             self.balance_calls += 1
-            if bpass is not None:
+            if vec is not None:
                 # Earlier walks this tick may have queued idle flips that
                 # disarm this CPU's gate: reconcile before reading it.
-                if bpass._idle_q:
-                    bpass._reconcile()
-                if bpass._gate[cpu_id] > now:
+                if vec._idle_q:
+                    vec._reconcile()
+                if vec._gate[cpu_id] > now:
                     if sanitize:
                         lb.check_gated_skip(self, cpu_id, now)
                     continue
-            lb.periodic_balance(self, cpu_id, now, bpass=bpass)
+            lb.periodic_balance(self, cpu_id, now)
         if overloaded and self.features.nohz_idle_balance_enabled:
             balancer = lb.nohz_kick_target(self)
             if balancer is not None:
-                lb.nohz_idle_balance(self, balancer, now, bpass=bpass)
+                lb.nohz_idle_balance(self, balancer, now)
 
     # -- hotplug -------------------------------------------------------------------
 

@@ -39,6 +39,10 @@ MIN_GRANULARITY_US = 750
 #: Wakeup preemption granularity (Linux ``sched_wakeup_granularity_ns``).
 WAKEUP_GRANULARITY_US = 1 * MS
 
+#: Each domain level's balance interval is this many times the interval
+#: of the level below it.
+BALANCE_INTERVAL_GROWTH = 2
+
 
 def format_time(us: int) -> str:
     """Render a microsecond timestamp in the most readable unit."""

@@ -166,7 +166,7 @@ class VecState:
     """Array-backed balance sampling layer (one per scheduler)."""
 
     __slots__ = (
-        "sched", "now", "_n", "_loads", "_nrs", "_at", "_version",
+        "sched", "_n", "_loads", "_nrs", "_at", "_version",
         "_div_ref", "_div_epoch", "_gidx", "_gstats", "_designated",
         "_desig_by_cpu", "_domains", "_sanitize", "_use_min",
         "_scratch_folds", "_gate", "_gate_ep", "_disarms",
@@ -177,7 +177,6 @@ class VecState:
         self.sched = sched
         n = len(sched.cpus)
         self._n = n
-        self.now = -1
         #: Exact load objects as returned by each queue's ``load(now)``
         #: -- a plain list, because an idle queue's load is the *int*
         #: zero and the digest distinguishes int from float fields (see
@@ -239,11 +238,6 @@ class VecState:
         self._use_min = sched.features.fix_group_imbalance
 
     # -- coherence ---------------------------------------------------------
-
-    def begin(self, now: int) -> "VecState":
-        """Start (or join) a pass at ``now``; returns self for chaining."""
-        self.now = now
-        return self
 
     def mark_dirty(self, cpu_id: int) -> None:
         """A load-affecting mutation happened on this CPU's queue."""
@@ -359,14 +353,13 @@ class VecState:
             self._gate_ep[i] += 1
         self._disarms += 1
 
-    def _sample(self, members: Iterable[int]) -> None:
+    def _sample(self, members: Iterable[int], now: int) -> None:
         """Bring the (load, nr) slots of ``members`` current for ``now``.
 
         Only slots not yet sampled at ``now`` are read, through the
         queues' own memoized ``load(now)`` -- the exact objects the
         scalar path reads.
         """
-        now = self.now
         at = self._at
         loads = self._loads
         nrs = self._nrs
@@ -411,7 +404,7 @@ class VecState:
 
     # -- sampling interface ------------------------------------------------
 
-    def _fold_entry(self, entry: _GroupEntry) -> List[object]:
+    def _fold_entry(self, entry: _GroupEntry, now: int) -> List[object]:
         """Fold one (nonempty) group into a fresh memo entry.
 
         The entry is stamped ``(now, version)`` and is reused at that
@@ -447,7 +440,7 @@ class VecState:
                 nmx = nr
             j += 1
         m: List[object] = [
-            group, self.now, self._version,
+            group, now, self._version,
             ls, lmn, lmx, ns, nmn, nmx, None, cpus, k,
         ]
         self._gstats[id(group)] = m
@@ -586,14 +579,13 @@ class VecState:
     # -- bulk busiest-group selection --------------------------------------
 
     def find_busiest(
-        self, domain: "SchedDomain", dst_cpu: int, need_local: bool = True
+        self, domain: "SchedDomain", dst_cpu: int, now: int
     ) -> Tuple[Optional[GroupStats], Optional[GroupStats], Tuple[int, ...]]:
-        """(busiest, local, examined) for one balancing attempt.
+        """(busiest, local, examined) for one balancing attempt at ``now``.
 
-        ``need_local=False`` (an inert probe) skips materializing the
-        local GroupStats on *balanced* outcomes, where the caller
-        consumes it only for the probe record; a found busiest group
-        always returns both stats.
+        Like ``find_busiest_group``, a balanced domain returns ``(None,
+        local)``; local is None only when ``dst_cpu`` lies in no
+        nonempty group.
 
         Decision-identical to the scalar ``find_busiest_group`` body:
         same local-group rule (first nonempty group containing the
@@ -623,7 +615,6 @@ class VecState:
         cache = self._domains.get(id(domain))
         if cache is None:
             cache = self._domain_cache(domain)
-        now = self.now
         use_min = self._use_min
         loads = self._loads
         pair = cache.pair
@@ -642,7 +633,7 @@ class VecState:
                 lc, oc, li, oi = c1, c0, 1, 0
             else:
                 return None, None, cache.examined
-            self._sample(pair)
+            self._sample(pair, now)
             if use_min:
                 best_metric = loads[oc]
                 local_metric = loads[lc]
@@ -650,13 +641,11 @@ class VecState:
                 best_metric = loads[oc] / 1
                 local_metric = loads[lc] / 1
             if best_metric <= local_metric * cache.ratio:
-                if need_local:
-                    return (
-                        None,
-                        self._singleton_stats(cache.entries[li], lc),
-                        cache.examined,
-                    )
-                return None, None, cache.examined
+                return (
+                    None,
+                    self._singleton_stats(cache.entries[li], lc),
+                    cache.examined,
+                )
             return (
                 self._singleton_stats(cache.entries[oi], oc),
                 self._singleton_stats(cache.entries[li], lc),
@@ -673,17 +662,15 @@ class VecState:
                 append(m)
             else:
                 # Sample just this group's stale members and refold.
-                self._sample(entry[1])
-                append(self._fold_entry(entry))
+                self._sample(entry[1], now)
+                append(self._fold_entry(entry, now))
         local_idx = cache.local_slot.get(dst_cpu, -1)
         if local_idx < 0:
             return None, None, cache.examined
         local_m = folds[local_idx]
         n_slots = len(folds)
         if n_slots < 2:
-            if need_local:
-                return None, self._materialize(local_m), cache.examined
-            return None, None, cache.examined
+            return None, self._materialize(local_m), cache.examined
         # Three-tier selection (overloaded > imbalanced > any), first
         # max wins -- the scalar best_of chain over raw memo slots.
         best = -1
@@ -709,16 +696,12 @@ class VecState:
             if best >= 0:
                 break
         if best < 0:
-            if need_local:
-                return None, self._materialize(local_m), cache.examined
-            return None, None, cache.examined
+            return None, self._materialize(local_m), cache.examined
         local_metric = (
             local_m[4] if use_min else local_m[3] / local_m[11]
         )
         if best_metric <= local_metric * cache.ratio:
-            if need_local:
-                return None, self._materialize(local_m), cache.examined
-            return None, None, cache.examined
+            return None, self._materialize(local_m), cache.examined
         return (
             self._materialize(folds[best]),
             self._materialize(local_m),
@@ -743,10 +726,7 @@ class VecState:
         return [self._singleton_stats(e, e[1][0]) for e in cache.entries]
 
     def __repr__(self) -> str:
-        return (
-            f"VecState(cpus={self._n}, now={self.now}us, "
-            f"version={self._version})"
-        )
+        return f"VecState(cpus={self._n}, version={self._version})"
 
 
 class SanitizedVecState(VecState):
@@ -765,13 +745,12 @@ class SanitizedVecState(VecState):
     __slots__ = ()
 
     def find_busiest(
-        self, domain: "SchedDomain", dst_cpu: int, need_local: bool = True
+        self, domain: "SchedDomain", dst_cpu: int, now: int
     ) -> Tuple[Optional[GroupStats], Optional[GroupStats], Tuple[int, ...]]:
         busiest, local, examined = VecState.find_busiest(
-            self, domain, dst_cpu, need_local
+            self, domain, dst_cpu, now
         )
         sched = self.sched
-        now = self.now
         for stats in self._folds_read(domain, dst_cpu):
             verify_group_stats(
                 stats, compute_group_stats(sched, stats.group, now)
@@ -780,6 +759,5 @@ class SanitizedVecState(VecState):
             f"cpu {dst_cpu}, {domain.name}",
             (busiest, local, examined),
             reference_busiest_group(sched, domain, dst_cpu, now),
-            need_local,
         )
         return busiest, local, examined

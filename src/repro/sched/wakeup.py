@@ -114,11 +114,19 @@ def _select_idle_sibling(
 
     This never looks outside the node -- exactly the scoping that causes
     wakeups to pile onto busy cores while remote nodes sit idle.  The
-    fast path answers from the topology's sorted sibling tuples without
-    building the candidate list, which only a recording probe reads.
+    features pick the search: the fast path answers from the topology's
+    sorted sibling tuples without building the candidate list, the
+    reference path scans that list.  A probe that consumes balance
+    records gets the list (:func:`_idle_candidates`) on either path,
+    before the search.
     """
     probe = sched.probe
-    if sched.vec is None or (probe.active and probe.wants_balance()):
+    if probe.active and probe.wants_balance:
+        probe.on_considered(
+            now, target, "select_idle_sibling",
+            _idle_candidates(sched, task, target),
+        )
+    if sched.vec is None:
         return _scan_idle_sibling(sched, task, target, now)
     pick = _fast_idle_sibling(sched, task, target, now)
     if sched.features.sanitize_coherence:
@@ -164,19 +172,26 @@ def _fast_idle_sibling(
     return _any_allowed_cpu(sched, task, target)
 
 
+def _idle_candidates(
+    sched: "Scheduler", task: "Task", target: int
+) -> List[int]:
+    """The online allowed CPUs of ``target``'s LLC domain, ascending."""
+    return [
+        c
+        for c in sorted(sched.topology.llc_siblings(target))
+        if sched.cpus[c].online and task.can_run_on(c)
+    ]
+
+
 def _scan_idle_sibling(
     sched: "Scheduler", task: "Task", target: int, now: int
 ) -> int:
-    """The reference idle-sibling search over the candidate list."""
+    """The reference idle-sibling search over the candidate list.
+
+    Emits nothing, so the sanitizer can hold the fast answer against it.
+    """
     topo = sched.topology
-    candidates = [
-        c
-        for c in sorted(topo.llc_siblings(target))
-        if sched.cpus[c].online and task.can_run_on(c)
-    ]
-    probe = sched.probe
-    if probe.active:
-        probe.on_considered(now, target, "select_idle_sibling", candidates)
+    candidates = _idle_candidates(sched, task, target)
     if task.can_run_on(target) and sched.cpus[target].is_idle:
         return target
     # Prefer an idle SMT sibling (shared FPU, hottest cache), then any

@@ -131,7 +131,7 @@ class System:
         """Route event-loop callbacks to the probe while one consumes them."""
         probe = self.scheduler.probe
         self.loop.on_callback = (
-            probe.on_callback if probe.wants_callback() else None
+            probe.on_callback if probe.wants_callback else None
         )
 
     def cpu(self, cpu_id: int):

@@ -127,6 +127,30 @@ class Probe:
 
     Subclasses override the calls they care about.  All hooks must stay
     cheap; they run on the simulator's hottest paths.
+
+    Three boolean *interest* attributes say which records a probe
+    consumes, so a call site can skip building records nobody reads.
+    They decide what gets recorded, never which code path runs: the
+    features pick that.
+
+    * ``wants_rq_load`` -- :meth:`on_rq_load` consumes its samples.
+      Computing a queue's load is the expensive half of a runqueue
+      notification; the queue skips the summation when this is False.
+    * ``wants_balance`` -- :meth:`on_considered` or :meth:`on_balance`
+      consumes its records.  While no runqueue has a task to spare, a
+      balancing attempt's only output is these records, so the balancer
+      skips the attempt when this is False
+      (``balance.nothing_to_pull``); the wakeup builds its
+      ``select_idle_sibling`` candidate list only when this is True.
+    * ``wants_callback`` -- :meth:`on_callback` consumes its labels.  The
+      system hands the event loop this probe's hook only while it is
+      True, so runs nobody traces make no call per event.
+
+    A subclass that does not set an attribute in its class body gets
+    True exactly when it overrides the matching hook(s); an instance may
+    set its own (``TraceProbe`` does, from its record switches).  A
+    :class:`FanoutProbe` reads its members' interests when a member is
+    added or removed.
     """
 
     #: False only on this no-op base class: the hottest call sites
@@ -136,11 +160,20 @@ class Probe:
     #: listen; one that wants the skip too can set ``active = False``
     #: in its class body.
     active = False
+    wants_rq_load = False
+    wants_balance = False
+    wants_callback = False
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
         if "active" not in cls.__dict__:
             cls.active = True
+        for flag, hooks in _INTEREST_HOOKS.items():
+            if flag not in cls.__dict__:
+                setattr(cls, flag, any(
+                    getattr(cls, hook) is not getattr(Probe, hook)
+                    for hook in hooks
+                ))
 
     def on_nr_running(self, now: int, cpu: int, nr_running: int) -> None:
         """Runqueue size changed."""
@@ -148,45 +181,10 @@ class Probe:
     def on_rq_load(self, now: int, cpu: int, load: float) -> None:
         """Runqueue load changed."""
 
-    def wants_rq_load(self) -> bool:
-        """True when :meth:`on_rq_load` actually consumes its samples.
-
-        Computing a queue's load is the expensive half of a notification;
-        the runqueue asks first and skips the summation when nobody
-        listens.  The default detects an overridden ``on_rq_load``, so
-        custom probes get load samples without doing anything; probes that
-        can say "not right now" (a trace probe with ``record_load=False``,
-        an empty fanout) override this to decline.
-        """
-        return type(self).on_rq_load is not Probe.on_rq_load
-
     def on_considered(
         self, now: int, cpu: int, op: str, considered: Iterable[int]
     ) -> None:
         """A decision examined a set of cores."""
-
-    def wants_balance(self) -> bool:
-        """True when :meth:`on_considered` or :meth:`on_balance` consumes
-        its records.
-
-        While no runqueue has a task to spare, a balancing walk's only
-        output is its considered-cores and balance-outcome records; the
-        balancer asks first and skips the walk when nobody listens.  The
-        default detects an override of either hook, like
-        :meth:`wants_rq_load`.
-
-        A probe that answers True also turns off two fast-path shortcuts,
-        ``wakeup._fast_idle_sibling`` and the nothing-to-pull gate
-        (``balance.nothing_to_pull``), so the run takes the reference
-        scans there.  A check that compares the fast path with the
-        reference path must therefore trace with
-        ``TraceProbe(record_considered=False)``, or it never reaches them.
-        """
-        cls = type(self)
-        return (
-            cls.on_considered is not Probe.on_considered
-            or cls.on_balance is not Probe.on_balance
-        )
 
     def on_migration(
         self, now: int, tid: int, src_cpu: int, dst_cpu: int, reason: str
@@ -233,16 +231,6 @@ class Probe:
         """The event loop is about to run the callback labelled ``label``
         (``tag`` is the event's int tag, such as a tid, or ``None``)."""
 
-    def wants_callback(self) -> bool:
-        """True when :meth:`on_callback` consumes its labels.
-
-        The system hands the event loop this probe's :meth:`on_callback`
-        only while this answers True, so runs nobody traces make no call
-        per event.  The default detects an override, like
-        :meth:`wants_rq_load`.
-        """
-        return type(self).on_callback is not Probe.on_callback
-
     def on_checker(
         self, now: int, event: str, fields: Mapping[str, object]
     ) -> None:
@@ -254,6 +242,14 @@ class Probe:
 
     def on_violation_tick(self, now: int) -> None:
         """The idle-overload sampler saw the invariant violated."""
+
+
+#: Each interest attribute of :class:`Probe` and the hooks that imply it.
+_INTEREST_HOOKS = {
+    "wants_rq_load": ("on_rq_load",),
+    "wants_balance": ("on_considered", "on_balance"),
+    "wants_callback": ("on_callback",),
+}
 
 
 class TraceBuffer:
@@ -325,6 +321,8 @@ class TraceProbe(Probe):
         self.record_wakeups = record_wakeups
         self.record_lifecycle = record_lifecycle
         self.record_switches = record_switches
+        self.wants_rq_load = record_load
+        self.wants_balance = record_considered
 
     def on_nr_running(self, now: int, cpu: int, nr_running: int) -> None:
         if self.record_nr_running:
@@ -333,12 +331,6 @@ class TraceProbe(Probe):
     def on_rq_load(self, now: int, cpu: int, load: float) -> None:
         if self.record_load:
             self.buffer.append(LoadEvent(now, cpu, load))
-
-    def wants_rq_load(self) -> bool:
-        return self.record_load
-
-    def wants_balance(self) -> bool:
-        return self.record_considered
 
     def on_considered(
         self, now: int, cpu: int, op: str, considered: Iterable[int]
@@ -409,20 +401,28 @@ class FanoutProbe(Probe):
     An *empty* fanout -- the default wiring of a :class:`System` nobody
     instrumented -- reports ``active = False`` (an instance attribute
     shadowing the subclass default), so the hot-path gates skip hook
-    calls entirely until the first consumer is attached.
+    calls entirely until the first consumer is attached.  Its interest
+    attributes are the union of its members', read whenever a member is
+    added or removed.
     """
 
     def __init__(self, probes: Iterable[Probe] = ()):
         self.probes: List[Probe] = list(probes)
-        self.active = bool(self.probes)
+        self._refresh()
 
     def add(self, probe: Probe) -> None:
         self.probes.append(probe)
-        self.active = True
+        self._refresh()
 
     def remove(self, probe: Probe) -> None:
         self.probes.remove(probe)
-        self.active = bool(self.probes)
+        self._refresh()
+
+    def _refresh(self) -> None:
+        probes = self.probes
+        self.active = bool(probes)
+        for flag in _INTEREST_HOOKS:
+            setattr(self, flag, any(getattr(p, flag) for p in probes))
 
     def on_nr_running(self, now: int, cpu: int, nr_running: int) -> None:
         for probe in self.probes:
@@ -431,20 +431,6 @@ class FanoutProbe(Probe):
     def on_rq_load(self, now: int, cpu: int, load: float) -> None:
         for probe in self.probes:
             probe.on_rq_load(now, cpu, load)
-
-    def wants_rq_load(self) -> bool:
-        # Plain loop, not any(genexp): this runs on every runqueue
-        # notification and a generator allocation per call is measurable.
-        for probe in self.probes:
-            if probe.wants_rq_load():
-                return True
-        return False
-
-    def wants_balance(self) -> bool:
-        for probe in self.probes:
-            if probe.wants_balance():
-                return True
-        return False
 
     def on_considered(
         self, now: int, cpu: int, op: str, considered: Iterable[int]
@@ -504,12 +490,6 @@ class FanoutProbe(Probe):
     def on_callback(self, now: int, label: str, tag: Optional[int]) -> None:
         for probe in self.probes:
             probe.on_callback(now, label, tag)
-
-    def wants_callback(self) -> bool:
-        for probe in self.probes:
-            if probe.wants_callback():
-                return True
-        return False
 
     def on_checker(
         self, now: int, event: str, fields: Mapping[str, object]

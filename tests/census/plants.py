@@ -7,9 +7,10 @@ place and each memo is reused only at its own key (timestamp, mutation
 counters, divisor epoch), the fast busiest-group selection is right
 only while the sanitizer holds it against the reference, and a scenario
 file is only as good as the loader's checks of the references it names.
-Each :class:`Plant` below disables one of those invalidations or checks,
-drops a term of a memo key, or bends the fast selection, and names the
-tier-1 tests that must fail
+Each paper fix, too, is one decision point, and so is the fast wakeup's
+idle check.  Each :class:`Plant` below disables one of those
+invalidations, checks or fixes, drops a term of a memo key, or bends
+the fast selection or wakeup, and names the tier-1 tests that must fail
 once it is in, so a deletion that leaves one of them unguarded shows up
 as a plant that got through.
 
@@ -85,6 +86,7 @@ DANGLING = (
     "test_load_scenario_rejects_dangling_reference"
 )
 LOAD_SCENARIO = "src/repro/slo/registry.py::load_scenario"
+DOMAIN_BUILDER = "src/repro/sched/domains.py::DomainBuilder."
 
 
 def _stales(mutator: str) -> str:
@@ -225,6 +227,72 @@ PLANTS: Tuple[Plant, ...] = (
             VECSTATE + "test_hotplug_cycle_reelects_over_the_new_domain_table",
             VECSTATE + "test_hotplug_drops_interned_indices_and_balance_plans",
             VECSTATE + "TestFastAnswers::runTest",
+        ),
+    ),
+    # The four fixes' decision points: the Group Imbalance metric on
+    # each path, per-perspective NUMA groups, the Overload-on-Wakeup
+    # placement, and the cross-node levels rebuilt after hotplug.
+    Plant(
+        "src/repro/sched/balance.py::group_metric",
+        "if sched.features.fix_group_imbalance:", "if False:", (
+            "tests/test_balance.py::TestGroupMetric::test_fixed_uses_minimum",
+            "tests/test_balance.py::TestFindBusiestGroupReference::"
+            "test_group_imbalance_scenario",
+            "tests/test_bug_group_imbalance.py::test_fix_fills_the_idle_cores",
+            SANITIZER + "test_sanitizer_soak_clean[fixed-group-imbalance]",
+        ),
+    ),
+    Plant(
+        "src/repro/sched/vecstate.py::VecState.__init__",
+        "self._use_min = sched.features.fix_group_imbalance",
+        "self._use_min = False", (
+            "tests/test_balance.py::TestFindBusiestGroup::"
+            "test_group_imbalance_scenario",
+            "tests/test_bug_group_imbalance.py::test_fix_fills_the_idle_cores",
+            SANITIZER + "test_sanitizer_soak_clean[fixed-group-imbalance]",
+            "tests/test_cross_path.py::"
+            "test_untraced_end_states_agree[group-imbalance:fixed]",
+        ),
+    ),
+    Plant(
+        DOMAIN_BUILDER + "_numa_groups",
+        "seed_order = [own_node] + [", "seed_order = sorted(span_nodes) + [", (
+            "tests/test_domains.py::TestPaperGroupSets::"
+            "test_fixed_groups_are_per_perspective",
+            "tests/test_bug_group_construction.py::"
+            "test_fix_spreads_across_both_nodes",
+        ),
+    ),
+    Plant(
+        "src/repro/sched/wakeup.py::_fix_active",
+        "return features.fix_overload_on_wakeup and not "
+        "features.power_aware_wakeup",
+        "return False", (
+            "tests/test_bug_overload_wakeup.py::"
+            "test_fix_wakes_on_longest_idle_core",
+            "tests/test_wakeup.py::TestFixedWake::"
+            "test_longest_idle_core_when_prev_busy",
+        ),
+    ),
+    Plant(
+        DOMAIN_BUILDER + "_build_table",
+        "self.hotplug_happened and not self.features.fix_missing_domains",
+        "self.hotplug_happened", (
+            "tests/test_bug_missing_domains.py::"
+            "test_fix_keeps_numa_levels_while_a_core_is_offline",
+            SANITIZER + "test_sanitizer_soak_clean[fixed-missing-domains]",
+        ),
+    ),
+    # The fast wakeup's first answer: the target itself only when idle.
+    Plant(
+        "src/repro/sched/wakeup.py::_fast_idle_sibling",
+        "if allowed(target) and cpus[target].is_idle:", "if allowed(target):",
+        (
+            "tests/test_wakeup.py::TestMainlineWake::"
+            "test_idle_core_in_node_chosen_over_busy_prev",
+            VECSTATE + "TestFastAnswers::runTest",
+            SANITIZER + "test_trips_on_stale_idle_sibling",
+            MAKE_AND_R,
         ),
     ),
     Plant(LOAD_SCENARIO, "resolve_kind(ref)", "pass", (

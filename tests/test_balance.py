@@ -16,6 +16,18 @@ def make_sched(features=BUGGY, topo=None):
     return Scheduler(topo or two_nodes(cores_per_node=4), features)
 
 
+class OnBothPaths:
+    """Runs a class's tests on the fast path; a subclass that sets
+    ``fastpath = False`` runs them again on the reference path.  The
+    scheduler's features pick the balancer's path, so each test builds
+    its scheduler through :meth:`make_sched`."""
+
+    fastpath = True
+
+    def make_sched(self, features=BUGGY, topo=None):
+        return make_sched(features.with_fastpath(self.fastpath), topo)
+
+
 def add_queued(sched, cpu_id, name=None, nice=0, allowed=None):
     """Enqueue a runnable (not running) task."""
     task = Task(name or f"q{cpu_id}", nice=nice, allowed_cpus=allowed)
@@ -87,9 +99,9 @@ class TestGroupMetric:
         assert lb.group_metric(sched, stats) == stats.min_load == 0.0
 
 
-class TestFindBusiestGroup:
+class TestFindBusiestGroup(OnBothPaths):
     def test_balanced_when_equal(self):
-        sched = make_sched()
+        sched = self.make_sched()
         domain = sched.domain_builder.domains_of(0)[-1]
         busiest, local = lb.find_busiest_group(sched, domain, 0, 0)
         assert busiest is None
@@ -101,7 +113,7 @@ class TestFindBusiestGroup:
         minimum metric sees through it."""
         topo = two_nodes(cores_per_node=4)
         for features, expect_steal in ((BUGGY, False), (GI_FIXED, True)):
-            sched = make_sched(features, two_nodes(cores_per_node=4))
+            sched = self.make_sched(features, two_nodes(cores_per_node=4))
             # Local node: one huge thread (nice -15), three idle cores.
             add_running(sched, 0, nice=-15)
             # Remote node: two normal threads per core (overloaded).
@@ -113,7 +125,7 @@ class TestFindBusiestGroup:
             assert (busiest is not None) == expect_steal
 
     def test_overloaded_group_preferred(self):
-        sched = make_sched()
+        sched = self.make_sched()
         # Node 1: overloaded (6 tasks on 4 cpus).
         for cpu in range(4, 8):
             add_running(sched, cpu)
@@ -123,6 +135,10 @@ class TestFindBusiestGroup:
         busiest, _ = lb.find_busiest_group(sched, domain, 0, 0)
         assert busiest is not None
         assert busiest.overloaded
+
+
+class TestFindBusiestGroupReference(TestFindBusiestGroup):
+    fastpath = False
 
 
 class TestPickBusiestCpu:
@@ -201,11 +217,11 @@ class TestMoveTasks:
         )
 
 
-class TestBalanceDomainTasksets:
+class TestBalanceDomainTasksets(OnBothPaths):
     def test_excludes_pinned_cpu_and_tries_next(self):
         """The taskset retry: busiest cpu's tasks are pinned; the next
         busiest cpu of the group must be tried."""
-        sched = make_sched()
+        sched = self.make_sched()
         # cpu4: heavy but pinned to node 1.  cpu5: movable work.
         add_running(sched, 4, nice=-10)
         add_queued(sched, 4, allowed=frozenset(range(4, 8)), name="pinned")
@@ -221,6 +237,10 @@ class TestBalanceDomainTasksets:
             t.name.startswith("movable") and t.cpu == 0
             for t in movable.values()
         )
+
+
+class TestBalanceDomainTasksetsReference(TestBalanceDomainTasksets):
+    fastpath = False
 
 
 class TestDesignatedCpu:
@@ -244,9 +264,9 @@ class TestDesignatedCpu:
         assert lb.designated_cpu(sched, domain, 7) == -1
 
 
-class TestPeriodicBalance:
+class TestPeriodicBalance(OnBothPaths):
     def test_respects_interval(self):
-        sched = make_sched(topo=single_node(2))
+        sched = self.make_sched(topo=single_node(2))
         add_running(sched, 0)
         add_queued(sched, 0)
         add_running(sched, 1)
@@ -260,7 +280,7 @@ class TestPeriodicBalance:
         del moved_first
 
     def test_steals_to_idle_designated(self):
-        sched = make_sched(topo=single_node(2))
+        sched = self.make_sched(topo=single_node(2))
         add_running(sched, 0)
         task = add_queued(sched, 0)
         # Levels first become due one interval after boot.
@@ -268,6 +288,10 @@ class TestPeriodicBalance:
         assert moved == 1
         assert task.cpu == 1
         assert 1 in sched.pending_dispatch
+
+
+class TestPeriodicBalanceReference(TestPeriodicBalance):
+    fastpath = False
 
 
 class TestNewidleBalance:
@@ -280,23 +304,27 @@ class TestNewidleBalance:
         assert task.cpu == 1
 
 
-class TestNohz:
+class TestNohz(OnBothPaths):
     def test_kick_target_is_lowest_tickless_idle(self):
-        sched = make_sched()
+        sched = self.make_sched()
         add_running(sched, 0)
         assert lb.nohz_kick_target(sched) == 1
 
     def test_no_target_when_all_busy(self):
-        sched = make_sched(topo=single_node(2))
+        sched = self.make_sched(topo=single_node(2))
         add_running(sched, 0)
         add_running(sched, 1)
         assert lb.nohz_kick_target(sched) is None
 
     def test_idle_balance_on_behalf(self):
-        sched = make_sched(topo=single_node(4))
+        sched = self.make_sched(topo=single_node(4))
         add_running(sched, 0)
         for _ in range(3):
             add_queued(sched, 0)
         moved = lb.nohz_idle_balance(sched, 1, 10_000)
         assert moved >= 2  # spread to several idle cpus
         assert sched.cpus[1].nohz_balancer
+
+
+class TestNohzReference(TestNohz):
+    fastpath = False

@@ -60,6 +60,18 @@ def test_no_hotplug_no_bug():
     assert sampler.violation_fraction < 0.2
 
 
+def test_fix_keeps_numa_levels_while_a_core_is_offline():
+    """The fix regenerates the cross-node levels on every hotplug, also
+    while the disabled core is still offline; the bug drops them."""
+    online = set(range(8)) - {2}
+    for features, spans_both_nodes in ((FIXED, True), (BUGGY, False)):
+        system = System(two_nodes(cores_per_node=4), features, seed=4)
+        system.hotplug_cpu(2, False)
+        for cpu_id in (0, 5):
+            top = system.scheduler.domain_builder.domains_of(cpu_id)[-1]
+            assert (set(top.span) == online) is spans_both_nodes
+
+
 def test_disabling_a_remote_core_still_triggers():
     """The paper: threads are confined 'even if the node they run on is
     not the same as that on which the core was disabled'."""

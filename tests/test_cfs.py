@@ -123,7 +123,7 @@ def test_tick_preempt_on_vruntime_gap():
 
 
 def test_wakeup_preempt_idle_cpu():
-    assert cfs.should_preempt_on_wakeup(FEATURES, None, Task("w"))
+    assert cfs.should_preempt_on_wakeup(None, Task("w"))
 
 
 def test_wakeup_preempt_on_large_vruntime_gap():
@@ -131,7 +131,7 @@ def test_wakeup_preempt_on_large_vruntime_gap():
     curr.vruntime = 1_000_000
     woken = Task("w")
     woken.vruntime = 0
-    assert cfs.should_preempt_on_wakeup(FEATURES, curr, woken)
+    assert cfs.should_preempt_on_wakeup(curr, woken)
 
 
 def test_wakeup_no_preempt_within_granularity():
@@ -139,4 +139,4 @@ def test_wakeup_no_preempt_within_granularity():
     curr.vruntime = 100
     woken = Task("w")
     woken.vruntime = 0
-    assert not cfs.should_preempt_on_wakeup(FEATURES, curr, woken)
+    assert not cfs.should_preempt_on_wakeup(curr, woken)

@@ -1,8 +1,12 @@
 """Tests for the command-line interface."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import build_parser, check_inputs, check_workers, main
 
@@ -201,6 +205,10 @@ def _corrupt(tmp_path, name, text):
          "--scale must be a positive finite number, got 0.0"),
         (["metrics", "group-imbalance", "--duration-us", "-5"], None,
          "--duration-us must be a positive integer, got -5"),
+        (["table2", "--runs", "0"], None,
+         "--runs must be a positive integer, got 0"),
+        (["overhead", "--threads", "-1"], None,
+         "--threads must be a positive integer, got -1"),
         (["replay", "diff", "missing.trace.jsonl"], None,
          "cannot read recording missing.trace.jsonl"),
         (["replay", "diff", "junk.trace.jsonl"],
@@ -245,6 +253,7 @@ def _corrupt(tmp_path, name, text):
          "cannot create --out blocker/traces"),
     ],
     ids=["report-scale-neg", "table1-scale-0", "metrics-duration-neg",
+         "table2-runs-0", "overhead-threads-neg",
          "replay-missing", "replay-not-json", "replay-not-utf8",
          "replay-header-not-object",
          "report-cache-dir-uncreatable", "trace-out-missing-dir",
@@ -306,3 +315,139 @@ def test_usable_worker_settings_pass(monkeypatch, argv, env):
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     assert check_workers(build_parser().parse_args(argv)) is None
+
+
+# ------------------------------------------------- generated command lines
+
+#: Boundary values for every numeric option and environment variable.
+NUMBERS = ("-1", "0", "-0", "nan", "inf", "-inf", "1e309", "abc", "",
+           "0.5", "2")
+#: Boundary paths, relative to a scratch directory that holds one
+#: regular file and one corrupt recording: a missing path, the file used
+#: as a directory, the file itself, the recording, an existing directory
+#: and a path that can be created.
+PATHS = ("missing/x", "afile/x", "afile", "corrupt.trace.jsonl", ".",
+         "fresh/dir", "")
+#: Each subcommand's argv prefix and its options, as (flag, kind):
+#: ``num`` and ``path`` draw from the tuples above, ``bool`` is a bare
+#: switch, ``word`` a short identifier and ``paths`` one to three paths.
+SUBCOMMANDS = {
+    ("bugs",): (),
+    ("topology",): (),
+    ("table1",): (("--scale", "num"), ("--apps", "word"), ("--obs", "bool")),
+    ("table2",): (("--scale", "num"), ("--runs", "num")),
+    ("table3",): (("--scale", "num"), ("--apps", "word")),
+    ("figure2",): (("--scale", "num"), ("--svg-dir", "path")),
+    ("figure3",): (("--scale", "num"), ("--svg-dir", "path")),
+    ("figure5",): (("--svg-dir", "path"),),
+    ("overhead",): (("--threads", "num"),),
+    ("report",): (
+        ("--scale", "num"), ("--output", "path"), ("--quick", "bool"),
+        ("-j", "num"), ("--no-cache", "bool"), ("--cache-dir", "path"),
+        ("--utilization-out", "path"), ("--digests-out", "path"),
+    ),
+    ("lint",): (("", "paths"), ("--format", "word"), ("--sarif", "path")),
+    ("slo", "run"): (
+        ("--registry", "paths"), ("--scenario", "word"), ("--scale", "num"),
+        ("-j", "num"), ("--no-cache", "bool"), ("--cache-dir", "path"),
+        ("--json", "path"), ("--progress", "bool"),
+    ),
+    ("slo", "check"): (
+        ("--registry", "paths"), ("--scale", "num"), ("-j", "num"),
+        ("--no-cache", "bool"), ("--cache-dir", "path"),
+        ("--baseline", "path"), ("--json", "path"),
+    ),
+    ("replay", "record"): (
+        ("--registry", "paths"), ("--scale", "num"), ("--out", "path"),
+    ),
+    ("replay", "diff"): (("", "paths"),),
+    ("demo", "group-imbalance"): (("--sanitize", "bool"),),
+    ("demo", "no-such-bug"): (),
+    ("trace", "missing-domains"): (
+        ("--variant", "word"), ("--duration-us", "num"), ("--out", "path"),
+    ),
+    ("metrics", "overload-on-wakeup"): (("--duration-us", "num"),),
+}
+ENV = {
+    "REPRO_JOBS": NUMBERS,
+    "REPRO_SCALE": NUMBERS,
+    "REPRO_START_METHOD": ("", "fork", "spawn", "bogus"),
+    "REPRO_CACHE_DIR": PATHS,
+}
+
+
+def _values(kind):
+    if kind == "num":
+        return st.sampled_from(NUMBERS).map(lambda v: [v])
+    if kind == "path":
+        return st.sampled_from(PATHS).map(lambda v: [v])
+    if kind == "paths":
+        return st.lists(st.sampled_from(PATHS), min_size=1, max_size=3)
+    if kind == "word":
+        return st.sampled_from(["cg", "buggy", "json", "x"]).map(
+            lambda v: [v]
+        )
+    return st.just([])
+
+
+def _command_lines():
+    """(argv, environment) pairs over every subcommand."""
+
+    def options(prefix):
+        picks = [
+            st.one_of(st.just([]), _values(kind).map(
+                lambda vals, flag=flag: ([flag] if flag else []) + vals
+            ))
+            for flag, kind in SUBCOMMANDS[prefix]
+        ]
+        return st.tuples(*picks).map(
+            lambda parts: list(prefix) + [a for part in parts for a in part]
+        )
+
+    argv = st.sampled_from(sorted(SUBCOMMANDS)).flatmap(options)
+    env = st.fixed_dictionaries({
+        name: st.one_of(st.none(), st.sampled_from(values))
+        for name, values in ENV.items()
+    })
+    return st.tuples(argv, env)
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_generated_command_lines_fail_closed(monkeypatch, tmp_path):
+    """Every generated command line either is an argparse error (exit 2)
+    or passes both checks, each returning None or a one-line message;
+    nothing else raises and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("a regular file", encoding="utf-8")
+    (tmp_path / "corrupt.trace.jsonl").write_bytes(b"\xff\xfe{\n")
+    before = _tree(tmp_path)
+    parser = build_parser()
+
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              database=None)
+    @given(_command_lines())
+    def check(case):
+        argv, env = case
+        with pytest.MonkeyPatch.context() as mp:
+            for name, value in env.items():
+                if value is None:
+                    mp.delenv(name, raising=False)
+                else:
+                    mp.setenv(name, value)
+            try:
+                with contextlib.redirect_stderr(io.StringIO()):
+                    args = parser.parse_args(argv)
+            except SystemExit as exc:
+                assert exc.code == 2, (argv, exc.code)
+                return
+            for message in (check_workers(args), check_inputs(args)):
+                assert message is None or (
+                    isinstance(message, str) and message
+                    and "\n" not in message
+                ), (argv, env, message)
+        assert _tree(tmp_path) == before, (argv, env)
+
+    check()

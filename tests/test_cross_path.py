@@ -8,20 +8,26 @@ builds it, so the reference path is this file's oracle.  Four parts:
 
 1. soak64 and the eight bug scenarios run on both paths; their traced
    event streams and their untraced end states must be identical, and a
-   failure names the first divergent event;
+   failure names the first divergent event; the eight scenarios are
+   traced once more with considered-cores records on, which covers the
+   records each path emits;
 2. every trial of ``repro report`` runs as is and with the
    ``fastpath_off`` feature token, and each pair of schedule digests
    must be equal;
 3. exact call counts of ``periodic_balance`` and ``_fast_idle_sibling``
    on both paths, so a fast path that silently stops engaging (or starts
-   doing extra work) fails deterministically, with no wall-clock read;
+   doing extra work) fails deterministically, with no wall-clock read,
+   and a probe that records considered cores must leave the fast
+   wakeup's count as it is untraced;
 4. a vacuity guard: a change planted in reference-only code must make
    part 1's helper report a divergence.
 
-The trace probe records no considered-cores records: a probe that
-consumes considered or balance records (``Probe.wants_balance``) turns
-off ``wakeup._fast_idle_sibling`` and the nothing-to-pull gate
-(``balance.nothing_to_pull``), and the comparison would never reach them.
+The features alone pick the path; a probe picks only what is recorded.
+Part 1's main comparison still records no considered-cores records: a
+probe that consumes considered or balance records
+(``Probe.wants_balance``) keeps every attempt the nothing-to-pull gate
+(``balance.nothing_to_pull``) would skip, so only an untraced or
+considered-off run reaches that gate.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from repro.sched.features import SchedFeatures
 from repro.sim.system import System
 from repro.sim.timebase import MS
 from repro.slo.replay import diff_events, serialize_buffer
-from repro.viz.events import TraceBuffer, TraceProbe
+from repro.viz.events import ConsideredEvent, TraceBuffer, TraceProbe
 from tests.conftest import build_soak64
 
 HORIZON_US = 250 * MS
@@ -87,21 +93,24 @@ def _run(workload: str, fastpath: bool,
     return scenario.system
 
 
-def _stream(workload: str, fastpath: bool) -> List[Dict[str, object]]:
+def _stream(workload: str, fastpath: bool,
+            considered: bool = False) -> List[Dict[str, object]]:
     buffer = TraceBuffer()
     probe = TraceProbe(buffer=buffer, record_load=False,
-                       record_considered=False)
-    assert not probe.wants_balance()  # leaves every fast-path shortcut on
+                       record_considered=considered)
+    # Without considered records the nothing-to-pull gate stays on.
+    assert probe.wants_balance is considered
     _run(workload, fastpath, probe)
     assert not buffer.dropped, f"{workload}: trace buffer overflowed"
     return serialize_buffer(buffer)
 
 
-def stream_divergence(workload: str) -> Optional[str]:
+def stream_divergence(workload: str,
+                      considered: bool = False) -> Optional[str]:
     """None when both paths trace ``workload`` identically; otherwise the
     first divergent event of each path."""
-    reference = _stream(workload, False)
-    fast = _stream(workload, True)
+    reference = _stream(workload, False, considered)
+    fast = _stream(workload, True, considered)
     at = diff_events(reference, fast)
     if at is None:
         return None
@@ -156,6 +165,12 @@ def test_traced_streams_agree(workload):
     assert divergence is None, divergence
 
 
+def test_considered_streams_agree():
+    divergences = [d for d in (stream_divergence(w, considered=True)
+                               for w in SCENARIOS) if d is not None]
+    assert not divergences, "\n".join(divergences)
+
+
 @pytest.mark.parametrize("workload", WORKLOADS)
 def test_untraced_end_states_agree(untraced, workload):
     reference, _ = untraced[workload, False]
@@ -208,6 +223,18 @@ def test_call_counts(untraced):
     for workloads in (SOAK64, "scenarios"):
         assert (measured[workloads, True]["periodic_balance"]
                 < measured[workloads, False]["periodic_balance"])
+
+
+def test_considered_records_leave_the_fast_wakeup_on():
+    counts: Counter = Counter()
+    name = "_fast_idle_sibling"
+    probe = TraceProbe(record_load=False, record_considered=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wakeup, name,
+                   _counted(counts, name, getattr(wakeup, name)))
+        _run(SOAK64, True, probe)
+    assert probe.buffer.of_type(ConsideredEvent)
+    assert counts[name] == COUNTS[SOAK64, True][name]
 
 
 # -- part 4: the gate can fail ----------------------------------------------

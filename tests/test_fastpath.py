@@ -200,12 +200,12 @@ def test_group_stats_memo_hits_within_a_pass():
     add_queued(sched, 0, "t0")
     add_queued(sched, 1, "t1")
     domain = sched.domain_builder.domains_of(0)[-1]
-    vstate = sched.vec_pass(1000)
-    _, local, _ = vstate.find_busiest(domain, 0)
+    vstate = sched.vec
+    _, local, _ = vstate.find_busiest(domain, 0, 1000)
     fold = vstate._gstats[id(local.group)]
     # A second selection at the same timestamp folds nothing: it reads
     # the same memo entry and hands out the same GroupStats.
-    assert vstate.find_busiest(domain, 0)[1] is local
+    assert vstate.find_busiest(domain, 0, 1000)[1] is local
     assert vstate._gstats[id(local.group)] is fold
 
 
@@ -222,13 +222,13 @@ def test_a_mutation_refolds_at_the_same_timestamp():
     sched.register_task(straggler)
     domain = sched.domain_builder.domains_of(0)[-1]
     node1 = next(g for g in domain.groups if 0 not in g.cpus)
-    vstate = sched.vec_pass(1000)
-    _, stats0, _ = vstate.find_busiest(domain, 0)
+    vstate = sched.vec
+    _, stats0, _ = vstate.find_busiest(domain, 0, 1000)
     fold1 = vstate._gstats[id(node1)]
     version = vstate._version
     sched.cpus[0].rq.enqueue(straggler, 0)
     assert vstate._version > version
-    _, refolded, _ = vstate.find_busiest(domain, 0)
+    _, refolded, _ = vstate.find_busiest(domain, 0, 1000)
     fresh1 = vstate._gstats[id(node1)]
     assert fresh1 is not fold1
     assert fresh1[1:3] == [1000, vstate._version]

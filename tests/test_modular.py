@@ -2,6 +2,8 @@
 
 from dataclasses import replace
 
+import pytest
+
 from repro.modular import (
     CacheAffinityModule,
     InvariantGuardedScheduler,
@@ -106,6 +108,23 @@ class TestModules:
 
 
 class TestInvariantGuard:
+    @pytest.mark.parametrize("state", ["queued", "running"])
+    def test_waking_a_task_on_a_runqueue_raises(self, state):
+        """The guarded wakeup keeps the base scheduler's state check: a
+        task already on a runqueue is never queued on a second one."""
+        sched = make_guarded([LeastLoadedModule()])
+        task = Task("twice")
+        sched.register_task(task)
+        sched.enqueue_task_on(task, 0, 0)
+        if state == "running":
+            assert sched.pick_next_task(0, 0) is task
+        with pytest.raises(ValueError, match="cannot wake"):
+            sched.wake_task(task, 0, 0)
+        holders = [c.cpu_id for c in sched.cpus if task in c.rq.all_tasks()]
+        assert holders == [0]
+        assert not sched.decisions
+        assert task.stats.wakeups == 0
+
     def test_feasible_suggestion_accepted(self):
         sched = make_guarded([CacheAffinityModule()])
         task = sleeper(sched, prev_cpu=1)

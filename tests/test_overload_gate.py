@@ -53,15 +53,15 @@ BUGS = (
 
 
 class _Listener(Probe):
-    """An active probe with no hooks of its own.
+    """An active probe with no hooks of its own, so no interests.
 
-    It inherits ``wants_balance`` from the base class, so patching
-    ``Probe.wants_balance`` to return True forces every balance walk.
+    Patching its ``wants_balance`` to True before it is attached forces
+    every balance walk.
     """
 
 
 def _force_ungated(monkeypatch):
-    monkeypatch.setattr(Probe, "wants_balance", lambda self: True)
+    monkeypatch.setattr(_Listener, "wants_balance", True)
 
 
 #: Wider than any simulated machine: an attempt "reaching" every CPU.
@@ -246,11 +246,10 @@ def _mixed_system():
 
 def _assert_ungated_walks_move_nothing(sched, cpu_ids, now):
     """Run every level's walk for ``cpu_ids``; each must move 0 tasks."""
-    bpass = sched.vec_pass(now)
     walks = 0
     for cpu_id in cpu_ids:
         for domain in sched.domain_builder.domains_of(cpu_id):
-            assert lb.balance_domain(sched, domain, cpu_id, now, bpass) == 0
+            assert lb.balance_domain(sched, domain, cpu_id, now) == 0
             walks += 1
     return walks
 
@@ -428,28 +427,43 @@ def test_domain_gate_keeps_every_balance_record(monkeypatch, transform):
 
 
 def test_wants_balance_defaults():
-    assert not Probe().wants_balance()
-    assert not _Listener().wants_balance()
-    assert TraceProbe().wants_balance()
-    assert not TraceProbe(record_considered=False).wants_balance()
+    assert Probe().wants_balance is False
+    assert _Listener().wants_balance is False
+    assert TraceProbe().wants_balance is True
+    assert TraceProbe(record_considered=False).wants_balance is False
 
     class OutcomesOnly(Probe):
         def on_balance(self, *args):
             pass
 
-    assert OutcomesOnly().wants_balance()
+    class Declined(OutcomesOnly):
+        wants_balance = False
+
+    assert OutcomesOnly().wants_balance is True
+    assert Declined().wants_balance is False
+    # The other two interests follow their own hooks.
+    assert OutcomesOnly().wants_rq_load is False
+    assert OutcomesOnly().wants_callback is False
 
 
 def test_obs_consumers_want_balance_as_they_record():
     # The recorder counts balance outcomes and considered-core reports;
     # the trace builder draws neither, so alone it keeps the gate shut.
     recorder, builder = MetricsRecorder(), ChromeTraceBuilder(2)
-    assert recorder.wants_balance()
-    assert not builder.wants_balance()
-    assert FanoutProbe([_Listener(), recorder]).wants_balance()
-    assert not FanoutProbe([_Listener(), builder]).wants_balance()
+    assert recorder.wants_balance is True
+    assert builder.wants_balance is False
+    assert FanoutProbe([_Listener(), recorder]).wants_balance is True
+    assert FanoutProbe([_Listener(), builder]).wants_balance is False
     # Neither consumes load samples.
-    assert not FanoutProbe([recorder, builder]).wants_rq_load()
+    assert FanoutProbe([recorder, builder]).wants_rq_load is False
+    # A fanout reads its members' interests as they come and go.
+    fanout = FanoutProbe([builder])
+    fanout.add(recorder)
+    assert fanout.active and fanout.wants_balance
+    fanout.remove(recorder)
+    assert fanout.active and not fanout.wants_balance
+    fanout.remove(builder)
+    assert not fanout.active
 
 
 def test_sanitizer_catches_a_drifted_count():
@@ -468,10 +482,11 @@ def test_sanitizer_catches_a_drifted_count():
     assert (info.value.cached, info.value.fresh) == ([], [0])
 
 
-def _pair_sched():
+def _pair_sched(fastpath=True):
     """Two single-CPU groups at the MC level; cpu 1 has tasks to spare."""
     sched = Scheduler(
-        two_nodes(cores_per_node=2), SchedFeatures().with_sanitizer()
+        two_nodes(cores_per_node=2),
+        SchedFeatures().with_sanitizer().with_fastpath(fastpath),
     )
     for name in "abc":
         sched.enqueue_task_on(Task(name), 1, 0)
@@ -495,20 +510,20 @@ def test_sanitizer_catches_a_drifted_set_at_a_domain_skip():
     sched, domain = _pair_sched()
     sched.overload.clear()  # cpu 1 drops out of the set untracked
     with pytest.raises(CoherenceError) as info:
-        lb.balance_domain(sched, domain, 0, 0, sched.vec_pass(0))
+        lb.balance_domain(sched, domain, 0, 0)
     assert info.value.accessor == "overload-gate"
     assert (info.value.cached, info.value.fresh) == ([], [1])
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_sanitizer_dry_runs_every_domain_skip(monkeypatch, fastpath):
-    sched, domain = _pair_sched()
+    sched, domain = _pair_sched(fastpath)
+    assert (sched.vec is not None) is fastpath
     # A wrong reach makes the gate skip an attempt that would pull.
     monkeypatch.setattr(
         SchedDomain, "remote_cpus", lambda self, cpu_id: frozenset()
     )
-    bpass = sched.vec_pass(0) if fastpath else None
     with pytest.raises(CoherenceError) as info:
-        lb.balance_domain(sched, domain, 0, 0, bpass)
+        lb.balance_domain(sched, domain, 0, 0)
     assert info.value.accessor == "spare-gate"
     assert info.value.fresh == 1

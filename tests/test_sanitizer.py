@@ -123,7 +123,7 @@ def test_trips_on_unbumped_hotplug():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched = scenario.system.scheduler
-    vstate = sched.vec_pass(scenario.system.now)
+    vstate = sched.vec
     domains = sched.domain_builder.domains_of(0)
     group = None
     for domain in reversed(domains):
@@ -177,19 +177,19 @@ def test_unsanitized_miss_drift_goes_unnoticed(monkeypatch):
 
 def _top_domain(scenario):
     sched = scenario.system.scheduler
-    vstate = sched.vec_pass(scenario.system.now)
-    return sched, vstate, sched.domain_builder.domains_of(0)[-1]
+    return sched, sched.vec, sched.domain_builder.domains_of(0)[-1]
 
 
 def test_trips_on_group_stats_drift():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     sched, vstate, domain = _top_domain(scenario)
-    vstate.find_busiest(domain, 0)  # prime the fold memo
+    now = scenario.system.now
+    vstate.find_busiest(domain, 0, now)  # prime the fold memo
     victim = sched.cpus[domain.local_group(0).sorted_cpus()[0]].rq
     victim._nr_running += 1  # un-bumped: no dirty mark, memo stays keyed
     with pytest.raises(CoherenceError):
-        vstate.find_busiest(domain, 0)
+        vstate.find_busiest(domain, 0, now)
     victim._nr_running -= 1
 
 
@@ -199,12 +199,13 @@ def test_trips_on_a_drifted_fold():
     scenario = build("group-imbalance")
     scenario.run(SOAK_US // 2)
     _sched, vstate, domain = _top_domain(scenario)
-    vstate.find_busiest(domain, 0)
+    now = scenario.system.now
+    vstate.find_busiest(domain, 0, now)
     fold = vstate._gstats[id(domain.local_group(0))]
     fold[6] += 1  # the memoized nr_running sum
     fold[9] = None  # and its materialized GroupStats
     with pytest.raises(CoherenceError) as exc:
-        vstate.find_busiest(domain, 0)
+        vstate.find_busiest(domain, 0, now)
     assert exc.value.accessor == "group-stats"
     assert exc.value.field == "nr_running"
 
@@ -214,8 +215,8 @@ def test_trips_on_a_wrong_selection(monkeypatch):
     drops the busiest group it found trips on the reference decision."""
     real = VecState.find_busiest
 
-    def forgetful(self, domain, dst_cpu, need_local=True):
-        busiest, local, examined = real(self, domain, dst_cpu, need_local)
+    def forgetful(self, domain, dst_cpu, now):
+        busiest, local, examined = real(self, domain, dst_cpu, now)
         return None, local, examined
 
     monkeypatch.setattr(VecState, "find_busiest", forgetful)
@@ -253,9 +254,7 @@ def test_trips_on_stale_balance_gate_in_nohz_sweep():
     later = scenario.system.now + 500_000
     sched.vec._gate[cpu_id] = later + 1
     with pytest.raises(CoherenceError) as exc:
-        lb.nohz_idle_balance(
-            sched, idle[0], later, bpass=sched.vec_pass(later)
-        )
+        lb.nohz_idle_balance(sched, idle[0], later)
     assert exc.value.accessor == "balance-gate"
     assert f"cpu {cpu_id}" in exc.value.field
 

@@ -26,7 +26,7 @@ from repro.sched import wakeup as wk
 from repro.sched.balance import (
     _elect_designated,
     compute_group_stats,
-    find_busiest_group,
+    reference_busiest_group,
 )
 from repro.sched.features import SchedFeatures
 from repro.sched.load import LoadTracker
@@ -105,9 +105,9 @@ def test_vectorized_soak_never_imports_numpy():
 
 def _assert_folds_match(sched, now):
     """Every fold find_busiest reads is the reference fold, exactly."""
-    vstate = sched.vec.begin(now)
+    vstate = sched.vec
     for domain in sched.domain_builder.domains_of(0):
-        vstate.find_busiest(domain, 0)
+        vstate.find_busiest(domain, 0, now)
         folded = [
             (group, compute_group_stats(sched, group, now))
             for group in domain.groups
@@ -159,8 +159,8 @@ def test_dirty_mark_resamples_only_after_mutation():
     _spawn_some(system)
     system.run_for(10 * MS)
     now = system.now
-    vstate = sched.vec.begin(now)
-    vstate._sample(range(len(sched.cpus)))
+    vstate = sched.vec
+    vstate._sample(range(len(sched.cpus)), now)
     assert vstate._at == [now] * len(sched.cpus)
     rq = sched.cpus[0].rq
     before = vstate._loads[0]
@@ -168,7 +168,7 @@ def test_dirty_mark_resamples_only_after_mutation():
     rq.enqueue(task, now)  # mutator calls mark_dirty via the wiring
     assert vstate._at[0] == -1
     assert vstate._at[1:] == [now] * (len(sched.cpus) - 1)
-    vstate._sample([0])
+    vstate._sample([0], now)
     assert vstate._at[0] == now
     assert vstate._loads[0] == rq.load(now)
     assert vstate._loads[0] != before
@@ -188,8 +188,8 @@ def test_every_mutator_stales_its_own_slot(mutator):
         rq.enqueue(task, now)
     if mutator == "clear_current":
         rq.dispatch(task, now)
-    vstate = sched.vec.begin(now)
-    vstate._sample(range(len(sched.cpus)))
+    vstate = sched.vec
+    vstate._sample(range(len(sched.cpus)), now)
     version = vstate._version
     if mutator == "enqueue":
         rq.enqueue(task, now)
@@ -208,16 +208,15 @@ def test_new_timestamp_stales_every_load_slot():
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(10 * MS)
-    vstate = sched.vec.begin(system.now)
-    vstate._sample(range(len(sched.cpus)))
+    vstate = sched.vec
+    vstate._sample(range(len(sched.cpus)), system.now)
     later = system.now + 1_000
-    vstate.begin(later)
     # Every sample is stale at the new timestamp, but none is re-read
     # until a fold asks for it.
     assert later not in vstate._at
-    vstate._sample([3])
+    vstate._sample([3], later)
     assert [i for i, at in enumerate(vstate._at) if at == later] == [3]
-    vstate._sample(range(len(sched.cpus)))
+    vstate._sample(range(len(sched.cpus)), later)
     for cpu in sched.cpus:
         assert vstate._loads[cpu.cpu_id] == cpu.rq.load(later)
 
@@ -233,8 +232,8 @@ def test_smt_pair_attempt_resamples_exactly_two_slots():
     smt = sched.domain_builder.domains_of(0)[0]
     assert smt.name == "SMT" and len(smt.span) == 2
     fresh = system.now + 1_000  # nothing sampled at this timestamp yet
-    vstate = sched.vec.begin(fresh)
-    vstate.find_busiest(smt, 0)
+    vstate = sched.vec
+    vstate.find_busiest(smt, 0, fresh)
     assert _sampled_at(vstate, fresh) == set(smt.span)
 
 
@@ -245,8 +244,8 @@ def test_wide_attempt_resamples_only_its_domain():
     mc = sched.domain_builder.domains_of(0)[1]
     assert mc.name == "MC" and len(mc.span) < len(sched.cpus)
     fresh = system.now + 1_000
-    vstate = sched.vec.begin(fresh)
-    vstate.find_busiest(mc, 0)
+    vstate = sched.vec
+    vstate.find_busiest(mc, 0, fresh)
     assert _sampled_at(vstate, fresh) == set(mc.span)
 
 
@@ -270,7 +269,7 @@ def test_designated_memo_tracks_election_on_idle_change():
     _spawn_some(system)
     system.run_for(10 * MS)
     now = system.now
-    vstate = sched.vec.begin(now)
+    vstate = sched.vec
     group = _wide_group(sched)
     winner = vstate.designated_for(group)
     assert id(group) in vstate._designated
@@ -303,7 +302,7 @@ def test_cpu_going_idle_is_reelected(leave):
     """The last task leaving a CPU makes it idle, and every memoized
     election over it must see that flip."""
     sched = _occupied_sched(SchedFeatures(), idle=(2,))
-    vec = sched.vec.begin(0)
+    vec = sched.vec
     groups = []
     for domain in sched.domain_builder.domains_of(2):
         group = domain.local_group(2)
@@ -337,13 +336,13 @@ def test_hotplug_drops_interned_indices_and_balance_plans():
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(10 * MS)
-    vstate = sched.vec.begin(system.now)
+    vstate = sched.vec
     group = _wide_group(sched)
     domain = next(
         d for d in sched.domain_builder.domains_of(0)
         if d.local_group(0) is group
     )
-    vstate.find_busiest(domain, 0)
+    vstate.find_busiest(domain, 0, system.now)
     vstate.designated_for(group)
     assert vstate._gidx and vstate._gstats
     gen_before = sched.domain_builder.generation
@@ -375,7 +374,7 @@ def test_hotplug_cycle_reelects_over_the_new_domain_table():
     table = sched.domain_builder._domains
 
     def elect_all():
-        vec = sched.vec.begin(0)
+        vec = sched.vec
         for cpu in sched.cpus:
             if not cpu.online:
                 continue
@@ -594,7 +593,7 @@ class FastAnswersMachine(RuleBasedStateMachine):
     @rule()
     def elect_all(self):
         """Memoize every election, so later flips update them in place."""
-        vec = self.sched.vec.begin(self.now)
+        vec = self.sched.vec
         for cpu_id in self._online():
             for domain in self.sched.domain_builder.domains_of(cpu_id):
                 vec.designated_for(domain.local_group(cpu_id))
@@ -647,12 +646,12 @@ def test_find_busiest_agrees_with_scalar_selection():
     _spawn_some(system)
     system.run_for(15 * MS)
     now = system.now
-    vstate = sched.vec.begin(now)
+    vstate = sched.vec
     for dst in range(len(sched.cpus)):
         for domain in sched.domain_builder.domains_of(dst):
-            busiest, local, _ = vstate.find_busiest(domain, dst)
-            s_busiest, s_local = find_busiest_group(
-                sched, domain, dst, now, bpass=None
+            busiest, local, _ = vstate.find_busiest(domain, dst, now)
+            s_busiest, s_local, _ = reference_busiest_group(
+                sched, domain, dst, now
             )
             if s_busiest is None:
                 assert busiest is None
@@ -661,35 +660,29 @@ def test_find_busiest_agrees_with_scalar_selection():
                 assert busiest.group is s_busiest.group
                 assert busiest.avg_load == s_busiest.avg_load
                 assert busiest.min_load == s_busiest.min_load
-            if busiest is not None:
-                # A found busiest group always carries local stats.
-                assert local is not None
-                assert s_local is not None
+            # Balanced or not, both paths return the same local group.
+            assert (local is None) == (s_local is None)
+            if local is not None:
                 assert local.group is s_local.group
 
 
-def test_find_busiest_need_local_skips_balanced_materialization():
+def test_find_busiest_returns_local_on_balanced_outcomes():
+    """``find_busiest_group``'s contract, ``(None, local)`` on a balanced
+    domain, holds on the fast path whether or not a probe listens."""
     system, sched = _vec_system()
     _spawn_some(system)
     system.run_for(15 * MS)
-    vstate = sched.vec.begin(system.now)
+    balanced = 0
     for dst in range(len(sched.cpus)):
         for domain in sched.domain_builder.domains_of(dst):
-            b_on, l_on, ex_on = vstate.find_busiest(
-                domain, dst, need_local=True
+            busiest, local, _ = sched.vec.find_busiest(
+                domain, dst, system.now
             )
-            b_off, l_off, ex_off = vstate.find_busiest(
-                domain, dst, need_local=False
-            )
-            assert ex_on == ex_off
-            # The busiest decision is identical either way ...
-            assert (b_on is None) == (b_off is None)
-            if b_on is not None:
-                # ... and a found group always returns both stats.
-                assert l_off is not None and l_on is not None
-            else:
-                # Balanced outcome: the inert-probe path skips local.
-                assert l_off is None
+            if busiest is None:
+                balanced += 1
+                assert local is not None
+                assert dst in local.cpus
+    assert balanced
 
 
 def test_sanitized_vectorized_soak_raises_nothing():
